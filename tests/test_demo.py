@@ -1,5 +1,6 @@
 """The shipped demo dataset stays runnable end to end."""
 
+import hashlib
 import pathlib
 
 from markovpop.cli import main
@@ -32,6 +33,53 @@ def test_demo_pipeline(tmp_path):
     assert rc == 0
     assert (tmp_path / "projection.csv").stat().st_size > 0
     assert (tmp_path / "cost.csv").stat().st_size > 0
+
+
+# sha256 of the fitted model, the raw draw dump and each demo report's data
+# rows (manifest lines dropped), pinned so refactors keep the outputs byte-identical.
+# A change that alters the random stream or a formula updates them on purpose.
+GOLDEN = {
+    "model.json": "735ca2dd2e0c8bf145930a3de5fe2d479e68bd0222401c1d8ff166fa6566beca",
+    "projection.csv": "f7515c8992273d9f85b0ddaadcd2f1b112b7e0c1bfe6ce3eb519740747c3c0b6",
+    "simulation.csv": "12b852b83d61c4c2b15d45f65f7a3fd8cb5769361107ff9129b1e4a88473bb5f",
+    "draws.bin": "0e05eba7b1d591397094ac26e215b268f39e837edbd8e504096f33aa8e6f29c1",
+    "cost.csv": "465c7ef4e4afe1e6bbab6844e6bbb2e1ce400bf449577df972265f60df3a6c10",
+    "backtest.csv": "da08521cf2c41f362c1c308d3f3cec1bc5a7b5f8dbe196976d5d3a54e01a2230",
+}
+
+
+def _data_digest(path):
+    data = path.read_bytes()
+    if path.suffix == ".csv":
+        lines = data.splitlines(keepends=True)
+        data = b"".join(line for line in lines if not line.startswith(b"# "))
+    return hashlib.sha256(data).hexdigest()
+
+
+def demo_outputs(tmp_path):
+    cfg = ["--config", str(DEMO / "config.yaml")]
+    panel = ["--records", str(DEMO / "records.csv"), "--reserve", str(DEMO / "reserve.csv")]
+    scale = ["--salary-scale", str(DEMO / "salary_scale.csv")]
+    model = ["--model", str(tmp_path / "model.json")]
+    sim = ["--iterations", "200", "--seed", "7"]
+    runs = [
+        ["fit", *cfg, *panel, "--out", str(tmp_path / "model.json")],
+        ["project", *cfg, *model, "--years", "3", "--out", str(tmp_path / "projection.csv")],
+        ["simulate", *cfg, *model, "--years", "3", *sim,
+         "--out", str(tmp_path / "simulation.csv"),
+         "--dump-draws", str(tmp_path / "draws.bin")],
+        ["cost-report", *cfg, *model, *scale, "--years", "3", *sim,
+         "--out", str(tmp_path / "cost.csv")],
+        ["backtest", *cfg, *panel, *scale, "--split-year", "2016", *sim,
+         "--out", str(tmp_path / "backtest.csv")],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv[0]
+    return {name: _data_digest(tmp_path / name) for name in GOLDEN}
+
+
+def test_demo_outputs_match_golden_digests(tmp_path):
+    assert demo_outputs(tmp_path) == GOLDEN
 
 
 def test_institution_template_validates():

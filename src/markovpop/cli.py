@@ -10,23 +10,22 @@ compares held-out years.  Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 
-import numpy as np
-
 from . import __version__
 from .config import RunConfig, load_run_config
-from .errors import ConfigError, DataError, MarkovPopError
+from .errors import ConfigError, MarkovPopError
 from .estimate import fit_model
-from .finance import parse_finance_config, load_salary_scale, profile_for, total_cost
-from .ingest import build_counts, build_reserve, load_reserve_csv, parse_records
+from .finance import load_salary_scale, parse_finance_config
+from .ingest import build_counts, build_reserve, load_reserve_csv, parse_records, split_records
 from .model import FittedModel
-from .montecarlo import dump_draws, nearest_rank, simulate_projection
-from .project import expected_populations, flatten_v, group_probabilities, trajectory
+from .montecarlo import dump_draws, simulate_projection
+from .project import projection
 from .reports import (
     RunManifest,
+    backtest_rows,
+    cost_rows,
     write_backtest_csv,
     write_cost_csv,
     write_projection_csv,
@@ -34,6 +33,8 @@ from .reports import (
 )
 
 log = logging.getLogger("markovpop")
+
+UNOBSERVED = ("transition_rows", "q_cells", "r_cells", "entry_cells")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,23 +45,49 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _require(args, *names):
-    missing = [
-        "--" + n.replace("_", "-") for n in names if getattr(args, n, None) is None
-    ]
+    missing = ["--" + n.replace("_", "-") for n in names if getattr(args, n, None) is None]
     if missing:
         raise ConfigError(f"missing required flag(s): {', '.join(missing)}")
 
 
 def _load_model(args, cfg: RunConfig) -> FittedModel:
     model = FittedModel.load(args.model)
-    model.check_against(cfg.space, cfg.characteristics)
+    model.check_against(cfg.space, cfg.characteristics, cfg.full_time_hours)
     return model
 
 
-def _finance(cfg: RunConfig):
+def _pricing(args, cfg: RunConfig):
+    """(salary scale, profile bindings, rate schedule) for a pricing command."""
     if not cfg.finance_raw:
         raise ConfigError("this command needs a 'finance' section in the config file")
-    return parse_finance_config(cfg.finance_raw, cfg.characteristics)
+    schedule, bindings = parse_finance_config(
+        cfg.finance_raw, cfg.characteristics, cfg.full_time_hours
+    )
+    return load_salary_scale(args.salary_scale, cfg.space), bindings, schedule
+
+
+def _fit(records, reserve, cfg: RunConfig) -> FittedModel:
+    cube = build_reserve(build_counts(records, cfg), reserve, cfg)
+    log.info("fitting %d months (%d person-month cells)", len(cube.months), len(cube.cells))
+    return fit_model(cube, reserve, cfg)
+
+
+def _simulation(model: FittedModel, cfg: RunConfig, args, years: int):
+    labels, tables = projection(model, years, cfg.overflow_policy)
+    probs = {model.base_year + t.year: t.probs for t in tables[1:]}
+    iterations = args.iterations or cfg.iterations
+    result = simulate_projection(probs, model.i0, iterations, args.seed, args.workers)
+    return labels, tables, result
+
+
+def _manifest(command, args, roles, params) -> RunManifest:
+    """Provenance block over the input files named by `roles` (flag names)."""
+    inputs = {role: getattr(args, role.replace("-", "_")) for role in roles}
+    return RunManifest.collect(command, inputs, params)
+
+
+def _sim_params(args, result) -> dict:
+    return {"years": args.years, "iterations": result.iterations, "seed": args.seed}
 
 
 # -- commands ----------------------------------------------------------
@@ -70,44 +97,16 @@ def cmd_fit(args) -> int:
     _require(args, "config", "records", "reserve", "out")
     cfg = load_run_config(args.config)
     records = parse_records(args.records, cfg)
-    reserve = load_reserve_csv(args.reserve, cfg.space)
-    cube = build_reserve(build_counts(records, cfg), reserve, cfg)
-    model = fit_model(cube, reserve, cfg)
+    model = _fit(records, load_reserve_csv(args.reserve, cfg.space), cfg)
     model.save(args.out)
     diag = model.diagnostics
     for w in diag.get("warnings", []):
         log.warning("%s", w)
-    flagged = sum(
-        len(diag.get(k, []))
-        for k in (
-            "unobserved_transition_rows",
-            "unobserved_q_cells",
-            "unobserved_r_cells",
-            "unobserved_entry_cells",
-        )
-    )
-    log.info(
-        "fitted %d months (%d persons-months cells), %d flagged-unobserved objects",
-        len(cube.months),
-        len(cube.cells),
-        flagged,
-    )
+    flagged = sum(len(diag.get(f"unobserved_{k}", [])) for k in UNOBSERVED)
     if flagged:
-        print(
-            f"fit complete: {args.out} written; {flagged} unobserved objects "
-            "flagged in diagnostics",
-            file=sys.stderr,
-        )
+        note = f"{flagged} unobserved objects flagged in diagnostics"
+        print(f"fit complete: {args.out} written; {note}", file=sys.stderr)
     return 0
-
-
-def _trajectory_tables(model: FittedModel, cfg: RunConfig, years: int):
-    dists = trajectory(model.pi, model, years, cfg.overflow_policy)
-    tables = []
-    for d in dists:
-        probs = group_probabilities(d, model)
-        tables.append((probs, expected_populations(probs, model.i0)))
-    return tables
 
 
 def cmd_project(args) -> int:
@@ -116,24 +115,10 @@ def cmd_project(args) -> int:
     model = _load_model(args, cfg)
     if args.years < 0:
         raise ConfigError(f"--years must be >= 0 (got {args.years})")
-    tables = _trajectory_tables(model, cfg, args.years)
-    manifest = RunManifest.collect(
-        "project",
-        {"config": args.config, "model": args.model},
-        {"years": args.years},
-    )
-    write_projection_csv(args.out, manifest, model, tables)
+    labels, tables = projection(model, args.years, cfg.overflow_policy)
+    manifest = _manifest("project", args, ("config", "model"), {"years": args.years})
+    write_projection_csv(args.out, manifest, model, labels, tables)
     return 0
-
-
-def _simulation(model, cfg, years, iterations, seed, workers):
-    tables = _trajectory_tables(model, cfg, years)
-    v_by_year = {}
-    for probs, _expect in tables[1:]:
-        labels, vec = flatten_v(probs)
-        v_by_year[model.base_year + probs.year] = (labels, vec)
-    result = simulate_projection(v_by_year, model.i0, iterations, seed, workers)
-    return tables, result
 
 
 def cmd_simulate(args) -> int:
@@ -142,116 +127,12 @@ def cmd_simulate(args) -> int:
     model = _load_model(args, cfg)
     if args.years < 1:
         raise ConfigError(f"--years must be >= 1 for simulate (got {args.years})")
-    iterations = args.iterations or cfg.iterations
-    _tables, result = _simulation(
-        model, cfg, args.years, iterations, args.seed, args.workers
-    )
-    manifest = RunManifest.collect(
-        "simulate",
-        {"config": args.config, "model": args.model},
-        {"years": args.years, "iterations": iterations, "seed": args.seed},
-    )
-    write_simulation_csv(args.out, manifest, model, result)
+    labels, _tables, result = _simulation(model, cfg, args, args.years)
+    manifest = _manifest("simulate", args, ("config", "model"), _sim_params(args, result))
+    write_simulation_csv(args.out, manifest, model, labels, result)
     if args.dump_draws:
         dump_draws(result, args.dump_draws)
     return 0
-
-
-def _cell_costs(model, table, expect, scale, bindings, schedule, year):
-    """Expected cost per in-system cell, using full-time profiles.
-
-    Counts are workload-weighted (full-time equivalents), so each unit
-    of count is priced at the full-time workload; see README.
-    """
-    costs = {}
-    gt_cache = {}
-    for (c, ei, ai), dist in expect.split.items():
-        if c == 0:
-            continue
-        total = 0.0
-        any_mass = False
-        for t, count in dist.items():
-            if count == 0.0:
-                continue
-            any_mass = True
-            key = (c, t)
-            gt = gt_cache.get(key)
-            if gt is None:
-                prof = profile_for(
-                    c, t, scale, bindings, schedule,
-                    workload_hours=schedule.full_time_hours,
-                )
-                gt = gt_cache[key] = total_cost(year, prof, schedule)
-            total += count * gt
-        if any_mass:
-            costs[(c, ei, ai)] = total
-    return costs
-
-
-def _cost_rows(model, cfg, tables, result, scale, bindings, schedule):
-    """Build cost-report rows from the projection and the simulation."""
-    space = model.space
-    rows = []
-    for probs, expect in tables[1:]:
-        year = model.base_year + probs.year
-        expected_costs = _cell_costs(model, probs, expect, scale, bindings, schedule, year)
-        sim = result.years[year]
-        gt_vec = np.zeros(len(sim.labels))
-        col_cell = []
-        for j, (c, ei, ai, t) in enumerate(sim.labels):
-            if c == 0:
-                col_cell.append(None)
-                continue
-            prof = profile_for(
-                c, t, scale, bindings, schedule,
-                workload_hours=schedule.full_time_hours,
-            )
-            gt_vec[j] = total_cost(year, prof, schedule)
-            col_cell.append((c, ei, ai))
-        cost_draws: dict[tuple, np.ndarray] = {}
-        for j, cell in enumerate(col_cell):
-            if cell is None:
-                continue
-            contrib = sim.draws[:, j] * gt_vec[j]
-            if cell in cost_draws:
-                cost_draws[cell] += contrib
-            else:
-                cost_draws[cell] = contrib.astype(float)
-        total_expected = 0.0
-        total_draws = np.zeros(result.iterations)
-        for cell in sorted(expected_costs):
-            c, ei, ai = cell
-            exp_cost = expected_costs[cell]
-            draws = cost_draws.get(cell, np.zeros(result.iterations))
-            s = np.sort(draws)
-            rows.append(
-                (
-                    year,
-                    space.categories[c],
-                    space.group_label("age", ei),
-                    space.group_label("seniority", ai),
-                    exp_cost,
-                    float(draws.mean()),
-                    float(nearest_rank(s, 0.05)),
-                    float(nearest_rank(s, 0.95)),
-                )
-            )
-            total_expected += exp_cost
-            total_draws += draws
-        s = np.sort(total_draws)
-        rows.append(
-            (
-                year,
-                "*",
-                "*",
-                "*",
-                total_expected,
-                float(total_draws.mean()),
-                float(nearest_rank(s, 0.05)),
-                float(nearest_rank(s, 0.95)),
-            )
-        )
-    return rows
 
 
 def cmd_cost_report(args) -> int:
@@ -260,22 +141,11 @@ def cmd_cost_report(args) -> int:
     model = _load_model(args, cfg)
     if args.years < 1:
         raise ConfigError(f"--years must be >= 1 for cost-report (got {args.years})")
-    schedule, bindings = _finance(cfg)
-    scale = load_salary_scale(args.salary_scale, cfg.space)
-    iterations = args.iterations or cfg.iterations
-    tables, result = _simulation(
-        model, cfg, args.years, iterations, args.seed, args.workers
-    )
-    rows = _cost_rows(model, cfg, tables, result, scale, bindings, schedule)
-    manifest = RunManifest.collect(
-        "cost-report",
-        {
-            "config": args.config,
-            "model": args.model,
-            "salary-scale": args.salary_scale,
-        },
-        {"years": args.years, "iterations": iterations, "seed": args.seed},
-    )
+    pricing = _pricing(args, cfg)
+    labels, tables, result = _simulation(model, cfg, args, args.years)
+    rows = cost_rows(model, labels, tables, result, *pricing)
+    roles = ("config", "model", "salary-scale")
+    manifest = _manifest("cost-report", args, roles, _sim_params(args, result))
     write_cost_csv(args.out, manifest, rows)
     return 0
 
@@ -283,122 +153,17 @@ def cmd_cost_report(args) -> int:
 def cmd_backtest(args) -> int:
     _require(args, "config", "records", "reserve", "split_year", "salary_scale", "out")
     cfg = load_run_config(args.config)
-    schedule, bindings = _finance(cfg)
-    scale = load_salary_scale(args.salary_scale, cfg.space)
-    all_records = parse_records(args.records, cfg)
+    pricing = _pricing(args, cfg)
+    records = parse_records(args.records, cfg)
     reserve = load_reserve_csv(args.reserve, cfg.space)
-    split = args.split_year
-
-    fit_records = [r for r in all_records if r.cal_year < split]
-    if not fit_records:
-        raise DataError(f"no records before the split year {split}")
-    shift = max(r.month for r in fit_records)
-    fit_records = [dataclasses.replace(r, month=r.month - shift) for r in fit_records]
-    cube = build_reserve(build_counts(fit_records, cfg), reserve, cfg)
-    model = fit_model(cube, reserve, cfg)
-
-    holdout_years = sorted({r.cal_year for r in all_records if r.cal_year >= split})
-    if not holdout_years:
-        raise DataError(f"no held-out records at or after the split year {split}")
-    horizon = max(holdout_years) - model.base_year
-    iterations = args.iterations or cfg.iterations
-    tables, result = _simulation(
-        model, cfg, horizon, iterations, args.seed, args.workers
-    )
-
-    space = model.space
-    full_time = cfg.full_time_hours
-    months_per_year: dict[int, set] = {}
-    for r in all_records:
-        if r.cal_year >= split:
-            months_per_year.setdefault(r.cal_year, set()).add(r.cal_month)
-
-    rows = []
-    for probs, expect in tables[1:]:
-        year = model.base_year + probs.year
-        if year not in months_per_year:
-            continue
-        m_obs = len(months_per_year[year])
-        obs_pop: dict[tuple, float] = {}
-        obs_cost: dict[tuple, float] = {}
-        for r in all_records:
-            if r.cal_year != year:
-                continue
-            cell = (r.category, *space.locate_groups(r.age, r.seniority))
-            obs_pop[cell] = obs_pop.get(cell, 0.0) + r.workload / full_time / m_obs
-            prof = profile_for(
-                r.category,
-                r.characteristics,
-                scale,
-                bindings,
-                schedule,
-                workload_hours=r.workload,
-            )
-            obs_cost[cell] = obs_cost.get(cell, 0.0) + total_cost(year, prof, schedule) / m_obs
-
-        exp_cost = _cell_costs(model, probs, expect, scale, bindings, schedule, year)
-        sim = result.years[year]
-        cells_sim, agg = sim.aggregate_by_cell()
-        sim_pop = {cell: agg[:, i].mean() for i, cell in enumerate(cells_sim)}
-        gt = {}
-        sim_cost: dict[tuple, float] = {}
-        for j, (c, ei, ai, t) in enumerate(sim.labels):
-            if c == 0:
-                continue
-            key = (c, t)
-            if key not in gt:
-                prof = profile_for(
-                    c, t, scale, bindings, schedule,
-                    workload_hours=schedule.full_time_hours,
-                )
-                gt[key] = total_cost(year, prof, schedule)
-            cell = (c, ei, ai)
-            sim_cost[cell] = sim_cost.get(cell, 0.0) + sim.draws[:, j].mean() * gt[key]
-
-        cells = sorted(
-            set(obs_pop)
-            | {cell for cell in exp_cost}
-            | {
-                (c, ei, ai)
-                for c in range(1, space.n_categories)
-                for ei, ai in space.cells()
-                if probs.p[c, ei, ai] > 0.0
-            }
-        )
-        tot = [0.0] * 6
-        for cell in cells:
-            c, ei, ai = cell
-            vals = (
-                obs_pop.get(cell, 0.0),
-                float(expect.counts[c, ei, ai]),
-                float(sim_pop.get(cell, 0.0)),
-                obs_cost.get(cell, 0.0),
-                exp_cost.get(cell, 0.0),
-                sim_cost.get(cell, 0.0),
-            )
-            for i, v in enumerate(vals):
-                tot[i] += v
-            rows.append(
-                (
-                    year,
-                    space.categories[c],
-                    space.group_label("age", ei),
-                    space.group_label("seniority", ai),
-                    *vals,
-                )
-            )
-        rows.append((year, "*", "*", "*", *tot))
-
-    manifest = RunManifest.collect(
-        "backtest",
-        {
-            "config": args.config,
-            "records": args.records,
-            "reserve": args.reserve,
-            "salary-scale": args.salary_scale,
-        },
-        {"split-year": split, "iterations": iterations, "seed": args.seed},
-    )
+    fit_records, holdout = split_records(records, args.split_year)
+    model = _fit(fit_records, reserve, cfg)
+    horizon = max(r.cal_year for r in holdout) - model.base_year
+    labels, tables, result = _simulation(model, cfg, args, horizon)
+    rows = backtest_rows(model, labels, tables, result, holdout, *pricing)
+    roles = ("config", "records", "reserve", "salary-scale")
+    params = {"split-year": args.split_year, "iterations": result.iterations, "seed": args.seed}
+    manifest = _manifest("backtest", args, roles, params)
     write_backtest_csv(args.out, manifest, rows)
     return 0
 
@@ -412,7 +177,7 @@ def build_parser() -> _Parser:
     p.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp, *, model=False, records=False, sim=False, scale=False):
+    def common(sp, *, model=False, records=False, sim=False, scale=False, years=True):
         sp.add_argument("--config", help="run configuration YAML")
         sp.add_argument("--out", help="output file path")
         if model:
@@ -429,26 +194,25 @@ def build_parser() -> _Parser:
         if scale:
             sp.add_argument("--salary-scale", dest="salary_scale",
                             help="category base salary CSV")
+        if years:
+            sp.add_argument("--years", type=int, help="projection horizon in years")
 
     sp = sub.add_parser("fit", help="estimate the model from a monthly panel")
-    common(sp, records=True)
+    common(sp, records=True, years=False)
 
     sp = sub.add_parser("project", help="expected population by year")
     common(sp, model=True)
-    sp.add_argument("--years", type=int, help="projection horizon in years")
 
     sp = sub.add_parser("simulate", help="Monte Carlo around the projection")
     common(sp, model=True, sim=True)
-    sp.add_argument("--years", type=int, help="projection horizon in years")
     sp.add_argument("--dump-draws", dest="dump_draws",
                     help="optional raw draw dump (int64 little-endian)")
 
     sp = sub.add_parser("cost-report", help="price the projected population")
     common(sp, model=True, sim=True, scale=True)
-    sp.add_argument("--years", type=int, help="projection horizon in years")
 
     sp = sub.add_parser("backtest", help="refit before a split year, compare holdout")
-    common(sp, records=True, sim=True, scale=True)
+    common(sp, records=True, sim=True, scale=True, years=False)
     sp.add_argument("--split-year", dest="split_year", type=int,
                     help="first held-out calendar year")
     return p

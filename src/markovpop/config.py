@@ -93,8 +93,13 @@ def build_run_config(raw: dict) -> RunConfig:
         if "stopping_time_pmf" in raw
         else tuple([1.0 / 12.0] * 12)
     )
+    overrides_raw = raw.get("stopping_time_pmf_overrides") or {}
+    if not isinstance(overrides_raw, dict):
+        raise ConfigError(
+            "stopping_time_pmf_overrides must map category codes to 12 probabilities"
+        )
     overrides = {}
-    for code, values in (raw.get("stopping_time_pmf_overrides") or {}).items():
+    for code, values in overrides_raw.items():
         code = str(code)
         if code not in space.categories or code == space.categories[0]:
             raise ConfigError(

@@ -1,4 +1,4 @@
-"""Payroll cost formulas, employer rate schedules and cost aggregation.
+"""Payroll cost formulas, employer rate schedules and full-time cost tables.
 
 The projected gross salary cost anchors on a December 2015 base salary
 scale and inflates it at a fixed yearly rate; the employer total adds
@@ -16,6 +16,8 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConfigError, DataError
 from .states import CharacteristicSpace
@@ -158,13 +160,21 @@ class ProfileBindings:
     workload: tuple[int, dict[int, float]] | None = None
 
 
-def parse_finance_config(raw: dict, chars: CharacteristicSpace):
-    """Parse the finance section into (schedule, bindings)."""
+def parse_finance_config(raw: dict, chars: CharacteristicSpace, full_time_hours: float):
+    """Parse the finance section into (schedule, bindings).
+
+    Full-time hours come from the top-level `full_time_hours` key, the
+    same value that turns recorded workloads into full-time equivalents.
+    """
+    if "full_time_hours" in raw:
+        raise ConfigError(
+            "finance.full_time_hours is not a finance key; set the top-level "
+            "full_time_hours instead"
+        )
     inflation = raw.get("inflation", 0.0388)
     if not isinstance(inflation, (int, float)) or isinstance(inflation, bool):
         raise ConfigError(f"finance.inflation must be a number (got {inflation!r})")
-    full_time = raw.get("full_time_hours", 40)
-    schedule = RateSchedule(inflation=float(inflation), full_time_hours=float(full_time))
+    schedule = RateSchedule(inflation=float(inflation), full_time_hours=float(full_time_hours))
 
     bindings_raw = raw.get("bindings") or {}
     if not isinstance(bindings_raw, dict):
@@ -177,6 +187,8 @@ def parse_finance_config(raw: dict, chars: CharacteristicSpace):
             raise ConfigError(
                 f"finance.bindings.{fld}: need 'characteristic' and 'levels'"
             )
+        if not isinstance(spec["levels"], dict):
+            raise ConfigError(f"finance.bindings.{fld}.levels must map level names to values")
         ci = chars.index_of(spec["characteristic"])
         levels = chars.levels[ci]
         mapped = {}
@@ -283,20 +295,26 @@ def profile_for(
     return SalaryProfile(**fields)
 
 
-def aggregate_costs(counts: dict, profiles: dict, year: int, schedule: RateSchedule):
-    """Total cost of groups of identical workers.
+def full_time_costs(
+    year: int,
+    n_categories: int,
+    tuples,
+    scale: dict[int, float],
+    bindings: ProfileBindings,
+    schedule: RateSchedule,
+) -> np.ndarray:
+    """Yearly employer cost of one full-time worker per (category, tuple code).
 
-    `counts` and `profiles` share keys; the result maps each key to
-    count x per-person total cost, plus a grand total under the key
-    None.  Counts may be fractional (full-time equivalents).
+    `tuples` maps tuple codes to characteristic tuples (None for the
+    aggregate pseudo-tuple).  Row 0, the out-of-system category, is zero.
+    Counts are full-time equivalents, so a count times its entry here is
+    its cost; see README.
     """
-    out = {}
-    total = 0.0
-    for key, n in counts.items():
-        if key not in profiles:
-            raise ConfigError(f"no salary profile for group {key!r}")
-        cost = n * total_cost(year, profiles[key], schedule)
-        out[key] = cost
-        total += cost
-    out[None] = total
-    return out
+    g = np.zeros((n_categories, len(tuples)))
+    for c in range(1, n_categories):
+        for k, t in enumerate(tuples):
+            prof = profile_for(
+                c, t, scale, bindings, schedule, workload_hours=schedule.full_time_hours
+            )
+            g[c, k] = total_cost(year, prof, schedule)
+    return g

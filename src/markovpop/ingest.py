@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .config import RunConfig
 from .errors import DataError
@@ -170,6 +170,21 @@ def parse_records(path, cfg: RunConfig) -> list[MonthlyRecord]:
     return records
 
 
+def split_records(records: list[MonthlyRecord], split_year: int):
+    """Split a panel into records before `split_year` and the held-out rest.
+
+    The fitting part is renormalized so its own latest month is 0.
+    """
+    fit = [r for r in records if r.cal_year < split_year]
+    if not fit:
+        raise DataError(f"no records before the split year {split_year}")
+    holdout = [r for r in records if r.cal_year >= split_year]
+    if not holdout:
+        raise DataError(f"no held-out records at or after the split year {split_year}")
+    shift = max(r.month for r in fit)
+    return [replace(r, month=r.month - shift) for r in fit], holdout
+
+
 @dataclass(frozen=True)
 class ReserveSpec:
     """Census totals per age; the source of the out-of-system mass."""
@@ -256,16 +271,6 @@ class CountsCube:
     def base_calendar_year(self) -> int:
         """Calendar year of the latest observed month (normalized 0)."""
         return self.calendar[0][0]
-
-    def month_of(self, year: int, month: int) -> int | None:
-        """Normalized index of a calendar month, if observed."""
-        for norm, cal in self.calendar.items():
-            if cal == (year, month):
-                return norm
-        return None
-
-    def month_total(self, m: int) -> float:
-        return sum(w for (mm, _c, _e, _a), w in self.cells.items() if mm == m)
 
 
 def build_counts(records: list[MonthlyRecord], cfg: RunConfig) -> CountsCube:

@@ -56,10 +56,6 @@ class FittedModel:
     diagnostics: dict = field(default_factory=dict)
     _operators: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
-    def n_in_system(self) -> int:
-        return self.space.n_categories - 1
-
     def transition_operator(self, ei: int, ai: int) -> np.ndarray:
         """Square annual operator over all categories for one cell.
 
@@ -150,10 +146,19 @@ class FittedModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FittedModel":
-        if doc.get("format") != FORMAT_NAME:
+        if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
             raise DataError("model file: unrecognized format marker")
         if doc.get("version") != FORMAT_VERSION:
             raise DataError(f"model file: unsupported version {doc.get('version')!r}")
+        try:
+            return cls._from_doc(doc)
+        except KeyError as exc:
+            raise DataError(f"model file: missing field {exc}") from None
+        except (TypeError, ValueError, AttributeError, IndexError) as exc:
+            raise DataError(f"model file: malformed field: {exc}") from None
+
+    @classmethod
+    def _from_doc(cls, doc: dict) -> "FittedModel":
         sp_raw = doc["space"]
         space = StateSpaceConfig(
             categories=tuple(sp_raw["categories"]),
@@ -186,6 +191,7 @@ class FittedModel:
         annual = cell_arrays("annual", (nc, nc))
         entry = cell_arrays("entry", (nc,))
         q1 = cell_arrays("q1", (space.n_categories,))
+        declared = set(chars.all_tuples())
         r = {}
         for key, dist in doc["r"].items():
             c_str, cell = key.split("|")
@@ -193,6 +199,8 @@ class FittedModel:
             parsed = {}
             for tkey, p in dist.items():
                 t = tuple(int(x) for x in tkey.split(",")) if tkey else ()
+                if t not in declared:
+                    raise DataError(f"model file: r[{key}] has undeclared tuple {tkey!r}")
                 parsed[t] = float(p)
             r[(int(c_str), ei, ai)] = parsed
         return cls(
@@ -225,8 +233,17 @@ class FittedModel:
             raise DataError(f"model file {path} is not valid JSON: {exc}") from None
         return cls.from_json_dict(doc)
 
-    def check_against(self, space: StateSpaceConfig, chars: CharacteristicSpace) -> None:
-        """Fail if the model was fitted on a different configuration."""
+    def check_against(
+        self,
+        space: StateSpaceConfig,
+        chars: CharacteristicSpace,
+        full_time_hours: float | None = None,
+    ) -> None:
+        """Fail if the model was fitted on a different configuration.
+
+        `full_time_hours`, when given, must equal the value the model's
+        full-time equivalents were counted with.
+        """
         if self.space != space:
             raise ConfigError(
                 "model/config mismatch: the model was fitted on a different state space"
@@ -234,4 +251,9 @@ class FittedModel:
         if self.characteristics != chars:
             raise ConfigError(
                 "model/config mismatch: characteristic declarations differ"
+            )
+        if full_time_hours is not None and self.full_time_hours != full_time_hours:
+            raise ConfigError(
+                f"model/config mismatch: the model counts full-time equivalents at "
+                f"{self.full_time_hours:g} hours, the config says {full_time_hours:g}"
             )

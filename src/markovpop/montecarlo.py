@@ -1,11 +1,11 @@
 """Multinomial population simulation with reproducible streams.
 
 Each simulated year draws `iterations` independent multinomial vectors
-over the flattened cell/tuple distribution.  A draw is built as a chain
-of conditional binomials in ascending cell order, so results do not
-depend on how work is scheduled; zero-probability cells are skipped
-without consuming randomness, which keeps streams aligned when a config
-edit adds empty cells.
+over the model's cell/tuple labels (:class:`markovpop.project.LabelIndex`).
+A draw is built as a chain of conditional binomials in ascending label
+order, so results do not depend on how work is scheduled;
+zero-probability labels are skipped without consuming randomness, which
+keeps streams aligned when a config edit adds empty cells.
 
 Randomness comes from numpy's counter-based Philox generator.  The
 stream for one draw is keyed by (master seed, year, iteration index),
@@ -24,8 +24,6 @@ import numpy as np
 from .errors import ConfigError
 
 log = logging.getLogger(__name__)
-
-QUANTILES = (0.05, 0.50, 0.95)
 
 
 def derive_generator(seed: int, year: int, iteration: int) -> np.random.Generator:
@@ -103,26 +101,8 @@ class YearSimulation:
     """Raw draws and summary statistics for one simulated year."""
 
     year: int
-    labels: list
-    draws: np.ndarray  # (iterations, n_cells)
+    draws: np.ndarray  # (iterations, n_labels)
     stats: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def aggregate_by_cell(self):
-        """Sum tuple columns per (category, age group, seniority group).
-
-        Returns (cell labels, summed draws) with per-iteration sums, so
-        aggregate statistics stay consistent with the joint draws.
-        """
-        cells = []
-        cols = {}
-        for j, (c, ei, ai, _t) in enumerate(self.labels):
-            key = (c, ei, ai)
-            if key not in cols:
-                cols[key] = []
-                cells.append(key)
-            cols[key].append(j)
-        agg = np.stack([self.draws[:, cols[key]].sum(axis=1) for key in cells], axis=1)
-        return cells, agg
 
 
 @dataclass
@@ -134,7 +114,7 @@ class SimulationResult:
 
 
 def simulate_projection(
-    v_by_year: dict[int, tuple[list, np.ndarray]],
+    v_by_year: dict[int, np.ndarray],
     i0: float,
     iterations: int,
     seed: int,
@@ -142,9 +122,9 @@ def simulate_projection(
 ) -> SimulationResult:
     """Draw the yearly multinomial ensembles and summarize them.
 
-    `v_by_year` maps a year to (labels, probabilities) as produced by
-    :func:`markovpop.project.flatten_v`.  Results are bit-identical for a
-    given seed regardless of `workers`.
+    `v_by_year` maps a year to its label probabilities, the `probs` of
+    :func:`markovpop.project.group_probabilities`.  Results are
+    bit-identical for a given seed regardless of `workers`.
     """
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1 (got {iterations})")
@@ -157,7 +137,7 @@ def simulate_projection(
         )
 
     years = {}
-    for year, (labels, probs) in sorted(v_by_year.items()):
+    for year, probs in sorted(v_by_year.items()):
         total = float(np.asarray(probs).sum())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(
@@ -174,9 +154,7 @@ def simulate_projection(
                     for lo, hi in bounds
                 ]
                 draws = np.vstack([f.result() for f in futures])
-        sim = YearSimulation(year=year, labels=list(labels), draws=draws)
-        sim.stats = summarize(draws)
-        years[year] = sim
+        years[year] = YearSimulation(year=year, draws=draws, stats=summarize(draws))
     return SimulationResult(seed=seed, iterations=iterations, trials=trials, years=years)
 
 

@@ -154,23 +154,84 @@ def trajectory(
 
 
 @dataclass(frozen=True)
-class GroupProbabilityTable:
-    """Cell-level probabilities and their characteristic splits for one year.
+class LabelIndex:
+    """The cell x characteristic-tuple label space of one model, as arrays.
 
-    `v` maps (category, age group, seniority group) to a distribution over
-    characteristic tuples; the aggregate pseudo-tuple None carries cells
-    that cannot be split (category 0, or in-system cells whose
-    characteristic distribution was never observed).
+    Labels run over categories, age groups and seniority groups ascending,
+    then over tuple codes ascending within a cell.  Code 0 is the
+    aggregate pseudo-tuple of a cell that cannot be split (category 0, or
+    an in-system cell whose characteristic distribution was never
+    observed); code k >= 1 is ``tuples[k]``, the characteristic tuples in
+    declaration order.  The label set depends only on the model, not the
+    year, so simulation streams stay aligned across years and horizons.
     """
+
+    category: np.ndarray
+    age_group: np.ndarray
+    seniority_group: np.ndarray
+    tuple_code: np.ndarray
+    cell_id: np.ndarray  # index into the raveled (category, age group, seniority group) cube
+    weight: np.ndarray  # share of the cell's mass; 1.0 for unsplittable cells
+    tuples: tuple  # tuple code -> characteristic tuple (None at code 0)
+    bounds: np.ndarray  # labels of cell i are bounds[i]:bounds[i + 1]
+
+    @classmethod
+    def build(cls, model: FittedModel) -> "LabelIndex":
+        space = model.space
+        tuples = (None, *model.characteristics.all_tuples())
+        code_of = {t: k for k, t in enumerate(tuples)}
+        rows = []
+        for c in range(space.n_categories):
+            for ei, ai in space.cells():
+                r = model.r_distribution(c, ei, ai) if c else {}
+                if not r:  # one aggregate label carries the whole cell
+                    rows.append((c, ei, ai, 0, 1.0))
+                rows += [(c, ei, ai, code_of[t], w) for t, w in sorted(r.items())]
+        cat, eg, sg, code, weight = (np.array(col) for col in zip(*rows))
+        shape = (space.n_categories, space.n_age_groups, space.n_seniority_groups)
+        cell_id = np.ravel_multi_index((cat, eg, sg), shape)
+        bounds = np.searchsorted(cell_id, np.arange(cell_id[-1] + 2))
+        return cls(cat, eg, sg, code, cell_id, weight, tuples, bounds)
+
+    @property
+    def in_system_cells(self) -> np.ndarray:
+        """Per raveled cell id: whether its category is in-system."""
+        return self.category[self.bounds[:-1]] > 0
+
+    def split_labels(self, cell: int) -> range:
+        """Labels of a cell that carry a characteristic tuple (none if unsplit)."""
+        lo, hi = self.bounds[cell], self.bounds[cell + 1]
+        return range(lo, hi) if self.tuple_code[lo] else range(0)
+
+    def split(self, p: np.ndarray) -> np.ndarray:
+        """Label probabilities: each cell's mass times its tuple shares."""
+        return p.ravel()[self.cell_id] * self.weight
+
+    def cell_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sum label columns (last axis) per cell, adding in label order."""
+        sizes = np.diff(self.bounds)
+        starts = self.bounds[:-1]
+        # np.take keeps C order; reductions over iterations depend on the layout
+        out = np.take(values, starts, axis=-1)
+        for k in range(1, sizes.max()):
+            has = sizes > k
+            out[..., has] += values[..., starts[has] + k]
+        return out
+
+
+@dataclass(frozen=True)
+class GroupProbabilityTable:
+    """Cell-level probabilities and their label split for one year."""
 
     year: int
     p: np.ndarray  # (n_categories, n_age_groups, n_seniority_groups)
-    v: dict
-    unsplittable: tuple
+    probs: np.ndarray  # per label of the model's LabelIndex
 
 
-def group_probabilities(dist: TripleDistribution, model: FittedModel) -> GroupProbabilityTable:
-    """Aggregate a triple distribution to cells and split by characteristics."""
+def group_probabilities(
+    dist: TripleDistribution, model: FittedModel, labels: LabelIndex | None = None
+) -> GroupProbabilityTable:
+    """Aggregate a triple distribution to cells and split it over labels."""
     space = model.space
     p = np.zeros((space.n_categories, space.n_age_groups, space.n_seniority_groups))
     for ei, ai in space.cells():
@@ -179,60 +240,17 @@ def group_probabilities(dist: TripleDistribution, model: FittedModel) -> GroupPr
         p[:, ei, ai] = dist.values[
             :, elo - space.age_min : ehi - space.age_min, alo:ahi
         ].sum(axis=(1, 2))
-
-    v = {}
-    unsplittable = []
-    for c in range(space.n_categories):
-        for ei, ai in space.cells():
-            mass = float(p[c, ei, ai])
-            if c == 0:
-                v[(c, ei, ai)] = {None: mass}
-                continue
-            r = model.r_distribution(c, ei, ai)
-            if not r:
-                if mass > 0.0:
-                    unsplittable.append((c, ei, ai))
-                v[(c, ei, ai)] = {None: mass}
-            else:
-                v[(c, ei, ai)] = {t: mass * w for t, w in r.items()}
-    return GroupProbabilityTable(
-        year=dist.year, p=p, v=v, unsplittable=tuple(unsplittable)
-    )
+    labels = labels if labels is not None else LabelIndex.build(model)
+    return GroupProbabilityTable(year=dist.year, p=p, probs=labels.split(p))
 
 
-@dataclass(frozen=True)
-class ExpectedPopulationTable:
-    """Expected head counts: the group table scaled by the population size."""
-
-    year: int
-    counts: np.ndarray
-    split: dict
+def expected_populations(table: GroupProbabilityTable, i0: float):
+    """Expected head counts per cell and per label: the table scaled by i0."""
+    return table.p * i0, table.probs * i0
 
 
-def expected_populations(table: GroupProbabilityTable, i0: float) -> ExpectedPopulationTable:
-    return ExpectedPopulationTable(
-        year=table.year,
-        counts=table.p * i0,
-        split={
-            cell: {t: i0 * w for t, w in dist.items()} for cell, dist in table.v.items()
-        },
-    )
-
-
-def flatten_v(table: GroupProbabilityTable):
-    """Fixed-order flattening of the joint cell/tuple distribution.
-
-    Order: categories ascending, age groups ascending, seniority groups
-    ascending, tuples in index order (None first when present).  The
-    label set depends only on the model, not the year, so simulation
-    streams stay aligned across years and horizons.
-    """
-    labels = []
-    probs = []
-    for (c, ei, ai), dist in sorted(
-        table.v.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-    ):
-        for t in sorted(dist.keys(), key=lambda t: (t is not None, t)):
-            labels.append((c, ei, ai, t))
-            probs.append(dist[t])
-    return labels, np.array(probs, dtype=float)
+def projection(model: FittedModel, years: int, policy: str = "strict"):
+    """The model's label index and its group tables for years 0..years."""
+    labels = LabelIndex.build(model)
+    dists = trajectory(model.pi, model, years, policy)
+    return labels, [group_probabilities(d, model, labels) for d in dists]

@@ -1,4 +1,4 @@
-"""Report emission: CSV writers and the embedded run manifest.
+"""Report assembly and emission: CSV writers and the embedded run manifest.
 
 Every report starts with a comment block ('# ' lines) identifying the
 command, package version, seed and the SHA-256 of each input file, so a
@@ -21,7 +21,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .montecarlo import SimulationResult, nearest_rank
+from .finance import full_time_costs
+from .montecarlo import SimulationResult, nearest_rank, summarize
+from .project import expected_populations
 
 
 def _sha256(path) -> str:
@@ -70,193 +72,191 @@ def _fstr(x) -> str:
     return repr(float(x))
 
 
-def _open_report(path, manifest: RunManifest):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    for line in manifest.comment_lines():
-        fh.write(line + "\n")
-    return fh
+def _cell_names(space) -> list[list[str]]:
+    """[category code, age group, seniority group] per raveled cell id."""
+    return [
+        [code, space.group_label("age", ei), space.group_label("seniority", ai)]
+        for code in space.categories
+        for ei, ai in space.cells()
+    ]
 
 
-def write_projection_csv(path, manifest, model, tables) -> None:
+def _write_rows(path, manifest: RunManifest, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for line in manifest.comment_lines():
+            fh.write(line + "\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+_CELL_COLUMNS = ["year", "category", "age_group", "seniority_group"]
+
+
+def write_projection_csv(path, manifest, model, labels, tables) -> None:
     """Projection report: cell probabilities and expected head counts.
 
-    `tables` is a list of (GroupProbabilityTable, ExpectedPopulationTable)
-    pairs.  Each populated cell gets a '*' aggregate row followed by its
-    characteristic tuple rows; never-populated cells are omitted.
+    `tables` holds one GroupProbabilityTable per year over `labels`.  Each
+    populated cell gets a '*' aggregate row followed by its characteristic
+    tuple rows; never-populated cells are omitted.
     """
-    space = model.space
-    chars = model.characteristics
-    with _open_report(path, manifest) as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "year",
-                "category",
-                "age_group",
-                "seniority_group",
-                "characteristic_tuple",
-                "probability",
-                "expected_count",
-            ]
-        )
-        for probs, expect in tables:
-            year = model.base_year + probs.year
-            for c in range(space.n_categories):
-                for ei, ai in space.cells():
-                    mass = float(probs.p[c, ei, ai])
-                    if mass == 0.0:
-                        continue
-                    base = [
-                        year,
-                        space.categories[c],
-                        space.group_label("age", ei),
-                        space.group_label("seniority", ai),
-                    ]
-                    w.writerow(
-                        base + ["*", _fstr(mass), _fstr(expect.counts[c, ei, ai])]
-                    )
-                    dist = probs.v[(c, ei, ai)]
-                    if set(dist.keys()) == {None}:
-                        continue
-                    for t in sorted(dist.keys()):
-                        w.writerow(
-                            base
-                            + [
-                                chars.label(t),
-                                _fstr(dist[t]),
-                                _fstr(expect.split[(c, ei, ai)][t]),
-                            ]
-                        )
+    names = _cell_names(model.space)
+    tuple_names = [model.characteristics.label(labels.tuples[k]) for k in labels.tuple_code]
+
+    def rows():
+        for table in tables:
+            year = model.base_year + table.year
+            counts, label_counts = expected_populations(table, model.i0)
+            p, counts = table.p.ravel(), counts.ravel()
+            for cell in np.flatnonzero(p):
+                base = [year, *names[cell]]
+                yield base + ["*", _fstr(p[cell]), _fstr(counts[cell])]
+                for j in labels.split_labels(cell):
+                    yield base + [tuple_names[j], _fstr(table.probs[j]), _fstr(label_counts[j])]
+
+    header = _CELL_COLUMNS + ["characteristic_tuple", "probability", "expected_count"]
+    _write_rows(path, manifest, header, rows())
 
 
-def write_simulation_csv(path, manifest, model, result: SimulationResult) -> None:
+def write_simulation_csv(path, manifest, model, labels, result: SimulationResult) -> None:
     """Simulation report: summary statistics per cell and tuple."""
-    space = model.space
-    chars = model.characteristics
-    with _open_report(path, manifest) as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "year",
-                "category",
-                "age_group",
-                "seniority_group",
-                "characteristic_tuple",
-                "mean",
-                "sd",
-                "p05",
-                "p50",
-                "p95",
-            ]
-        )
+    names = _cell_names(model.space)
+    tuple_names = [model.characteristics.label(labels.tuples[k]) for k in labels.tuple_code]
+
+    def fields(stats, j):
+        quantiles = (str(int(stats[k][j])) for k in ("p05", "p50", "p95"))
+        return [_fstr(stats["mean"][j]), _fstr(stats["sd"][j]), *quantiles]
+
+    def rows():
         for year in sorted(result.years):
             sim = result.years[year]
-            cells, agg = sim.aggregate_by_cell()
-            agg_sorted = np.sort(agg, axis=0)
-            agg_mean = agg.mean(axis=0)
-            agg_sd = agg.std(axis=0, ddof=0)
-            tuple_rows: dict = {}
-            for j, (c, ei, ai, t) in enumerate(sim.labels):
-                tuple_rows.setdefault((c, ei, ai), []).append((t, j))
-            for idx, (c, ei, ai) in enumerate(cells):
-                if agg_mean[idx] == 0.0 and agg_sd[idx] == 0.0:
+            cells = summarize(labels.cell_sums(sim.draws))
+            for cell in range(len(names)):
+                if cells["mean"][cell] == 0.0 and cells["sd"][cell] == 0.0:
                     continue
-                base = [
-                    year,
-                    space.categories[c],
-                    space.group_label("age", ei),
-                    space.group_label("seniority", ai),
-                ]
-                w.writerow(
-                    base
-                    + [
-                        "*",
-                        _fstr(agg_mean[idx]),
-                        _fstr(agg_sd[idx]),
-                        str(int(nearest_rank(agg_sorted, 0.05)[idx])),
-                        str(int(nearest_rank(agg_sorted, 0.50)[idx])),
-                        str(int(nearest_rank(agg_sorted, 0.95)[idx])),
-                    ]
-                )
-                entries = tuple_rows[(c, ei, ai)]
-                if len(entries) == 1 and entries[0][0] is None:
-                    continue
-                for t, j in sorted(entries, key=lambda e: (e[0] is None, e[0])):
-                    if sim.stats["mean"][j] == 0.0 and sim.stats["sd"][j] == 0.0:
-                        continue
-                    w.writerow(
-                        base
-                        + [
-                            chars.label(t),
-                            _fstr(sim.stats["mean"][j]),
-                            _fstr(sim.stats["sd"][j]),
-                            str(int(sim.stats["p05"][j])),
-                            str(int(sim.stats["p50"][j])),
-                            str(int(sim.stats["p95"][j])),
-                        ]
-                    )
+                base = [year, *names[cell]]
+                yield base + ["*", *fields(cells, cell)]
+                for j in labels.split_labels(cell):
+                    if sim.stats["mean"][j] != 0.0 or sim.stats["sd"][j] != 0.0:
+                        yield base + [tuple_names[j], *fields(sim.stats, j)]
+
+    header = _CELL_COLUMNS + ["characteristic_tuple", "mean", "sd", "p05", "p50", "p95"]
+    _write_rows(path, manifest, header, rows())
+
+
+def _mean_p05_p95(draws) -> tuple[float, float, float]:
+    s = np.sort(draws)
+    return float(draws.mean()), float(nearest_rank(s, 0.05)), float(nearest_rank(s, 0.95))
+
+
+def cost_rows(model, labels, tables, result, scale, bindings, schedule) -> list[tuple]:
+    """Expected and simulated cost per populated in-system cell, plus a '*' total.
+
+    Each label is priced at full time: counts are full-time equivalents.
+    """
+    names = _cell_names(model.space)
+    rows = []
+    for table in tables[1:]:
+        year = model.base_year + table.year
+        g = full_time_costs(
+            year, model.space.n_categories, labels.tuples, scale, bindings, schedule
+        )[labels.category, labels.tuple_code]
+        _counts, label_counts = expected_populations(table, model.i0)
+        expected = np.bincount(labels.cell_id, label_counts * g)
+        populated = np.bincount(labels.cell_id, label_counts != 0.0) > 0.0
+        sim_costs = labels.cell_sums(result.years[year].draws * g).T.copy()
+        total_expected = 0.0
+        total_draws = np.zeros(result.iterations)
+        for cell in np.flatnonzero(populated & labels.in_system_cells):
+            draws = sim_costs[cell]
+            rows.append((year, *names[cell], float(expected[cell]), *_mean_p05_p95(draws)))
+            total_expected += float(expected[cell])
+            total_draws += draws
+        rows.append((year, "*", "*", "*", total_expected, *_mean_p05_p95(total_draws)))
+    return rows
 
 
 def write_cost_csv(path, manifest, rows) -> None:
     """Cost report; currency columns are rounded to whole units here."""
-    with _open_report(path, manifest) as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "year",
-                "category",
-                "age_group",
-                "seniority_group",
-                "expected_cost",
-                "sim_mean_cost",
-                "sim_p05",
-                "sim_p95",
-            ]
+    header = _CELL_COLUMNS + ["expected_cost", "sim_mean_cost", "sim_p05", "sim_p95"]
+    rounded = ([*row[:4], *(str(int(round(x))) for x in row[4:])] for row in rows)
+    _write_rows(path, manifest, header, rounded)
+
+
+def backtest_rows(model, labels, tables, result, records, scale, bindings, schedule):
+    """Observed, expected and simulated population and cost per cell and year.
+
+    Rows cover the projected years that have records.  Each record counts
+    as a full-time equivalent (workload over `schedule.full_time_hours`)
+    averaged over the year's observed months, and is priced at the same
+    full-time label cost as the projection.
+    """
+    space = model.space
+    names = _cell_names(space)
+    shape = (space.n_categories, space.n_age_groups, space.n_seniority_groups)
+    code_of = {t: k for k, t in enumerate(labels.tuples)}
+    by_year: dict[int, list] = {}
+    for r in records:
+        by_year.setdefault(r.cal_year, []).append(r)
+    rows = []
+    for table in tables[1:]:
+        year = model.base_year + table.year
+        observed = by_year.get(year)
+        if not observed:
+            continue
+        m_obs = len({r.cal_month for r in observed})
+        full_time = full_time_costs(
+            year, space.n_categories, labels.tuples, scale, bindings, schedule
         )
-        for year, cat, eg, ag, expected, mean, p05, p95 in rows:
-            w.writerow(
-                [year, cat, eg, ag]
-                + [str(int(round(x))) for x in (expected, mean, p05, p95)]
-            )
+        groups = np.array(
+            [(r.category, *space.locate_groups(r.age, r.seniority)) for r in observed]
+        )
+        cell = np.ravel_multi_index(groups.T, shape)
+        fte = np.array([r.workload for r in observed]) / schedule.full_time_hours
+        price = full_time[groups[:, 0], [code_of[r.characteristics] for r in observed]]
+        obs_pop = np.bincount(cell, fte / m_obs, len(names))
+        obs_cost = np.bincount(cell, fte * price / m_obs, len(names))
+
+        counts, label_counts = expected_populations(table, model.i0)
+        g = full_time[labels.category, labels.tuple_code]
+        draws = result.years[year].draws
+        columns = (
+            obs_pop,
+            counts.ravel(),
+            labels.cell_sums(draws).mean(axis=0),
+            obs_cost,
+            np.bincount(labels.cell_id, label_counts * g),
+            np.bincount(labels.cell_id, draws.mean(axis=0) * g),
+        )
+        keep = labels.in_system_cells & ((obs_pop > 0.0) | (table.p.ravel() > 0.0))
+        total = [0.0] * len(columns)
+        for c in np.flatnonzero(keep):
+            vals = [float(col[c]) for col in columns]
+            total = [t + v for t, v in zip(total, vals)]
+            rows.append((year, *names[c], *vals))
+        rows.append((year, "*", "*", "*", *total))
+    return rows
 
 
 def write_backtest_csv(path, manifest, rows) -> None:
     """Backtest report: observed vs expected vs simulated, with errors."""
-    with _open_report(path, manifest) as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "year",
-                "category",
-                "age_group",
-                "seniority_group",
-                "observed_population",
-                "expected_population",
-                "sim_mean_population",
-                "observed_cost",
-                "expected_cost",
-                "sim_mean_cost",
-                "rel_err_population",
-                "rel_err_cost",
-            ]
-        )
-        for row in rows:
-            (year, cat, eg, ag, obs_p, exp_p, sim_p, obs_c, exp_c, sim_c) = row
-            rel_p = "" if obs_p == 0 else "%.6g" % ((exp_p - obs_p) / obs_p)
-            rel_c = "" if obs_c == 0 else "%.6g" % ((exp_c - obs_c) / obs_c)
-            w.writerow(
-                [
-                    year,
-                    cat,
-                    eg,
-                    ag,
-                    "%.6g" % obs_p,
-                    "%.6g" % exp_p,
-                    "%.6g" % sim_p,
-                    str(int(round(obs_c))),
-                    str(int(round(exp_c))),
-                    str(int(round(sim_c))),
-                    rel_p,
-                    rel_c,
-                ]
-            )
+
+    def fields(row):
+        year, cat, eg, ag, obs_p, exp_p, sim_p, obs_c, exp_c, sim_c = row
+        rel_p = "" if obs_p == 0 else "%.6g" % ((exp_p - obs_p) / obs_p)
+        rel_c = "" if obs_c == 0 else "%.6g" % ((exp_c - obs_c) / obs_c)
+        pops = ("%.6g" % x for x in (obs_p, exp_p, sim_p))
+        costs = (str(int(round(x))) for x in (obs_c, exp_c, sim_c))
+        return [year, cat, eg, ag, *pops, *costs, rel_p, rel_c]
+
+    header = _CELL_COLUMNS + [
+        "observed_population",
+        "expected_population",
+        "sim_mean_population",
+        "observed_cost",
+        "expected_cost",
+        "sim_mean_cost",
+        "rel_err_population",
+        "rel_err_cost",
+    ]
+    _write_rows(path, manifest, header, (fields(row) for row in rows))

@@ -183,10 +183,6 @@ class StateSpaceConfig:
     def n_seniority_groups(self) -> int:
         return len(self.seniority_groups)
 
-    @property
-    def reserve_age_group(self) -> int:
-        return 0
-
     # -- lookups -------------------------------------------------------
 
     def category_index(self, code: str) -> int:
@@ -256,19 +252,6 @@ class Triple:
             raise ConfigError(f"invalid state triple {self}", problems)
 
 
-def in_system_indicator(category: int) -> int:
-    """1 if the category is in-system, 0 for the out-of-system category."""
-    return int(category != 0)
-
-
-def feasible(age: int, seniority: int, space: StateSpaceConfig) -> bool:
-    return space.feasible(age, seniority)
-
-
-def locate_groups(t: Triple, space: StateSpaceConfig) -> tuple[int, int]:
-    return space.locate_groups(t.age, t.seniority)
-
-
 def validate_config(raw: dict) -> StateSpaceConfig:
     """Build a StateSpaceConfig from parsed config data.
 
@@ -305,10 +288,14 @@ def validate_config(raw: dict) -> StateSpaceConfig:
         raise ConfigError("invalid state space configuration", problems)
 
     marker = raw.get("reserve_age_group")
-    if marker is not None and list(marker) != list(raw["age_groups"][0]):
+    first = raw["age_groups"][0] if raw["age_groups"] else None
+    if marker is not None and not (
+        isinstance(marker, (list, tuple))
+        and isinstance(first, (list, tuple))
+        and list(marker) == list(first)
+    ):
         problems.append(
-            f"reserve_age_group {marker!r} must equal the first age group "
-            f"{list(raw['age_groups'][0])!r}"
+            f"reserve_age_group {marker!r} must equal the first age group {first!r}"
         )
     if problems:
         raise ConfigError("invalid state space configuration", problems)

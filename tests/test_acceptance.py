@@ -23,7 +23,6 @@ from markovpop.ingest import build_counts, build_reserve
 from markovpop.montecarlo import simulate_projection
 from markovpop.project import (
     distribution_at_year,
-    flatten_v,
     group_probabilities,
     one_step_triple_probability,
 )
@@ -226,11 +225,11 @@ def test_04_simulation_calibration():
     i0 = 1000.0
     model = make_random_model(make_toy_space(), seed=404, i0=i0)
     dist = distribution_at_year(model.pi, model, 1, policy="absorb")
-    labels, probs = flatten_v(group_probabilities(dist, model))
-    result = simulate_projection({1: (labels, probs)}, i0, 10_000, seed=2024)
+    probs = group_probabilities(dist, model).probs
+    result = simulate_projection({1: probs}, i0, 10_000, seed=2024)
     draws = result.years[1].draws
 
-    assert draws.shape == (10_000, len(labels))
+    assert draws.shape == (10_000, len(probs))
     sums = draws.sum(axis=1)
     assert np.all(sums == 1000), "a draw does not conserve the population size"
 
@@ -245,7 +244,7 @@ def test_04_simulation_calibration():
         worst_z = max(worst_z, z)
         checked += 1
         assert z <= 3.0, (
-            f"cell {labels[j]} mean {means[j]:.2f} deviates {z:.2f} standard "
+            f"label {j} mean {means[j]:.2f} deviates {z:.2f} standard "
             f"errors from {i0 * v:.2f}"
         )
     assert checked >= 5

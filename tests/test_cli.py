@@ -1,6 +1,11 @@
 """End-to-end command-line runs on a small generated world."""
 
 import csv
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +14,8 @@ import yaml
 from markovpop.cli import main
 from markovpop.config import load_run_config
 from markovpop.model import FittedModel
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def read_report(path):
@@ -226,3 +233,65 @@ def test_model_config_mismatch(capsys, mini_pipeline, tmp_path):
     ])
     assert rc == 1
     assert "model/config mismatch" in capsys.readouterr().err
+
+
+def _malformed_model(paths, tmp_path):
+    doc = json.loads(paths["model"].read_text())
+    del doc["annual"]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    return {"model": bad}
+
+
+def _config_with(edit):
+    def make(paths, tmp_path):
+        raw = yaml.safe_load(open(paths["config"]))
+        edit(raw)
+        bad = tmp_path / "config.yaml"
+        with open(bad, "w") as fh:
+            yaml.safe_dump(raw, fh)
+        return {"config": bad}
+
+    return make
+
+
+def _set(path, value):
+    def edit(raw):
+        *parents, key = path
+        for p in parents:
+            raw = raw[p]
+        raw[key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "damage, code, message",
+    [
+        (_malformed_model, 2, "missing field 'annual'"),
+        (_config_with(_set(["stopping_time_pmf_overrides"], [1])), 1,
+         "stopping_time_pmf_overrides must map"),
+        (_config_with(_set(["finance", "bindings", "annuity_pct", "levels"], [0.0, 0.12])), 1,
+         "levels must map level names"),
+        (_config_with(_set(["reserve_age_group"], 5)), 1, "reserve_age_group 5"),
+        (_config_with(_set(["finance", "full_time_hours"], "x")), 1,
+         "top-level full_time_hours"),
+    ],
+    ids=["model-missing-annual", "overrides-list", "levels-list", "reserve-marker-int",
+         "finance-full-time-hours"],
+)
+def test_malformed_inputs_are_classified(mini_pipeline, tmp_path, damage, code, message):
+    paths = {**mini_pipeline, **damage(mini_pipeline, tmp_path)}
+    argv = [
+        "cost-report", "--config", str(paths["config"]), "--model", str(paths["model"]),
+        "--salary-scale", str(paths["scale"]), "--years", "1", "--iterations", "5",
+        "--out", str(tmp_path / "cost.csv"),
+    ]
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "markovpop.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr

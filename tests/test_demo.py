@@ -1,7 +1,11 @@
 """The shipped demo dataset stays runnable end to end."""
 
+import csv
 import hashlib
 import pathlib
+
+import pytest
+import yaml
 
 from markovpop.cli import main
 from markovpop.config import load_run_config
@@ -80,6 +84,36 @@ def demo_outputs(tmp_path):
 
 def test_demo_outputs_match_golden_digests(tmp_path):
     assert demo_outputs(tmp_path) == GOLDEN
+
+
+def _backtest_totals(tmp_path, full_time_hours):
+    raw = yaml.safe_load((DEMO / "config.yaml").read_text())
+    raw["full_time_hours"] = full_time_hours
+    config = tmp_path / f"config-{full_time_hours}.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    out = tmp_path / f"backtest-{full_time_hours}.csv"
+    rc = main([
+        "backtest", "--config", str(config),
+        "--records", str(DEMO / "records.csv"), "--reserve", str(DEMO / "reserve.csv"),
+        "--salary-scale", str(DEMO / "salary_scale.csv"),
+        "--split-year", "2016", "--iterations", "10", "--seed", "1", "--out", str(out),
+    ])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        rows = csv.DictReader(line for line in fh if not line.startswith("# "))
+        return {r["year"]: r for r in rows if r["category"] == "*"}
+
+
+def test_backtest_counts_and_prices_observed_fte_at_one_full_time(tmp_path):
+    # demo records all work 40 h: at a 48 h full time each is 40/48 of an
+    # FTE, which must shrink the observed population and cost alike
+    base = _backtest_totals(tmp_path, 40)
+    long = _backtest_totals(tmp_path, 48)
+    assert base.keys() == long.keys() == {"2016"}
+    for year, row in base.items():
+        for col in ("observed_population", "observed_cost"):
+            want = float(row[col]) * 40 / 48
+            assert float(long[year][col]) == pytest.approx(want, rel=1e-5, abs=1.0), col
 
 
 def test_institution_template_validates():

@@ -1,6 +1,7 @@
 """Cost formulas against a high-precision oracle, plus schedule goldens."""
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from markovpop.errors import ConfigError, DataError
@@ -9,7 +10,7 @@ from markovpop.finance import (
     ProfileBindings,
     RateSchedule,
     SalaryProfile,
-    aggregate_costs,
+    full_time_costs,
     load_salary_scale,
     parse_finance_config,
     profile_for,
@@ -97,7 +98,6 @@ def make_chars():
 def finance_raw():
     return {
         "inflation": 0.05,
-        "full_time_hours": 48,
         "bindings": {
             "annuity_pct": {
                 "characteristic": "band",
@@ -112,9 +112,9 @@ def finance_raw():
 
 
 def test_parse_finance_config_happy_path():
-    schedule, bindings = parse_finance_config(finance_raw(), make_chars())
+    schedule, bindings = parse_finance_config(finance_raw(), make_chars(), 48)
     assert schedule.inflation == 0.05
-    assert schedule.full_time_hours == 48.0
+    assert schedule.full_time_hours == 48.0  # the top-level value, passed in
     assert bindings.pct["annuity_pct"] == (0, {0: 0.0, 1: 0.30})
     assert bindings.regime == (
         1, {0: PensionRegime.IVM, 1: PensionRegime.JUPEMA_CAPITALIZACION}
@@ -125,31 +125,39 @@ def test_parse_finance_config_happy_path():
 def test_parse_finance_config_errors():
     chars = make_chars()
     with pytest.raises(ConfigError, match="inflation must be a number"):
-        parse_finance_config({"inflation": "high"}, chars)
+        parse_finance_config({"inflation": "high"}, chars, 40)
     with pytest.raises(ConfigError, match="bindings must be a mapping"):
-        parse_finance_config({"bindings": [1]}, chars)
+        parse_finance_config({"bindings": [1]}, chars, 40)
     with pytest.raises(ConfigError, match="need 'characteristic' and 'levels'"):
-        parse_finance_config({"bindings": {"annuity_pct": {"levels": {}}}}, chars)
+        parse_finance_config({"bindings": {"annuity_pct": {"levels": {}}}}, chars, 40)
+    # full-time hours have one source: the top-level key
+    with pytest.raises(ConfigError, match="top-level full_time_hours"):
+        parse_finance_config({"full_time_hours": 40}, chars, 40)
+
+    raw = finance_raw()
+    raw["bindings"]["annuity_pct"]["levels"] = [0.0, 0.30]
+    with pytest.raises(ConfigError, match="levels must map level names"):
+        parse_finance_config(raw, chars, 40)
 
     raw = finance_raw()
     raw["bindings"]["annuity_pct"]["levels"] = {"b0": 0.0, "nope": 0.1}
     with pytest.raises(ConfigError, match="no level 'nope'"):
-        parse_finance_config(raw, chars)
+        parse_finance_config(raw, chars, 40)
 
     raw = finance_raw()
     raw["bindings"]["annuity_pct"]["levels"] = {"b0": 0.0}
     with pytest.raises(ConfigError, match="unmapped levels"):
-        parse_finance_config(raw, chars)
+        parse_finance_config(raw, chars, 40)
 
     raw = finance_raw()
     raw["bindings"]["pension_regime"]["levels"]["jc"] = "NO_SUCH_REGIME"
     with pytest.raises(ConfigError, match="pension_regime"):
-        parse_finance_config(raw, chars)
+        parse_finance_config(raw, chars, 40)
 
     raw = finance_raw()
     raw["bindings"]["hat_size"] = {"characteristic": "band", "levels": {"b0": 1, "b1": 2}}
     with pytest.raises(ConfigError, match="unknown profile field"):
-        parse_finance_config(raw, chars)
+        parse_finance_config(raw, chars, 40)
 
 
 def test_load_salary_scale(tmp_path):
@@ -178,7 +186,7 @@ def test_load_salary_scale(tmp_path):
 
 
 def test_profile_for_bindings_and_fallbacks():
-    schedule, bindings = parse_finance_config(finance_raw(), make_chars())
+    schedule, bindings = parse_finance_config(finance_raw(), make_chars(), 48)
     scale = {1: 400000.0, 2: 900000.0}
 
     p = profile_for(2, (1, 1), scale, bindings, schedule)
@@ -210,24 +218,27 @@ def test_workload_binding_applies_without_override():
             }
         }
     }
-    schedule, bindings = parse_finance_config(raw, chars)
+    schedule, bindings = parse_finance_config(raw, chars, 40)
     p = profile_for(1, (0,), {1: 100.0}, bindings, schedule)
     assert p.workload_hours == 20.0
     p = profile_for(1, (0,), {1: 100.0}, bindings, schedule, workload_hours=40.0)
     assert p.workload_hours == 40.0
 
 
-def test_aggregate_costs_sums_groups():
-    schedule = RateSchedule(inflation=0.03)
-    profiles = {
-        "a": SalaryProfile(base_salary=300000.0),
-        "b": SalaryProfile(base_salary=500000.0, annuity_pct=0.1),
-    }
-    counts = {"a": 2.5, "b": 1.0}
-    out = aggregate_costs(counts, profiles, 2018, schedule)
-    want_a = 2.5 * total_cost(2018, profiles["a"], schedule)
-    want_b = 1.0 * total_cost(2018, profiles["b"], schedule)
-    assert out["a"] == pytest.approx(want_a, rel=1e-14)
-    assert out[None] == pytest.approx(want_a + want_b, rel=1e-14)
-    with pytest.raises(ConfigError, match="no salary profile"):
-        aggregate_costs({"c": 1.0}, profiles, 2018, schedule)
+def test_full_time_costs_price_every_category_and_tuple():
+    chars = make_chars()
+    schedule, bindings = parse_finance_config(finance_raw(), chars, 48)
+    scale = {1: 400000.0, 2: 900000.0}
+    tuples = (None, *chars.all_tuples())
+    g = full_time_costs(2018, 3, tuples, scale, bindings, schedule)
+    assert g.shape == (3, 5)
+    assert not g[0].any()  # the out-of-system category is never priced
+    for c in (1, 2):
+        for k, t in enumerate(tuples):
+            prof = profile_for(c, t, scale, bindings, schedule)
+            assert prof.workload_hours == 48.0
+            assert g[c, k] == total_cost(2018, prof, schedule)
+    # priced at full time: the same worker at 48 h under a 40 h schedule
+    schedule40, _ = parse_finance_config(finance_raw(), chars, 40)
+    g40 = full_time_costs(2018, 3, tuples, scale, bindings, schedule40)
+    np.testing.assert_allclose(g40, g, rtol=1e-15)

@@ -89,12 +89,28 @@ def test_load_rejects_bad_files(tmp_path):
     with pytest.raises(DataError, match="has shape"):
         FittedModel.load(wrong)
 
+    # schema problems are data errors, not raw Python exceptions
+    for section, damage, match in (
+        ("annual", None, "missing field 'annual'"),
+        ("pi", [[1, 0]], "malformed field"),
+        ("r", {"1|0,0": {"0,7": 1.0}}, "undeclared tuple"),
+    ):
+        doc = model.to_json_dict()
+        if damage is None:
+            del doc[section]
+        else:
+            doc[section] = damage
+        wrong.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=match):
+            FittedModel.load(wrong)
+
 
 def test_check_against_flags_mismatches():
     space = make_toy_space()
     chars = make_chars()
     model = make_random_model(space, chars, seed=2, with_r=True)
     model.check_against(space, chars)
+    model.check_against(space, chars, 40.0)
 
     other = StateSpaceConfig(
         categories=space.categories,
@@ -109,3 +125,5 @@ def test_check_against_flags_mismatches():
         model.check_against(other, chars)
     with pytest.raises(ConfigError, match="characteristic declarations"):
         model.check_against(space, CharacteristicSpace(("g",), (("x", "y"),)))
+    with pytest.raises(ConfigError, match="full-time equivalents at 40 hours"):
+        model.check_against(space, chars, 48.0)

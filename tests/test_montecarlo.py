@@ -105,9 +105,7 @@ def test_summarize_hand_values():
 
 
 def small_v():
-    labels = [(0, 0, 0, None), (1, 0, 0, (0,)), (1, 0, 0, (1,)), (2, 1, 0, None)]
-    probs = np.array([0.4, 0.25, 0.15, 0.2])
-    return {1: (labels, probs), 2: (labels, np.array([0.1, 0.2, 0.3, 0.4]))}
+    return {1: np.array([0.4, 0.25, 0.15, 0.2]), 2: np.array([0.1, 0.2, 0.3, 0.4])}
 
 
 def test_simulate_projection_draws_and_stats():
@@ -118,11 +116,7 @@ def test_simulate_projection_draws_and_stats():
         assert sim.draws.shape == (30, 4)
         assert np.all(sim.draws.sum(axis=1) == 50)
         assert set(sim.stats) == {"mean", "sd", "p05", "p50", "p95"}
-    cells, agg = result.years[1].aggregate_by_cell()
-    assert cells == [(0, 0, 0), (1, 0, 0), (2, 1, 0)]
-    np.testing.assert_array_equal(
-        agg[:, 1], result.years[1].draws[:, 1] + result.years[1].draws[:, 2]
-    )
+        np.testing.assert_array_equal(sim.stats["mean"], sim.draws.mean(axis=0))
 
 
 def test_simulate_projection_is_deterministic_across_workers():
@@ -137,13 +131,13 @@ def test_simulate_projection_is_deterministic_across_workers():
 
 
 def test_simulate_projection_validation():
-    labels, probs = small_v()[1]
+    probs = small_v()[1]
     with pytest.raises(ConfigError, match="iterations must be >= 1"):
-        simulate_projection({1: (labels, probs)}, 10, 0, 1)
+        simulate_projection({1: probs}, 10, 0, 1)
     with pytest.raises(ConfigError, match="workers must be >= 1"):
-        simulate_projection({1: (labels, probs)}, 10, 5, 1, workers=0)
+        simulate_projection({1: probs}, 10, 5, 1, workers=0)
     with pytest.raises(ConfigError, match="sum to"):
-        simulate_projection({1: (labels, probs * 0.9)}, 10, 5, 1)
+        simulate_projection({1: probs * 0.9}, 10, 5, 1)
 
 
 def test_dump_draws_layout(tmp_path):
@@ -168,8 +162,8 @@ def test_dump_draws_layout(tmp_path):
 
 def test_dump_draws_rejects_ragged_years(tmp_path):
     years = {
-        1: YearSimulation(1, [(0, 0, 0, None)], np.zeros((2, 1), dtype=np.int64)),
-        2: YearSimulation(2, [(0, 0, 0, None), (1, 0, 0, None)], np.zeros((2, 2), dtype=np.int64)),
+        1: YearSimulation(1, np.zeros((2, 1), dtype=np.int64)),
+        2: YearSimulation(2, np.zeros((2, 2), dtype=np.int64)),
     }
     result = SimulationResult(seed=0, iterations=2, trials=0, years=years)
     with pytest.raises(ConfigError, match="uniform cell layout"):

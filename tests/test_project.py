@@ -5,12 +5,13 @@ import pytest
 
 from markovpop.errors import HorizonError
 from markovpop.project import (
+    LabelIndex,
     TripleDistribution,
     distribution_at_year,
     expected_populations,
-    flatten_v,
     group_probabilities,
     one_step_triple_probability,
+    projection,
     propagate_distribution,
     trajectory,
 )
@@ -113,54 +114,81 @@ def test_group_probabilities_aggregate_and_split():
     model = make_random_model(space, make_chars(), seed=26, with_r=True)
     dist = TripleDistribution(model.pi, 0)
     table = group_probabilities(dist, model)
+    labels = LabelIndex.build(model)
 
     # block sums match direct aggregation
     assert table.p[1, 0, 0] == pytest.approx(model.pi[1, 0:2, 0:2].sum())
     assert table.p[2, 1, 1] == pytest.approx(model.pi[2, 2:4, 2:3].sum())
     assert table.p.sum() == pytest.approx(1.0, abs=1e-12)
 
-    # v covers every category/cell pair; splits preserve the cell mass
-    assert set(table.v) == {
-        (c, ei, ai) for c in range(3) for ei, ai in space.cells()
-    }
-    for (c, ei, ai), split in table.v.items():
-        assert sum(split.values()) == pytest.approx(table.p[c, ei, ai], abs=1e-12)
-        if c == 0:
-            assert set(split) == {None}
-    assert table.unsplittable == ()
+    # labels cover every category/cell pair; splits preserve the cell mass
+    n_cells = table.p.size
+    np.testing.assert_array_equal(np.unique(labels.cell_id), np.arange(n_cells))
+    np.testing.assert_allclose(
+        np.bincount(labels.cell_id, table.probs), table.p.ravel(), rtol=0, atol=1e-12
+    )
+    out = labels.category == 0
+    assert np.all(labels.tuple_code[out] == 0) and np.all(labels.weight[out] == 1.0)
+    assert np.all(labels.tuple_code[~out] > 0)  # every in-system cell splits
+    assert len(labels.cell_id) == 4 + 2 * 4 * 6  # 6 tuples per in-system cell
+    for j in np.flatnonzero(~out):
+        c, ei, ai = labels.category[j], labels.age_group[j], labels.seniority_group[j]
+        t = labels.tuples[labels.tuple_code[j]]
+        assert table.probs[j] == table.p[c, ei, ai] * model.r[(c, ei, ai)][t]
 
 
 def test_group_probabilities_flag_unsplit_cells():
     model = make_random_model(make_toy_space(), seed=27)  # no r fitted at all
     table = group_probabilities(TripleDistribution(model.pi, 0), model)
-    for (c, ei, ai), split in table.v.items():
-        assert set(split) == {None}
-    assert len(table.unsplittable) == 8  # every in-system cell holds mass
+    labels = LabelIndex.build(model)
+    # one aggregate label (tuple code 0) per cell, carrying the whole mass
+    np.testing.assert_array_equal(labels.tuple_code, 0)
+    np.testing.assert_array_equal(labels.cell_id, np.arange(table.p.size))
+    np.testing.assert_array_equal(table.probs, table.p.ravel())
+    unsplit = (labels.category > 0) & (labels.tuple_code == 0) & (table.probs > 0.0)
+    assert unsplit.sum() == 8  # every in-system cell holds mass
 
 
-def test_flatten_v_order_is_year_invariant():
+def test_label_order_is_year_invariant():
     model = make_random_model(make_toy_space(), make_chars(), seed=28, with_r=True)
-    del model.r[(1, 0, 0)]  # unobserved cell contributes a None label
-    t0 = group_probabilities(TripleDistribution(model.pi, 0), model)
-    labels0, probs0 = flatten_v(t0)
-    assert probs0.sum() == pytest.approx(1.0, abs=1e-12)
-    assert labels0 == sorted(
-        labels0, key=lambda l: (l[0], l[1], l[2], l[3] is not None, l[3] or ())
+    del model.r[(1, 0, 0)]  # unobserved cell contributes a lone aggregate label
+    labels, tables = projection(model, 2, policy="absorb")
+    keys = list(zip(labels.cell_id, labels.tuple_code))
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    lone = np.flatnonzero(
+        (labels.category == 1) & (labels.age_group == 0) & (labels.seniority_group == 0)
     )
-    assert (1, 0, 0, None) in labels0
+    assert len(lone) == 1 and labels.tuple_code[lone[0]] == 0
+    assert labels.tuples[0] is None
+    assert labels.tuples[1:] == tuple(model.characteristics.all_tuples())
 
+    # every year is a probability vector over the same labels
+    for table in tables:
+        assert table.probs.shape == labels.cell_id.shape
+        assert table.probs.sum() == pytest.approx(1.0, abs=1e-12)
     d2 = distribution_at_year(model.pi, model, 2, policy="absorb")
-    labels2, _ = flatten_v(group_probabilities(d2, model))
-    assert labels2 == labels0
+    np.testing.assert_array_equal(group_probabilities(d2, model).probs, tables[2].probs)
+
+
+def test_cell_sums_add_label_columns_per_cell():
+    model = make_random_model(make_toy_space(), make_chars(), seed=30, with_r=True)
+    del model.r[(2, 1, 0)]
+    labels = LabelIndex.build(model)
+    draws = np.arange(3 * len(labels.cell_id)).reshape(3, -1)
+    sums = labels.cell_sums(draws)
+    assert sums.shape == (3, 12) and sums.dtype == draws.dtype
+    for cell in range(12):
+        cols = np.flatnonzero(labels.cell_id == cell)
+        np.testing.assert_array_equal(sums[:, cell], draws[:, cols].sum(axis=1))
+    np.testing.assert_array_equal(labels.in_system_cells, np.arange(12) >= 4)
 
 
 def test_expected_populations_scale_by_i0():
     model = make_random_model(make_toy_space(), make_chars(), seed=29, with_r=True)
     table = group_probabilities(TripleDistribution(model.pi, 3), model)
-    pops = expected_populations(table, 500.0)
-    assert pops.year == 3
-    np.testing.assert_allclose(pops.counts, table.p * 500.0)
-    assert pops.counts.sum() == pytest.approx(500.0, abs=1e-9)
-    cell = (1, 1, 1)
-    for t, w in table.v[cell].items():
-        assert pops.split[cell][t] == pytest.approx(500.0 * w)
+    assert table.year == 3
+    counts, label_counts = expected_populations(table, 500.0)
+    np.testing.assert_allclose(counts, table.p * 500.0)
+    assert counts.sum() == pytest.approx(500.0, abs=1e-9)
+    np.testing.assert_allclose(label_counts, table.probs * 500.0)
+    assert label_counts.sum() == pytest.approx(500.0, abs=1e-9)

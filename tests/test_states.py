@@ -8,7 +8,6 @@ from markovpop.states import (
     CharacteristicSpace,
     StateSpaceConfig,
     Triple,
-    in_system_indicator,
     validate_config,
 )
 
@@ -33,7 +32,6 @@ def test_valid_space_basics():
     assert sp.n_ages == 10
     assert sp.n_age_groups == 2
     assert sp.n_seniority_groups == 2
-    assert sp.reserve_age_group == 0
     assert list(sp.cells()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert sp.group_label("age", 1) == "14..20"
     assert sp.group_label("seniority", 0) == "0..3"
@@ -127,11 +125,6 @@ def test_triple_validation():
         Triple(1, 12, 2).validate(sp)
 
 
-def test_in_system_indicator():
-    assert in_system_indicator(0) == 0
-    assert all(in_system_indicator(c) == 1 for c in (1, 2, 7))
-
-
 def test_characteristics_encode_decode():
     cs = CharacteristicSpace(("grade", "shift"), (("g1", "g2"), ("day", "night")))
     t = cs.encode({"shift": "night", "grade": "g1"})
@@ -206,4 +199,7 @@ def test_validate_config_reserve_marker():
     validate_config(raw)
     raw["reserve_age_group"] = [0, 3]
     with pytest.raises(ConfigError, match="reserve_age_group"):
+        validate_config(raw)
+    raw["reserve_age_group"] = 5
+    with pytest.raises(ConfigError, match="reserve_age_group 5"):
         validate_config(raw)

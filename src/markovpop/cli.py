@@ -34,9 +34,6 @@ from .reports import (
 
 log = logging.getLogger("markovpop")
 
-UNOBSERVED = ("transition_rows", "q_cells", "r_cells", "entry_cells")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as validation errors (exit 1)."""
 
@@ -102,7 +99,7 @@ def cmd_fit(args) -> int:
     diag = model.diagnostics
     for w in diag.get("warnings", []):
         log.warning("%s", w)
-    flagged = sum(len(diag.get(f"unobserved_{k}", [])) for k in UNOBSERVED)
+    flagged = sum(len(v) for k, v in diag.items() if k.startswith("unobserved_"))
     if flagged:
         note = f"{flagged} unobserved objects flagged in diagnostics"
         print(f"fit complete: {args.out} written; {note}", file=sys.stderr)

@@ -65,7 +65,7 @@ def _pricing(args, cfg: RunConfig):
 
 def _fit(records, reserve, cfg: RunConfig) -> FittedModel:
     cube = build_reserve(build_counts(records, cfg), reserve, cfg)
-    log.info("fitting %d months (%d person-month cells)", len(cube.months), len(cube.cells))
+    log.info("fitting %d months (%d person-month records)", len(cube.months), len(records))
     return fit_model(cube, reserve, cfg)
 
 
@@ -155,7 +155,7 @@ def cmd_backtest(args) -> int:
     reserve = load_reserve_csv(args.reserve, cfg.space)
     fit_records, holdout = split_records(records, args.split_year)
     model = _fit(fit_records, reserve, cfg)
-    horizon = max(r.cal_year for r in holdout) - model.base_year
+    horizon = int(holdout.cal_year.max()) - model.base_year
     labels, tables, result = _simulation(model, cfg, args, horizon)
     rows = backtest_rows(model, labels, tables, result, holdout, *pricing)
     roles = ("config", "records", "reserve", "salary-scale")

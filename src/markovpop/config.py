@@ -9,6 +9,7 @@ only for the commands that need it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -34,16 +35,21 @@ class RunConfig:
     finance_raw: dict = field(default_factory=dict)
 
 
+def is_number(value) -> bool:
+    """Whether a parsed config value is a finite int or float (bools are not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _parse_pmf(values, where: str) -> tuple[float, ...]:
     if not isinstance(values, (list, tuple)) or len(values) != 12:
         raise ConfigError(f"{where}: need exactly 12 monthly probabilities")
     pmf = []
     for i, v in enumerate(values):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
+        if not is_number(v) or v < 0:
             raise ConfigError(f"{where}: entry {i + 1} must be a non-negative number")
         pmf.append(float(v))
     total = sum(pmf)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ConfigError(f"{where}: probabilities sum to {total!r}, expected 1")
     return tuple(pmf)
 
@@ -85,7 +91,7 @@ def build_run_config(raw: dict) -> RunConfig:
     characteristics = _parse_characteristics(raw.get("characteristics"))
 
     full_time = raw.get("full_time_hours", 40)
-    if not isinstance(full_time, (int, float)) or isinstance(full_time, bool) or full_time <= 0:
+    if not is_number(full_time) or full_time <= 0:
         raise ConfigError(f"full_time_hours must be a positive number (got {full_time!r})")
 
     pmf = (

@@ -1,15 +1,17 @@
 """Estimators that turn the counts cube into a fitted model.
 
-Monthly transition rows are per-month ratios averaged over the months
-where the denominator (cell population minus exits) is positive; rows
-never observed fall back to the identity and are flagged.  Yearly entry
-probabilities average per-year hire/stay ratios the same way.  The
-characteristic distribution averages per-month tuple shares.  Everything
-is workload-weighted because the cube is.
+Each estimator averages per-month or per-year ratios of cube arrays over
+their month or year axis, adding in index order.  Monthly transition rows
+average flow ratios over the months where the denominator (cell
+population minus exits) is positive; rows never observed fall back to the
+identity and are flagged.  Yearly entry probabilities average stay and
+hire ratios, and the characteristic distribution tuple shares, the same
+way.  Everything is workload-weighted because the cube is.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
@@ -24,6 +26,26 @@ log = logging.getLogger(__name__)
 ROW_SUM_TOL = 1e-12
 
 
+def _ordered_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0, adding in index order like a running total."""
+    return functools.reduce(np.add, a, np.zeros(a.shape[1:]))
+
+
+def _mean_ratio(num: np.ndarray, den: np.ndarray, fallback):
+    """Mean over axis 0 of num/den, taken over the terms whose den > 0.
+
+    Returns the means, `fallback` where no term counts, and a mask of the
+    means that have a term (shaped like `den` without axis 0).
+    """
+    ok = den > 0.0
+    ratio = np.zeros(np.broadcast_shapes(num.shape, den.shape))
+    np.divide(num, den, out=ratio, where=ok)
+    n = ok.sum(axis=0)
+    mean = np.array(np.broadcast_to(fallback, ratio.shape[1:]), dtype=float)
+    np.divide(_ordered_sum(ratio), n, out=mean, where=n > 0)
+    return mean, n > 0
+
+
 def estimate_initial_distribution(cube: CountsCube, i0: float, cfg: RunConfig) -> np.ndarray:
     """Average the latest 12 months of counts and normalize by i0.
 
@@ -32,22 +54,15 @@ def estimate_initial_distribution(cube: CountsCube, i0: float, cfg: RunConfig) -
     """
     if not cube.has_reserve:
         raise DataError("initial distribution needs reserve rows; run build_reserve first")
-    window = range(-11, 1)
-    missing = [m for m in window if m not in cube.calendar]
+    missing = [m for m in range(-11, 1) if m not in cube.calendar]
     if missing:
         raise DataError(
             "initial distribution needs the 12 latest months; "
             f"missing normalized months: {sorted(missing)}"
         )
-    space = cfg.space
-    n0 = np.zeros((space.n_categories, space.n_ages, space.seniority_max))
-    for (m, c, e, a), w in cube.cells.items():
-        if m in window:
-            n0[c, e - space.age_min, a] += w
-    n0 /= 12.0
-    pi = n0 / i0
+    pi = _ordered_sum(cube.latest) / 12.0 / i0
     total = pi.sum()
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise DataError(
             f"initial distribution sums to {total!r}; census totals and panel disagree"
         )
@@ -62,62 +77,34 @@ def estimate_monthly_transitions(cube: CountsCube, cfg: RunConfig):
     """
     if not cube.flow_months:
         raise DataError("monthly transitions need at least two consecutive observed months")
-    space = cfg.space
-    nc = space.n_categories - 1
-
-    flow_rows: dict[tuple, np.ndarray] = {}
-    exits: dict[tuple, float] = {}
-    for (m, ei, ai, r, l), w in cube.flows.items():
-        if l == 0:
-            exits[(m, ei, ai, r)] = exits.get((m, ei, ai, r), 0.0) + w
-        else:
-            row = flow_rows.get((m, ei, ai, r))
-            if row is None:
-                row = flow_rows[(m, ei, ai, r)] = np.zeros(nc)
-            row[l - 1] += w
-
-    matrices = {}
-    unobserved = []
-    renormalized = []
-    for ei, ai in space.cells():
-        mat = np.zeros((nc, nc))
-        for r in range(1, nc + 1):
-            acc = np.zeros(nc)
-            n_months = 0
-            for m in cube.flow_months:
-                total = cube.group_totals.get((m, ei, ai, r), 0.0)
-                denom = total - exits.get((m, ei, ai, r), 0.0)
-                if denom <= 0.0:
-                    continue
-                row = flow_rows.get((m, ei, ai, r))
-                if row is not None:
-                    acc += row / denom
-                n_months += 1
-            if n_months == 0:
-                mat[r - 1, r - 1] = 1.0
-                unobserved.append([ei, ai, r])
-                continue
-            row = acc / n_months
-            dev = abs(row.sum() - 1.0)
-            if dev > ROW_SUM_TOL:
-                if row.sum() <= 0.0:
-                    raise DataError(
-                        f"monthly transition row (cell {ei},{ai}, category {r}) sums to 0"
-                    )
-                log.warning(
-                    "renormalizing monthly transition row (cell %d,%d, category %d): "
-                    "deviation %.3e",
-                    ei, ai, r, dev,
-                )
-                renormalized.append([ei, ai, r, dev])
-                row = row / row.sum()
-            mat[r - 1] = row
-        matrices[(ei, ai)] = mat
+    flows = cube.flows[..., 1:, :]
+    totals = cube.group_totals[np.searchsorted(cube.months, cube.flow_months)][..., 1:]
+    # rows [age group, seniority group, category - 1]; never observed rows
+    # fall back to the identity
+    rows, observed = _mean_ratio(
+        flows[..., 1:], (totals - flows[..., 0])[..., None], np.eye(flows.shape[-1] - 1)
+    )
+    observed = observed[..., 0]
+    sums = rows.sum(axis=-1)
+    dev = np.abs(sums - 1.0)
+    leaky = np.argwhere(observed & (dev > ROW_SUM_TOL))
+    for ei, ai, r in leaky:
+        if sums[ei, ai, r] <= 0.0:
+            raise DataError(
+                f"monthly transition row (cell {ei},{ai}, category {r + 1}) sums to 0"
+            )
+        log.warning(
+            "renormalizing monthly transition row (cell %d,%d, category %d): deviation %.3e",
+            ei, ai, r + 1, dev[ei, ai, r],
+        )
+        rows[ei, ai, r] /= sums[ei, ai, r]
     diag = {
-        "unobserved_transition_rows": unobserved,
-        "renormalized_transition_rows": renormalized,
+        "unobserved_transition_rows": (np.argwhere(~observed) + [0, 0, 1]).tolist(),
+        "renormalized_transition_rows": [
+            [ei, ai, r + 1, float(dev[ei, ai, r])] for ei, ai, r in leaky.tolist()
+        ],
     }
-    return matrices, diag
+    return {cell: rows[cell] for cell in cfg.space.cells()}, diag
 
 
 def annualize_transitions(
@@ -179,48 +166,23 @@ def estimate_entry_probabilities(cube: CountsCube, cfg: RunConfig):
             "entry probabilities need at least one year boundary "
             "(previous December observed plus a month of the next year)"
         )
-    space = cfg.space
-    cal_to_norm = {cal: m for m, cal in cube.calendar.items()}
-
-    sums: dict[tuple, float] = {}
-    counts: dict[tuple, int] = {}
-    inconsistent = []
-    for (y, ei, ai, c), (stay, exit_) in cube.stay_exit.items():
-        denom = stay + exit_
-        if denom <= 0.0:
-            continue
-        key = (ei, ai, c)
-        sums[key] = sums.get(key, 0.0) + stay / denom
-        counts[key] = counts.get(key, 0) + 1
-    for ei, ai in space.cells():
-        for y in cube.q_years:
-            dec_m = cal_to_norm.get((y - 1, 12))
-            if dec_m is None:
-                continue
-            reserve_mass = cube.group_totals.get((dec_m, ei, ai, 0), 0.0)
-            h = cube.hires.get((y, ei, ai), 0.0)
-            if reserve_mass <= 0.0 and h <= 0.0:
-                continue
-            if h > reserve_mass:
-                inconsistent.append([y, ei, ai, h, reserve_mass])
-            denom = max(reserve_mass, h)
-            key = (ei, ai, 0)
-            sums[key] = sums.get(key, 0.0) + h / denom
-            counts[key] = counts.get(key, 0) + 1
-
-    q1 = {}
-    unobserved = []
-    for ei, ai in space.cells():
-        vec = np.zeros(space.n_categories)
-        for c in range(space.n_categories):
-            key = (ei, ai, c)
-            if key in counts:
-                vec[c] = sums[key] / counts[key]
-            else:
-                unobserved.append([ei, ai, c])
-        q1[(ei, ai)] = vec
-    diag = {"unobserved_q_cells": unobserved, "hires_exceeding_reserve": inconsistent}
-    return q1, diag
+    norm_of = {cal: m for m, cal in cube.calendar.items()}
+    decembers = [norm_of[(y - 1, 12)] for y in cube.q_years]
+    reserve_mass = cube.group_totals[np.searchsorted(cube.months, decembers)][..., 0]
+    num, den = cube.stay_exit[..., 0].copy(), cube.stay_exit.sum(axis=-1)
+    num[..., 0] = cube.hires
+    den[..., 0] = np.maximum(reserve_mass, cube.hires)
+    q1, observed = _mean_ratio(num, den, 0.0)
+    # over cells, then years
+    inconsistent = [
+        [cube.q_years[y], ei, ai, float(cube.hires[y, ei, ai]), float(reserve_mass[y, ei, ai])]
+        for ei, ai, y in np.argwhere((cube.hires > reserve_mass).transpose(1, 2, 0)).tolist()
+    ]
+    diag = {
+        "unobserved_q_cells": np.argwhere(~observed).tolist(),
+        "hires_exceeding_reserve": inconsistent,
+    }
+    return {cell: q1[cell] for cell in cfg.space.cells()}, diag
 
 
 def estimate_entry_categories(cube: CountsCube, cfg: RunConfig):
@@ -230,63 +192,26 @@ def estimate_entry_categories(cube: CountsCube, cfg: RunConfig):
     a uniform fallback plus a flag; such rows are only reachable when the
     fitted hire probability is zero, so the fallback is inert.
     """
-    space = cfg.space
-    nc = space.n_categories - 1
-    per_cell_years: dict[tuple, dict[int, np.ndarray]] = {}
-    for (y, ei, ai, c), w in cube.entry_cats.items():
-        years = per_cell_years.setdefault((ei, ai), {})
-        vec = years.get(y)
-        if vec is None:
-            vec = years[y] = np.zeros(nc)
-        vec[c - 1] += w
-
-    entry = {}
-    unobserved = []
-    for cell in space.cells():
-        years = per_cell_years.get(cell)
-        if not years:
-            entry[cell] = np.full(nc, 1.0 / nc)
-            unobserved.append(list(cell))
-            continue
-        acc = np.zeros(nc)
-        for vec in years.values():
-            acc += vec / vec.sum()
-        entry[cell] = acc / len(years)
-    diag = {"unobserved_entry_cells": unobserved}
-    return entry, diag
+    entry_cats = cube.entry_cats[..., 1:]
+    totals = entry_cats.sum(axis=-1, keepdims=True)
+    entry, observed = _mean_ratio(entry_cats, totals, 1.0 / entry_cats.shape[-1])
+    diag = {"unobserved_entry_cells": np.argwhere(~observed[..., 0]).tolist()}
+    return {cell: entry[cell] for cell in cfg.space.cells()}, diag
 
 
 def estimate_characteristic_distribution(cube: CountsCube, cfg: RunConfig):
     """Per-month tuple shares averaged over months with observations."""
-    space = cfg.space
-    by_cell: dict[tuple, dict[int, dict]] = {}
-    for (m, c, ei, ai, t), w in cube.char_counts.items():
-        months = by_cell.setdefault((c, ei, ai), {})
-        dist = months.setdefault(m, {})
-        dist[t] = dist.get(t, 0.0) + w
-
-    r = {}
-    unobserved = []
-    for c in range(1, space.n_categories):
-        for cell in space.cells():
-            key = (c, *cell)
-            months = by_cell.get(key)
-            if not months:
-                r[key] = {}
-                unobserved.append([c, *cell])
-                continue
-            acc: dict[tuple, float] = {}
-            n_months = 0
-            for dist in months.values():
-                total = sum(dist.values())
-                if total <= 0.0:
-                    continue
-                for t, w in dist.items():
-                    acc[t] = acc.get(t, 0.0) + w / total
-                n_months += 1
-            r[key] = {t: v / n_months for t, v in sorted(acc.items())}
-    diag = {"unobserved_r_cells": unobserved}
-    return r, diag
+    tuples = cfg.characteristics.tuples()
+    counts = cube.char_counts
+    shares, observed = _mean_ratio(counts, counts.sum(axis=-1, keepdims=True), 0.0)
+    seen = (counts > 0.0).any(axis=0)
+    r = {
+        (c, *cell): {tuples[k]: float(shares[c][cell][k]) for k in np.flatnonzero(seen[c][cell])}
+        for c in range(1, cfg.space.n_categories)
+        for cell in cfg.space.cells()
+    }
+    unobserved = np.argwhere(~observed[1:, ..., 0]) + [1, 0, 0]
+    return r, {"unobserved_r_cells": unobserved.tolist()}
 
 
 def fit_model(cube: CountsCube, reserve: ReserveSpec, cfg: RunConfig) -> FittedModel:

@@ -13,13 +13,14 @@ units happens only when reports are written.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import is_number
 from .errors import ConfigError, DataError
+from .ingest import csv_rows, finite_float
 from .states import CharacteristicSpace
 
 BASE_YEAR = 2016  # first projectable calendar year; the scale is Dec 2015
@@ -172,7 +173,7 @@ def parse_finance_config(raw: dict, chars: CharacteristicSpace, full_time_hours:
             "full_time_hours instead"
         )
     inflation = raw.get("inflation", 0.0388)
-    if not isinstance(inflation, (int, float)) or isinstance(inflation, bool):
+    if not is_number(inflation):
         raise ConfigError(f"finance.inflation must be a number (got {inflation!r})")
     schedule = RateSchedule(inflation=float(inflation), full_time_hours=float(full_time_hours))
 
@@ -198,6 +199,9 @@ def parse_finance_config(raw: dict, chars: CharacteristicSpace, full_time_hours:
                     f"finance.bindings.{fld}: {spec['characteristic']!r} has no "
                     f"level {level_name!r}"
                 )
+            if fld != "pension_regime" and not is_number(value):
+                msg = f"level {level_name!r} must be a finite number"
+                raise ConfigError(f"finance.bindings.{fld}: {msg}")
             mapped[levels.index(level_name)] = value
         missing = [lv for i, lv in enumerate(levels) if i not in mapped]
         if missing:
@@ -221,39 +225,31 @@ def parse_finance_config(raw: dict, chars: CharacteristicSpace, full_time_hours:
 
 def load_salary_scale(path, space) -> dict[int, float]:
     """Load the per-category base salary scale (header: category,base_salary)."""
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise DataError(f"salary scale file not found: {path}") from None
     problems = []
     scale: dict[int, float] = {}
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) != {"category", "base_salary"}:
-            raise DataError(
-                f"salary scale {path}: header must be exactly 'category,base_salary'"
+    for i, row in csv_rows(path, "salary scale", ("category", "base_salary"), problems):
+        code = (row["category"] or "").strip()
+        if code not in space.categories:
+            problems.append(f"row {i}: unknown category code {code!r}")
+            continue
+        idx = space.categories.index(code)
+        if idx == 0:
+            problems.append(f"row {i}: the out-of-system category has no salary")
+            continue
+        try:
+            w = finite_float(row["base_salary"])
+        except (TypeError, ValueError):
+            problems.append(
+                f"row {i}: non-numeric base_salary {row['base_salary']!r} (need a finite number)"
             )
-        for i, row in enumerate(reader, start=1):
-            code = (row["category"] or "").strip()
-            if code not in space.categories:
-                problems.append(f"row {i}: unknown category code {code!r}")
-                continue
-            idx = space.categories.index(code)
-            if idx == 0:
-                problems.append(f"row {i}: the out-of-system category has no salary")
-                continue
-            try:
-                w = float(row["base_salary"])
-            except (TypeError, ValueError):
-                problems.append(f"row {i}: non-numeric base_salary {row['base_salary']!r}")
-                continue
-            if w < 0:
-                problems.append(f"row {i}: negative base_salary at {code!r}")
-                continue
-            if idx in scale:
-                problems.append(f"row {i}: duplicate category {code!r}")
-                continue
-            scale[idx] = w
+            continue
+        if w < 0:
+            problems.append(f"row {i}: negative base_salary at {code!r}")
+            continue
+        if idx in scale:
+            problems.append(f"row {i}: duplicate category {code!r}")
+            continue
+        scale[idx] = w
     if problems:
         raise DataError(f"salary scale {path} is invalid", problems)
     return scale

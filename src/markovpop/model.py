@@ -31,6 +31,10 @@ def _cell_key(ei: int, ai: int) -> str:
     return f"{ei},{ai}"
 
 
+def _reject_constant(name: str):
+    raise DataError(f"model file: non-finite number {name}")
+
+
 def _parse_cell_key(s: str) -> tuple[int, int]:
     ei, ai = s.split(",")
     return int(ei), int(ai)
@@ -177,13 +181,15 @@ class FittedModel:
         for c, e, a, p in doc["pi"]:
             pi[c, e - space.age_min, a] = p
 
-        def cell_arrays(section, shape=None):
+        def cell_arrays(section, shape):
             out = {}
             for key, rows in doc[section].items():
                 arr = np.array(rows, dtype=float)
-                if shape is not None and arr.shape != shape:
+                if arr.shape != shape:
                     raise DataError(f"model file: {section}[{key}] has shape {arr.shape}")
                 out[_parse_cell_key(key)] = arr
+            if set(out) != set(space.cells()):
+                raise DataError(f"model file: {section} does not hold exactly one entry per cell")
             return out
 
         nc = space.n_categories - 1
@@ -226,7 +232,7 @@ class FittedModel:
     def load(cls, path) -> "FittedModel":
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, parse_constant=_reject_constant)
         except FileNotFoundError:
             raise DataError(f"model file not found: {path}") from None
         except json.JSONDecodeError as exc:

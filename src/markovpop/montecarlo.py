@@ -139,7 +139,7 @@ def simulate_projection(
     years = {}
     for year, probs in sorted(v_by_year.items()):
         total = float(np.asarray(probs).sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ConfigError(
                 f"cell probabilities for year {year} sum to {total!r}, expected 1"
             )

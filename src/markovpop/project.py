@@ -178,20 +178,19 @@ class LabelIndex:
     @classmethod
     def build(cls, model: FittedModel) -> "LabelIndex":
         space = model.space
-        tuples = (None, *model.characteristics.all_tuples())
-        code_of = {t: k for k, t in enumerate(tuples)}
+        chars = model.characteristics
         rows = []
         for c in range(space.n_categories):
             for ei, ai in space.cells():
                 r = model.r_distribution(c, ei, ai) if c else {}
                 if not r:  # one aggregate label carries the whole cell
                     rows.append((c, ei, ai, 0, 1.0))
-                rows += [(c, ei, ai, code_of[t], w) for t, w in sorted(r.items())]
+                rows += [(c, ei, ai, chars.code(t), w) for t, w in sorted(r.items())]
         cat, eg, sg, code, weight = (np.array(col) for col in zip(*rows))
         shape = (space.n_categories, space.n_age_groups, space.n_seniority_groups)
         cell_id = np.ravel_multi_index((cat, eg, sg), shape)
         bounds = np.searchsorted(cell_id, np.arange(cell_id[-1] + 2))
-        return cls(cat, eg, sg, code, cell_id, weight, tuples, bounds)
+        return cls(cat, eg, sg, code, cell_id, weight, chars.tuples(), bounds)
 
     @property
     def in_system_cells(self) -> np.ndarray:

@@ -194,26 +194,20 @@ def backtest_rows(model, labels, tables, result, records, scale, bindings, sched
     space = model.space
     names = _cell_names(space)
     shape = (space.n_categories, space.n_age_groups, space.n_seniority_groups)
-    code_of = {t: k for k, t in enumerate(labels.tuples)}
-    by_year: dict[int, list] = {}
-    for r in records:
-        by_year.setdefault(r.cal_year, []).append(r)
     rows = []
     for table in tables[1:]:
         year = model.base_year + table.year
-        observed = by_year.get(year)
-        if not observed:
+        observed = records.take(records.cal_year == year)
+        if not len(observed):
             continue
-        m_obs = len({r.cal_month for r in observed})
+        m_obs = len(np.unique(observed.cal_month))
         full_time = full_time_costs(
             year, space.n_categories, labels.tuples, scale, bindings, schedule
         )
-        groups = np.array(
-            [(r.category, *space.locate_groups(r.age, r.seniority)) for r in observed]
-        )
-        cell = np.ravel_multi_index(groups.T, shape)
-        fte = np.array([r.workload for r in observed]) / schedule.full_time_hours
-        price = full_time[groups[:, 0], [code_of[r.characteristics] for r in observed]]
+        groups = space.locate_groups(observed.age, observed.seniority)
+        cell = np.ravel_multi_index((observed.category, *groups), shape)
+        fte = observed.workload / schedule.full_time_hours
+        price = full_time[observed.category, observed.tuple_code]
         obs_pop = np.bincount(cell, fte / m_obs, len(names))
         obs_cost = np.bincount(cell, fte * price / m_obs, len(names))
 

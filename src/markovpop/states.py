@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError
 
 GroupRange = tuple[int, int]  # half-open [lo, hi)
@@ -108,6 +110,17 @@ class CharacteristicSpace:
     def all_tuples(self):
         return itertools.product(*(range(len(lv)) for lv in self.levels))
 
+    def tuples(self) -> tuple:
+        """Tuple code k >= 1 -> ``all_tuples()[k - 1]``; code 0 is the aggregate (None)."""
+        return (None, *self.all_tuples())
+
+    def code(self, t: tuple[int, ...]) -> int:
+        """Tuple code of a level-index tuple (see :meth:`tuples`)."""
+        k = 0
+        for lv, j in zip(self.levels, t):
+            k = k * len(lv) + j
+        return k + 1
+
 
 @dataclass(frozen=True)
 class StateSpaceConfig:
@@ -197,9 +210,10 @@ class StateSpaceConfig:
     def seniority_group(self, seniority: int) -> int:
         return self._seniority_group_of[seniority]
 
-    def locate_groups(self, age: int, seniority: int) -> tuple[int, int]:
-        """Return (age group index, seniority group index) for a state."""
-        return self.age_group(age), self.seniority_group(seniority)
+    def locate_groups(self, age, seniority):
+        """(age group index, seniority group index) of a state, or of arrays of states."""
+        ages = np.subtract(age, self.age_min)
+        return np.take(self._age_group_of, ages), np.take(self._seniority_group_of, seniority)
 
     def in_range(self, age: int, seniority: int) -> bool:
         return self.age_min <= age < self.age_max and 0 <= seniority < self.seniority_max
@@ -282,7 +296,8 @@ def validate_config(raw: dict) -> StateSpaceConfig:
             problems.append(f"{key} must be an integer (got {raw[key]!r})")
     for key in ("age_groups", "seniority_groups"):
         v = raw[key]
-        if not isinstance(v, (list, tuple)):
+        pairs = isinstance(v, (list, tuple)) and all(isinstance(g, (list, tuple)) for g in v)
+        if not pairs:
             problems.append(f"{key} must be a list of [lo, hi) pairs")
     if problems:
         raise ConfigError("invalid state space configuration", problems)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from markovpop.config import RunConfig, build_run_config
-from markovpop.ingest import MonthlyRecord, ReserveSpec
+from markovpop.ingest import Records, ReserveSpec
 
 
 @dataclass(frozen=True)
@@ -70,34 +70,19 @@ class Panel:
         }
         return ReserveSpec(age_totals=totals)
 
-    def to_records(self) -> list[MonthlyRecord]:
-        """Build validated-equivalent records directly, bypassing CSV."""
-        full_time = self.cfg.full_time_hours
-        latest = len(self.months) - 1
-        out = []
-        rownum = 0
-        for idx, ((y, mm), (pid, cat0, age, sen, tup)) in enumerate(
-            zip(self.months, self.snapshots)
-        ):
-            norm = idx - latest
-            for j in range(len(pid)):
-                rownum += 1
-                out.append(
-                    MonthlyRecord(
-                        month=norm,
-                        cal_year=y,
-                        cal_month=mm,
-                        person_id=f"w{pid[j]:06d}",
-                        category=int(cat0[j]) + 1,
-                        age=int(age[j]),
-                        seniority=int(sen[j]),
-                        workload=full_time,
-                        characteristics=self.tuple_list[tup[j]],
-                        row=rownum,
-                    )
-                )
-        out.sort(key=lambda r: (r.month, r.person_id))
-        return out
+    def to_records(self) -> Records:
+        """Build validated-equivalent record columns directly, bypassing CSV."""
+        pid, cat0, age, sen, tup = (np.concatenate(col) for col in zip(*self.snapshots))
+        sizes = [len(snapshot[0]) for snapshot in self.snapshots]
+        return Records.from_rows(
+            np.repeat([y * 12 + mm - 1 for y, mm in self.months], sizes),
+            [f"w{p:06d}" for p in pid.tolist()],
+            cat0 + 1,
+            age,
+            sen,
+            np.full(len(pid), self.cfg.full_time_hours),
+            tup + 1,  # tuple_list[j] is the characteristic tuple of code j + 1
+        )
 
     def write_records_csv(self, path) -> None:
         space = self.cfg.space

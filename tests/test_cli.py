@@ -6,10 +6,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovpop.cli import main
 from markovpop.config import load_run_config
@@ -235,12 +238,36 @@ def test_model_config_mismatch(capsys, mini_pipeline, tmp_path):
     assert "model/config mismatch" in capsys.readouterr().err
 
 
-def _malformed_model(paths, tmp_path):
-    doc = json.loads(paths["model"].read_text())
-    del doc["annual"]
-    bad = tmp_path / "model.json"
-    bad.write_text(json.dumps(doc))
-    return {"model": bad}
+def _model_with(edit):
+    def make(paths, tmp_path):
+        doc = json.loads(paths["model"].read_text())
+        edit(doc)
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        return {"model": bad}
+
+    return make
+
+
+def _csv_with(role, row, column, value):
+    """Copy of an input CSV with one field of line `row` set to `value`.
+
+    Column None appends `value` as a field beyond the header.
+    """
+
+    def make(paths, tmp_path):
+        lines = paths[role].read_text().splitlines()
+        fields = lines[row].split(",")
+        if column is None:
+            fields.append(value)
+        else:
+            fields[column] = value
+        lines[row] = ",".join(fields)
+        bad = tmp_path / paths[role].name
+        bad.write_text("\n".join(lines) + "\n")
+        return {role: bad}
+
+    return make
 
 
 def _config_with(edit):
@@ -265,28 +292,67 @@ def _set(path, value):
     return edit
 
 
+def _argv(command, paths, out):
+    """Command line of one CLI command on the input files in `paths`."""
+    argv = [command, "--config", str(paths["config"]), "--out", str(out)]
+    if command in ("fit", "backtest"):
+        argv += ["--records", str(paths["records"]), "--reserve", str(paths["reserve"])]
+    else:
+        argv += ["--model", str(paths["model"]), "--years", "1"]
+    if command not in ("fit", "project"):
+        argv += ["--iterations", "5"]
+    if command in ("cost-report", "backtest"):
+        argv += ["--salary-scale", str(paths["scale"])]
+    if command == "backtest":
+        argv += ["--split-year", "2016"]
+    return argv
+
+
+NAN = float("nan")
+
+
 @pytest.mark.parametrize(
-    "damage, code, message",
+    "damage, command, code, message",
     [
-        (_malformed_model, 2, "missing field 'annual'"),
-        (_config_with(_set(["stopping_time_pmf_overrides"], [1])), 1,
+        (_model_with(lambda doc: doc.pop("annual")), "cost-report", 2,
+         "missing field 'annual'"),
+        (_config_with(_set(["stopping_time_pmf_overrides"], [1])), "cost-report", 1,
          "stopping_time_pmf_overrides must map"),
-        (_config_with(_set(["finance", "bindings", "annuity_pct", "levels"], [0.0, 0.12])), 1,
-         "levels must map level names"),
-        (_config_with(_set(["reserve_age_group"], 5)), 1, "reserve_age_group 5"),
-        (_config_with(_set(["finance", "full_time_hours"], "x")), 1,
+        (_config_with(_set(["finance", "bindings", "annuity_pct", "levels"], [0.0, 0.12])),
+         "cost-report", 1, "levels must map level names"),
+        (_config_with(_set(["reserve_age_group"], 5)), "cost-report", 1, "reserve_age_group 5"),
+        (_config_with(_set(["finance", "full_time_hours"], "x")), "cost-report", 1,
          "top-level full_time_hours"),
+        # non-finite numbers, one per input boundary
+        (_csv_with("reserve", 3, 1, "nan"), "fit", 2, "row 3: non-numeric entry"),
+        (_csv_with("records", 1, 5, "nan"), "fit", 2, "row 1: non-numeric workload 'nan'"),
+        (_csv_with("scale", 1, 1, "nan"), "cost-report", 2,
+         "row 1: non-numeric base_salary 'nan'"),
+        (_csv_with("scale", 1, 1, "inf"), "cost-report", 2,
+         "row 1: non-numeric base_salary 'inf'"),
+        (_config_with(_set(["finance", "inflation"], NAN)), "cost-report", 1,
+         "finance.inflation must be a number (got nan)"),
+        (_config_with(_set(["finance", "bindings", "annuity_pct", "levels", "b1"], NAN)),
+         "cost-report", 1, "finance.bindings.annuity_pct: level 'b1' must be a finite number"),
+        (_config_with(_set(["full_time_hours"], NAN)), "fit", 1,
+         "full_time_hours must be a positive number (got nan)"),
+        (_config_with(_set(["stopping_time_pmf"], [NAN] + [1 / 11] * 11)), "fit", 1,
+         "stopping_time_pmf: entry 1 must be a non-negative number"),
+        (_model_with(lambda doc: doc["q1"]["1,0"].__setitem__(1, NAN)), "project", 2,
+         "model file: non-finite number NaN"),
+        # a row with more fields than the header
+        (_csv_with("records", 7, None, "junk"), "fit", 2, "row 7: 1 field(s) beyond the header"),
     ],
     ids=["model-missing-annual", "overrides-list", "levels-list", "reserve-marker-int",
-         "finance-full-time-hours"],
+         "finance-full-time-hours", "reserve-nan", "workload-nan", "salary-nan",
+         "salary-inf", "inflation-nan", "binding-level-nan", "full-time-hours-nan",
+         "pmf-nan", "model-nan", "records-extra-field"],
 )
-def test_malformed_inputs_are_classified(mini_pipeline, tmp_path, damage, code, message):
+def test_malformed_inputs_are_classified(
+    mini_pipeline, tmp_path, damage, command, code, message
+):
     paths = {**mini_pipeline, **damage(mini_pipeline, tmp_path)}
-    argv = [
-        "cost-report", "--config", str(paths["config"]), "--model", str(paths["model"]),
-        "--salary-scale", str(paths["scale"]), "--years", "1", "--iterations", "5",
-        "--out", str(tmp_path / "cost.csv"),
-    ]
+    argv = _argv(command, paths, tmp_path / "out")
     path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
@@ -295,3 +361,69 @@ def test_malformed_inputs_are_classified(mini_pipeline, tmp_path, damage, code, 
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+# what a fuzzed config or model entry may become, and a fuzzed CSV field
+FUZZ_VALUES = [NAN, float("inf"), -float("inf"), "", [], [0.5], {}, "x", -1, 0, None]
+FUZZ_FIELDS = ["nan", "inf", "-inf", "", "x", "-1", "0"]
+# the commands that read each input
+FUZZ_COMMANDS = {
+    "config": ["fit", "cost-report", "backtest"],
+    "model": ["project", "simulate", "cost-report"],
+    "records": ["fit", "backtest"],
+    "reserve": ["fit"],
+    "scale": ["cost-report"],
+}
+
+
+def _entries(doc, path=()):
+    """Paths to every entry of nested dicts and lists."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield path + (key,)
+            yield from _entries(value, path + (key,))
+
+
+def _fuzz_document(data, text, load, dump):
+    """Set one entry of a YAML or JSON document, or add one beyond its schema."""
+    doc = load(text)
+    path = data.draw(st.sampled_from([(), *_entries(doc)]))
+    value = data.draw(st.sampled_from(FUZZ_VALUES))
+    *parents, key = path or [None]
+    node = doc
+    for p in parents:
+        node = node[p]
+    if path and data.draw(st.booleans()):
+        node[key] = value
+    else:
+        target = node[key] if path else doc
+        if isinstance(target, dict):
+            target["junk"] = value
+        elif isinstance(target, list):
+            target.append(value)
+        else:
+            node[key] = value
+    return dump(doc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(data=st.data())
+def test_fuzzed_inputs_end_in_a_classified_exit_code(mini_pipeline, data):
+    role = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    command = data.draw(st.sampled_from(FUZZ_COMMANDS[role]))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        bad = tmp / mini_pipeline[role].name
+        text = mini_pipeline[role].read_text()
+        if role == "config":
+            bad.write_text(_fuzz_document(data, text, yaml.safe_load, yaml.safe_dump))
+        elif role == "model":
+            bad.write_text(_fuzz_document(data, text, json.loads, json.dumps))
+        else:
+            lines = text.splitlines()
+            row = data.draw(st.integers(1, len(lines) - 1))
+            column = data.draw(st.sampled_from([None, *range(len(lines[0].split(",")))]))
+            value = data.draw(st.sampled_from(FUZZ_FIELDS))
+            bad = _csv_with(role, row, column, value)(mini_pipeline, tmp)[role]
+        rc = main(_argv(command, {**mini_pipeline, role: bad}, tmp / "out"))
+    assert rc in (0, 1, 2)

@@ -33,14 +33,24 @@ def small_cfg():
 
 
 def empty_cube(calendar, q_years=(), has_reserve=False):
+    """A zero cube of small_cfg's shape; index months by position in `calendar`."""
     months = tuple(sorted(calendar))
     flow_months = tuple(m for m in months if m + 1 in calendar)
+    m, f, y = len(months), len(flow_months), len(q_years)
+    cells = (2, 1)  # age groups, seniority groups
     return CountsCube(
         months=months,
         calendar=dict(calendar),
-        cal_set=set(calendar.values()),
         flow_months=flow_months,
         q_years=tuple(q_years),
+        group_totals=np.zeros((m, *cells, 3)),
+        flows=np.zeros((f, *cells, 3, 3)),
+        char_counts=np.zeros((m, 3, *cells, 3)),
+        stay_exit=np.zeros((y, *cells, 3, 2)),
+        hires=np.zeros((y, *cells)),
+        entry_cats=np.zeros((y, *cells, 3)),
+        in_system=np.zeros((m, 4)),
+        latest=np.zeros((12, 3, 4, 2)),
         has_reserve=has_reserve,
     )
 
@@ -48,22 +58,22 @@ def empty_cube(calendar, q_years=(), has_reserve=False):
 def test_monthly_transitions_average_per_month_ratios():
     cfg = small_cfg()
     cube = empty_cube({-2: (2020, 11), -1: (2020, 12), 0: (2021, 1)})
-    # cell (1, 0), category A over two month pairs:
+    # cell (1, 0), category A over two month pairs (month indices 0 and 1):
     #   month -2: 10 at risk, 2 exits -> denom 8, flows A->A 4, A->B 4
     #   month -1: 20 at risk, 0 exits, flows A->A 15, A->B 5
-    cube.group_totals[(-2, 1, 0, 1)] = 10.0
-    cube.flows[(-2, 1, 0, 1, 0)] = 2.0
-    cube.flows[(-2, 1, 0, 1, 1)] = 4.0
-    cube.flows[(-2, 1, 0, 1, 2)] = 4.0
-    cube.group_totals[(-1, 1, 0, 1)] = 20.0
-    cube.flows[(-1, 1, 0, 1, 1)] = 15.0
-    cube.flows[(-1, 1, 0, 1, 2)] = 5.0
+    cube.group_totals[0, 1, 0, 1] = 10.0
+    cube.flows[0, 1, 0, 1, 0] = 2.0
+    cube.flows[0, 1, 0, 1, 1] = 4.0
+    cube.flows[0, 1, 0, 1, 2] = 4.0
+    cube.group_totals[1, 1, 0, 1] = 20.0
+    cube.flows[1, 1, 0, 1, 1] = 15.0
+    cube.flows[1, 1, 0, 1, 2] = 5.0
     # category B: only one usable month; the other has denom 0 (all exit)
-    cube.group_totals[(-2, 1, 0, 2)] = 5.0
-    cube.flows[(-2, 1, 0, 2, 0)] = 5.0
-    cube.group_totals[(-1, 1, 0, 2)] = 4.0
-    cube.flows[(-1, 1, 0, 2, 2)] = 3.0
-    cube.flows[(-1, 1, 0, 2, 0)] = 1.0
+    cube.group_totals[0, 1, 0, 2] = 5.0
+    cube.flows[0, 1, 0, 2, 0] = 5.0
+    cube.group_totals[1, 1, 0, 2] = 4.0
+    cube.flows[1, 1, 0, 2, 2] = 3.0
+    cube.flows[1, 1, 0, 2, 0] = 1.0
 
     matrices, diag = estimate_monthly_transitions(cube, cfg)
     got = matrices[(1, 0)]
@@ -80,8 +90,8 @@ def test_monthly_transitions_renormalize_leaky_rows():
     cfg = small_cfg()
     cube = empty_cube({-1: (2020, 12), 0: (2021, 1)})
     # 10 at risk but only 5 accounted for: the row leaks half its mass
-    cube.group_totals[(-1, 1, 0, 1)] = 10.0
-    cube.flows[(-1, 1, 0, 1, 1)] = 5.0
+    cube.group_totals[0, 1, 0, 1] = 10.0
+    cube.flows[0, 1, 0, 1, 1] = 5.0
     matrices, diag = estimate_monthly_transitions(cube, cfg)
     np.testing.assert_allclose(matrices[(1, 0)][0], [1.0, 0.0])
     rows = [entry[:3] for entry in diag["renormalized_transition_rows"]]
@@ -140,13 +150,14 @@ def test_entry_probabilities_average_yearly_ratios():
         has_reserve=True,
     )
     # in-system: stay 3 / exit 1 in 2021, then 1 / 1 in 2022
-    cube.stay_exit[(2021, 1, 0, 1)] = [3.0, 1.0]
-    cube.stay_exit[(2022, 1, 0, 1)] = [1.0, 1.0]
-    # out of system: 2 hires out of a reserve of 10, then 8 out of 5
-    cube.group_totals[(-13, 1, 0, 0)] = 10.0
-    cube.hires[(2021, 1, 0)] = 2.0
-    cube.group_totals[(-1, 1, 0, 0)] = 5.0
-    cube.hires[(2022, 1, 0)] = 8.0
+    cube.stay_exit[0, 1, 0, 1] = [3.0, 1.0]
+    cube.stay_exit[1, 1, 0, 1] = [1.0, 1.0]
+    # out of system: 2 hires out of a reserve of 10 (December 2020, month
+    # index 0), then 8 out of 5 (December 2021, month index 1)
+    cube.group_totals[0, 1, 0, 0] = 10.0
+    cube.hires[0, 1, 0] = 2.0
+    cube.group_totals[1, 1, 0, 0] = 5.0
+    cube.hires[1, 1, 0] = 8.0
 
     q1, diag = estimate_entry_probabilities(cube, cfg)
     vec = q1[(1, 0)]
@@ -170,9 +181,9 @@ def test_entry_probabilities_preconditions():
 def test_entry_categories_average_normalized_years():
     cfg = small_cfg()
     cube = empty_cube({0: (2022, 1)}, q_years=(2021, 2022))
-    cube.entry_cats[(2021, 1, 0, 1)] = 3.0
-    cube.entry_cats[(2021, 1, 0, 2)] = 1.0
-    cube.entry_cats[(2022, 1, 0, 1)] = 1.0
+    cube.entry_cats[0, 1, 0, 1] = 3.0
+    cube.entry_cats[0, 1, 0, 2] = 1.0
+    cube.entry_cats[1, 1, 0, 1] = 1.0
     entry, diag = estimate_entry_categories(cube, cfg)
     np.testing.assert_allclose(entry[(1, 0)], [(0.75 + 1.0) / 2, 0.125])
     np.testing.assert_allclose(entry[(0, 0)], [0.5, 0.5])
@@ -182,10 +193,11 @@ def test_entry_categories_average_normalized_years():
 def test_characteristic_distribution_averages_monthly_shares():
     cfg = small_cfg()
     cube = empty_cube({-1: (2021, 12), 0: (2022, 1)})
-    cube.char_counts[(-1, 1, 1, 0, (0,))] = 3.0
-    cube.char_counts[(-1, 1, 1, 0, (1,))] = 1.0
-    cube.char_counts[(0, 1, 1, 0, (0,))] = 1.0
-    cube.char_counts[(0, 1, 1, 0, (1,))] = 1.0
+    x, y = cfg.characteristics.code((0,)), cfg.characteristics.code((1,))
+    cube.char_counts[0, 1, 1, 0, x] = 3.0
+    cube.char_counts[0, 1, 1, 0, y] = 1.0
+    cube.char_counts[1, 1, 1, 0, x] = 1.0
+    cube.char_counts[1, 1, 1, 0, y] = 1.0
     r, diag = estimate_characteristic_distribution(cube, cfg)
     assert r[(1, 1, 0)][(0,)] == pytest.approx((0.75 + 0.5) / 2)
     assert r[(1, 1, 0)][(1,)] == pytest.approx((0.25 + 0.5) / 2)
@@ -197,9 +209,8 @@ def test_initial_distribution_needs_a_full_year():
     cfg = small_cfg()
     calendar = {m: (2021, 12 + m) for m in range(-11, 1)}
     cube = empty_cube(calendar, has_reserve=True)
-    for m in calendar:
-        cube.cells[(m, 1, 18, 0)] = 6.0
-        cube.cells[(m, 0, 16, 0)] = 6.0
+    cube.latest[:, 1, 18 - 16, 0] = 6.0
+    cube.latest[:, 0, 16 - 16, 0] = 6.0
     pi = estimate_initial_distribution(cube, 12.0, cfg)
     assert pi.shape == (3, 4, 2)
     assert pi[1, 2, 0] == pytest.approx(0.5)

@@ -55,15 +55,16 @@ def test_parse_records_happy_path(tmp_path):
     records = parse_records(write(tmp_path, "r.csv", PANEL), cfg)
     assert len(records) == 6
     # sorted by (normalized month, person); the latest month is 0
-    assert [(r.month, r.person_id) for r in records] == [
+    people = [records.person_ids[p] for p in records.person]
+    assert list(zip(records.month.tolist(), people)) == [
         (-2, "p1"), (-2, "p2"), (-1, "p1"), (-1, "p2"), (0, "p1"), (0, "p3"),
     ]
-    first = records[0]
-    assert (first.cal_year, first.cal_month) == (2020, 11)
-    assert first.category == 1  # A
-    assert first.characteristics == (0,)  # x
-    assert records[1].workload == 20.0
-    assert records[4].characteristics == (1,)  # y
+    assert (records.cal_year[0], records.cal_month[0]) == (2020, 11)
+    assert records.category[0] == 1  # A
+    tuples = cfg.characteristics.tuples()
+    assert tuples[records.tuple_code[0]] == (0,)  # x
+    assert records.workload[1] == 20.0
+    assert tuples[records.tuple_code[4]] == (1,)  # y
 
 
 def test_parse_records_header_mismatch(tmp_path):
@@ -137,6 +138,12 @@ def test_load_reserve_csv(tmp_path):
             write(tmp_path, "r4.csv", "age,total\n16,-3\n17,2\n18,2\n19,1\n"),
             cfg.space,
         )
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(DataError, match="row 3: non-numeric entry"):
+            load_reserve_csv(
+                write(tmp_path, "r5.csv", f"age,total\n16,3\n17,2\n18,{bad}\n19,1\n"),
+                cfg.space,
+            )
 
 
 def test_build_counts_flows_and_events(tmp_path):
@@ -149,27 +156,35 @@ def test_build_counts_flows_and_events(tmp_path):
     assert cube.base_calendar_year == 2021
     assert cube.q_years == (2021,)
 
-    # workload-weighted group totals; p2 works half time
-    assert cube.group_totals[(-2, 1, 0, 1)] == 1.0
-    assert cube.group_totals[(-2, 1, 0, 2)] == 0.5
+    # workload-weighted group totals [month, age group, seniority group,
+    # category]; month index 0 is month -2; p2 works half time
+    assert cube.group_totals[0, 1, 0, 1] == 1.0
+    assert cube.group_totals[0, 1, 0, 2] == 0.5
+    assert cube.group_totals.sum() == 5.0
 
+    # flows [flow month, age group, seniority group, from, to]
     # November -> December: both stay in their categories
-    assert cube.flows[(-2, 1, 0, 1, 1)] == 1.0
-    assert cube.flows[(-2, 1, 0, 2, 2)] == 0.5
+    assert cube.flows[0, 1, 0, 1, 1] == 1.0
+    assert cube.flows[0, 1, 0, 2, 2] == 0.5
     # December -> January: p1 moves A -> B, p2 disappears (exit to 0)
-    assert cube.flows[(-1, 1, 0, 1, 2)] == 1.0
-    assert cube.flows[(-1, 1, 0, 2, 0)] == 0.5
+    assert cube.flows[1, 1, 0, 1, 2] == 1.0
+    assert cube.flows[1, 1, 0, 2, 0] == 0.5
+    assert cube.flows.sum() == 3.0
 
-    # year boundary: p1 stays (from the December cell), p2 exits
-    assert cube.stay_exit[(2021, 1, 0, 1)] == [1.0, 0.0]
-    assert cube.stay_exit[(2021, 1, 0, 2)] == [0.0, 0.5]
+    # year boundary 2021 (q-year index 0): p1 stays (from the December
+    # cell), p2 exits
+    assert cube.stay_exit[0, 1, 0, 1].tolist() == [1.0, 0.0]
+    assert cube.stay_exit[0, 1, 0, 2].tolist() == [0.0, 0.5]
+    assert cube.stay_exit.sum() == 1.5
 
     # p3 appears in January at (19, 1): source cell is (18, 0)
-    assert cube.hires[(2021, 1, 0)] == 1.0
-    assert cube.entry_cats[(2021, 1, 0, 1)] == 1.0
+    assert cube.hires[0, 1, 0] == 1.0
+    assert cube.entry_cats[0, 1, 0, 1] == 1.0
+    assert cube.hires.sum() == cube.entry_cats.sum() == 1.0
 
-    # characteristic counts keyed by (month, category, cell, tuple)
-    assert cube.char_counts[(0, 2, 1, 0, (1,))] == 1.0
+    # characteristic counts [month, category, age group, seniority group,
+    # tuple code]: p1 in January, category B, tuple y
+    assert cube.char_counts[2, 2, 1, 0, cfg.characteristics.code((1,))] == 1.0
 
 
 def test_build_counts_skips_gap_months(tmp_path):
@@ -178,7 +193,7 @@ def test_build_counts_skips_gap_months(tmp_path):
     cube = build_counts(parse_records(write(tmp_path, "r.csv", text), cfg), cfg)
     # November and January are not consecutive: no flows, no year boundary
     assert cube.flow_months == ()
-    assert cube.flows == {}
+    assert cube.flows.size == 0
     assert cube.q_years == ()
 
 
@@ -192,8 +207,10 @@ def test_build_counts_clamps_hire_below_age_range(tmp_path):
         """
     )
     cube = build_counts(parse_records(write(tmp_path, "r.csv", text), cfg), cfg)
-    assert cube.hires[(2021, 0, 0)] == 1.0
-    assert any("clamped to 16" in w for w in cube.warnings)
+    assert cube.hires[0, 0, 0] == 1.0
+    assert cube.warnings == (
+        "hire of 'p9' in 2021: source age below the configured range, clamped to 16",
+    )
 
 
 def test_build_reserve_splits_equally_over_feasible_seniorities(tmp_path):
@@ -203,19 +220,22 @@ def test_build_reserve_splits_equally_over_feasible_seniorities(tmp_path):
     cube = build_reserve(build_counts(records, cfg), reserve, cfg)
     assert cube.has_reserve
 
+    # the latest 12 months [month + 11, category, age - 16, seniority]
     # January: p1 absent at 18, p3 holds weight 1 at age 19
-    assert cube.cells[(0, 0, 16, 0)] == 3.0  # below working age: seniority 0 only
-    assert cube.cells[(0, 0, 18, 0)] == 2.0
+    january, december = cube.latest[11, 0], cube.latest[10, 0]
+    assert january[0, 0] == 3.0  # below working age: seniority 0 only
+    assert january[2, 0] == 2.0
     # age 19 splits over feasible seniorities {0, 1}
-    assert cube.cells[(0, 0, 19, 0)] == pytest.approx(0.25)
-    assert cube.cells[(0, 0, 19, 1)] == pytest.approx(0.25)
+    assert january[3, 0] == pytest.approx(0.25)
+    assert january[3, 1] == pytest.approx(0.25)
     # December: ages 18 and 19 carry in-system weight 1 and 0.5
-    assert cube.cells[(-1, 0, 18, 0)] == 1.0
-    assert cube.cells[(-1, 0, 19, 0)] == pytest.approx(1.0)
-    assert cube.cells[(-1, 0, 19, 1)] == pytest.approx(1.0)
+    assert december[2, 0] == 1.0
+    assert december[3, 0] == pytest.approx(1.0)
+    assert december[3, 1] == pytest.approx(1.0)
+    assert january[:3, 1:].sum() == 0.0  # seniority 1 is infeasible below age 19
     # reserve mass lands in the cell totals under category 0
-    assert cube.group_totals[(-1, 0, 0, 0)] == pytest.approx(5.0)  # ages 16+17
-    assert cube.group_totals[(-1, 1, 0, 0)] == pytest.approx(3.0)
+    assert cube.group_totals[1, 0, 0, 0] == pytest.approx(5.0)  # ages 16+17
+    assert cube.group_totals[1, 1, 0, 0] == pytest.approx(3.0)
 
 
 def test_build_reserve_rejects_census_deficit(tmp_path):

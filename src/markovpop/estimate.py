@@ -27,7 +27,7 @@ ROW_SUM_TOL = 1e-12
 
 
 def _ordered_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over axis 0, adding in index order like a running total."""
+    """Sum over axis 0 in index order; ``a.sum(axis=0)`` goes pairwise on 1-element rows."""
     return functools.reduce(np.add, a, np.zeros(a.shape[1:]))
 
 

@@ -382,13 +382,13 @@ def build_reserve(cube: CountsCube, reserve: ReserveSpec, cfg: RunConfig) -> Cou
     share = np.maximum(rest, 0.0) / [len(space.feasible_seniorities(e)) for e in ages]
 
     # each share is added once per feasible seniority, in (age, seniority) order
-    pe, pa = np.array([(e, a) for e in ages for a in space.feasible_seniorities(e)]).T
-    pe -= space.age_min
+    pairs = np.array([(e, a) for e in ages for a in space.feasible_seniorities(e)])
     n = len(cube.months)
-    cell = space.locate_groups(np.tile(pe + space.age_min, n), np.tile(pa, n))
+    groups = (np.tile(g, n) for g in space.locate_groups(*pairs.T))
+    pe, pa = pairs[:, 0] - space.age_min, pairs[:, 1]
     group_totals = cube.group_totals.copy()
     group_totals[..., 0] += _count(
-        (np.repeat(np.arange(n), len(pe)), *cell), share[:, pe].ravel(), group_totals.shape[:3]
+        (np.repeat(np.arange(n), len(pairs)), *groups), share[:, pe].ravel(), group_totals.shape[:3]
     )
     window = np.arange(-11, 1)
     k = np.flatnonzero(np.isin(window, cube.months))

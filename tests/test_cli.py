@@ -338,7 +338,7 @@ NAN = float("nan")
          "full_time_hours must be a positive number (got nan)"),
         (_config_with(_set(["stopping_time_pmf"], [NAN] + [1 / 11] * 11)), "fit", 1,
          "stopping_time_pmf: entry 1 must be a non-negative number"),
-        (_model_with(lambda doc: doc["q1"]["1,0"].__setitem__(1, NAN)), "project", 2,
+        (_model_with(_set(["q1", "1,0", 1], NAN)), "project", 2,
          "model file: non-finite number NaN"),
         # a row with more fields than the header
         (_csv_with("records", 7, None, "junk"), "fit", 2, "row 7: 1 field(s) beyond the header"),

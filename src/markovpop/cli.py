@@ -54,13 +54,13 @@ def _load_model(args, cfg: RunConfig) -> FittedModel:
 
 
 def _pricing(args, cfg: RunConfig):
-    """(salary scale, profile bindings, rate schedule) for a pricing command."""
+    """(salary scale, profile fields per tuple code, rate schedule) for a pricing command."""
     if not cfg.finance_raw:
         raise ConfigError("this command needs a 'finance' section in the config file")
-    schedule, bindings = parse_finance_config(
+    schedule, profiles = parse_finance_config(
         cfg.finance_raw, cfg.characteristics, cfg.full_time_hours
     )
-    return load_salary_scale(args.salary_scale, cfg.space), bindings, schedule
+    return load_salary_scale(args.salary_scale, cfg.space), profiles, schedule
 
 
 def _fit(records, reserve, cfg: RunConfig) -> FittedModel:

@@ -200,16 +200,12 @@ def estimate_entry_categories(cube: CountsCube, cfg: RunConfig):
 
 
 def estimate_characteristic_distribution(cube: CountsCube, cfg: RunConfig):
-    """Per-month tuple shares averaged over months with observations."""
-    tuples = cfg.characteristics.tuples()
+    """Per-month tuple shares averaged over months with observations.
+
+    Indexed like ``FittedModel.r``; a cell never observed is all zero.
+    """
     counts = cube.char_counts
-    shares, observed = _mean_ratio(counts, counts.sum(axis=-1, keepdims=True), 0.0)
-    seen = (counts > 0.0).any(axis=0)
-    r = {
-        (c, *cell): {tuples[k]: float(shares[c][cell][k]) for k in np.flatnonzero(seen[c][cell])}
-        for c in range(1, cfg.space.n_categories)
-        for cell in cfg.space.cells()
-    }
+    r, observed = _mean_ratio(counts, counts.sum(axis=-1, keepdims=True), 0.0)
     unobserved = np.argwhere(~observed[1:, ..., 0]) + [1, 0, 0]
     return r, {"unobserved_r_cells": unobserved.tolist()}
 

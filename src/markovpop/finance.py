@@ -7,6 +7,10 @@ social security, severance accrual, the year-end bonus month and the
 occupational insurance premium.  Rate schedules are piecewise constant
 in the calendar year.
 
+Characteristic bindings resolve to profile fields once per tuple code,
+and :func:`full_time_costs` prices each (category, tuple code) at full
+time: counts are full-time equivalents, so no binding sets the workload.
+
 All currency math stays in double precision; rounding to whole currency
 units happens only when reports are written.
 """
@@ -14,7 +18,7 @@ units happens only when reports are written.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,25 +151,15 @@ _PCT_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class ProfileBindings:
-    """How characteristic levels determine salary profile fields.
-
-    Each binding names a characteristic and maps its levels to field
-    values.  Unbound percentage fields default to 0, the regime to IVM,
-    and the workload to full time.
-    """
-
-    pct: dict[str, tuple[int, dict[int, float]]] = field(default_factory=dict)
-    regime: tuple[int, dict[int, PensionRegime]] | None = None
-    workload: tuple[int, dict[int, float]] | None = None
-
-
 def parse_finance_config(raw: dict, chars: CharacteristicSpace, full_time_hours: float):
-    """Parse the finance section into (schedule, bindings).
+    """Parse the finance section into (schedule, profiles).
 
     Full-time hours come from the top-level `full_time_hours` key, the
     same value that turns recorded workloads into full-time equivalents.
+    Each binding maps the levels of one characteristic to the values of a
+    percentage field or the pension regime.  `profiles[k]` holds the bound
+    :class:`SalaryProfile` fields of tuple code k; code 0, an unsplit
+    cell, binds none and keeps the defaults (percentages 0, regime IVM).
     """
     if "full_time_hours" in raw:
         raise ConfigError(
@@ -175,15 +169,22 @@ def parse_finance_config(raw: dict, chars: CharacteristicSpace, full_time_hours:
     inflation = raw.get("inflation", 0.0388)
     if not is_number(inflation):
         raise ConfigError(f"finance.inflation must be a number (got {inflation!r})")
+    if inflation <= -1:
+        raise ConfigError(f"finance.inflation must be greater than -1 (got {inflation!r})")
     schedule = RateSchedule(inflation=float(inflation), full_time_hours=float(full_time_hours))
 
     bindings_raw = raw.get("bindings") or {}
     if not isinstance(bindings_raw, dict):
         raise ConfigError("finance.bindings must be a mapping")
-    pct = {}
-    regime = None
-    workload = None
+    bound = {}
     for fld, spec in bindings_raw.items():
+        if fld == "workload_hours":
+            raise ConfigError(
+                "finance.bindings.workload_hours: counts are full-time equivalents (FTE); "
+                "workload comes from the records, and every label is priced at full time"
+            )
+        if fld not in _PCT_FIELDS and fld != "pension_regime":
+            raise ConfigError(f"finance.bindings: unknown profile field {fld!r}")
         if not isinstance(spec, dict) or "characteristic" not in spec or "levels" not in spec:
             raise ConfigError(
                 f"finance.bindings.{fld}: need 'characteristic' and 'levels'"
@@ -209,18 +210,15 @@ def parse_finance_config(raw: dict, chars: CharacteristicSpace, full_time_hours:
                 f"finance.bindings.{fld}: unmapped levels {missing} of "
                 f"{spec['characteristic']!r}"
             )
-        if fld in _PCT_FIELDS:
-            pct[fld] = (ci, {i: float(v) for i, v in mapped.items()})
-        elif fld == "pension_regime":
-            try:
-                regime = (ci, {i: PensionRegime(v) for i, v in mapped.items()})
-            except ValueError as exc:
-                raise ConfigError(f"finance.bindings.pension_regime: {exc}") from None
-        elif fld == "workload_hours":
-            workload = (ci, {i: float(v) for i, v in mapped.items()})
-        else:
-            raise ConfigError(f"finance.bindings: unknown profile field {fld!r}")
-    return schedule, ProfileBindings(pct=pct, regime=regime, workload=workload)
+        convert = float if fld in _PCT_FIELDS else PensionRegime
+        try:
+            bound[fld] = (ci, {i: convert(v) for i, v in mapped.items()})
+        except ValueError as exc:
+            raise ConfigError(f"finance.bindings.{fld}: {exc}") from None
+    profiles = [{}] + [
+        {fld: values[t[ci]] for fld, (ci, values) in bound.items()} for t in chars.all_tuples()
+    ]
+    return schedule, profiles
 
 
 def load_salary_scale(path, space) -> dict[int, float]:
@@ -255,62 +253,33 @@ def load_salary_scale(path, space) -> dict[int, float]:
     return scale
 
 
-def profile_for(
-    category: int,
-    char_tuple,
-    scale: dict[int, float],
-    bindings: ProfileBindings,
-    schedule: RateSchedule,
-    workload_hours: float | None = None,
-) -> SalaryProfile:
-    """Build the salary profile for a cell.
-
-    `char_tuple` may be None for unsplittable cells; bound fields then
-    fall back to their defaults.  `workload_hours`, when given, overrides
-    the workload binding (used when counts are already workload-weighted
-    full-time equivalents).
-    """
-    if category not in scale:
-        raise ConfigError(
-            f"category index {category} has no salary scale entry"
-        )
-    fields = {"base_salary": scale[category]}
-    if char_tuple is not None:
-        for fld, (ci, mapping) in bindings.pct.items():
-            fields[fld] = mapping[char_tuple[ci]]
-        if bindings.regime is not None:
-            ci, mapping = bindings.regime
-            fields["pension_regime"] = mapping[char_tuple[ci]]
-        if bindings.workload is not None and workload_hours is None:
-            ci, mapping = bindings.workload
-            fields["workload_hours"] = mapping[char_tuple[ci]]
-    if workload_hours is not None:
-        fields["workload_hours"] = workload_hours
-    else:
-        fields.setdefault("workload_hours", schedule.full_time_hours)
-    return SalaryProfile(**fields)
-
-
 def full_time_costs(
     year: int,
     n_categories: int,
-    tuples,
     scale: dict[int, float],
-    bindings: ProfileBindings,
+    profiles: list[dict],
     schedule: RateSchedule,
 ) -> np.ndarray:
     """Yearly employer cost of one full-time worker per (category, tuple code).
 
-    `tuples` maps tuple codes to characteristic tuples (None for the
-    aggregate pseudo-tuple).  Row 0, the out-of-system category, is zero.
-    Counts are full-time equivalents, so a count times its entry here is
-    its cost; see README.
+    `profiles` holds the bound profile fields per tuple code (see
+    :func:`parse_finance_config`).  Row 0, the out-of-system category, is
+    zero.  Counts are full-time equivalents, so a count times its entry
+    here is its cost; see README.
     """
-    g = np.zeros((n_categories, len(tuples)))
+    g = np.zeros((n_categories, len(profiles)))
     for c in range(1, n_categories):
-        for k, t in enumerate(tuples):
-            prof = profile_for(
-                c, t, scale, bindings, schedule, workload_hours=schedule.full_time_hours
-            )
-            g[c, k] = total_cost(year, prof, schedule)
+        if c not in scale:
+            raise ConfigError(f"category index {c} has no salary scale entry")
+        for k, fields in enumerate(profiles):
+            profile = SalaryProfile(scale[c], schedule.full_time_hours, **fields)
+            try:
+                g[c, k] = total_cost(year, profile, schedule)
+            except OverflowError:  # float ** raises instead of returning inf
+                g[c, k] = np.inf
+    if not np.isfinite(g).all():
+        raise DataError(
+            f"employer costs for year {year} are not finite; "
+            "check the salary scale and finance.inflation"
+        )
     return g

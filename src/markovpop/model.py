@@ -8,13 +8,15 @@ distributions, and the stopping-time pmf, together with the state-space
 snapshot they were fitted against.
 
 Serialization is a single JSON document.  The initial distribution is a
-sparse triplet list; matrices are dense row-major lists.  Floats are
-written with Python's shortest round-trip repr, so loading recovers the
-exact binary values.
+sparse triplet list; matrices are dense row-major lists; ``r`` maps each
+in-system ``"c|ei,ai"`` cell to its tuples with a non-zero share.  Floats
+are written with Python's shortest round-trip repr, so loading recovers
+the exact binary values.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -40,6 +42,33 @@ def _parse_cell_key(s: str) -> tuple[int, int]:
     return int(ei), int(ai)
 
 
+def _parse_pi(triplets, space: StateSpaceConfig) -> np.ndarray:
+    """The initial distribution from its [category, age, seniority, p] triplets."""
+    pi = np.zeros((space.n_categories, space.n_ages, space.seniority_max))
+    listed = np.zeros(pi.size, dtype=bool)
+    for lo in range(0, len(triplets), 8192):  # in blocks, so the arrays stay small
+        block = triplets[lo : lo + 8192]
+        if set(map(len, block)) != {4}:
+            raise ValueError("pi entries must be [category, age, seniority, p]")
+        rows = np.fromiter(itertools.chain.from_iterable(block), float).reshape(-1, 4)
+        idx = rows[:, :3] - [0, space.age_min, 0]
+        outside = ~((idx >= 0) & (idx < pi.shape) & (idx == np.floor(idx))).all(axis=1)
+        if outside.any():
+            entry = block[np.argmax(outside)][:3]
+            raise DataError(f"model file: pi entry {entry} does not index the state space")
+        if not (rows[:, 3] >= 0.0).all():
+            raise DataError("model file: pi holds a negative entry")
+        flat = np.ravel_multi_index(idx.T.astype(int), pi.shape)
+        listed[flat] = True
+        pi.flat[flat] = rows[:, 3]
+    if np.count_nonzero(listed) != len(triplets):
+        raise DataError("model file: pi lists a (category, age, seniority) twice")
+    total = float(pi.sum())
+    if not abs(total - 1.0) <= 1e-9:
+        raise DataError(f"model file: pi sums to {total!r}, expected 1")
+    return pi
+
+
 @dataclass
 class FittedModel:
     """All fitted probability objects plus the space they live on."""
@@ -56,7 +85,9 @@ class FittedModel:
     annual: dict[tuple[int, int], np.ndarray]  # in-system square per cell
     entry: dict[tuple[int, int], np.ndarray]  # hire entry distribution per cell
     q1: dict[tuple[int, int], np.ndarray]  # (n_categories,) per cell
-    r: dict[tuple[int, int, int], dict[tuple[int, ...], float]]  # (c, ei, ai)
+    # (c, ei, ai, tuple code) share of the code in the cell, 0 if never observed;
+    # an all-zero row is a cell that cannot be split
+    r: np.ndarray
     diagnostics: dict = field(default_factory=dict)
     _operators: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -79,18 +110,11 @@ class FittedModel:
             self._operators[key] = op
         return op
 
-    def r_distribution(self, c: int, ei: int, ai: int) -> dict[tuple[int, ...], float]:
-        """Characteristic tuple distribution for an in-system cell.
-
-        Empty dict means the cell was never observed (flagged at fit
-        time); callers must treat it as unsplittable.
-        """
-        return self.r.get((c, ei, ai), {})
-
     # -- serialization -------------------------------------------------
 
     def to_json_dict(self) -> dict:
         sp = self.space
+        tuples = self.characteristics.tuples()
         pi_triplets = []
         nz = np.argwhere(self.pi != 0.0)
         for c, eo, a in nz:
@@ -133,9 +157,10 @@ class FittedModel:
             "q1": {_cell_key(*k): v.tolist() for k, v in sorted(self.q1.items())},
             "r": {
                 f"{c}|{ei},{ai}": {
-                    ",".join(str(j) for j in t): p for t, p in sorted(dist.items())
+                    ",".join(map(str, tuples[k])): float(self.r[c, ei, ai, k])
+                    for k in np.flatnonzero(self.r[c, ei, ai])
                 }
-                for (c, ei, ai), dist in sorted(self.r.items())
+                for c in range(1, sp.n_categories) for ei, ai in sp.cells()
             },
             "diagnostics": self.diagnostics,
         }
@@ -158,7 +183,7 @@ class FittedModel:
             return cls._from_doc(doc)
         except KeyError as exc:
             raise DataError(f"model file: missing field {exc}") from None
-        except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        except (TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
             raise DataError(f"model file: malformed field: {exc}") from None
 
     @classmethod
@@ -177,9 +202,7 @@ class FittedModel:
             names=tuple(doc["characteristics"]["names"]),
             levels=tuple(tuple(lv) for lv in doc["characteristics"]["levels"]),
         )
-        pi = np.zeros((space.n_categories, space.n_ages, space.seniority_max))
-        for c, e, a, p in doc["pi"]:
-            pi[c, e - space.age_min, a] = p
+        pi = _parse_pi(doc["pi"], space)
 
         def cell_arrays(section, shape):
             out = {}
@@ -198,17 +221,19 @@ class FittedModel:
         entry = cell_arrays("entry", (nc,))
         q1 = cell_arrays("q1", (space.n_categories,))
         declared = set(chars.all_tuples())
-        r = {}
+        in_system = {(c, *cell) for c in range(1, space.n_categories) for cell in space.cells()}
+        shape = (space.n_categories, space.n_age_groups, space.n_seniority_groups)
+        r = np.zeros((*shape, len(chars.tuples())))
         for key, dist in doc["r"].items():
             c_str, cell = key.split("|")
-            ei, ai = _parse_cell_key(cell)
-            parsed = {}
+            idx = (int(c_str), *_parse_cell_key(cell))
+            if idx not in in_system:
+                raise DataError(f"model file: r[{key}] is not an in-system cell")
             for tkey, p in dist.items():
                 t = tuple(int(x) for x in tkey.split(",")) if tkey else ()
                 if t not in declared:
                     raise DataError(f"model file: r[{key}] has undeclared tuple {tkey!r}")
-                parsed[t] = float(p)
-            r[(int(c_str), ei, ai)] = parsed
+                r[(*idx, chars.code(t))] = float(p)
         return cls(
             space=space,
             characteristics=chars,

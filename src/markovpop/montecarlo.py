@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 log = logging.getLogger(__name__)
 
@@ -130,6 +130,8 @@ def simulate_projection(
         raise ConfigError(f"iterations must be >= 1 (got {iterations})")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1 (got {workers})")
+    if not i0 < 2**63:
+        raise DataError(f"population size {i0!r} is too large to simulate (needs < 2**63)")
     trials = int(round(i0))
     if abs(i0 - trials) > 1e-9:
         log.warning(

@@ -177,20 +177,14 @@ class LabelIndex:
 
     @classmethod
     def build(cls, model: FittedModel) -> "LabelIndex":
-        space = model.space
-        chars = model.characteristics
-        rows = []
-        for c in range(space.n_categories):
-            for ei, ai in space.cells():
-                r = model.r_distribution(c, ei, ai) if c else {}
-                if not r:  # one aggregate label carries the whole cell
-                    rows.append((c, ei, ai, 0, 1.0))
-                rows += [(c, ei, ai, chars.code(t), w) for t, w in sorted(r.items())]
-        cat, eg, sg, code, weight = (np.array(col) for col in zip(*rows))
-        shape = (space.n_categories, space.n_age_groups, space.n_seniority_groups)
-        cell_id = np.ravel_multi_index((cat, eg, sg), shape)
+        weights = model.r.copy()
+        # one aggregate label carries the whole of a cell that cannot be split
+        weights[..., 0] = ~weights.any(axis=-1)
+        cat, eg, sg, code = np.nonzero(weights)  # C order: cell, then tuple code
+        cell_id = np.ravel_multi_index((cat, eg, sg), weights.shape[:-1])
         bounds = np.searchsorted(cell_id, np.arange(cell_id[-1] + 2))
-        return cls(cat, eg, sg, code, cell_id, weight, chars.tuples(), bounds)
+        tuples = model.characteristics.tuples()
+        return cls(cat, eg, sg, code, cell_id, weights[cat, eg, sg, code], tuples, bounds)
 
     @property
     def in_system_cells(self) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -21,6 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from .errors import DataError
 from .finance import full_time_costs
 from .montecarlo import SimulationResult, nearest_rank, summarize
 from .project import expected_populations
@@ -149,7 +151,15 @@ def _mean_p05_p95(draws) -> tuple[float, float, float]:
     return float(draws.mean()), float(nearest_rank(s, 0.05)), float(nearest_rank(s, 0.95))
 
 
-def cost_rows(model, labels, tables, result, scale, bindings, schedule) -> list[tuple]:
+def _finite(rows):
+    """`rows`, unless a number after the four cell columns is not finite."""
+    for row in rows:
+        if not all(math.isfinite(x) for x in row[4:]):
+            raise DataError(f"costs for year {row[0]} are not finite")
+    return rows
+
+
+def cost_rows(model, labels, tables, result, scale, profiles, schedule) -> list[tuple]:
     """Expected and simulated cost per populated in-system cell, plus a '*' total.
 
     Each label is priced at full time: counts are full-time equivalents.
@@ -158,9 +168,8 @@ def cost_rows(model, labels, tables, result, scale, bindings, schedule) -> list[
     rows = []
     for table in tables[1:]:
         year = model.base_year + table.year
-        g = full_time_costs(
-            year, model.space.n_categories, labels.tuples, scale, bindings, schedule
-        )[labels.category, labels.tuple_code]
+        full_time = full_time_costs(year, model.space.n_categories, scale, profiles, schedule)
+        g = full_time[labels.category, labels.tuple_code]
         _counts, label_counts = expected_populations(table, model.i0)
         expected = np.bincount(labels.cell_id, label_counts * g)
         populated = np.bincount(labels.cell_id, label_counts != 0.0) > 0.0
@@ -173,7 +182,7 @@ def cost_rows(model, labels, tables, result, scale, bindings, schedule) -> list[
             total_expected += float(expected[cell])
             total_draws += draws
         rows.append((year, "*", "*", "*", total_expected, *_mean_p05_p95(total_draws)))
-    return rows
+    return _finite(rows)
 
 
 def write_cost_csv(path, manifest, rows) -> None:
@@ -183,7 +192,7 @@ def write_cost_csv(path, manifest, rows) -> None:
     _write_rows(path, manifest, header, rounded)
 
 
-def backtest_rows(model, labels, tables, result, records, scale, bindings, schedule):
+def backtest_rows(model, labels, tables, result, records, scale, profiles, schedule):
     """Observed, expected and simulated population and cost per cell and year.
 
     Rows cover the projected years that have records.  Each record counts
@@ -201,9 +210,7 @@ def backtest_rows(model, labels, tables, result, records, scale, bindings, sched
         if not len(observed):
             continue
         m_obs = len(np.unique(observed.cal_month))
-        full_time = full_time_costs(
-            year, space.n_categories, labels.tuples, scale, bindings, schedule
-        )
+        full_time = full_time_costs(year, space.n_categories, scale, profiles, schedule)
         groups = space.locate_groups(observed.age, observed.seniority)
         cell = np.ravel_multi_index((observed.category, *groups), shape)
         fte = observed.workload / schedule.full_time_hours
@@ -229,7 +236,7 @@ def backtest_rows(model, labels, tables, result, records, scale, bindings, sched
             total = [t + v for t, v in zip(total, vals)]
             rows.append((year, *names[c], *vals))
         rows.append((year, "*", "*", "*", *total))
-    return rows
+    return _finite(rows)
 
 
 def write_backtest_csv(path, manifest, rows) -> None:

@@ -41,17 +41,17 @@ def make_random_model(
         m = rng.random(shape) + 0.05
         return m / m.sum(axis=-1, keepdims=True)
 
-    monthly, annual, entry, q1, r = {}, {}, {}, {}, {}
-    tuples = list(chars.all_tuples()) if chars.n_characteristics else []
+    monthly, annual, entry, q1 = {}, {}, {}, {}
+    codes = len(chars.tuples())
+    r = np.zeros((nc, space.n_age_groups, space.n_seniority_groups, codes))
     for cell in space.cells():
         monthly[cell] = stochastic((n_in, n_in))
         annual[cell] = stochastic((n_in, n_in))
         entry[cell] = stochastic((n_in,))
         q1[cell] = rng.uniform(0.1, 0.9, size=nc)
-        if with_r and tuples:
+        if with_r and chars.n_characteristics:
             for c in range(1, nc):
-                weights = stochastic((len(tuples),))
-                r[(c, *cell)] = {t: float(w) for t, w in zip(tuples, weights)}
+                r[(c, *cell)][1:] = stochastic((codes - 1,))
     pi = rng.random((nc, space.n_ages, space.seniority_max))
     pi /= pi.sum()
     return FittedModel(

@@ -342,11 +342,27 @@ NAN = float("nan")
          "model file: non-finite number NaN"),
         # a row with more fields than the header
         (_csv_with("records", 7, None, "junk"), "fit", 2, "row 7: 1 field(s) beyond the header"),
+        # pi triplets outside the space would wrap around into other states
+        (_model_with(_set(["pi", 0, 0], -1)), "project", 2, "does not index the state space"),
+        (_model_with(_set(["pi", 0, 1], 15)), "project", 2, "does not index the state space"),
+        # finite inputs whose costs or counts leave the number range
+        (_csv_with("scale", 1, 1, "1e308"), "cost-report", 2,
+         "employer costs for year 2017 are not finite"),
+        (_csv_with("scale", 1, 1, "1e306"), "cost-report", 2,
+         "error: costs for year 2017 are not finite"),
+        (_config_with(_set(["finance", "inflation"], 1.0e308)), "cost-report", 2,
+         "employer costs for year 2017 are not finite"),
+        (_config_with(_set(["finance", "inflation"], -2)), "cost-report", 1,
+         "finance.inflation must be greater than -1 (got -2)"),
+        (_csv_with("reserve", 1, 1, "1e19"), "backtest", 2,
+         "population size 1e+19 is too large to simulate"),
     ],
     ids=["model-missing-annual", "overrides-list", "levels-list", "reserve-marker-int",
          "finance-full-time-hours", "reserve-nan", "workload-nan", "salary-nan",
          "salary-inf", "inflation-nan", "binding-level-nan", "full-time-hours-nan",
-         "pmf-nan", "model-nan", "records-extra-field"],
+         "pmf-nan", "model-nan", "records-extra-field", "pi-category-negative",
+         "pi-age-below-range", "salary-huge", "cost-sum-huge", "inflation-huge",
+         "inflation-below-minus-one", "reserve-beyond-int64"],
 )
 def test_malformed_inputs_are_classified(
     mini_pipeline, tmp_path, damage, command, code, message
@@ -364,8 +380,9 @@ def test_malformed_inputs_are_classified(
 
 
 # what a fuzzed config or model entry may become, and a fuzzed CSV field
-FUZZ_VALUES = [NAN, float("inf"), -float("inf"), "", [], [0.5], {}, "x", -1, 0, None]
-FUZZ_FIELDS = ["nan", "inf", "-inf", "", "x", "-1", "0"]
+FUZZ_VALUES = [NAN, float("inf"), -float("inf"), 1.0e308, 1e19, "", [], [0.5], {}, "x", -1, 0,
+               None]
+FUZZ_FIELDS = ["nan", "inf", "-inf", "1e308", "1e19", "", "x", "-1", "0"]
 # the commands that read each input
 FUZZ_COMMANDS = {
     "config": ["fit", "cost-report", "backtest"],

@@ -199,9 +199,11 @@ def test_characteristic_distribution_averages_monthly_shares():
     cube.char_counts[1, 1, 1, 0, x] = 1.0
     cube.char_counts[1, 1, 1, 0, y] = 1.0
     r, diag = estimate_characteristic_distribution(cube, cfg)
-    assert r[(1, 1, 0)][(0,)] == pytest.approx((0.75 + 0.5) / 2)
-    assert r[(1, 1, 0)][(1,)] == pytest.approx((0.25 + 0.5) / 2)
-    assert r[(2, 1, 0)] == {}
+    assert r.shape == (3, 2, 1, 3)
+    assert r[1, 1, 0, x] == pytest.approx((0.75 + 0.5) / 2)
+    assert r[1, 1, 0, y] == pytest.approx((0.25 + 0.5) / 2)
+    assert r[1, 1, 0, 0] == 0.0  # code 0 is no observed tuple
+    assert not r[2, 1, 0].any()  # an unobserved cell cannot be split
     assert [2, 1, 0] in diag["unobserved_r_cells"]
 
 

@@ -7,13 +7,11 @@ import pytest
 from markovpop.errors import ConfigError, DataError
 from markovpop.finance import (
     PensionRegime,
-    ProfileBindings,
     RateSchedule,
     SalaryProfile,
     full_time_costs,
     load_salary_scale,
     parse_finance_config,
-    profile_for,
     salary_cost,
     total_cost,
 )
@@ -112,20 +110,27 @@ def finance_raw():
 
 
 def test_parse_finance_config_happy_path():
-    schedule, bindings = parse_finance_config(finance_raw(), make_chars(), 48)
+    chars = make_chars()
+    schedule, profiles = parse_finance_config(finance_raw(), chars, 48)
     assert schedule.inflation == 0.05
     assert schedule.full_time_hours == 48.0  # the top-level value, passed in
-    assert bindings.pct["annuity_pct"] == (0, {0: 0.0, 1: 0.30})
-    assert bindings.regime == (
-        1, {0: PensionRegime.IVM, 1: PensionRegime.JUPEMA_CAPITALIZACION}
-    )
-    assert bindings.workload is None
+    # one entry per tuple code; code 0 (an unsplit cell) binds nothing
+    assert len(profiles) == len(chars.tuples()) == 5
+    assert profiles[0] == {}
+    assert profiles[chars.code((0, 0))] == {
+        "annuity_pct": 0.0, "pension_regime": PensionRegime.IVM
+    }
+    assert profiles[chars.code((1, 1))] == {
+        "annuity_pct": 0.30, "pension_regime": PensionRegime.JUPEMA_CAPITALIZACION
+    }
 
 
 def test_parse_finance_config_errors():
     chars = make_chars()
     with pytest.raises(ConfigError, match="inflation must be a number"):
         parse_finance_config({"inflation": "high"}, chars, 40)
+    with pytest.raises(ConfigError, match="inflation must be greater than -1"):
+        parse_finance_config({"inflation": -1}, chars, 40)
     with pytest.raises(ConfigError, match="bindings must be a mapping"):
         parse_finance_config({"bindings": [1]}, chars, 40)
     with pytest.raises(ConfigError, match="need 'characteristic' and 'levels'"):
@@ -159,6 +164,12 @@ def test_parse_finance_config_errors():
     with pytest.raises(ConfigError, match="unknown profile field"):
         parse_finance_config(raw, chars, 40)
 
+    # counts are full-time equivalents: no binding sets the workload
+    raw = finance_raw()
+    raw["bindings"]["workload_hours"] = {"characteristic": "band", "levels": {"b0": 20, "b1": 40}}
+    with pytest.raises(ConfigError, match=r"workload_hours: counts are full-time equivalents"):
+        parse_finance_config(raw, chars, 40)
+
 
 def test_load_salary_scale(tmp_path):
     space = make_toy_space()
@@ -185,60 +196,32 @@ def test_load_salary_scale(tmp_path):
         assert part in msg
 
 
-def test_profile_for_bindings_and_fallbacks():
-    schedule, bindings = parse_finance_config(finance_raw(), make_chars(), 48)
-    scale = {1: 400000.0, 2: 900000.0}
-
-    p = profile_for(2, (1, 1), scale, bindings, schedule)
-    assert p.base_salary == 900000.0
-    assert p.annuity_pct == 0.30
-    assert p.pension_regime is PensionRegime.JUPEMA_CAPITALIZACION
-    assert p.workload_hours == 48.0  # schedule full time, no workload binding
-
-    # unsplittable cells fall back to defaults
-    p = profile_for(1, None, scale, bindings, schedule)
-    assert p.annuity_pct == 0.0
-    assert p.pension_regime is PensionRegime.IVM
-
-    # explicit workload wins over everything
-    p = profile_for(1, (0, 0), scale, bindings, schedule, workload_hours=12.0)
-    assert p.workload_hours == 12.0
-
-    with pytest.raises(ConfigError, match="no salary scale entry"):
-        profile_for(0, None, scale, bindings, schedule)
-
-
-def test_workload_binding_applies_without_override():
-    chars = CharacteristicSpace(("shift",), (("half", "full"),))
-    raw = {
-        "bindings": {
-            "workload_hours": {
-                "characteristic": "shift",
-                "levels": {"half": 20, "full": 40},
-            }
-        }
-    }
-    schedule, bindings = parse_finance_config(raw, chars, 40)
-    p = profile_for(1, (0,), {1: 100.0}, bindings, schedule)
-    assert p.workload_hours == 20.0
-    p = profile_for(1, (0,), {1: 100.0}, bindings, schedule, workload_hours=40.0)
-    assert p.workload_hours == 40.0
-
-
 def test_full_time_costs_price_every_category_and_tuple():
     chars = make_chars()
-    schedule, bindings = parse_finance_config(finance_raw(), chars, 48)
+    schedule, profiles = parse_finance_config(finance_raw(), chars, 48)
     scale = {1: 400000.0, 2: 900000.0}
-    tuples = (None, *chars.all_tuples())
-    g = full_time_costs(2018, 3, tuples, scale, bindings, schedule)
+    g = full_time_costs(2018, 3, scale, profiles, schedule)
     assert g.shape == (3, 5)
     assert not g[0].any()  # the out-of-system category is never priced
     for c in (1, 2):
-        for k, t in enumerate(tuples):
-            prof = profile_for(c, t, scale, bindings, schedule)
-            assert prof.workload_hours == 48.0
+        for k, fields in enumerate(profiles):
+            prof = SalaryProfile(scale[c], 48.0, **fields)
             assert g[c, k] == total_cost(2018, prof, schedule)
+    # code 0 keeps the defaults; the bound fields change the price
+    assert g[2, 0] == total_cost(2018, SalaryProfile(900000.0, 48.0), schedule)
+    jc = SalaryProfile(900000.0, 48.0, annuity_pct=0.30,
+                       pension_regime=PensionRegime.JUPEMA_CAPITALIZACION)
+    assert g[2, chars.code((1, 1))] == total_cost(2018, jc, schedule)
     # priced at full time: the same worker at 48 h under a 40 h schedule
     schedule40, _ = parse_finance_config(finance_raw(), chars, 40)
-    g40 = full_time_costs(2018, 3, tuples, scale, bindings, schedule40)
+    g40 = full_time_costs(2018, 3, scale, profiles, schedule40)
     np.testing.assert_allclose(g40, g, rtol=1e-15)
+
+    with pytest.raises(ConfigError, match="no salary scale entry"):
+        full_time_costs(2018, 3, {1: 400000.0}, profiles, schedule)
+    # a cost beyond the float range is a data error naming the year
+    with pytest.raises(DataError, match="year 2018 are not finite"):
+        full_time_costs(2018, 3, {1: 400000.0, 2: 1e308}, profiles, schedule)
+    huge, _ = parse_finance_config({"inflation": 1e308}, chars, 40)
+    with pytest.raises(DataError, match="year 2018 are not finite"):
+        full_time_costs(2018, 3, scale, profiles, huge)

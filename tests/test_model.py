@@ -37,7 +37,7 @@ def test_json_round_trip_is_exact(tmp_path):
         assert np.array_equal(back.annual[cell], model.annual[cell])
         assert np.array_equal(back.entry[cell], model.entry[cell])
         assert np.array_equal(back.q1[cell], model.q1[cell])
-    assert back.r == model.r
+    np.testing.assert_array_equal(back.r, model.r)
     assert back.diagnostics == model.diagnostics
     # and serializing again produces the same bytes
     assert back.to_json() == model.to_json()
@@ -54,10 +54,24 @@ def test_transition_operator_structure():
     assert model.transition_operator(1, 0) is op
 
 
-def test_r_distribution_defaults_to_empty():
+def test_r_json_holds_nonzero_codes_per_in_system_cell(tmp_path):
     model = make_random_model(make_toy_space(), make_chars(), seed=4, with_r=True)
-    assert model.r_distribution(1, 0, 0)
-    assert model.r_distribution(2, 99, 99) == {}
+    model.r[1, 0, 0] = 0.0  # a cell that cannot be split
+    model.r[2, 1, 1, model.characteristics.code((1, 2))] = 0.0  # a tuple never observed
+    r = model.to_json_dict()["r"]
+    assert sorted(r) == [f"{c}|{ei},{ai}" for c in (1, 2) for ei in (0, 1) for ai in (0, 1)]
+    assert r["1|0,0"] == {}
+    assert "1,2" not in r["2|1,1"] and len(r["2|1,1"]) == 5
+    assert r["2|1,1"]["0,1"] == model.r[2, 1, 1, model.characteristics.code((0, 1))]
+
+    # a negative category would wrap around in the array
+    path = tmp_path / "model.json"
+    for key in ("0|0,0", "-1|0,0", "1|2,0"):
+        doc = model.to_json_dict()
+        doc["r"][key] = {}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="not an in-system cell"):
+            FittedModel.load(path)
 
 
 def test_load_rejects_bad_files(tmp_path):
@@ -90,9 +104,15 @@ def test_load_rejects_bad_files(tmp_path):
         FittedModel.load(wrong)
 
     # schema problems are data errors, not raw Python exceptions
+    first = doc["pi"][0]
     for section, damage, match in (
         ("annual", None, "missing field 'annual'"),
         ("pi", [[1, 0]], "malformed field"),
+        ("pi", [[-1, *first[1:]]], "does not index the state space"),
+        ("pi", [[first[0], -1, *first[2:]]], "does not index the state space"),
+        ("pi", [first, first], "twice"),
+        ("pi", [[*first[:3], -0.5]], "negative"),
+        ("pi", [[*first[:3], 0.5]], "pi sums to 0.5"),
         ("r", {"1|0,0": {"0,7": 1.0}}, "undeclared tuple"),
     ):
         doc = model.to_json_dict()

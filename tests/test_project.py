@@ -133,8 +133,7 @@ def test_group_probabilities_aggregate_and_split():
     assert len(labels.cell_id) == 4 + 2 * 4 * 6  # 6 tuples per in-system cell
     for j in np.flatnonzero(~out):
         c, ei, ai = labels.category[j], labels.age_group[j], labels.seniority_group[j]
-        t = labels.tuples[labels.tuple_code[j]]
-        assert table.probs[j] == table.p[c, ei, ai] * model.r[(c, ei, ai)][t]
+        assert table.probs[j] == table.p[c, ei, ai] * model.r[c, ei, ai, labels.tuple_code[j]]
 
 
 def test_group_probabilities_flag_unsplit_cells():
@@ -151,7 +150,7 @@ def test_group_probabilities_flag_unsplit_cells():
 
 def test_label_order_is_year_invariant():
     model = make_random_model(make_toy_space(), make_chars(), seed=28, with_r=True)
-    del model.r[(1, 0, 0)]  # unobserved cell contributes a lone aggregate label
+    model.r[1, 0, 0] = 0.0  # unobserved cell contributes a lone aggregate label
     labels, tables = projection(model, 2, policy="absorb")
     keys = list(zip(labels.cell_id, labels.tuple_code))
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
@@ -172,7 +171,7 @@ def test_label_order_is_year_invariant():
 
 def test_cell_sums_add_label_columns_per_cell():
     model = make_random_model(make_toy_space(), make_chars(), seed=30, with_r=True)
-    del model.r[(2, 1, 0)]
+    model.r[2, 1, 0] = 0.0
     labels = LabelIndex.build(model)
     draws = np.arange(3 * len(labels.cell_id)).reshape(3, -1)
     sums = labels.cell_sums(draws)

@@ -20,7 +20,7 @@ from .estimate import fit_model
 from .finance import load_salary_scale, parse_finance_config
 from .ingest import build_counts, build_reserve, load_reserve_csv, parse_records, split_records
 from .model import FittedModel
-from .montecarlo import dump_draws, simulate_projection
+from .montecarlo import STREAM_VERSION, dump_draws, simulate_projection
 from .project import projection
 from .reports import (
     RunManifest,
@@ -84,7 +84,8 @@ def _manifest(command, args, roles, params) -> RunManifest:
 
 
 def _sim_params(args, result) -> dict:
-    return {"years": args.years, "iterations": result.iterations, "seed": args.seed}
+    return {"years": args.years, "iterations": result.iterations, "seed": args.seed,
+            "stream": STREAM_VERSION}
 
 
 # -- commands ----------------------------------------------------------
@@ -159,7 +160,8 @@ def cmd_backtest(args) -> int:
     labels, tables, result = _simulation(model, cfg, args, horizon)
     rows = backtest_rows(model, labels, tables, result, holdout, *pricing)
     roles = ("config", "records", "reserve", "salary-scale")
-    params = {"split-year": args.split_year, "iterations": result.iterations, "seed": args.seed}
+    params = {"split-year": args.split_year, "iterations": result.iterations, "seed": args.seed,
+              "stream": STREAM_VERSION}
     manifest = _manifest("backtest", args, roles, params)
     write_backtest_csv(args.out, manifest, rows)
     return 0

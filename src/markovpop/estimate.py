@@ -60,8 +60,14 @@ def estimate_initial_distribution(cube: CountsCube, i0: float, cfg: RunConfig) -
             "initial distribution needs the 12 latest months; "
             f"missing normalized months: {sorted(missing)}"
         )
-    pi = _ordered_sum(cube.latest) / 12.0 / i0
-    total = pi.sum()
+    with np.errstate(over="ignore"):
+        sums = _ordered_sum(cube.latest)
+    if not np.isfinite(sums).all():
+        raise DataError(
+            "census totals too large: the latest 12 months do not sum to a finite number"
+        )
+    pi = sums / 12.0 / i0
+    total = float(pi.sum())
     if not abs(total - 1.0) <= 1e-9:
         raise DataError(
             f"initial distribution sums to {total!r}; census totals and panel disagree"

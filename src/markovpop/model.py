@@ -203,6 +203,10 @@ class FittedModel:
             levels=tuple(tuple(lv) for lv in doc["characteristics"]["levels"]),
         )
         pi = _parse_pi(doc["pi"], space)
+        i0 = float(doc["i0"])
+        # JSON reads an out-of-range literal such as 1e400 as inf
+        if not 0.0 <= i0 < float("inf"):
+            raise DataError(f"model file: i0 must be a finite number >= 0 (got {i0!r})")
 
         def cell_arrays(section, shape):
             out = {}
@@ -237,7 +241,7 @@ class FittedModel:
         return cls(
             space=space,
             characteristics=chars,
-            i0=float(doc["i0"]),
+            i0=i0,
             base_year=int(doc["base_year"]),
             full_time_hours=float(doc["full_time_hours"]),
             stopping_time_pmf=tuple(doc["stopping_time_pmf"]),

@@ -2,20 +2,23 @@
 
 Each simulated year draws `iterations` independent multinomial vectors
 over the model's cell/tuple labels (:class:`markovpop.project.LabelIndex`).
-A draw is built as a chain of conditional binomials in ascending label
-order, so results do not depend on how work is scheduled;
-zero-probability labels are skipped without consuming randomness, which
+The year is one chain of conditional binomials in ascending label order:
+label i takes `binomial(remaining, p_i / tail_i)` for every iteration
+at once, where `tail_i` sums the probabilities of label i and the labels
+after it, and the last non-zero label takes what remains.
+Zero-probability labels are skipped without consuming randomness, which
 keeps streams aligned when a config edit adds empty cells.
 
 Randomness comes from numpy's counter-based Philox generator.  The
-stream for one draw is keyed by (master seed, year, iteration index),
-making every draw independent of execution order and of the number of
-worker processes.
+stream of one year is keyed by (master seed, year), and worker
+processes split the years, so every draw is independent of execution
+order and of the number of workers.
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -25,55 +28,54 @@ from .errors import ConfigError, DataError
 
 log = logging.getLogger(__name__)
 
+# version of the draw stream, written to report manifests; raise it whenever
+# the same seed would draw different numbers
+STREAM_VERSION = 2
 
-def derive_generator(seed: int, year: int, iteration: int) -> np.random.Generator:
-    """Philox stream for one (seed, year, iteration) triple."""
-    key = np.array(
-        [seed % (1 << 64), ((year % (1 << 32)) << 32) | (iteration % (1 << 32))],
-        dtype=np.uint64,
-    )
+
+def derive_generator(seed: int, year: int) -> np.random.Generator:
+    """Philox stream for one (seed, year) pair."""
+    key = np.array([int(seed) % (1 << 64), int(year) % (1 << 64)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def multinomial_draw(trials: int, probs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """One multinomial vector via conditional binomials in index order."""
+def draw_year(
+    trials: int, probs: np.ndarray, iterations: int, gen: np.random.Generator
+) -> np.ndarray:
+    """`iterations` multinomial vectors, (iterations, labels) int32, from `gen`."""
     probs = np.asarray(probs, dtype=float)
     if trials < 0:
         raise ConfigError(f"multinomial trials must be >= 0 (got {trials})")
     if np.any(probs < 0.0):
         raise ConfigError("multinomial probabilities must be non-negative")
-    counts = np.zeros(probs.shape[0], dtype=np.int64)
+    draws = np.zeros((iterations, probs.shape[0]), dtype=np.int32)
     if trials == 0:
-        return counts
+        return draws
     nz = np.flatnonzero(probs > 0.0)
     if nz.size == 0:
         raise ConfigError("multinomial probabilities sum to 0 with trials > 0")
-    remaining = int(trials)
-    rem_p = float(probs[nz].sum())
-    last = nz[-1]
-    for i in nz:
-        if remaining == 0:
-            break
-        if i == last:
-            counts[i] = remaining
-            remaining = 0
-            break
-        p_cond = probs[i] / rem_p
-        if p_cond >= 1.0:
-            c = remaining
-        else:
-            c = int(gen.binomial(remaining, p_cond))
-        counts[i] = c
+    p = probs[nz]
+    cond = np.minimum(p / np.cumsum(p[::-1])[::-1], 1.0)
+    # one contiguous row per label, scattered into columns once at the end
+    rows = np.empty((nz.size, iterations), dtype=np.int32)
+    remaining = np.full(iterations, trials, dtype=np.int64)
+    for k, p_cond in enumerate(cond[:-1].tolist()):
+        c = gen.binomial(remaining, p_cond)
+        rows[k] = c
         remaining -= c
-        rem_p -= float(probs[i])
-    return counts
+    rows[-1] = remaining
+    draws[:, nz] = rows.T
+    return draws
 
 
 def nearest_rank(sorted_values: np.ndarray, q: float) -> np.ndarray:
-    """Nearest-rank quantile along axis 0; ties resolve to the lower rank."""
+    """Nearest-rank quantile along axis 0; ties resolve to the lower rank.
+
+    Returns a copy, so the result does not keep `sorted_values` alive.
+    """
     n = sorted_values.shape[0]
     idx = max(int(np.ceil(q * n)) - 1, 0)
-    return sorted_values[idx]
+    return sorted_values[idx].copy()
 
 
 def summarize(draws: np.ndarray) -> dict[str, np.ndarray]:
@@ -88,20 +90,12 @@ def summarize(draws: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def _draw_block(seed: int, year: int, probs: np.ndarray, trials: int, lo: int, hi: int) -> np.ndarray:
-    out = np.empty((hi - lo, probs.shape[0]), dtype=np.int64)
-    for it in range(lo, hi):
-        gen = derive_generator(seed, year, it)
-        out[it - lo] = multinomial_draw(trials, probs, gen)
-    return out
-
-
 @dataclass
 class YearSimulation:
     """Raw draws and summary statistics for one simulated year."""
 
     year: int
-    draws: np.ndarray  # (iterations, n_labels)
+    draws: np.ndarray  # (iterations, n_labels), int32
     stats: dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -111,6 +105,11 @@ class SimulationResult:
     iterations: int
     trials: int
     years: dict[int, YearSimulation]
+
+
+def _simulate_year(seed: int, year: int, probs: np.ndarray, trials: int, iterations: int):
+    draws = draw_year(trials, probs, iterations, derive_generator(seed, year))
+    return YearSimulation(year=year, draws=draws, stats=summarize(draws))
 
 
 def simulate_projection(
@@ -123,40 +122,38 @@ def simulate_projection(
     """Draw the yearly multinomial ensembles and summarize them.
 
     `v_by_year` maps a year to its label probabilities, the `probs` of
-    :func:`markovpop.project.group_probabilities`.  Results are
-    bit-identical for a given seed regardless of `workers`.
+    :func:`markovpop.project.group_probabilities`.  Up to `workers`
+    processes draw whole years; results are bit-identical for a given
+    seed regardless of `workers`.
     """
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1 (got {iterations})")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1 (got {workers})")
-    if not i0 < 2**63:
-        raise DataError(f"population size {i0!r} is too large to simulate (needs < 2**63)")
+    # draws are int32; round-half-even takes 2**31 - 0.5 to 2**31
+    if not i0 < 2**31 - 0.5:
+        raise DataError(f"population size {i0!r} is too large to simulate (needs < 2**31)")
     trials = int(round(i0))
     if abs(i0 - trials) > 1e-9:
         log.warning(
             "population size %r is not an integer; simulating %d trials", i0, trials
         )
 
-    years = {}
-    for year, probs in sorted(v_by_year.items()):
+    jobs = sorted(v_by_year.items())
+    for year, probs in jobs:
         total = float(np.asarray(probs).sum())
         if not abs(total - 1.0) <= 1e-9:
             raise ConfigError(
                 f"cell probabilities for year {year} sum to {total!r}, expected 1"
             )
-        if workers == 1:
-            draws = _draw_block(seed, year, probs, trials, 0, iterations)
-        else:
-            step = -(-iterations // workers)
-            bounds = [(lo, min(lo + step, iterations)) for lo in range(0, iterations, step)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_draw_block, seed, year, probs, trials, lo, hi)
-                    for lo, hi in bounds
-                ]
-                draws = np.vstack([f.result() for f in futures])
-        years[year] = YearSimulation(year=year, draws=draws, stats=summarize(draws))
+    args = [(seed, year, probs, trials, iterations) for year, probs in jobs]
+    if workers == 1 or len(args) == 1:
+        sims = [_simulate_year(*a) for a in args]
+    else:
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(min(workers, len(args)), mp_context=ctx) as pool:
+            sims = list(pool.map(_simulate_year, *zip(*args)))
+    years = {sim.year: sim for sim in sims}
     return SimulationResult(seed=seed, iterations=iterations, trials=trials, years=years)
 
 

@@ -159,6 +159,7 @@ def _finite(rows):
     return rows
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _finite reports overflow
 def cost_rows(model, labels, tables, result, scale, profiles, schedule) -> list[tuple]:
     """Expected and simulated cost per populated in-system cell, plus a '*' total.
 
@@ -192,6 +193,7 @@ def write_cost_csv(path, manifest, rows) -> None:
     _write_rows(path, manifest, header, rounded)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _finite reports overflow
 def backtest_rows(model, labels, tables, result, records, scale, profiles, schedule):
     """Observed, expected and simulated population and cost per cell and year.
 

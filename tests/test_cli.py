@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -249,6 +250,20 @@ def _model_with(edit):
     return make
 
 
+def _model_text(pattern, replacement):
+    """Copy of the model JSON with `pattern` substituted in its text.
+
+    For tokens json.dumps never writes, such as the out-of-range 1e400.
+    """
+
+    def make(paths, tmp_path):
+        bad = tmp_path / "model.json"
+        bad.write_text(re.sub(pattern, replacement, paths["model"].read_text()))
+        return {"model": bad}
+
+    return make
+
+
 def _csv_with(role, row, column, value):
     """Copy of an input CSV with one field of line `row` set to `value`.
 
@@ -356,13 +371,19 @@ NAN = float("nan")
          "finance.inflation must be greater than -1 (got -2)"),
         (_csv_with("reserve", 1, 1, "1e19"), "backtest", 2,
          "population size 1e+19 is too large to simulate"),
+        (_csv_with("reserve", 1, 1, "1e308"), "fit", 2, "census totals too large"),
+        (_model_text(r'"i0": [^,}]+', '"i0": 1e400'), "project", 2,
+         "i0 must be a finite number >= 0 (got inf)"),
+        (_model_with(_set(["i0"], -5.0)), "project", 2,
+         "i0 must be a finite number >= 0 (got -5.0)"),
     ],
     ids=["model-missing-annual", "overrides-list", "levels-list", "reserve-marker-int",
          "finance-full-time-hours", "reserve-nan", "workload-nan", "salary-nan",
          "salary-inf", "inflation-nan", "binding-level-nan", "full-time-hours-nan",
          "pmf-nan", "model-nan", "records-extra-field", "pi-category-negative",
          "pi-age-below-range", "salary-huge", "cost-sum-huge", "inflation-huge",
-         "inflation-below-minus-one", "reserve-beyond-int64"],
+         "inflation-below-minus-one", "reserve-beyond-int64", "reserve-sum-huge",
+         "model-i0-huge", "model-i0-negative"],
 )
 def test_malformed_inputs_are_classified(
     mini_pipeline, tmp_path, damage, command, code, message
@@ -376,6 +397,7 @@ def test_malformed_inputs_are_classified(
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert message in proc.stderr
 
 

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovpop.errors import ConfigError
+from markovpop.errors import ConfigError, DataError
 from markovpop.montecarlo import (
     SimulationResult,
     YearSimulation,
     derive_generator,
+    draw_year,
     dump_draws,
-    multinomial_draw,
     nearest_rank,
     simulate_projection,
     summarize,
@@ -19,70 +19,71 @@ from markovpop.montecarlo import (
 
 
 def test_derive_generator_keys_streams_independently():
-    a = derive_generator(7, 2020, 3).random(5)
-    b = derive_generator(7, 2020, 3).random(5)
+    a = derive_generator(7, 2020).random(5)
+    b = derive_generator(7, 2020).random(5)
     np.testing.assert_array_equal(a, b)
-    for other in [(8, 2020, 3), (7, 2021, 3), (7, 2020, 4)]:
+    for other in [(8, 2020), (7, 2021)]:
         assert not np.array_equal(a, derive_generator(*other).random(5))
 
 
-def test_multinomial_draw_basics():
-    gen = derive_generator(1, 0, 0)
+def test_draw_year_basics():
+    gen = derive_generator(1, 0)
     probs = np.array([0.2, 0.3, 0.5])
-    counts = multinomial_draw(100, probs, gen)
-    assert counts.sum() == 100
-    assert counts.dtype == np.int64
-    assert np.all(counts >= 0)
+    draws = draw_year(100, probs, 4, gen)
+    assert draws.shape == (4, 3)
+    assert draws.dtype == np.int32
+    assert np.all(draws.sum(axis=1) == 100)
+    assert np.all(draws >= 0)
 
-    assert multinomial_draw(0, probs, gen).tolist() == [0, 0, 0]
+    assert draw_year(0, probs, 2, gen).tolist() == [[0, 0, 0]] * 2
     # a degenerate distribution consumes no randomness at all
-    before = derive_generator(1, 0, 0)
-    assert multinomial_draw(40, np.array([0.0, 1.0, 0.0]), before).tolist() == [0, 40, 0]
-    np.testing.assert_array_equal(before.random(3), derive_generator(1, 0, 0).random(3))
+    before = derive_generator(1, 0)
+    assert draw_year(40, np.array([0.0, 1.0, 0.0]), 2, before).tolist() == [[0, 40, 0]] * 2
+    np.testing.assert_array_equal(before.random(3), derive_generator(1, 0).random(3))
 
 
-def test_multinomial_draw_skips_zero_probability_cells():
-    # inserting an empty cell must not shift the stream for the others
-    dense = multinomial_draw(200, np.array([0.3, 0.7]), derive_generator(2, 0, 0))
-    padded = multinomial_draw(
-        200, np.array([0.3, 0.0, 0.7, 0.0]), derive_generator(2, 0, 0)
-    )
-    assert padded[1] == 0 and padded[3] == 0
-    np.testing.assert_array_equal(padded[[0, 2]], dense)
+def test_draw_year_skips_zero_probability_labels():
+    # inserting an empty label must not shift the stream for the others
+    dense = draw_year(200, np.array([0.3, 0.7]), 5, derive_generator(2, 0))
+    padded = draw_year(200, np.array([0.3, 0.0, 0.7, 0.0]), 5, derive_generator(2, 0))
+    assert np.all(padded[:, [1, 3]] == 0)
+    np.testing.assert_array_equal(padded[:, [0, 2]], dense)
 
 
-def test_multinomial_draw_matches_manual_binomial_chain():
-    probs = np.array([0.25, 0.35, 0.40])
-    got = multinomial_draw(60, probs, derive_generator(3, 1, 1))
-    gen = derive_generator(3, 1, 1)
-    c0 = gen.binomial(60, 0.25)
-    c1 = gen.binomial(60 - c0, 0.35 / 0.75)
-    assert got.tolist() == [c0, c1, 60 - c0 - c1]
+def test_draw_year_matches_vector_binomial_chain():
+    probs = np.array([0.25, 0.0, 0.35, 0.40])
+    got = draw_year(60, probs, 7, derive_generator(3, 1))
+    gen = derive_generator(3, 1)
+    c0 = gen.binomial(np.full(7, 60), 0.25 / (0.40 + 0.35 + 0.25))
+    c2 = gen.binomial(60 - c0, 0.35 / (0.40 + 0.35))
+    expected = np.stack([c0, np.zeros(7, dtype=int), c2, 60 - c0 - c2], axis=1)
+    np.testing.assert_array_equal(got, expected)
 
 
-def test_multinomial_draw_validation():
-    gen = derive_generator(0, 0, 0)
+def test_draw_year_validation():
+    gen = derive_generator(0, 0)
     with pytest.raises(ConfigError, match="trials must be >= 0"):
-        multinomial_draw(-1, np.array([1.0]), gen)
+        draw_year(-1, np.array([1.0]), 3, gen)
     with pytest.raises(ConfigError, match="non-negative"):
-        multinomial_draw(5, np.array([0.5, -0.5]), gen)
+        draw_year(5, np.array([0.5, -0.5]), 3, gen)
     with pytest.raises(ConfigError, match="sum to 0"):
-        multinomial_draw(5, np.array([0.0, 0.0]), gen)
+        draw_year(5, np.array([0.0, 0.0]), 3, gen)
 
 
 @given(
     trials=st.integers(min_value=0, max_value=500),
     weights=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8),
+    iterations=st.integers(min_value=1, max_value=6),
     seed=st.integers(min_value=0, max_value=2**32),
 )
 @settings(max_examples=60, deadline=None)
-def test_multinomial_draw_conserves_trials(trials, weights, seed):
+def test_draw_year_conserves_trials(trials, weights, iterations, seed):
     probs = np.array(weights)
     if probs.sum() == 0.0:
         probs[0] = 1.0
-    counts = multinomial_draw(trials, probs, derive_generator(seed, 0, 0))
-    assert counts.sum() == trials
-    assert np.all(counts[probs == 0.0] == 0)
+    draws = draw_year(trials, probs, iterations, derive_generator(seed, 0))
+    assert np.all(draws.sum(axis=1) == trials)
+    assert np.all(draws[:, probs == 0.0] == 0)
 
 
 def test_nearest_rank_hand_values():
@@ -104,6 +105,13 @@ def test_summarize_hand_values():
     np.testing.assert_array_equal(stats["p95"], [4, 4])
 
 
+def test_summarize_quantiles_do_not_hold_the_sorted_draws():
+    draws = np.arange(40, dtype=np.int32).reshape(10, 4)
+    stats = summarize(draws)
+    for k in ("p05", "p50", "p95"):
+        assert stats[k].base is None or stats[k].base.size < draws.size
+
+
 def small_v():
     return {1: np.array([0.4, 0.25, 0.15, 0.2]), 2: np.array([0.1, 0.2, 0.3, 0.4])}
 
@@ -117,6 +125,7 @@ def test_simulate_projection_draws_and_stats():
         assert np.all(sim.draws.sum(axis=1) == 50)
         assert set(sim.stats) == {"mean", "sd", "p05", "p50", "p95"}
         np.testing.assert_array_equal(sim.stats["mean"], sim.draws.mean(axis=0))
+        assert sim.draws.dtype == np.int32
 
 
 def test_simulate_projection_is_deterministic_across_workers():
@@ -138,6 +147,11 @@ def test_simulate_projection_validation():
         simulate_projection({1: probs}, 10, 5, 1, workers=0)
     with pytest.raises(ConfigError, match="sum to"):
         simulate_projection({1: probs * 0.9}, 10, 5, 1)
+    with pytest.raises(ConfigError, match="trials must be >= 0"):
+        simulate_projection({1: probs}, -3, 5, 1)
+    # draws are int32: 2**31 - 0.5 already rounds to 2**31 trials
+    with pytest.raises(DataError, match="population size .* is too large to simulate"):
+        simulate_projection({1: probs}, 2**31 - 0.5, 5, 1)
 
 
 def test_dump_draws_layout(tmp_path):
@@ -158,6 +172,7 @@ def test_dump_draws_layout(tmp_path):
         )
         offset += 6 * 4 * 8
     assert offset == len(raw)
+    assert result.years[1].draws.dtype == np.int32  # widened to int64 in the file
 
 
 def test_dump_draws_rejects_ragged_years(tmp_path):
@@ -171,14 +186,12 @@ def test_dump_draws_rejects_ragged_years(tmp_path):
 
 
 def test_draw_frequencies_match_probabilities():
-    # chi-square sanity check on pooled counts across many keyed draws
+    # chi-square sanity check on pooled counts across the iterations of one year
     from scipy import stats
 
     probs = np.array([0.2, 0.3, 0.5])
-    totals = np.zeros(3)
     n_draws, trials = 400, 50
-    for it in range(n_draws):
-        totals += multinomial_draw(trials, probs, derive_generator(123, 0, it))
+    totals = draw_year(trials, probs, n_draws, derive_generator(123, 0)).sum(axis=0)
     expected = probs * n_draws * trials
     chi2 = ((totals - expected) ** 2 / expected).sum()
     p = stats.chi2.sf(chi2, df=2)

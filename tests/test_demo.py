@@ -45,10 +45,10 @@ def test_demo_pipeline(tmp_path):
 GOLDEN = {
     "model.json": "735ca2dd2e0c8bf145930a3de5fe2d479e68bd0222401c1d8ff166fa6566beca",
     "projection.csv": "f7515c8992273d9f85b0ddaadcd2f1b112b7e0c1bfe6ce3eb519740747c3c0b6",
-    "simulation.csv": "12b852b83d61c4c2b15d45f65f7a3fd8cb5769361107ff9129b1e4a88473bb5f",
-    "draws.bin": "0e05eba7b1d591397094ac26e215b268f39e837edbd8e504096f33aa8e6f29c1",
-    "cost.csv": "465c7ef4e4afe1e6bbab6844e6bbb2e1ce400bf449577df972265f60df3a6c10",
-    "backtest.csv": "da08521cf2c41f362c1c308d3f3cec1bc5a7b5f8dbe196976d5d3a54e01a2230",
+    "simulation.csv": "7e75d360605411386317bdd6bc41aebd00545115d71a33d44c3efc7af712a8b4",
+    "draws.bin": "82954238f43f1ff9e92aa58461e235679e89b24daab7a8c6737f32adc557151e",
+    "cost.csv": "b3c340819dd4c84c1ca0810b767f6ac6b6cacc45c6dcc7efa53d9e23daced3ef",
+    "backtest.csv": "41ba41def3cc7b5d3dcf759cdd170eca5db9d9f5f23abb549ef0ed3bd8e0317c",
 }
 
 

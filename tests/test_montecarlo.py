@@ -26,7 +26,7 @@ def test_derive_generator_keys_streams_independently():
         assert not np.array_equal(a, derive_generator(*other).random(5))
 
 
-def test_draw_year_basics():
+def test_multinomial_draw_basics():
     gen = derive_generator(1, 0)
     probs = np.array([0.2, 0.3, 0.5])
     draws = draw_year(100, probs, 4, gen)
@@ -42,7 +42,7 @@ def test_draw_year_basics():
     np.testing.assert_array_equal(before.random(3), derive_generator(1, 0).random(3))
 
 
-def test_draw_year_skips_zero_probability_labels():
+def test_multinomial_draw_skips_zero_probability_cells():
     # inserting an empty label must not shift the stream for the others
     dense = draw_year(200, np.array([0.3, 0.7]), 5, derive_generator(2, 0))
     padded = draw_year(200, np.array([0.3, 0.0, 0.7, 0.0]), 5, derive_generator(2, 0))
@@ -50,7 +50,7 @@ def test_draw_year_skips_zero_probability_labels():
     np.testing.assert_array_equal(padded[:, [0, 2]], dense)
 
 
-def test_draw_year_matches_vector_binomial_chain():
+def test_multinomial_draw_matches_manual_binomial_chain():
     probs = np.array([0.25, 0.0, 0.35, 0.40])
     got = draw_year(60, probs, 7, derive_generator(3, 1))
     gen = derive_generator(3, 1)
@@ -60,7 +60,7 @@ def test_draw_year_matches_vector_binomial_chain():
     np.testing.assert_array_equal(got, expected)
 
 
-def test_draw_year_validation():
+def test_multinomial_draw_validation():
     gen = derive_generator(0, 0)
     with pytest.raises(ConfigError, match="trials must be >= 0"):
         draw_year(-1, np.array([1.0]), 3, gen)
@@ -77,7 +77,7 @@ def test_draw_year_validation():
     seed=st.integers(min_value=0, max_value=2**32),
 )
 @settings(max_examples=60, deadline=None)
-def test_draw_year_conserves_trials(trials, weights, iterations, seed):
+def test_multinomial_draw_conserves_trials(trials, weights, iterations, seed):
     probs = np.array(weights)
     if probs.sum() == 0.0:
         probs[0] = 1.0

@@ -139,20 +139,22 @@ def simulate_projection(
             "population size %r is not an integer; simulating %d trials", i0, trials
         )
 
-    jobs = sorted(v_by_year.items())
-    for year, probs in jobs:
+    args = []
+    for year, probs in sorted(v_by_year.items()):
         total = float(np.asarray(probs).sum())
         if not abs(total - 1.0) <= 1e-9:
             raise ConfigError(
                 f"cell probabilities for year {year} sum to {total!r}, expected 1"
             )
-    args = [(seed, year, probs, trials, iterations) for year, probs in jobs]
-    if workers == 1 or len(args) == 1:
+        args.append((seed, year, probs, trials, iterations))
+    processes = min(workers, len(args))
+    if processes <= 1:
         sims = [_simulate_year(*a) for a in args]
     else:
         ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(min(workers, len(args)), mp_context=ctx) as pool:
-            sims = list(pool.map(_simulate_year, *zip(*args)))
+        with ProcessPoolExecutor(processes, mp_context=ctx) as pool:
+            futures = [pool.submit(_simulate_year, *a) for a in args]
+            sims = [f.result() for f in futures]
     years = {sim.year: sim for sim in sims}
     return SimulationResult(seed=seed, iterations=iterations, trials=trials, years=years)
 

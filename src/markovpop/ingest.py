@@ -83,7 +83,7 @@ class Records:
 
 
 def csv_rows(path, what: str, header, problems: list):
-    """Yield (row number, row) of a CSV file whose header holds exactly `header`.
+    """Yield (row number, row) of a CSV file whose header holds `header`, each column once.
 
     Rows with more fields than the header are reported in `problems`.
     """
@@ -93,13 +93,13 @@ def csv_rows(path, what: str, header, problems: list):
         raise DataError(f"{what} not found: {path}") from None
     with fh:
         reader = csv.DictReader(fh)
-        got, want = set(reader.fieldnames or ()), set(header)
-        if got != want:
-            detail = [
-                f"{kind} columns: {', '.join(sorted(cols))}"
-                for kind, cols in (("missing", want - got), ("unexpected", got - want))
-                if cols
-            ]
+        names = reader.fieldnames or []
+        got, want = set(names), set(header)
+        # DictReader would keep only the last of two columns with one name
+        repeated = {c for c in names if names.count(c) > 1}
+        if got != want or repeated:
+            kinds = (("missing", want - got), ("unexpected", got - want), ("repeated", repeated))
+            detail = [f"{kind} columns: {', '.join(sorted(cols))}" for kind, cols in kinds if cols]
             raise DataError(f"{what} {path}: header must be exactly '{','.join(header)}'", detail)
         for i, row in enumerate(reader, start=1):
             if None in row:

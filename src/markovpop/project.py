@@ -29,9 +29,6 @@ class TripleDistribution:
     values: np.ndarray  # (n_categories, n_ages, seniority_max)
     year: int
 
-    def total(self) -> float:
-        return float(self.values.sum())
-
 
 def one_step_triple_probability(frm: Triple, to: Triple, model: FittedModel) -> float:
     """Probability of one yearly step from `frm` to `to`.

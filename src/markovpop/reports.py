@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -24,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import DataError
 from .finance import full_time_costs
-from .montecarlo import SimulationResult, nearest_rank, summarize
+from .montecarlo import SimulationResult, summarize
 from .project import expected_populations
 
 
@@ -130,36 +129,38 @@ def write_simulation_csv(path, manifest, model, labels, result: SimulationResult
         return [_fstr(stats["mean"][j]), _fstr(stats["sd"][j]), *quantiles]
 
     def rows():
-        for year in sorted(result.years):
-            sim = result.years[year]
-            cells = summarize(labels.cell_sums(sim.draws))
+        for year, sim in sorted(result.years.items()):
+            cells, label_stats = summarize(labels.cell_sums(sim.draws)), summarize(sim.draws)
             for cell in range(len(names)):
                 if cells["mean"][cell] == 0.0 and cells["sd"][cell] == 0.0:
                     continue
                 base = [year, *names[cell]]
                 yield base + ["*", *fields(cells, cell)]
                 for j in labels.split_labels(cell):
-                    if sim.stats["mean"][j] != 0.0 or sim.stats["sd"][j] != 0.0:
-                        yield base + [tuple_names[j], *fields(sim.stats, j)]
+                    if label_stats["mean"][j] != 0.0 or label_stats["sd"][j] != 0.0:
+                        yield base + [tuple_names[j], *fields(label_stats, j)]
 
     header = _CELL_COLUMNS + ["characteristic_tuple", "mean", "sd", "p05", "p50", "p95"]
     _write_rows(path, manifest, header, rows())
 
 
-def _mean_p05_p95(draws) -> tuple[float, float, float]:
-    s = np.sort(draws)
-    return float(draws.mean()), float(nearest_rank(s, 0.05)), float(nearest_rank(s, 0.95))
+def _priced(model, labels, table, scale, profiles, schedule):
+    """Full-time cost table, label prices and expected cell and label counts of a year."""
+    year = model.base_year + table.year
+    full_time = full_time_costs(year, model.space.n_categories, scale, profiles, schedule)
+    g = full_time[labels.category, labels.tuple_code]
+    return full_time, g, *expected_populations(table, model.i0)
 
 
-def _finite(rows):
-    """`rows`, unless a number after the four cell columns is not finite."""
-    for row in rows:
-        if not all(math.isfinite(x) for x in row[4:]):
-            raise DataError(f"costs for year {row[0]} are not finite")
-    return rows
+def _cell_rows(year, names, cells, values):
+    """A row per cell of `cells`, then a '*' row, each ending in its (finite) `values` row."""
+    if not np.isfinite(values).all():
+        raise DataError(f"costs for year {year} are not finite")
+    keys = [names[c] for c in cells] + [["*", "*", "*"]]
+    return [(year, *key, *row) for key, row in zip(keys, values.tolist())]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _finite reports overflow
+@np.errstate(over="ignore", invalid="ignore")  # _cell_rows reports overflow
 def cost_rows(model, labels, tables, result, scale, profiles, schedule) -> list[tuple]:
     """Expected and simulated cost per populated in-system cell, plus a '*' total.
 
@@ -169,21 +170,18 @@ def cost_rows(model, labels, tables, result, scale, profiles, schedule) -> list[
     rows = []
     for table in tables[1:]:
         year = model.base_year + table.year
-        full_time = full_time_costs(year, model.space.n_categories, scale, profiles, schedule)
-        g = full_time[labels.category, labels.tuple_code]
-        _counts, label_counts = expected_populations(table, model.i0)
-        expected = np.bincount(labels.cell_id, label_counts * g)
+        _, g, _, label_counts = _priced(model, labels, table, scale, profiles, schedule)
         populated = np.bincount(labels.cell_id, label_counts != 0.0) > 0.0
-        sim_costs = labels.cell_sums(result.years[year].draws * g).T.copy()
-        total_expected = 0.0
-        total_draws = np.zeros(result.iterations)
-        for cell in np.flatnonzero(populated & labels.in_system_cells):
-            draws = sim_costs[cell]
-            rows.append((year, *names[cell], float(expected[cell]), *_mean_p05_p95(draws)))
-            total_expected += float(expected[cell])
-            total_draws += draws
-        rows.append((year, "*", "*", "*", total_expected, *_mean_p05_p95(total_draws)))
-    return _finite(rows)
+        kept = np.flatnonzero(populated & labels.in_system_cells)
+        expected = np.bincount(labels.cell_id, label_counts * g)
+        sim_costs = labels.cell_sums(result.years[year].draws * g).T
+        # C-order rows, one per kept cell: sums add the cells in order, means add along a row
+        costs = np.column_stack([expected, sim_costs])[kept]
+        costs = np.vstack([costs, costs.sum(axis=0)])
+        sim = summarize(costs[:, 1:].T)
+        values = np.column_stack([costs[:, 0], sim["mean"], sim["p05"], sim["p95"]])
+        rows += _cell_rows(year, names, kept, values)
+    return rows
 
 
 def write_cost_csv(path, manifest, rows) -> None:
@@ -193,7 +191,7 @@ def write_cost_csv(path, manifest, rows) -> None:
     _write_rows(path, manifest, header, rounded)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _finite reports overflow
+@np.errstate(over="ignore", invalid="ignore")  # _cell_rows reports overflow
 def backtest_rows(model, labels, tables, result, records, scale, profiles, schedule):
     """Observed, expected and simulated population and cost per cell and year.
 
@@ -212,7 +210,9 @@ def backtest_rows(model, labels, tables, result, records, scale, profiles, sched
         if not len(observed):
             continue
         m_obs = len(np.unique(observed.cal_month))
-        full_time = full_time_costs(year, space.n_categories, scale, profiles, schedule)
+        full_time, g, counts, label_counts = _priced(
+            model, labels, table, scale, profiles, schedule
+        )
         groups = space.locate_groups(observed.age, observed.seniority)
         cell = np.ravel_multi_index((observed.category, *groups), shape)
         fte = observed.workload / schedule.full_time_hours
@@ -220,8 +220,6 @@ def backtest_rows(model, labels, tables, result, records, scale, profiles, sched
         obs_pop = np.bincount(cell, fte / m_obs, len(names))
         obs_cost = np.bincount(cell, fte * price / m_obs, len(names))
 
-        counts, label_counts = expected_populations(table, model.i0)
-        g = full_time[labels.category, labels.tuple_code]
         draws = result.years[year].draws
         columns = (
             obs_pop,
@@ -232,13 +230,10 @@ def backtest_rows(model, labels, tables, result, records, scale, profiles, sched
             np.bincount(labels.cell_id, draws.mean(axis=0) * g),
         )
         keep = labels.in_system_cells & ((obs_pop > 0.0) | (table.p.ravel() > 0.0))
-        total = [0.0] * len(columns)
-        for c in np.flatnonzero(keep):
-            vals = [float(col[c]) for col in columns]
-            total = [t + v for t, v in zip(total, vals)]
-            rows.append((year, *names[c], *vals))
-        rows.append((year, "*", "*", "*", *total))
-    return _finite(rows)
+        values = np.column_stack(columns)[keep]
+        values = np.vstack([values, values.sum(axis=0)])
+        rows += _cell_rows(year, names, np.flatnonzero(keep), values)
+    return rows
 
 
 def write_backtest_csv(path, manifest, rows) -> None:

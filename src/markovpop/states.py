@@ -249,22 +249,6 @@ class Triple:
     age: int
     seniority: int
 
-    def validate(self, space: StateSpaceConfig) -> None:
-        problems = []
-        if not (0 <= self.category < space.n_categories):
-            problems.append(f"category index {self.category} out of range")
-        if not (space.age_min <= self.age < space.age_max):
-            problems.append(f"age {self.age} outside [{space.age_min},{space.age_max})")
-        if not (0 <= self.seniority < space.seniority_max):
-            problems.append(f"seniority {self.seniority} outside [0,{space.seniority_max})")
-        if not problems and not space.feasible(self.age, self.seniority):
-            problems.append(
-                f"seniority {self.seniority} infeasible at age {self.age} "
-                f"(working age starts at {space.working_age_min})"
-            )
-        if problems:
-            raise ConfigError(f"invalid state triple {self}", problems)
-
 
 def validate_config(raw: dict) -> StateSpaceConfig:
     """Build a StateSpaceConfig from parsed config data.

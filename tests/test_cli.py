@@ -357,6 +357,8 @@ NAN = float("nan")
          "model file: non-finite number NaN"),
         # a row with more fields than the header
         (_csv_with("records", 7, None, "junk"), "fit", 2, "row 7: 1 field(s) beyond the header"),
+        # DictReader keeps the last of two same-named columns
+        (_csv_with("reserve", 0, None, "total"), "fit", 2, "repeated columns: total"),
         # pi triplets outside the space would wrap around into other states
         (_model_with(_set(["pi", 0, 0], -1)), "project", 2, "does not index the state space"),
         (_model_with(_set(["pi", 0, 1], 15)), "project", 2, "does not index the state space"),
@@ -380,7 +382,8 @@ NAN = float("nan")
     ids=["model-missing-annual", "overrides-list", "levels-list", "reserve-marker-int",
          "finance-full-time-hours", "reserve-nan", "workload-nan", "salary-nan",
          "salary-inf", "inflation-nan", "binding-level-nan", "full-time-hours-nan",
-         "pmf-nan", "model-nan", "records-extra-field", "pi-category-negative",
+         "pmf-nan", "model-nan", "records-extra-field", "reserve-repeated-column",
+         "pi-category-negative",
          "pi-age-below-range", "salary-huge", "cost-sum-huge", "inflation-huge",
          "inflation-below-minus-one", "reserve-beyond-int64", "reserve-sum-huge",
          "model-i0-huge", "model-i0-negative"],

@@ -182,6 +182,9 @@ def test_load_salary_scale(tmp_path):
     path.write_text("category,salary\nX,1\n")
     with pytest.raises(DataError, match="header must be exactly"):
         load_salary_scale(path, space)
+    path.write_text("category,base_salary,category\nX,1,Y\nY,2,X\n")
+    with pytest.raises(DataError, match="repeated columns: category"):
+        load_salary_scale(path, space)
     path.write_text("category,base_salary\nZ,1\nout,1\nX,abc\nY,-5\nX,2\nX,3\n")
     with pytest.raises(DataError) as err:
         load_salary_scale(path, space)

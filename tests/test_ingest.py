@@ -77,6 +77,16 @@ def test_parse_records_header_mismatch(tmp_path):
         parse_records(write(tmp_path, "r.csv", bad), cfg)
 
 
+def test_csv_loaders_reject_a_repeated_header_column(tmp_path):
+    cfg = small_cfg()
+    text = HEADER.rstrip("\n") + ",workload\n2020-11,p1,A,18,0,40,x,10\n"
+    with pytest.raises(DataError, match="repeated columns: workload"):
+        parse_records(write(tmp_path, "r.csv", text), cfg)
+    text = "age,total,total\n16,3,99\n17,2,99\n18,2,99\n19,2.5,99\n"
+    with pytest.raises(DataError, match="repeated columns: total"):
+        load_reserve_csv(write(tmp_path, "res.csv", text), cfg.space)
+
+
 def test_parse_records_collects_row_problems(tmp_path):
     cfg = small_cfg()
     text = HEADER + textwrap.dedent(

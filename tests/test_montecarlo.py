@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_random_model, make_toy_space
 from markovpop.errors import ConfigError, DataError
 from markovpop.montecarlo import (
     SimulationResult,
@@ -12,10 +13,11 @@ from markovpop.montecarlo import (
     derive_generator,
     draw_year,
     dump_draws,
-    nearest_rank,
     simulate_projection,
     summarize,
 )
+from markovpop.project import LabelIndex, distribution_at_year, group_probabilities
+from markovpop.states import CharacteristicSpace
 
 
 def test_derive_generator_keys_streams_independently():
@@ -87,12 +89,12 @@ def test_multinomial_draw_conserves_trials(trials, weights, iterations, seed):
 
 
 def test_nearest_rank_hand_values():
-    s = np.arange(1, 11, dtype=float)
-    assert nearest_rank(s, 0.05) == 1.0
-    assert nearest_rank(s, 0.50) == 5.0
-    assert nearest_rank(s, 0.95) == 10.0
-    assert nearest_rank(s, 0.0) == 1.0
-    assert nearest_rank(np.array([3.0]), 0.95) == 3.0
+    # quantile q is the ceil(q * n)-th smallest draw, whatever the draw order
+    quantiles = ("p05", "p50", "p95")
+    stats = summarize(np.array([7, 3, 10, 1, 5, 9, 2, 8, 4, 6], dtype=float)[:, None])
+    assert [stats[k].tolist() for k in quantiles] == [[1.0], [5.0], [10.0]]
+    one = summarize(np.array([[3.0]]))
+    assert [one[k].tolist() for k in quantiles] == [[3.0], [3.0], [3.0]]
 
 
 def test_summarize_hand_values():
@@ -123,9 +125,10 @@ def test_simulate_projection_draws_and_stats():
     for sim in result.years.values():
         assert sim.draws.shape == (30, 4)
         assert np.all(sim.draws.sum(axis=1) == 50)
-        assert set(sim.stats) == {"mean", "sd", "p05", "p50", "p95"}
-        np.testing.assert_array_equal(sim.stats["mean"], sim.draws.mean(axis=0))
         assert sim.draws.dtype == np.int32
+        stats = summarize(sim.draws)
+        assert set(stats) == {"mean", "sd", "p05", "p50", "p95"}
+        np.testing.assert_array_equal(stats["mean"], sim.draws.mean(axis=0))
 
 
 def test_simulate_projection_is_deterministic_across_workers():
@@ -196,3 +199,46 @@ def test_draw_frequencies_match_probabilities():
     chi2 = ((totals - expected) ** 2 / expected).sum()
     p = stats.chi2.sf(chi2, df=2)
     assert p > 1e-4
+
+
+def _sd_oracle(i0, p, x, n):
+    """Exact sd of a sum over i0 people who each add x[j] with probability p[j],
+    and the standard error of its estimate from n draws.
+
+    The sum is Multinomial(i0, p) priced by x (Johnson, Kotz & Balakrishnan
+    1997, ch. 35): variance i0 * v and fourth central moment
+    i0 * m4 + 3 * i0 * (i0 - 1) * v**2, where v and m4 are one person's.
+    """
+    dev = x - p @ x
+    v, m4 = p @ dev**2, p @ dev**4
+    sd = np.sqrt(i0 * v)
+    var_of_var = (i0 * m4 + 3 * i0 * (i0 - 1) * v**2 - sd**4) / n
+    return sd, np.sqrt(var_of_var) / (2 * sd)
+
+
+def test_second_moments_match_the_multinomial_oracle():
+    from scipy import stats as sps
+
+    i0, n = 1000, 10_000
+    chars = CharacteristicSpace(("grade",), (("g1", "g2"),))
+    model = make_random_model(make_toy_space(), chars, seed=404, i0=i0, with_r=True)
+    labels = LabelIndex.build(model)
+    p = group_probabilities(distribution_at_year(model.pi, model, 1, "absorb"), model, labels).probs
+    assert p.min() > 0.0 and len(p) > len(labels.bounds) - 1  # split cells, no empty label
+    draws = simulate_projection({1: p}, i0, n, seed=2024).years[1].draws
+    price = np.where(labels.category > 0, np.linspace(1.0, 3.0, len(p)), 0.0)
+    onehot_cells = np.eye(len(labels.bounds) - 1)[labels.cell_id]
+    checks = [
+        (draws, np.eye(len(p))),
+        (labels.cell_sums(draws), onehot_cells),
+        ((draws * price).sum(axis=1)[:, None], price[:, None]),
+    ]
+    for sample, x in checks:
+        sd, se = _sd_oracle(i0, p, x, n)
+        z = (summarize(sample)["sd"] - sd) / se
+        assert np.abs(z).max() < 4.0, z
+
+    cell_p = np.bincount(labels.cell_id, p)
+    cells = summarize(labels.cell_sums(draws))
+    for key, q in (("p05", 0.05), ("p50", 0.50), ("p95", 0.95)):
+        np.testing.assert_allclose(cells[key], sps.binom.ppf(q, i0, cell_p), atol=1.0)

@@ -62,7 +62,7 @@ def test_propagation_conserves_mass_under_absorb():
     assert len(dists) == 6
     for k, d in enumerate(dists):
         assert d.year == k
-        assert d.total() == pytest.approx(1.0, abs=1e-12)
+        assert d.values.sum() == pytest.approx(1.0, abs=1e-12)
     last = distribution_at_year(model.pi, model, 5, policy="absorb")
     np.testing.assert_array_equal(last.values, dists[-1].values)
 
@@ -100,7 +100,7 @@ def test_absorb_clamps_top_cell():
     assert out.values[0, 3, 2] == pytest.approx(1.0 - q)
     for c in (1, 2):
         assert out.values[c, 3, 2] == pytest.approx(q * t[1, c])
-    assert out.total() == pytest.approx(1.0, abs=1e-15)
+    assert out.values.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_negative_horizon_rejected():

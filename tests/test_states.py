@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from markovpop.errors import ConfigError
-from markovpop.states import (
-    CharacteristicSpace,
-    StateSpaceConfig,
-    Triple,
-    validate_config,
-)
+from markovpop.states import CharacteristicSpace, StateSpaceConfig, validate_config
 
 
 def space_from(**overrides):
@@ -110,19 +105,6 @@ def test_feasibility_is_downward_closed(age, sen):
         assert all(sp.feasible(age, s) for s in range(sen))
     else:
         assert all(not sp.feasible(age, s) for s in range(sen + 1, sp.seniority_max))
-
-
-def test_triple_validation():
-    sp = space_from()
-    Triple(1, 15, 1).validate(sp)
-    with pytest.raises(ConfigError, match="category index"):
-        Triple(3, 15, 1).validate(sp)
-    with pytest.raises(ConfigError, match="age 20"):
-        Triple(1, 20, 1).validate(sp)
-    with pytest.raises(ConfigError, match="seniority 6"):
-        Triple(1, 15, 6).validate(sp)
-    with pytest.raises(ConfigError, match="infeasible"):
-        Triple(1, 12, 2).validate(sp)
 
 
 def test_characteristics_encode_decode():

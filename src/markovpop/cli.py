@@ -57,9 +57,7 @@ def _pricing(args, cfg: RunConfig):
     """(salary scale, profile fields per tuple code, rate schedule) for a pricing command."""
     if not cfg.finance_raw:
         raise ConfigError("this command needs a 'finance' section in the config file")
-    schedule, profiles = parse_finance_config(
-        cfg.finance_raw, cfg.characteristics, cfg.full_time_hours
-    )
+    schedule, profiles = parse_finance_config(cfg.finance_raw, cfg.characteristics)
     return load_salary_scale(args.salary_scale, cfg.space), profiles, schedule
 
 
@@ -72,7 +70,7 @@ def _fit(records, reserve, cfg: RunConfig) -> FittedModel:
 def _simulation(model: FittedModel, cfg: RunConfig, args, years: int):
     labels, tables = projection(model, years, cfg.overflow_policy)
     probs = {model.base_year + t.year: t.probs for t in tables[1:]}
-    iterations = args.iterations or cfg.iterations
+    iterations = cfg.iterations if args.iterations is None else args.iterations
     result = simulate_projection(probs, model.i0, iterations, args.seed, args.workers)
     return labels, tables, result
 
@@ -242,6 +240,9 @@ def main(argv=None) -> int:
     except MarkovPopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # loaders classify their read errors: this came from writing
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

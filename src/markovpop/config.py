@@ -78,6 +78,8 @@ def load_run_config(path) -> RunConfig:
             raw = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from None
     except yaml.YAMLError as exc:
         # yaml errors carry the offending line/column in their message
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None

@@ -8,8 +8,9 @@ occupational insurance premium.  Rate schedules are piecewise constant
 in the calendar year.
 
 Characteristic bindings resolve to profile fields once per tuple code,
-and :func:`full_time_costs` prices each (category, tuple code) at full
-time: counts are full-time equivalents, so no binding sets the workload.
+and :func:`full_time_costs` prices one full-time worker per (category,
+tuple code) as one array expression.  Counts are full-time equivalents,
+so finance holds no hours and no binding sets the workload.
 
 All currency math stays in double precision; rounding to whole currency
 units happens only when reports are written.
@@ -64,7 +65,6 @@ class RateSchedule:
     """Inflation plus the statutory employer rates."""
 
     inflation: float = 0.0388
-    full_time_hours: float = 40.0
 
     def escolar_rate(self, year: int) -> float:
         """School-board levy for a calendar year (>= 2000)."""
@@ -87,60 +87,6 @@ class RateSchedule:
         return IVM_RATES[-1][1]
 
 
-@dataclass(frozen=True)
-class SalaryProfile:
-    """Salary-determining facts for one worker (or one worker class)."""
-
-    base_salary: float  # monthly, from the December 2015 scale
-    workload_hours: float = 40.0
-    annuity_pct: float = 0.0
-    exclusive_dedication_pct: float = 0.0
-    prohibition_pct: float = 0.0
-    availability_pct: float = 0.0
-    pension_regime: PensionRegime = PensionRegime.IVM
-
-    def supplements_factor(self) -> float:
-        return 1.0 + self.annuity_pct + self.exclusive_dedication_pct + (
-            self.prohibition_pct + self.availability_pct
-        )
-
-
-def salary_cost(year: int, profile: SalaryProfile, schedule: RateSchedule) -> float:
-    """Projected yearly gross salary cost for one worker.
-
-    Two half-year blocks of six months each: the first at mid-year
-    inflation depth, the second at full next-year depth; scaled by the
-    workload share, the salary supplements, and the coverage divisor of
-    the December 2015 scale.
-    """
-    if year < BASE_YEAR:
-        raise ConfigError(
-            f"salary cost is anchored at the December 2015 scale; "
-            f"year {year} is before {BASE_YEAR}"
-        )
-    growth = (1.0 + schedule.inflation) ** (year - 2016 + 0.5) + (
-        1.0 + schedule.inflation
-    ) ** (year - 2015)
-    return (
-        (profile.workload_hours / schedule.full_time_hours)
-        * (6.0 * profile.base_salary * growth)
-        * profile.supplements_factor()
-        / SUPPLEMENT_COVERAGE
-    )
-
-
-def total_cost(year: int, profile: SalaryProfile, schedule: RateSchedule) -> float:
-    """Employer-borne yearly cost: gross salary plus statutory charges."""
-    g = salary_cost(year, profile, schedule)
-    pension = schedule.employer_pension_rate(profile.pension_regime, year)
-    return (
-        g
-        * (1.0 + schedule.escolar_rate(year))
-        * ((1.0 + pension + SOCIAL_SECURITY_RATE + SEVERANCE_RATE) + YEAR_END_BONUS_RATE)
-        * (1.0 + INSURANCE_RATE)
-    )
-
-
 # -- mapping characteristic tuples to profiles -------------------------
 
 _PCT_FIELDS = (
@@ -151,15 +97,14 @@ _PCT_FIELDS = (
 )
 
 
-def parse_finance_config(raw: dict, chars: CharacteristicSpace, full_time_hours: float):
+def parse_finance_config(raw: dict, chars: CharacteristicSpace):
     """Parse the finance section into (schedule, profiles).
 
-    Full-time hours come from the top-level `full_time_hours` key, the
-    same value that turns recorded workloads into full-time equivalents.
     Each binding maps the levels of one characteristic to the values of a
     percentage field or the pension regime.  `profiles[k]` holds the bound
-    :class:`SalaryProfile` fields of tuple code k; code 0, an unsplit
-    cell, binds none and keeps the defaults (percentages 0, regime IVM).
+    fields of tuple code k; code 0, an unsplit cell, binds none and keeps
+    the defaults (percentages 0, regime IVM).  Full-time hours are not a
+    finance key: finance prices one full-time worker.
     """
     if "full_time_hours" in raw:
         raise ConfigError(
@@ -171,7 +116,7 @@ def parse_finance_config(raw: dict, chars: CharacteristicSpace, full_time_hours:
         raise ConfigError(f"finance.inflation must be a number (got {inflation!r})")
     if inflation <= -1:
         raise ConfigError(f"finance.inflation must be greater than -1 (got {inflation!r})")
-    schedule = RateSchedule(inflation=float(inflation), full_time_hours=float(full_time_hours))
+    schedule = RateSchedule(inflation=float(inflation))
 
     bindings_raw = raw.get("bindings") or {}
     if not isinstance(bindings_raw, dict):
@@ -253,6 +198,7 @@ def load_salary_scale(path, space) -> dict[int, float]:
     return scale
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported below
 def full_time_costs(
     year: int,
     n_categories: int,
@@ -262,21 +208,43 @@ def full_time_costs(
 ) -> np.ndarray:
     """Yearly employer cost of one full-time worker per (category, tuple code).
 
-    `profiles` holds the bound profile fields per tuple code (see
-    :func:`parse_finance_config`).  Row 0, the out-of-system category, is
-    zero.  Counts are full-time equivalents, so a count times its entry
-    here is its cost; see README.
+    The gross salary is two six-month blocks of the December 2015 base,
+    at mid-year and at full next-year inflation depth, times the
+    supplements over the coverage of the scale; the employer charges of
+    the module docstring multiply it.  `profiles` holds the bound profile
+    fields per tuple code (see :func:`parse_finance_config`).  Row 0, the
+    out-of-system category, is zero.  Counts are full-time equivalents,
+    so a count times its entry here is its cost; see README.
     """
+    if year < BASE_YEAR:
+        raise ConfigError(
+            f"salary cost is anchored at the December 2015 scale; "
+            f"year {year} is before {BASE_YEAR}"
+        )
+    missing = [c for c in range(1, n_categories) if c not in scale]
+    if missing:
+        raise ConfigError(f"category index {missing[0]} has no salary scale entry")
+    rise = 1.0 + schedule.inflation
+    try:
+        growth = rise ** (year - 2016 + 0.5) + rise ** (year - 2015)
+    except OverflowError:  # float ** raises instead of returning inf
+        growth = np.inf
+    base = np.array([scale[c] for c in range(1, n_categories)])[:, None]
+    pct = {f: np.array([p.get(f, 0.0) for p in profiles]) for f in _PCT_FIELDS}
+    supplements = 1.0 + pct["annuity_pct"] + pct["exclusive_dedication_pct"] + (
+        pct["prohibition_pct"] + pct["availability_pct"]
+    )
+    pension = np.array([
+        schedule.employer_pension_rate(p.get("pension_regime", PensionRegime.IVM), year)
+        for p in profiles
+    ])
     g = np.zeros((n_categories, len(profiles)))
-    for c in range(1, n_categories):
-        if c not in scale:
-            raise ConfigError(f"category index {c} has no salary scale entry")
-        for k, fields in enumerate(profiles):
-            profile = SalaryProfile(scale[c], schedule.full_time_hours, **fields)
-            try:
-                g[c, k] = total_cost(year, profile, schedule)
-            except OverflowError:  # float ** raises instead of returning inf
-                g[c, k] = np.inf
+    g[1:] = (
+        6.0 * base * growth * supplements / SUPPLEMENT_COVERAGE
+        * (1.0 + schedule.escolar_rate(year))
+        * ((1.0 + pension + SOCIAL_SECURITY_RATE + SEVERANCE_RATE) + YEAR_END_BONUS_RATE)
+        * (1.0 + INSURANCE_RATE)
+    )
     if not np.isfinite(g).all():
         raise DataError(
             f"employer costs for year {year} are not finite; "

@@ -87,25 +87,31 @@ def csv_rows(path, what: str, header, problems: list):
 
     Rows with more fields than the header are reported in `problems`.
     """
+    # the guard spans the row loop: the file is decoded as it is read
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            names = reader.fieldnames or []
+            got, want = set(names), set(header)
+            # DictReader would keep only the last of two columns with one name
+            repeated = {c for c in names if names.count(c) > 1}
+            if got != want or repeated:
+                kinds = (("missing", want - got), ("unexpected", got - want),
+                         ("repeated", repeated))
+                detail = [f"{kind} columns: {', '.join(sorted(cols))}"
+                          for kind, cols in kinds if cols]
+                raise DataError(
+                    f"{what} {path}: header must be exactly '{','.join(header)}'", detail
+                )
+            for i, row in enumerate(reader, start=1):
+                if None in row:
+                    problems.append(f"row {i}: {len(row[None])} field(s) beyond the header")
+                else:
+                    yield i, row
     except FileNotFoundError:
         raise DataError(f"{what} not found: {path}") from None
-    with fh:
-        reader = csv.DictReader(fh)
-        names = reader.fieldnames or []
-        got, want = set(names), set(header)
-        # DictReader would keep only the last of two columns with one name
-        repeated = {c for c in names if names.count(c) > 1}
-        if got != want or repeated:
-            kinds = (("missing", want - got), ("unexpected", got - want), ("repeated", repeated))
-            detail = [f"{kind} columns: {', '.join(sorted(cols))}" for kind, cols in kinds if cols]
-            raise DataError(f"{what} {path}: header must be exactly '{','.join(header)}'", detail)
-        for i, row in enumerate(reader, start=1):
-            if None in row:
-                problems.append(f"row {i}: {len(row[None])} field(s) beyond the header")
-            else:
-                yield i, row
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{what} {path} cannot be read: {exc}") from None
 
 
 def parse_records(path, cfg: RunConfig) -> Records:

@@ -264,6 +264,8 @@ class FittedModel:
                 doc = json.load(fh, parse_constant=_reject_constant)
         except FileNotFoundError:
             raise DataError(f"model file not found: {path}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"model file {path} cannot be read: {exc}") from None
         except json.JSONDecodeError as exc:
             raise DataError(f"model file {path} is not valid JSON: {exc}") from None
         return cls.from_json_dict(doc)

@@ -196,7 +196,7 @@ def backtest_rows(model, labels, tables, result, records, scale, profiles, sched
     """Observed, expected and simulated population and cost per cell and year.
 
     Rows cover the projected years that have records.  Each record counts
-    as a full-time equivalent (workload over `schedule.full_time_hours`)
+    as a full-time equivalent (workload over `model.full_time_hours`)
     averaged over the year's observed months, and is priced at the same
     full-time label cost as the projection.
     """
@@ -215,7 +215,7 @@ def backtest_rows(model, labels, tables, result, records, scale, profiles, sched
         )
         groups = space.locate_groups(observed.age, observed.seniority)
         cell = np.ravel_multi_index((observed.category, *groups), shape)
-        fte = observed.workload / schedule.full_time_hours
+        fte = observed.workload / model.full_time_hours
         price = full_time[observed.category, observed.tuple_code]
         obs_pop = np.bincount(cell, fte / m_obs, len(names))
         obs_cost = np.bincount(cell, fte * price / m_obs, len(names))

@@ -162,18 +162,9 @@ class StateSpaceConfig:
         )
         if problems:
             raise ConfigError("invalid state space configuration", problems)
-        age_of = []
-        for e in range(self.age_min, self.age_max):
-            for i, (lo, hi) in enumerate(self.age_groups):
-                if lo <= e < hi:
-                    age_of.append(i)
-                    break
-        sen_of = []
-        for a in range(self.seniority_max):
-            for k, (lo, hi) in enumerate(self.seniority_groups):
-                if lo <= a < hi:
-                    sen_of.append(k)
-                    break
+        # each validated partition covers its range in order, one group index per value
+        age_of = (i for i, (lo, hi) in enumerate(self.age_groups) for _ in range(lo, hi))
+        sen_of = (k for k, (lo, hi) in enumerate(self.seniority_groups) for _ in range(lo, hi))
         object.__setattr__(self, "_age_group_of", tuple(age_of))
         object.__setattr__(self, "_seniority_group_of", tuple(sen_of))
 

@@ -307,9 +307,30 @@ def _set(path, value):
     return edit
 
 
+def _binary(role):
+    """The input named by `role` replaced by bytes that are not UTF-8 text."""
+
+    def make(paths, tmp_path):
+        bad = tmp_path / "binary"
+        bad.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)) * 12)
+        return {role: bad}
+
+    return make
+
+
+def _directory(role):
+    """A directory given where the input file named by `role` belongs."""
+    return lambda paths, tmp_path: {role: tmp_path}
+
+
+def _unwritable(role):
+    """An output path inside a directory that does not exist."""
+    return lambda paths, tmp_path: {role: tmp_path / "missing" / "output"}
+
+
 def _argv(command, paths, out):
     """Command line of one CLI command on the input files in `paths`."""
-    argv = [command, "--config", str(paths["config"]), "--out", str(out)]
+    argv = [command, "--config", str(paths["config"]), "--out", str(paths.get("out", out))]
     if command in ("fit", "backtest"):
         argv += ["--records", str(paths["records"]), "--reserve", str(paths["reserve"])]
     else:
@@ -320,6 +341,8 @@ def _argv(command, paths, out):
         argv += ["--salary-scale", str(paths["scale"])]
     if command == "backtest":
         argv += ["--split-year", "2016"]
+    if "dump_draws" in paths:
+        argv += ["--dump-draws", str(paths["dump_draws"])]
     return argv
 
 
@@ -378,6 +401,16 @@ NAN = float("nan")
          "i0 must be a finite number >= 0 (got inf)"),
         (_model_with(_set(["i0"], -5.0)), "project", 2,
          "i0 must be a finite number >= 0 (got -5.0)"),
+        # inputs that are not readable text, and outputs that cannot be written
+        (_binary("config"), "fit", 1, "cannot be read: 'utf-8' codec can't decode"),
+        (_binary("records"), "fit", 2, "cannot be read: 'utf-8' codec can't decode"),
+        (_binary("model"), "project", 2, "cannot be read: 'utf-8' codec can't decode"),
+        (_directory("config"), "fit", 1, "cannot be read: [Errno 21] Is a directory"),
+        (_directory("records"), "fit", 2, "cannot be read: [Errno 21] Is a directory"),
+        (_unwritable("out"), "fit", 1, "error: [Errno 2] No such file or directory"),
+        (_unwritable("out"), "project", 1, "error: [Errno 2] No such file or directory"),
+        (_unwritable("dump_draws"), "simulate", 1,
+         "error: [Errno 2] No such file or directory"),
     ],
     ids=["model-missing-annual", "overrides-list", "levels-list", "reserve-marker-int",
          "finance-full-time-hours", "reserve-nan", "workload-nan", "salary-nan",
@@ -386,7 +419,9 @@ NAN = float("nan")
          "pi-category-negative",
          "pi-age-below-range", "salary-huge", "cost-sum-huge", "inflation-huge",
          "inflation-below-minus-one", "reserve-beyond-int64", "reserve-sum-huge",
-         "model-i0-huge", "model-i0-negative"],
+         "model-i0-huge", "model-i0-negative", "config-binary", "records-binary",
+         "model-binary", "config-directory", "records-directory", "fit-out-unwritable",
+         "project-out-unwritable", "dump-draws-unwritable"],
 )
 def test_malformed_inputs_are_classified(
     mini_pipeline, tmp_path, damage, command, code, message
@@ -402,6 +437,14 @@ def test_malformed_inputs_are_classified(
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert message in proc.stderr
+
+
+def test_zero_iterations_is_rejected_not_replaced(capsys, mini_pipeline, tmp_path):
+    # only an absent --iterations falls back to the config value
+    argv = _argv("simulate", mini_pipeline, tmp_path / "out")
+    argv[argv.index("--iterations") + 1] = "0"
+    assert main(argv) == 1
+    assert "iterations must be >= 1 (got 0)" in capsys.readouterr().err
 
 
 # what a fuzzed config or model entry may become, and a fuzzed CSV field

@@ -1,19 +1,15 @@
-"""Cost formulas against a high-precision oracle, plus schedule goldens."""
+"""Full-time cost tables against a high-precision oracle, plus schedule goldens."""
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from markovpop.errors import ConfigError, DataError
 from markovpop.finance import (
     PensionRegime,
     RateSchedule,
-    SalaryProfile,
     full_time_costs,
     load_salary_scale,
     parse_finance_config,
-    salary_cost,
-    total_cost,
 )
 from markovpop.states import CharacteristicSpace
 
@@ -46,47 +42,79 @@ def test_employer_pension_schedule():
     assert s.employer_pension_rate("JUPEMA_REPARTO", 2040) == 0.05
 
 
-def mp_salary(year, base, workload, supplements, inflation):
+def mp_total_cost(year, base, supplements, inflation, pension):
+    """Employer cost of one full-time worker, in 50-digit arithmetic."""
     mp.mp.dps = 50
     infl = 1 + mp.mpf(str(inflation))
     growth = infl ** (year - 2016 + mp.mpf("0.5")) + infl ** (year - 2015)
+    salary = 6 * mp.mpf(base) * growth * mp.mpf(str(supplements)) / mp.mpf("0.90")
+    escolar = RateSchedule().escolar_rate(year)
+    charges = 1 + mp.mpf(str(pension)) + mp.mpf("0.1425") + mp.mpf("0.0425") + mp.mpf("0.0833")
+    return salary * (1 + mp.mpf(str(escolar))) * charges * mp.mpf("1.0025")
+
+
+def scalar_cost(year, base, fields, schedule):
+    """One table entry the long way, in the documented operation order."""
+    rise = 1.0 + schedule.inflation
+    growth = rise ** (year - 2016 + 0.5) + rise ** (year - 2015)
+    supplements = 1.0 + fields.get("annuity_pct", 0.0) + fields.get(
+        "exclusive_dedication_pct", 0.0
+    ) + (fields.get("prohibition_pct", 0.0) + fields.get("availability_pct", 0.0))
+    pension = schedule.employer_pension_rate(fields.get("pension_regime", "IVM"), year)
     return (
-        mp.mpf(workload) / 40 * 6 * mp.mpf(base) * growth * mp.mpf(str(supplements))
-        / mp.mpf("0.90")
+        6.0 * base * growth * supplements / 0.90
+        * (1.0 + schedule.escolar_rate(year))
+        * ((1.0 + pension + 0.1425 + 0.0425) + 0.0833)
+        * 1.0025
     )
 
 
 def test_salary_cost_matches_high_precision_oracle():
-    schedule = RateSchedule(inflation=0.0388)
-    profile = SalaryProfile(
-        base_salary=500000.0, workload_hours=30.0, annuity_pct=0.20,
-        prohibition_pct=0.05,
-    )
-    assert profile.supplements_factor() == pytest.approx(1.25)
+    chars = CharacteristicSpace(("band",), (("b0", "b1"),))
+    raw = {
+        "inflation": 0.0388,
+        "bindings": {
+            "annuity_pct": {"characteristic": "band", "levels": {"b0": 0.20, "b1": 0.0}},
+            "prohibition_pct": {"characteristic": "band", "levels": {"b0": 0.05, "b1": 0.0}},
+        },
+    }
+    schedule, profiles = parse_finance_config(raw, chars)
+    k = chars.code((0,))
+    assert 1.0 + profiles[k]["annuity_pct"] + profiles[k]["prohibition_pct"] == pytest.approx(1.25)
     for year in (2016, 2018, 2031):
-        got = salary_cost(year, profile, schedule)
-        want = mp_salary(year, 500000, 30, "1.25", "0.0388")
-        assert got == pytest.approx(float(want), rel=1e-12)
+        g = full_time_costs(year, 2, {1: 500000.0}, profiles, schedule)
+        pension = schedule.employer_pension_rate(PensionRegime.IVM, year)
+        want = mp_total_cost(year, 500000, "1.25", "0.0388", pension)
+        assert g[1, k] == pytest.approx(float(want), rel=1e-12)
+        # code 0 and the unbound level carry no supplements
+        want = mp_total_cost(year, 500000, "1", "0.0388", pension)
+        assert g[1, 0] == g[1, chars.code((1,))] == pytest.approx(float(want), rel=1e-12)
 
 
 def test_salary_cost_rejects_years_before_scale_anchor():
     with pytest.raises(ConfigError, match="before 2016"):
-        salary_cost(2015, SalaryProfile(base_salary=1.0), RateSchedule())
+        full_time_costs(2015, 2, {1: 1.0}, [{}], RateSchedule())
 
 
 def test_total_cost_applies_all_employer_charges():
-    schedule = RateSchedule(inflation=0.04)
-    profile = SalaryProfile(base_salary=650000.0, pension_regime=PensionRegime.IVM)
+    chars = CharacteristicSpace(("reg",), (("ivm", "rep"),))
+    raw = {
+        "inflation": 0.04,
+        "bindings": {
+            "pension_regime": {
+                "characteristic": "reg",
+                "levels": {"ivm": "IVM", "rep": "JUPEMA_REPARTO"},
+            },
+        },
+    }
+    schedule, profiles = parse_finance_config(raw, chars)
     year = 2017
-    g = salary_cost(year, profile, schedule)
-    want = g * 1.0828 * (1 + 0.0508 + 0.1425 + 0.0425 + 0.0833) * 1.0025
-    assert total_cost(year, profile, schedule) == pytest.approx(want, rel=1e-14)
-
-    reparto = SalaryProfile(
-        base_salary=650000.0, pension_regime=PensionRegime.JUPEMA_REPARTO
-    )
-    want = g * 1.0828 * (1 + 0.05 + 0.1425 + 0.0425 + 0.0833) * 1.0025
-    assert total_cost(year, reparto, schedule) == pytest.approx(want, rel=1e-14)
+    g = full_time_costs(year, 2, {1: 650000.0}, profiles, schedule)
+    salary = 6.0 * 650000.0 * (1.04 ** 1.5 + 1.04 ** 2) / 0.90
+    want = salary * 1.0828 * (1 + 0.0508 + 0.1425 + 0.0425 + 0.0833) * 1.0025
+    assert g[1, chars.code((0,))] == pytest.approx(want, rel=1e-14)
+    want = salary * 1.0828 * (1 + 0.05 + 0.1425 + 0.0425 + 0.0833) * 1.0025
+    assert g[1, chars.code((1,))] == pytest.approx(want, rel=1e-14)
 
 
 def make_chars():
@@ -111,9 +139,8 @@ def finance_raw():
 
 def test_parse_finance_config_happy_path():
     chars = make_chars()
-    schedule, profiles = parse_finance_config(finance_raw(), chars, 48)
-    assert schedule.inflation == 0.05
-    assert schedule.full_time_hours == 48.0  # the top-level value, passed in
+    schedule, profiles = parse_finance_config(finance_raw(), chars)
+    assert schedule == RateSchedule(inflation=0.05)  # finance holds no hours
     # one entry per tuple code; code 0 (an unsplit cell) binds nothing
     assert len(profiles) == len(chars.tuples()) == 5
     assert profiles[0] == {}
@@ -128,47 +155,47 @@ def test_parse_finance_config_happy_path():
 def test_parse_finance_config_errors():
     chars = make_chars()
     with pytest.raises(ConfigError, match="inflation must be a number"):
-        parse_finance_config({"inflation": "high"}, chars, 40)
+        parse_finance_config({"inflation": "high"}, chars)
     with pytest.raises(ConfigError, match="inflation must be greater than -1"):
-        parse_finance_config({"inflation": -1}, chars, 40)
+        parse_finance_config({"inflation": -1}, chars)
     with pytest.raises(ConfigError, match="bindings must be a mapping"):
-        parse_finance_config({"bindings": [1]}, chars, 40)
+        parse_finance_config({"bindings": [1]}, chars)
     with pytest.raises(ConfigError, match="need 'characteristic' and 'levels'"):
-        parse_finance_config({"bindings": {"annuity_pct": {"levels": {}}}}, chars, 40)
+        parse_finance_config({"bindings": {"annuity_pct": {"levels": {}}}}, chars)
     # full-time hours have one source: the top-level key
     with pytest.raises(ConfigError, match="top-level full_time_hours"):
-        parse_finance_config({"full_time_hours": 40}, chars, 40)
+        parse_finance_config({"full_time_hours": 40}, chars)
 
     raw = finance_raw()
     raw["bindings"]["annuity_pct"]["levels"] = [0.0, 0.30]
     with pytest.raises(ConfigError, match="levels must map level names"):
-        parse_finance_config(raw, chars, 40)
+        parse_finance_config(raw, chars)
 
     raw = finance_raw()
     raw["bindings"]["annuity_pct"]["levels"] = {"b0": 0.0, "nope": 0.1}
     with pytest.raises(ConfigError, match="no level 'nope'"):
-        parse_finance_config(raw, chars, 40)
+        parse_finance_config(raw, chars)
 
     raw = finance_raw()
     raw["bindings"]["annuity_pct"]["levels"] = {"b0": 0.0}
     with pytest.raises(ConfigError, match="unmapped levels"):
-        parse_finance_config(raw, chars, 40)
+        parse_finance_config(raw, chars)
 
     raw = finance_raw()
     raw["bindings"]["pension_regime"]["levels"]["jc"] = "NO_SUCH_REGIME"
     with pytest.raises(ConfigError, match="pension_regime"):
-        parse_finance_config(raw, chars, 40)
+        parse_finance_config(raw, chars)
 
     raw = finance_raw()
     raw["bindings"]["hat_size"] = {"characteristic": "band", "levels": {"b0": 1, "b1": 2}}
     with pytest.raises(ConfigError, match="unknown profile field"):
-        parse_finance_config(raw, chars, 40)
+        parse_finance_config(raw, chars)
 
     # counts are full-time equivalents: no binding sets the workload
     raw = finance_raw()
     raw["bindings"]["workload_hours"] = {"characteristic": "band", "levels": {"b0": 20, "b1": 40}}
     with pytest.raises(ConfigError, match=r"workload_hours: counts are full-time equivalents"):
-        parse_finance_config(raw, chars, 40)
+        parse_finance_config(raw, chars)
 
 
 def test_load_salary_scale(tmp_path):
@@ -201,30 +228,25 @@ def test_load_salary_scale(tmp_path):
 
 def test_full_time_costs_price_every_category_and_tuple():
     chars = make_chars()
-    schedule, profiles = parse_finance_config(finance_raw(), chars, 48)
+    schedule, profiles = parse_finance_config(finance_raw(), chars)
     scale = {1: 400000.0, 2: 900000.0}
     g = full_time_costs(2018, 3, scale, profiles, schedule)
     assert g.shape == (3, 5)
     assert not g[0].any()  # the out-of-system category is never priced
     for c in (1, 2):
         for k, fields in enumerate(profiles):
-            prof = SalaryProfile(scale[c], 48.0, **fields)
-            assert g[c, k] == total_cost(2018, prof, schedule)
+            assert g[c, k] == scalar_cost(2018, scale[c], fields, schedule)
     # code 0 keeps the defaults; the bound fields change the price
-    assert g[2, 0] == total_cost(2018, SalaryProfile(900000.0, 48.0), schedule)
-    jc = SalaryProfile(900000.0, 48.0, annuity_pct=0.30,
-                       pension_regime=PensionRegime.JUPEMA_CAPITALIZACION)
-    assert g[2, chars.code((1, 1))] == total_cost(2018, jc, schedule)
-    # priced at full time: the same worker at 48 h under a 40 h schedule
-    schedule40, _ = parse_finance_config(finance_raw(), chars, 40)
-    g40 = full_time_costs(2018, 3, scale, profiles, schedule40)
-    np.testing.assert_allclose(g40, g, rtol=1e-15)
+    assert g[2, 0] == scalar_cost(2018, 900000.0, {}, schedule)
+    jc = {"annuity_pct": 0.30, "pension_regime": PensionRegime.JUPEMA_CAPITALIZACION}
+    assert g[2, chars.code((1, 1))] == scalar_cost(2018, 900000.0, jc, schedule)
+    assert g[2, chars.code((1, 1))] != g[2, 0]
 
     with pytest.raises(ConfigError, match="no salary scale entry"):
         full_time_costs(2018, 3, {1: 400000.0}, profiles, schedule)
     # a cost beyond the float range is a data error naming the year
     with pytest.raises(DataError, match="year 2018 are not finite"):
         full_time_costs(2018, 3, {1: 400000.0, 2: 1e308}, profiles, schedule)
-    huge, _ = parse_finance_config({"inflation": 1e308}, chars, 40)
+    huge, _ = parse_finance_config({"inflation": 1e308}, chars)
     with pytest.raises(DataError, match="year 2018 are not finite"):
         full_time_costs(2018, 3, scale, profiles, huge)

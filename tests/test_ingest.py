@@ -113,6 +113,64 @@ def test_parse_records_collects_row_problems(tmp_path):
     assert "infeasible seniority 1 at age 18" in msg
 
 
+BAD_PANEL = HEADER + (
+    "2020-11,p1,A,18,0,40,x\n"
+    "2020/11,p2,Z,abc,0,nan,zzz\n"  # five errors in one row
+    "2020-11,p3,A\n"  # short: the missing fields read as None
+    "2020-11,p4,A,18,0,40,x,extra,more\n"  # long: reported, not checked
+    "\n"  # a blank line is not a row
+    " 2020-12 , p1 , A ,18,0,40, y \n"  # padded, valid
+    "2020-12,p5,A,18,1,40,x\n"  # invalid, so its key is not taken
+    "2020-12,p5,A,18,0,40,x\n"  # the first valid row with that key
+    "2020-12,p5,B,19,1,20,y\n"
+    " 2020-12,p1 ,B,19,0,40,x\n"  # differs from row 5 only by whitespace
+    "2020-12,p5,A,18,0,-1,x\n"  # a repeated key with another error
+    "2020-13,p6,A,18,0,40,x\n"
+    "2020-11,p7,out,25,0,-5,x\n"
+    "2020-11,,A,18,2,0,q\n"
+    "2021-01, ,B,16,x,inf,\n"
+    "2021-01,p8,A,17,0,1e400,y\n"
+    "2021-00,p9,A,-3,-1,30,x\n"
+    "2021-01,p9,A,19,1,0.5,x\n"
+)
+
+
+def test_parse_records_lists_every_problem_in_row_then_check_order(tmp_path):
+    with pytest.raises(DataError) as err:
+        parse_records(write(tmp_path, "r.csv", BAD_PANEL), small_cfg())
+    assert str(err.value).splitlines()[0].endswith("r.csv: 28 invalid row(s)")
+    assert err.value.problems == [
+        "row 2: malformed month '2020/11' (expected YYYY-MM)",
+        "row 2: unknown category code 'Z'",
+        "row 2: non-integer age/seniority 'abc'/'0'",
+        "row 2: non-numeric workload 'nan' (need a finite number)",
+        "row 2: characteristic 'g': unknown level 'zzz'",
+        "row 3: non-integer age/seniority None/None",
+        "row 3: non-numeric workload None (need a finite number)",
+        "row 3: characteristic 'g': unknown level ''",
+        "row 4: 2 field(s) beyond the header",
+        "row 6: infeasible seniority 1 at age 18",
+        "row 8: duplicate (person_id='p5', month=2020-12)",
+        "row 9: duplicate (person_id='p1', month= 2020-12)",
+        "row 10: workload must be positive (got -1.0)",
+        "row 11: malformed month '2020-13' (expected YYYY-MM)",
+        "row 12: category 'out' is the out-of-system code; records must be in-system",
+        "row 12: age 25 / seniority 0 outside [16,20) x [0,2)",
+        "row 12: workload must be positive (got -5.0)",
+        "row 13: empty person_id",
+        "row 13: age 18 / seniority 2 outside [16,20) x [0,2)",
+        "row 13: workload must be positive (got 0.0)",
+        "row 13: characteristic 'g': unknown level 'q'",
+        "row 14: empty person_id",
+        "row 14: non-integer age/seniority '16'/'x'",
+        "row 14: non-numeric workload 'inf' (need a finite number)",
+        "row 14: characteristic 'g': unknown level ''",
+        "row 15: non-numeric workload '1e400' (need a finite number)",
+        "row 16: malformed month '2021-00' (expected YYYY-MM)",
+        "row 16: age -3 / seniority -1 outside [16,20) x [0,2)",
+    ]
+
+
 def test_parse_records_rejects_duplicates(tmp_path):
     cfg = small_cfg()
     text = HEADER + "2020-11,p1,A,18,0,40,x\n2020-11,p1,B,18,0,40,x\n"

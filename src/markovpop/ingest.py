@@ -16,14 +16,16 @@ matter for the yearly estimators.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import RunConfig
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .states import StateSpaceConfig
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
@@ -64,17 +66,20 @@ class Records:
         return len(self.month)
 
     @classmethod
-    def from_rows(cls, abs_month, person_id, category, age, seniority, workload, tuple_code):
-        """Records from unordered columns; `abs_month` is ``year * 12 + month - 1``."""
-        person_ids = sorted(set(person_id))
-        code = {pid: k for k, pid in enumerate(person_ids)}
-        person = np.array([code[pid] for pid in person_id])
+    def from_columns(
+        cls, abs_month, person, person_ids, category, age, seniority, workload, tuple_code
+    ):
+        """Records from unordered columns.
+
+        `abs_month` is ``year * 12 + month - 1`` and `person` indexes the
+        sorted `person_ids`.
+        """
         order = np.lexsort((person, abs_month))
-        absm = np.asarray(abs_month)[order]
+        absm = abs_month[order]
         columns = (person, category, age, seniority, workload, tuple_code)
         return cls(
             absm - absm[-1], absm // 12, absm % 12 + 1,
-            *(np.asarray(col)[order] for col in columns), tuple(person_ids),
+            *(col[order] for col in columns), tuple(person_ids),
         )
 
     def take(self, rows) -> "Records":
@@ -82,18 +87,23 @@ class Records:
         return replace(self, **{k: v[rows] for k, v in vars(self).items() if k != "person_ids"})
 
 
-def csv_rows(path, what: str, header, problems: list):
-    """Yield (row number, row) of a CSV file whose header holds `header`, each column once.
+def _csv_blocks(path, what: str, header, size: int = 512):
+    """Yield the header of a CSV file, then its rows as lists of fields, `size` at a time.
 
-    Rows with more fields than the header are reported in `problems`.
+    The header must hold `header`, each column once.  Blank lines are not
+    rows, as in :class:`csv.DictReader`.  A byte that is not UTF-8 is
+    reported by its offset in the file and its line.  Small blocks die
+    young: rows that outlive the garbage collector's young generations
+    make its full collections walk them (16 384-row blocks parse the
+    costed panel about 1.6x slower).
     """
     # the guard spans the row loop: the file is decoded as it is read
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            names = reader.fieldnames or []
+            reader = csv.reader(fh)
+            names = next(reader, [])
             got, want = set(names), set(header)
-            # DictReader would keep only the last of two columns with one name
+            # a column named twice would be read once
             repeated = {c for c in names if names.count(c) > 1}
             if got != want or repeated:
                 kinds = (("missing", want - got), ("unexpected", got - want),
@@ -103,15 +113,110 @@ def csv_rows(path, what: str, header, problems: list):
                 raise DataError(
                     f"{what} {path}: header must be exactly '{','.join(header)}'", detail
                 )
-            for i, row in enumerate(reader, start=1):
-                if None in row:
-                    problems.append(f"row {i}: {len(row[None])} field(s) beyond the header")
-                else:
-                    yield i, row
+            yield names
+            rows = filter(None, reader)
+            while block := list(itertools.islice(rows, size)):
+                yield block
     except FileNotFoundError:
         raise DataError(f"{what} not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} {path} cannot be read: {_decode_error(path, exc)}") from None
+    except OSError as exc:
         raise DataError(f"{what} {path} cannot be read: {exc}") from None
+
+
+def _decode_error(path, exc: UnicodeDecodeError) -> str:
+    """`exc` restated at its offset in the whole file, with the line it is on.
+
+    The streaming decoder counts offsets from the start of its current chunk.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        line = data.count(b"\n", 0, whole.start) + 1
+        return f"{whole} (line {line})"
+    except OSError:
+        pass
+    return str(exc)
+
+
+def csv_rows(path, what: str, header, problems: list):
+    """Yield (row number, row) of a CSV file whose header holds `header`, each column once.
+
+    A row maps each column to its field, or to None when the row is
+    short.  Rows with more fields than the header are reported in
+    `problems`.
+    """
+    blocks = _csv_blocks(path, what, header)
+    names = next(blocks)
+    for i, row in enumerate(itertools.chain.from_iterable(blocks), start=1):
+        if len(row) > len(names):
+            problems.append(f"row {i}: {len(row) - len(names)} field(s) beyond the header")
+        else:
+            yield i, dict(itertools.zip_longest(names, row))
+
+
+def _encode_columns(path, header):
+    """Dictionary-encode the columns of a records CSV, block by block.
+
+    Returns, per column of `header`, its distinct fields in code order and
+    the code of each row, plus the number of fields of each row.  Missing
+    fields read as None, as in :class:`csv.DictReader`.
+    """
+    blocks = _csv_blocks(path, "records file", header)
+    names = next(blocks)
+    width, at = len(names), [names.index(c) for c in header]
+    index = [defaultdict() for _ in header]  # per column: {field: code}
+    for seen in index:
+        seen.default_factory = seen.__len__  # a new field takes the next code
+    codes = [[np.zeros(0, np.intp)] for _ in header]
+    lengths = [np.zeros(0, np.intp)]
+    for block in blocks:
+        sizes = np.fromiter(map(len, block), np.intp, len(block))
+        for i in np.flatnonzero(sizes != width).tolist():
+            block[i] = (block[i] + [None] * width)[:width]  # a long row is only reported
+        columns = list(zip(*block))
+        for seen, out, j in zip(index, codes, at):
+            out.append(np.fromiter(map(seen.__getitem__, columns[j]), np.intp, len(block)))
+        lengths.append(sizes)
+    encoded = [(list(seen), np.concatenate(out)) for seen, out in zip(index, codes)]
+    return encoded, np.concatenate(lengths)
+
+
+def _each(check, values, codes):
+    """`check` run once on each distinct field of a column, broadcast to its rows.
+
+    Returns the result of each row and the mask of the rows whose field
+    `check` rejects by returning None; a rejected field reads 0.
+    """
+    results = [check(v) for v in values]
+    failed = np.array([r is None for r in results], bool)
+    return np.array([0 if r is None else r for r in results])[codes], failed[codes]
+
+
+def _abs_month(text):
+    """``year * 12 + month - 1`` of a YYYY-MM field, or None."""
+    m = _MONTH_RE.match((text or "").strip())
+    if m and 1 <= int(m.group(2)) <= 12:
+        return int(m.group(1)) * 12 + int(m.group(2)) - 1
+    return None
+
+
+def _integer(text):
+    """``int(text)`` clipped into int64, where it is outside every range, or None."""
+    try:
+        return max(-(2**62), min(int(text), 2**62))
+    except (TypeError, ValueError):
+        return None
+
+
+def _finite(text):
+    try:
+        return finite_float(text)
+    except (TypeError, ValueError):
+        return None
 
 
 def parse_records(path, cfg: RunConfig) -> Records:
@@ -119,70 +224,109 @@ def parse_records(path, cfg: RunConfig) -> Records:
 
     Expected header: month,person_id,category,age,seniority,workload plus
     one column per declared characteristic.  Months are YYYY-MM.  Every
-    violated constraint is collected with its row number; any violation
-    fails the whole parse.
+    violated constraint is collected with its row number, in row order
+    and then in check order; any violation fails the whole parse.  Each
+    check runs once per distinct field of its column.
     """
-    space = cfg.space
-    chars = cfg.characteristics
-    problems: list[str] = []
-    rows: list[tuple] = []
-    seen: set[tuple[str, int]] = set()
-    out_code = space.categories[0]
-    header = REQUIRED_COLUMNS + chars.names
-    for i, row in csv_rows(path, "records file", header, problems):
-        errs = []
-        m = _MONTH_RE.match((row["month"] or "").strip())
-        if not m or not (1 <= int(m.group(2)) <= 12):
-            errs.append(f"malformed month {row['month']!r} (expected YYYY-MM)")
-        pid = (row["person_id"] or "").strip()
-        if not pid:
-            errs.append("empty person_id")
-        code = (row["category"] or "").strip()
-        cat = None
-        if code == out_code:
-            errs.append(f"category {code!r} is the out-of-system code; records must be in-system")
-        elif code in space.categories:
-            cat = space.categories.index(code)
-        else:
-            errs.append(f"unknown category code {code!r}")
-        try:
-            age = int(row["age"])
-            sen = int(row["seniority"])
-        except (TypeError, ValueError):
-            errs.append(f"non-integer age/seniority {row['age']!r}/{row['seniority']!r}")
-            age = sen = None
-        if age is not None:
-            if not space.in_range(age, sen):
-                errs.append(
-                    f"age {age} / seniority {sen} outside "
-                    f"[{space.age_min},{space.age_max}) x [0,{space.seniority_max})"
-                )
-            elif not space.feasible(age, sen):
-                errs.append(f"infeasible seniority {sen} at age {age}")
-        try:
-            workload = finite_float(row["workload"])
-            if workload <= 0:
-                errs.append(f"workload must be positive (got {workload})")
-        except (TypeError, ValueError):
-            errs.append(f"non-numeric workload {row['workload']!r} (need a finite number)")
-        try:
-            tup = chars.code(chars.encode([(row[n] or "").strip() for n in chars.names]))
-        except Exception as exc:
-            errs.append(str(exc))
-        key = (pid, int(m.group(1)) * 12 + int(m.group(2)) - 1) if m else None
-        if not errs and key in seen:
-            errs.append(f"duplicate (person_id={pid!r}, month={row['month']})")
-        problems += [f"row {i}: {e}" for e in errs]
-        if not errs:
-            seen.add(key)
-            rows.append((key[1], pid, cat, age, sen, workload, tup))
-
-    if problems:
-        raise DataError(f"records file {path}: {len(problems)} invalid row(s)", problems)
-    if not rows:
+    space, chars = cfg.space, cfg.characteristics
+    columns, lengths = _encode_columns(path, REQUIRED_COLUMNS + chars.names)
+    if not len(lengths):
         raise DataError(f"records file {path} contains no data rows")
+    month, person_id, category, age, seniority, workload, *levels = columns
 
-    return Records.from_rows(*zip(*rows))
+    def field(column, i):
+        values, codes = column
+        return values[codes[i]]
+
+    absm, bad_month = _each(_abs_month, *month)
+    pid = [(v or "").strip() for v in person_id[0]]
+    person_ids = sorted(set(pid))
+    rank = {s: k for k, s in enumerate(person_ids)}
+    person = np.array([rank[s] for s in pid])[person_id[1]]
+    no_pid = np.array([not s for s in pid])[person_id[1]]
+    in_system = {c: k for k, c in enumerate(space.categories) if k}
+    cat, bad_cat = _each(lambda v: in_system.get((v or "").strip()), *category)
+    age_of, bad_age = _each(_integer, *age)
+    sen_of, bad_sen = _each(_integer, *seniority)
+    non_integer = bad_age | bad_sen
+    in_range = (
+        (space.age_min <= age_of) & (age_of < space.age_max)
+        & (0 <= sen_of) & (sen_of < space.seniority_max)
+    )
+    out_of_range = ~non_integer & ~in_range
+    infeasible = ~non_integer & in_range & ~space.feasible(age_of, sen_of)
+    hours, non_numeric = _each(_finite, *workload)
+    not_positive = ~non_numeric & (hours <= 0)
+    unknown_level = np.zeros(len(lengths), bool)
+    level_codes = []
+    for lv, column in zip(chars.levels, levels):
+        level_of = {name: k for k, name in enumerate(lv)}
+        k, unknown = _each(lambda v: level_of.get((v or "").strip()), *column)
+        level_codes.append(k)
+        unknown_level |= unknown
+    tuple_code = chars.code(level_codes) + np.zeros(len(lengths), int)
+
+    long = lengths > len(columns)
+    failed = (
+        long | bad_month | no_pid | bad_cat | non_integer | out_of_range | infeasible
+        | non_numeric | not_positive | unknown_level
+    )
+    # of the valid rows with one (person, month) key, the first one read is kept
+    rows = np.flatnonzero(~failed)
+    by_key = rows[np.lexsort((rows, absm[rows], person[rows]))]
+    again = (np.diff(person[by_key]) == 0) & (np.diff(absm[by_key]) == 0)
+    duplicate = np.zeros(len(lengths), bool)
+    duplicate[by_key[1:][again]] = True
+
+    bad = np.flatnonzero(failed | duplicate)
+    if len(bad):
+
+        def category_problem(i):
+            code = (field(category, i) or "").strip()
+            if code == space.categories[0]:
+                return f"category {code!r} is the out-of-system code; records must be in-system"
+            return f"unknown category code {code!r}"
+
+        def level_problem(i):
+            try:
+                chars.encode([(field(column, i) or "").strip() for column in levels])
+            except ConfigError as exc:
+                return str(exc)
+
+        checks = (  # in the order a row's problems are listed
+            (bad_month, lambda i: f"malformed month {field(month, i)!r} (expected YYYY-MM)"),
+            (no_pid, lambda i: "empty person_id"),
+            (bad_cat, category_problem),
+            (non_integer, lambda i: (
+                f"non-integer age/seniority {field(age, i)!r}/{field(seniority, i)!r}"
+            )),
+            (out_of_range, lambda i: (
+                f"age {int(field(age, i))} / seniority {int(field(seniority, i))} outside "
+                f"[{space.age_min},{space.age_max}) x [0,{space.seniority_max})"
+            )),
+            (infeasible, lambda i: f"infeasible seniority {sen_of[i]} at age {age_of[i]}"),
+            (non_numeric, lambda i: (
+                f"non-numeric workload {field(workload, i)!r} (need a finite number)"
+            )),
+            (not_positive, lambda i: f"workload must be positive (got {float(hours[i])})"),
+            (unknown_level, level_problem),
+            (duplicate, lambda i: (
+                f"duplicate (person_id={pid[person_id[1][i]]!r}, month={field(month, i)})"
+            )),
+        )
+        problems = []
+        for i in bad.tolist():
+            if long[i]:
+                problems.append(
+                    f"row {i + 1}: {lengths[i] - len(columns)} field(s) beyond the header"
+                )
+            else:
+                problems += [f"row {i + 1}: {say(i)}" for mask, say in checks if mask[i]]
+        raise DataError(f"records file {path}: {len(problems)} invalid row(s)", problems)
+
+    return Records.from_columns(
+        absm, person, person_ids, cat, age_of, sen_of, hours, tuple_code
+    )
 
 
 def split_records(records: Records, split_year: int) -> tuple[Records, Records]:

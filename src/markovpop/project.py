@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import HorizonError
 from .model import FittedModel
-from .states import Triple
 
 
 @dataclass(frozen=True)
@@ -28,30 +27,6 @@ class TripleDistribution:
 
     values: np.ndarray  # (n_categories, n_ages, seniority_max)
     year: int
-
-
-def one_step_triple_probability(frm: Triple, to: Triple, model: FittedModel) -> float:
-    """Probability of one yearly step from `frm` to `to`.
-
-    Implements the four-case law literally: moving (or entering) raises
-    seniority by one and cannot target category 0; leaving (or staying
-    out) keeps seniority; everyone ages one year; anything else has
-    probability zero.  No feasibility gate is applied (see README).
-    """
-    space = model.space
-    if to.age != frm.age + 1:
-        return 0.0
-    ei, ai = space.locate_groups(frm.age, frm.seniority)
-    q = float(model.q1[(ei, ai)][frm.category])
-    delta = to.seniority - frm.seniority
-    if to.category != 0:
-        if delta != 1:
-            return 0.0
-        t = model.transition_operator(ei, ai)
-        return float(t[frm.category, to.category]) * q
-    if delta != 0:
-        return 0.0
-    return 1.0 - q
 
 
 def propagate_distribution(

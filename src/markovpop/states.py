@@ -206,17 +206,14 @@ class StateSpaceConfig:
         ages = np.subtract(age, self.age_min)
         return np.take(self._age_group_of, ages), np.take(self._seniority_group_of, seniority)
 
-    def in_range(self, age: int, seniority: int) -> bool:
-        return self.age_min <= age < self.age_max and 0 <= seniority < self.seniority_max
-
-    def feasible(self, age: int, seniority: int) -> bool:
-        """Whether the (age, seniority) pair is attainable.
+    def feasible(self, age, seniority):
+        """Whether the (age, seniority) pair, or each pair of two arrays, is attainable.
 
         Seniority can only accrue from working_age_min on, so it is capped
         at max(0, age - working_age_min).  Ages below working age can only
         carry seniority 0.
         """
-        return seniority <= max(0, age - self.working_age_min)
+        return seniority <= np.maximum(0, age - self.working_age_min)
 
     def feasible_seniorities(self, age: int) -> range:
         """All in-range seniorities attainable at `age`."""
@@ -230,15 +227,6 @@ class StateSpaceConfig:
     def group_label(self, kind: str, index: int) -> str:
         lo, hi = (self.age_groups if kind == "age" else self.seniority_groups)[index]
         return f"{lo}..{hi}"
-
-
-@dataclass(frozen=True)
-class Triple:
-    """A single chain state: (category index, age, seniority)."""
-
-    category: int
-    age: int
-    seniority: int
 
 
 def validate_config(raw: dict) -> StateSpaceConfig:

@@ -74,9 +74,11 @@ class Panel:
         """Build validated-equivalent record columns directly, bypassing CSV."""
         pid, cat0, age, sen, tup = (np.concatenate(col) for col in zip(*self.snapshots))
         sizes = [len(snapshot[0]) for snapshot in self.snapshots]
-        return Records.from_rows(
+        person_ids, person = np.unique([f"w{p:06d}" for p in pid.tolist()], return_inverse=True)
+        return Records.from_columns(
             np.repeat([y * 12 + mm - 1 for y, mm in self.months], sizes),
-            [f"w{p:06d}" for p in pid.tolist()],
+            person,
+            person_ids.tolist(),
             cat0 + 1,
             age,
             sen,

@@ -1,0 +1,140 @@
+"""Scalar reference implementations the array code of markovpop is checked against.
+
+They share no logic with the code they check: the one-step law of a
+single (category, age, seniority) state, and the row-by-row records
+parser whose problem list ``ingest.parse_records`` must reproduce.
+"""
+
+from __future__ import annotations
+
+import csv
+import re
+from dataclasses import dataclass
+
+import numpy as np
+
+from markovpop.errors import DataError
+from markovpop.ingest import Records, finite_float
+from markovpop.model import FittedModel
+
+_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+
+
+@dataclass(frozen=True)
+class Triple:
+    """A single chain state: (category index, age, seniority)."""
+
+    category: int
+    age: int
+    seniority: int
+
+
+def one_step_triple_probability(frm: Triple, to: Triple, model: FittedModel) -> float:
+    """Probability of one yearly step from `frm` to `to`.
+
+    Implements the four-case law literally: moving (or entering) raises
+    seniority by one and cannot target category 0; leaving (or staying
+    out) keeps seniority; everyone ages one year; anything else has
+    probability zero.  No feasibility gate is applied (see README).
+    """
+    space = model.space
+    if to.age != frm.age + 1:
+        return 0.0
+    ei, ai = space.locate_groups(frm.age, frm.seniority)
+    q = float(model.q1[(ei, ai)][frm.category])
+    delta = to.seniority - frm.seniority
+    if to.category != 0:
+        if delta != 1:
+            return 0.0
+        t = model.transition_operator(ei, ai)
+        return float(t[frm.category, to.category]) * q
+    if delta != 0:
+        return 0.0
+    return 1.0 - q
+
+
+def parse_records_by_row(path, cfg) -> Records:
+    """Parse and validate a records CSV one row at a time (csv.DictReader).
+
+    Every problem is listed with its row number, in row order and then
+    in the order of the checks below.  A row with more fields than the
+    header is only reported; the first valid row of a (person, month)
+    key is kept and later valid ones are duplicates.
+    """
+    space = cfg.space
+    chars = cfg.characteristics
+    problems: list[str] = []
+    rows: list[tuple] = []
+    seen: set[tuple[str, int]] = set()
+    out_code = space.categories[0]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        for i, row in enumerate(reader, start=1):
+            if None in row:
+                problems.append(f"row {i}: {len(row[None])} field(s) beyond the header")
+                continue
+            errs = []
+            m = _MONTH_RE.match((row["month"] or "").strip())
+            if not m or not (1 <= int(m.group(2)) <= 12):
+                errs.append(f"malformed month {row['month']!r} (expected YYYY-MM)")
+            pid = (row["person_id"] or "").strip()
+            if not pid:
+                errs.append("empty person_id")
+            code = (row["category"] or "").strip()
+            cat = None
+            if code == out_code:
+                errs.append(
+                    f"category {code!r} is the out-of-system code; records must be in-system"
+                )
+            elif code in space.categories:
+                cat = space.categories.index(code)
+            else:
+                errs.append(f"unknown category code {code!r}")
+            try:
+                age = int(row["age"])
+                sen = int(row["seniority"])
+            except (TypeError, ValueError):
+                errs.append(f"non-integer age/seniority {row['age']!r}/{row['seniority']!r}")
+                age = sen = None
+            if age is not None:
+                if not (space.age_min <= age < space.age_max and 0 <= sen < space.seniority_max):
+                    errs.append(
+                        f"age {age} / seniority {sen} outside "
+                        f"[{space.age_min},{space.age_max}) x [0,{space.seniority_max})"
+                    )
+                elif sen > max(0, age - space.working_age_min):
+                    errs.append(f"infeasible seniority {sen} at age {age}")
+            try:
+                workload = finite_float(row["workload"])
+                if workload <= 0:
+                    errs.append(f"workload must be positive (got {workload})")
+            except (TypeError, ValueError):
+                errs.append(f"non-numeric workload {row['workload']!r} (need a finite number)")
+            try:
+                tup = chars.code(chars.encode([(row[n] or "").strip() for n in chars.names]))
+            except Exception as exc:
+                errs.append(str(exc))
+            key = (pid, int(m.group(1)) * 12 + int(m.group(2)) - 1) if m else None
+            if not errs and key in seen:
+                errs.append(f"duplicate (person_id={pid!r}, month={row['month']})")
+            problems += [f"row {i}: {e}" for e in errs]
+            if not errs:
+                seen.add(key)
+                rows.append((key[1], pid, cat, age, sen, workload, tup))
+
+    if problems:
+        raise DataError(f"records file {path}: {len(problems)} invalid row(s)", problems)
+    if not rows:
+        raise DataError(f"records file {path} contains no data rows")
+
+    abs_month, person_id, category, age, seniority, workload, tuple_code = zip(*rows)
+    person_ids = sorted(set(person_id))
+    code = {pid: k for k, pid in enumerate(person_ids)}
+    person = np.array([code[pid] for pid in person_id])
+    order = np.lexsort((person, abs_month))
+    absm = np.asarray(abs_month)[order]
+    columns = (person, category, age, seniority, workload, tuple_code)
+    return Records(
+        absm - absm[-1], absm // 12, absm % 12 + 1,
+        *(np.asarray(col)[order] for col in columns), tuple(person_ids),
+    )

@@ -21,15 +21,11 @@ from markovpop.estimate import annualize_transitions, fit_model
 from markovpop.finance import PensionRegime, RateSchedule
 from markovpop.ingest import build_counts, build_reserve
 from markovpop.montecarlo import simulate_projection
-from markovpop.project import (
-    distribution_at_year,
-    group_probabilities,
-    one_step_triple_probability,
-)
-from markovpop.states import Triple
+from markovpop.project import distribution_at_year, group_probabilities
 
 import panelgen
 from conftest import make_random_model, make_toy_space
+from reference import Triple, one_step_triple_probability
 
 
 def report(num, desc, detail):

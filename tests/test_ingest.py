@@ -1,10 +1,16 @@
 """CSV parsing, validation, and the counts cube arithmetic."""
 
+import csv
+import tempfile
 import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from markovpop.config import build_run_config
+from markovpop.config import build_run_config, load_run_config
 from markovpop.errors import DataError
 from markovpop.ingest import (
     ReserveSpec,
@@ -13,6 +19,10 @@ from markovpop.ingest import (
     load_reserve_csv,
     parse_records,
 )
+
+from reference import parse_records_by_row
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 def small_cfg():
@@ -171,6 +181,83 @@ def test_parse_records_lists_every_problem_in_row_then_check_order(tmp_path):
     ]
 
 
+FIELDS = (
+    "", " ", "2020-11", " 2020-12 ", "2021-01", "2020-13", "2020-00", "2020-1", "٢٠٢٠-١١",
+    "p1", " p1", "p2 ", "p3", "A", " B ", "out", "Z", "a,b",
+    "16", " 18", "19 ", "25", "-1", "0", "1", "2", "1_8", "١٨", "abc", "99999999999999999999",
+    "40", "0.5", "-5", "nan", "inf", "1e400", "x", " y ", "zzz",
+)
+VALID = (  # per column, fields that pass its own check
+    ("2019-12", "2020-11", " 2020-12 ", "2021-01"),
+    ("p1", " p2", "p4 ", "p5", "p6"),
+    ("A", " B "),
+    ("18", " 19", "19 "),
+    ("0", "0 ", "1"),
+    ("40", " 0.5", "1_0", "1e2"),
+    ("x", " y "),
+)
+INDEX = st.integers(0, 99)  # taken modulo the number of rows, fields or choices
+EDITS = st.one_of(
+    st.tuples(st.just("set"), INDEX, INDEX, st.one_of(INDEX, st.sampled_from(FIELDS))),
+    st.tuples(st.just("new"), INDEX, st.lists(INDEX, min_size=7, max_size=7)),
+    st.tuples(st.just("cut"), INDEX, st.integers(1, 6)),
+    st.tuples(st.just("extend"), INDEX, st.lists(st.sampled_from(FIELDS), min_size=1, max_size=2)),
+    st.tuples(st.just("copy"), INDEX, INDEX),
+    st.tuples(st.just("blank"), INDEX),
+)
+
+
+def _outcome(parse, path, cfg):
+    try:
+        return parse(path, cfg)
+    except DataError as exc:
+        return str(exc), exc.problems
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(edits=st.lists(EDITS, max_size=8))
+def test_parse_records_matches_the_row_by_row_reference(edits):
+    """Fields, rows, row lengths, blank lines and repeated rows of a small panel, mutated."""
+    cfg = small_cfg()
+    rows = [line.split(",") for line in PANEL.splitlines()[1:]]
+    for kind, at, *args in edits:
+        at %= len(rows)
+        if kind == "set" and rows[at]:
+            j, value = args[0] % len(rows[at]), args[1]
+            rows[at][j] = VALID[j][value % len(VALID[j])] if isinstance(value, int) else value
+        elif kind == "new":
+            rows.insert(at, [choices[k % len(choices)] for choices, k in zip(VALID, args[0])])
+        elif kind == "cut" and rows[at]:
+            rows[at] = rows[at][: args[0]]
+        elif kind == "extend" and rows[at]:
+            rows[at] = rows[at] + args[0]
+        elif kind == "copy":
+            rows.insert(args[0] % (len(rows) + 1), list(rows[at]))
+        elif kind == "blank":
+            rows.insert(at, [])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(HEADER)
+            writer = csv.writer(fh, lineterminator="\n")
+            for row in rows:
+                if row:
+                    writer.writerow(row)
+                else:
+                    fh.write("\n")
+        got = _outcome(parse_records, path, cfg)
+        want = _outcome(parse_records_by_row, path, cfg)
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.person_ids == want.person_ids
+    for name, column in vars(want).items():
+        if name != "person_ids":
+            assert getattr(got, name).dtype == column.dtype, name
+            np.testing.assert_array_equal(getattr(got, name), column, err_msg=name)
+
+
 def test_parse_records_rejects_duplicates(tmp_path):
     cfg = small_cfg()
     text = HEADER + "2020-11,p1,A,18,0,40,x\n2020-11,p1,B,18,0,40,x\n"
@@ -181,6 +268,26 @@ def test_parse_records_rejects_duplicates(tmp_path):
 def test_parse_records_missing_file():
     with pytest.raises(DataError, match="not found"):
         parse_records("/nonexistent/records.csv", small_cfg())
+
+
+def test_a_byte_that_is_not_utf8_is_reported_at_its_offset_and_line(tmp_path):
+    cfg = load_run_config(DEMO / "config.yaml")
+    data = (DEMO / "records.csv").read_bytes()
+    assert len(data) == 33534
+    path = tmp_path / "r.csv"
+    third = data.index(b"\n", data.index(b"\n") + 1) + 1  # where line 3 starts
+    cases = (
+        (data + b"\xff\xfe", 33534, 1118),  # after the last row, four 8 KiB chunks in
+        (data[:third] + b"\xff" + data[third:], third, 3),
+    )
+    for bad, at, line in cases:
+        path.write_bytes(bad)
+        with pytest.raises(DataError) as err:
+            parse_records(path, cfg)
+        assert str(err.value) == (
+            f"records file {path} cannot be read: 'utf-8' codec can't decode byte 0xff "
+            f"in position {at}: invalid start byte (line {line})"
+        )
 
 
 def test_load_reserve_csv(tmp_path):

@@ -10,14 +10,13 @@ from markovpop.project import (
     distribution_at_year,
     expected_populations,
     group_probabilities,
-    one_step_triple_probability,
     projection,
     propagate_distribution,
     trajectory,
 )
-from markovpop.states import Triple
 
 from conftest import make_random_model, make_toy_space
+from reference import Triple, one_step_triple_probability
 from test_model import make_chars
 
 

@@ -189,9 +189,15 @@ def _each(check, values, codes):
     """`check` run once on each distinct field of a column, broadcast to its rows.
 
     Returns the result of each row and the mask of the rows whose field
-    `check` rejects by returning None; a rejected field reads 0.
+    `check` rejects, by returning None or raising TypeError or
+    ValueError; a rejected field reads 0.
     """
-    results = [check(v) for v in values]
+    results = []
+    for value in values:
+        try:
+            results.append(check(value))
+        except (TypeError, ValueError):
+            results.append(None)
     failed = np.array([r is None for r in results], bool)
     return np.array([0 if r is None else r for r in results])[codes], failed[codes]
 
@@ -204,19 +210,9 @@ def _abs_month(text):
     return None
 
 
-def _integer(text):
-    """``int(text)`` clipped into int64, where it is outside every range, or None."""
-    try:
-        return max(-(2**62), min(int(text), 2**62))
-    except (TypeError, ValueError):
-        return None
-
-
-def _finite(text):
-    try:
-        return finite_float(text)
-    except (TypeError, ValueError):
-        return None
+def _int64(text) -> int:
+    """``int(text)``, clipped into int64 where it lies outside every range."""
+    return max(-(2**62), min(int(text), 2**62))
 
 
 def parse_records(path, cfg: RunConfig) -> Records:
@@ -246,8 +242,8 @@ def parse_records(path, cfg: RunConfig) -> Records:
     no_pid = np.array([not s for s in pid])[person_id[1]]
     in_system = {c: k for k, c in enumerate(space.categories) if k}
     cat, bad_cat = _each(lambda v: in_system.get((v or "").strip()), *category)
-    age_of, bad_age = _each(_integer, *age)
-    sen_of, bad_sen = _each(_integer, *seniority)
+    age_of, bad_age = _each(_int64, *age)
+    sen_of, bad_sen = _each(_int64, *seniority)
     non_integer = bad_age | bad_sen
     in_range = (
         (space.age_min <= age_of) & (age_of < space.age_max)
@@ -255,7 +251,7 @@ def parse_records(path, cfg: RunConfig) -> Records:
     )
     out_of_range = ~non_integer & ~in_range
     infeasible = ~non_integer & in_range & ~space.feasible(age_of, sen_of)
-    hours, non_numeric = _each(_finite, *workload)
+    hours, non_numeric = _each(finite_float, *workload)
     not_positive = ~non_numeric & (hours <= 0)
     unknown_level = np.zeros(len(lengths), bool)
     level_codes = []
@@ -266,67 +262,57 @@ def parse_records(path, cfg: RunConfig) -> Records:
         unknown_level |= unknown
     tuple_code = chars.code(level_codes) + np.zeros(len(lengths), int)
 
+    def category_problem(i):
+        code = (field(category, i) or "").strip()
+        if code == space.categories[0]:
+            return f"category {code!r} is the out-of-system code; records must be in-system"
+        return f"unknown category code {code!r}"
+
+    def level_problem(i):
+        try:
+            chars.encode([(field(column, i) or "").strip() for column in levels])
+        except ConfigError as exc:
+            return str(exc)
+
+    checks = [  # (rows that fail, the problem of row i), in the order a row lists them
+        (bad_month, lambda i: f"malformed month {field(month, i)!r} (expected YYYY-MM)"),
+        (no_pid, lambda i: "empty person_id"),
+        (bad_cat, category_problem),
+        (non_integer, lambda i: (
+            f"non-integer age/seniority {field(age, i)!r}/{field(seniority, i)!r}"
+        )),
+        (out_of_range, lambda i: (
+            f"age {int(field(age, i))} / seniority {int(field(seniority, i))} outside "
+            f"[{space.age_min},{space.age_max}) x [0,{space.seniority_max})"
+        )),
+        (infeasible, lambda i: f"infeasible seniority {sen_of[i]} at age {age_of[i]}"),
+        (non_numeric, lambda i: (
+            f"non-numeric workload {field(workload, i)!r} (need a finite number)"
+        )),
+        (not_positive, lambda i: f"workload must be positive (got {float(hours[i])})"),
+        (unknown_level, level_problem),
+    ]
     long = lengths > len(columns)
-    failed = (
-        long | bad_month | no_pid | bad_cat | non_integer | out_of_range | infeasible
-        | non_numeric | not_positive | unknown_level
-    )
+    failed = long | np.logical_or.reduce([mask for mask, _ in checks])
     # of the valid rows with one (person, month) key, the first one read is kept
     rows = np.flatnonzero(~failed)
     by_key = rows[np.lexsort((rows, absm[rows], person[rows]))]
     again = (np.diff(person[by_key]) == 0) & (np.diff(absm[by_key]) == 0)
     duplicate = np.zeros(len(lengths), bool)
     duplicate[by_key[1:][again]] = True
+    checks.append((duplicate, lambda i: (
+        f"duplicate (person_id={pid[person_id[1][i]]!r}, month={field(month, i)})"
+    )))
 
-    bad = np.flatnonzero(failed | duplicate)
-    if len(bad):
-
-        def category_problem(i):
-            code = (field(category, i) or "").strip()
-            if code == space.categories[0]:
-                return f"category {code!r} is the out-of-system code; records must be in-system"
-            return f"unknown category code {code!r}"
-
-        def level_problem(i):
-            try:
-                chars.encode([(field(column, i) or "").strip() for column in levels])
-            except ConfigError as exc:
-                return str(exc)
-
-        checks = (  # in the order a row's problems are listed
-            (bad_month, lambda i: f"malformed month {field(month, i)!r} (expected YYYY-MM)"),
-            (no_pid, lambda i: "empty person_id"),
-            (bad_cat, category_problem),
-            (non_integer, lambda i: (
-                f"non-integer age/seniority {field(age, i)!r}/{field(seniority, i)!r}"
-            )),
-            (out_of_range, lambda i: (
-                f"age {int(field(age, i))} / seniority {int(field(seniority, i))} outside "
-                f"[{space.age_min},{space.age_max}) x [0,{space.seniority_max})"
-            )),
-            (infeasible, lambda i: f"infeasible seniority {sen_of[i]} at age {age_of[i]}"),
-            (non_numeric, lambda i: (
-                f"non-numeric workload {field(workload, i)!r} (need a finite number)"
-            )),
-            (not_positive, lambda i: f"workload must be positive (got {float(hours[i])})"),
-            (unknown_level, level_problem),
-            (duplicate, lambda i: (
-                f"duplicate (person_id={pid[person_id[1][i]]!r}, month={field(month, i)})"
-            )),
-        )
-        problems = []
-        for i in bad.tolist():
-            if long[i]:
-                problems.append(
-                    f"row {i + 1}: {lengths[i] - len(columns)} field(s) beyond the header"
-                )
-            else:
-                problems += [f"row {i + 1}: {say(i)}" for mask, say in checks if mask[i]]
+    problems = []
+    for i in np.flatnonzero(failed | duplicate).tolist():
+        if long[i]:
+            problems.append(f"row {i + 1}: {lengths[i] - len(columns)} field(s) beyond the header")
+        else:
+            problems += [f"row {i + 1}: {say(i)}" for mask, say in checks if mask[i]]
+    if problems:
         raise DataError(f"records file {path}: {len(problems)} invalid row(s)", problems)
-
-    return Records.from_columns(
-        absm, person, person_ids, cat, age_of, sen_of, hours, tuple_code
-    )
+    return Records.from_columns(absm, person, person_ids, cat, age_of, sen_of, hours, tuple_code)
 
 
 def split_records(records: Records, split_year: int) -> tuple[Records, Records]:

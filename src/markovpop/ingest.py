@@ -235,11 +235,12 @@ def parse_records(path, cfg: RunConfig) -> Records:
         return values[codes[i]]
 
     absm, bad_month = _each(_abs_month, *month)
-    pid = [(v or "").strip() for v in person_id[0]]
+    ids, id_code = person_id
+    pid = [(v or "").strip() for v in ids]
     person_ids = sorted(set(pid))
     rank = {s: k for k, s in enumerate(person_ids)}
-    person = np.array([rank[s] for s in pid])[person_id[1]]
-    no_pid = np.array([not s for s in pid])[person_id[1]]
+    person = np.array([rank[s] for s in pid])[id_code]
+    no_pid = np.array([not s for s in pid])[id_code]
     in_system = {c: k for k, c in enumerate(space.categories) if k}
     cat, bad_cat = _each(lambda v: in_system.get((v or "").strip()), *category)
     age_of, bad_age = _each(_int64, *age)
@@ -301,7 +302,7 @@ def parse_records(path, cfg: RunConfig) -> Records:
     duplicate = np.zeros(len(lengths), bool)
     duplicate[by_key[1:][again]] = True
     checks.append((duplicate, lambda i: (
-        f"duplicate (person_id={pid[person_id[1][i]]!r}, month={field(month, i)})"
+        f"duplicate (person_id={pid[id_code[i]]!r}, month={field(month, i)})"
     )))
 
     problems = []

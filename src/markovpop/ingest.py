@@ -87,15 +87,18 @@ class Records:
         return replace(self, **{k: v[rows] for k, v in vars(self).items() if k != "person_ids"})
 
 
-def _csv_blocks(path, what: str, header, size: int = 512):
-    """Yield the header of a CSV file, then its rows as lists of fields, `size` at a time.
+# Small blocks die young: rows that outlive the garbage collector's young
+# generations make its full collections walk them (16 384-row blocks parse
+# the costed panel about 1.6x slower).
+_BLOCK_ROWS = 512
+
+
+def _csv_blocks(path, what: str, header):
+    """Yield the header of a CSV file, then its rows as lists of fields, in blocks.
 
     The header must hold `header`, each column once.  Blank lines are not
     rows, as in :class:`csv.DictReader`.  A byte that is not UTF-8 is
-    reported by its offset in the file and its line.  Small blocks die
-    young: rows that outlive the garbage collector's young generations
-    make its full collections walk them (16 384-row blocks parse the
-    costed panel about 1.6x slower).
+    reported by its offset in the file and its line.
     """
     # the guard spans the row loop: the file is decoded as it is read
     try:
@@ -115,7 +118,7 @@ def _csv_blocks(path, what: str, header, size: int = 512):
                 )
             yield names
             rows = filter(None, reader)
-            while block := list(itertools.islice(rows, size)):
+            while block := list(itertools.islice(rows, _BLOCK_ROWS)):
                 yield block
     except FileNotFoundError:
         raise DataError(f"{what} not found: {path}") from None
@@ -181,6 +184,8 @@ def _encode_columns(path, header):
         for seen, out, j in zip(index, codes, at):
             out.append(np.fromiter(map(seen.__getitem__, columns[j]), np.intp, len(block)))
         lengths.append(sizes)
+    for seen in index:
+        seen.default_factory = None  # it refers to its own dict; free the dict with the last name
     encoded = [(list(seen), np.concatenate(out)) for seen, out in zip(index, codes)]
     return encoded, np.concatenate(lengths)
 

@@ -1,6 +1,7 @@
 """CSV parsing, validation, and the counts cube arithmetic."""
 
 import csv
+import gc
 import tempfile
 import textwrap
 from pathlib import Path
@@ -268,6 +269,18 @@ def test_parse_records_rejects_duplicates(tmp_path):
 def test_parse_records_missing_file():
     with pytest.raises(DataError, match="not found"):
         parse_records("/nonexistent/records.csv", small_cfg())
+
+
+def test_parse_records_leaves_no_reference_cycle():
+    # a cycle would hold the parse's field dicts until a full collection
+    cfg = load_run_config(DEMO / "config.yaml")
+    gc.collect()
+    gc.disable()
+    try:
+        parse_records(DEMO / "records.csv", cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_byte_that_is_not_utf8_is_reported_at_its_offset_and_line(tmp_path):

@@ -69,9 +69,14 @@ def test_propagation_conserves_mass_under_absorb():
 def test_strict_policy_rejects_age_overflow():
     model = make_random_model(make_toy_space(), seed=22)
     pi = np.zeros_like(model.pi)
-    pi[1, 3, 1] = 1.0  # mass at the top age
-    with pytest.raises(HorizonError, match="age overflow"):
-        propagate_distribution(TripleDistribution(pi, 0), model)
+    pi[1, 3, 1] = 0.25  # mass at the top age
+    pi[2, 3, 0] = 0.5
+    with pytest.raises(HorizonError) as err:
+        propagate_distribution(TripleDistribution(pi, 7), model)
+    assert str(err.value) == (
+        "age overflow: mass 0.75 at the top age 3 cannot age further (year 7); "
+        "shorten the horizon or set overflow_policy: absorb"
+    )
 
     # the horizon check fires before any stepping
     pi = np.zeros_like(model.pi)
@@ -87,6 +92,17 @@ def test_strict_policy_rejects_seniority_overflow():
     pi[1, 0, 2] = 1.0  # top seniority; entering next year would overflow
     with pytest.raises(HorizonError, match="seniority overflow"):
         propagate_distribution(TripleDistribution(pi, 0), model)
+
+    # the message names the cell of the youngest age with such mass
+    pi = np.zeros_like(model.pi)
+    pi[1, 2, 2] = 0.5  # age group 1
+    pi[0, 1, 2] = 0.5  # age group 0: an out-of-system person hired next year
+    with pytest.raises(HorizonError) as err:
+        propagate_distribution(TripleDistribution(pi, 4), model)
+    assert str(err.value) == (
+        "seniority overflow: in-system mass at the top seniority 2 (cell 0,1, year 4); "
+        "shorten the horizon or set overflow_policy: absorb"
+    )
 
 
 def test_absorb_clamps_top_cell():

@@ -98,7 +98,9 @@ def _csv_blocks(path, what: str, header):
 
     The header must hold `header`, each column once.  Blank lines are not
     rows, as in :class:`csv.DictReader`.  A byte that is not UTF-8 is
-    reported by its offset in the file and its line.
+    reported by its offset in the file and its line, and a line the csv
+    module refuses (a field beyond :func:`csv.field_size_limit`, or before
+    Python 3.11 a NUL character) by its line.
     """
     # the guard spans the row loop: the file is decoded as it is read
     try:
@@ -124,6 +126,8 @@ def _csv_blocks(path, what: str, header):
         raise DataError(f"{what} not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{what} {path} cannot be read: {_decode_error(path, exc)}") from None
+    except csv.Error as exc:
+        raise DataError(f"{what} {path} cannot be read: {exc} (line {reader.line_num})") from None
     except OSError as exc:
         raise DataError(f"{what} {path} cannot be read: {exc}") from None
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .states import CharacteristicSpace, StateSpaceConfig
+from .states import CharacteristicSpace, StateSpaceConfig, validate_config
 
 FORMAT_NAME = "markovpop-model"
 FORMAT_VERSION = 1
@@ -181,6 +181,8 @@ class FittedModel:
             raise DataError(f"model file: unsupported version {doc.get('version')!r}")
         try:
             return cls._from_doc(doc)
+        except ConfigError as exc:  # an invalid space or characteristics section
+            raise DataError(f"model file: {exc.args[0].splitlines()[0]}", exc.problems) from None
         except KeyError as exc:
             raise DataError(f"model file: missing field {exc}") from None
         except (TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
@@ -188,16 +190,7 @@ class FittedModel:
 
     @classmethod
     def _from_doc(cls, doc: dict) -> "FittedModel":
-        sp_raw = doc["space"]
-        space = StateSpaceConfig(
-            categories=tuple(sp_raw["categories"]),
-            age_min=sp_raw["age_min"],
-            age_max=sp_raw["age_max"],
-            age_groups=tuple(tuple(g) for g in sp_raw["age_groups"]),
-            seniority_max=sp_raw["seniority_max"],
-            seniority_groups=tuple(tuple(g) for g in sp_raw["seniority_groups"]),
-            working_age_min=sp_raw["working_age_min"],
-        )
+        space = validate_config(doc["space"])
         chars = CharacteristicSpace(
             names=tuple(doc["characteristics"]["names"]),
             levels=tuple(tuple(lv) for lv in doc["characteristics"]["levels"]),

@@ -1,14 +1,12 @@
 """Exact yearly propagation of the triple distribution.
 
-The one-step law: membership next year is decided by the cell's entry
-probability; members move categories per the cell's annual operator and
-gain one year of seniority; non-members keep their seniority.  Everyone
-ages one year.  Cell lookup always uses the source state's groups.
+The one-step law, in two parts.  The source state's cell decides next
+year's category: membership by the cell's entry probability, and the
+category of members by its annual operator.  Then everyone ages one
+year, and members gain one year of seniority while non-members keep it.
 
 Age or seniority that would leave the configured ranges is an error
-under the default "strict" policy; the "absorb" policy clamps into the
-top value instead (useful for long horizons and the bounded toy spaces
-used in tests).
+under the default "strict" policy; "absorb" clamps into the top value.
 """
 
 from __future__ import annotations
@@ -19,6 +17,8 @@ import numpy as np
 
 from .errors import HorizonError
 from .model import FittedModel
+
+_ADVICE = "shorten the horizon or set overflow_policy: absorb"
 
 
 @dataclass(frozen=True)
@@ -34,64 +34,47 @@ def propagate_distribution(
 ) -> TripleDistribution:
     """Apply one yearly step to the whole distribution.
 
-    Accumulation into each target cell runs in ascending source-category
-    order (the einsum contracts categories in index order), so repeated
-    runs are bit-identical.
+    Each cell's law splits the mass of its (age, seniority) states over
+    next year's categories; one clamped shift then ages all of it.
+    Source categories add in index order (the einsum contracts them in
+    that order), and mass meeting in a clamped top value adds in source
+    order, age first, then seniority, so repeated runs are bit-identical.
     """
     space = model.space
     d = dist.values
-    n_cat = space.n_categories
-    n_ages = space.n_ages
-    n_sen = space.seniority_max
-    cats = np.arange(1, n_cat)
+    _, n_ages, n_sen = d.shape
+    if policy == "strict" and d[:, -1].sum() > 0.0:
+        raise HorizonError(
+            f"age overflow: mass {d[:, -1].sum():.3g} at the top age {space.age_max - 1} "
+            f"cannot age further (year {dist.year}); {_ADVICE}"
+        )
 
-    if policy == "strict":
-        top_age_mass = d[:, n_ages - 1, :].sum()
-        if top_age_mass > 0.0:
-            raise HorizonError(
-                f"age overflow: mass {top_age_mass:.3g} at the top age "
-                f"{space.age_max - 1} cannot age further (year {dist.year}); "
-                "shorten the horizon or set overflow_policy: absorb"
-            )
-
-    out = np.zeros_like(d)
+    moved = np.zeros_like(d)  # [k, e, a]: mass of state (e, a) in category k next year
     for ei, ai in space.cells():
         elo, ehi = space.age_groups[ei]
-        alo, ahi = space.seniority_groups[ai]
-        eo_lo, eo_hi = elo - space.age_min, ehi - space.age_min
-        sub = d[:, eo_lo:eo_hi, alo:ahi]
+        ages = slice(elo - space.age_min, ehi - space.age_min)
+        sens = slice(*space.seniority_groups[ai])
+        sub = d[:, ages, sens]
         if not sub.any():
             continue
-        q1 = model.q1[(ei, ai)]
+        q1 = model.q1[(ei, ai)][:, None, None]
         t = model.transition_operator(ei, ai)
+        moved[1:, ages, sens] = np.einsum("cea,cl->lea", sub * q1, t[:, 1:])
+        moved[0, ages, sens] = (sub * (1.0 - q1)).sum(axis=0)
 
-        enter = np.einsum("cea,cl->lea", sub * q1[:, None, None], t[:, 1:])
-        stay_out = (sub * (1.0 - q1)[:, None, None]).sum(axis=0)
-
-        e_tgt = np.arange(eo_lo, eo_hi) + 1
-        a_src = np.arange(alo, ahi)
-        a_tgt = a_src + 1
-        if policy == "strict" and ahi == n_sen and enter[:, :, -1].sum() > 0.0:
-            raise HorizonError(
-                f"seniority overflow: in-system mass at the top seniority "
-                f"{n_sen - 1} (cell {ei},{ai}, year {dist.year}); "
-                "shorten the horizon or set overflow_policy: absorb"
-            )
-        # Clamping is safe under strict as well: the overflow checks above
-        # guarantee the clamped target rows receive only zero mass.
-        e_tgt = np.minimum(e_tgt, n_ages - 1)
-        a_tgt = np.minimum(a_tgt, n_sen - 1)
-
-        np.add.at(
-            out,
-            (cats[:, None, None], e_tgt[None, :, None], a_tgt[None, None, :]),
-            enter,
+    overflow = np.flatnonzero(moved[1:, :, -1].sum(axis=0) > 0.0)
+    if policy == "strict" and overflow.size:
+        ei = space.age_group(space.age_min + int(overflow[0]))
+        raise HorizonError(
+            f"seniority overflow: in-system mass at the top seniority {n_sen - 1} "
+            f"(cell {ei},{space.n_seniority_groups - 1}, year {dist.year}); {_ADVICE}"
         )
-        np.add.at(
-            out,
-            (np.zeros(1, dtype=int)[:, None, None], e_tgt[None, :, None], a_src[None, None, :]),
-            stay_out[None, :, :],
-        )
+    # under strict the checks above leave the clamped targets only zero mass
+    older = np.minimum(np.arange(n_ages) + 1, n_ages - 1)
+    senior = np.minimum(np.arange(n_sen) + 1, n_sen - 1)
+    out = np.zeros_like(d)
+    np.add.at(out, (slice(1, None), older[:, None], senior), moved[1:])
+    np.add.at(out[0], (older[:, None], np.arange(n_sen)), moved[0])
     return TripleDistribution(values=out, year=dist.year + 1)
 
 
@@ -109,16 +92,12 @@ def trajectory(
     if n < 0:
         raise HorizonError(f"projection horizon must be >= 0 (got {n})")
     space = model.space
-    if policy == "strict" and n > 0:
-        with_mass = np.argwhere(pi.sum(axis=(0, 2)) > 0.0)
-        if with_mass.size:
-            top = int(with_mass.max()) + space.age_min
-            if top + n > space.age_max - 1:
-                raise HorizonError(
-                    f"age overflow: initial mass at age {top} cannot be projected "
-                    f"{n} years within [{space.age_min},{space.age_max}); "
-                    "shorten the horizon or set overflow_policy: absorb"
-                )
+    ages = np.flatnonzero(pi.sum(axis=(0, 2)) > 0.0) + space.age_min
+    if policy == "strict" and ages.size and ages[-1] + n >= space.age_max:
+        raise HorizonError(
+            f"age overflow: initial mass at age {ages[-1]} cannot be projected "
+            f"{n} years within [{space.age_min},{space.age_max}); {_ADVICE}"
+        )
     out = [TripleDistribution(values=np.array(pi, dtype=float), year=0)]
     for _ in range(n):
         out.append(propagate_distribution(out[-1], model, policy))

@@ -411,6 +411,14 @@ NAN = float("nan")
         (_unwritable("out"), "project", 1, "error: [Errno 2] No such file or directory"),
         (_unwritable("dump_draws"), "simulate", 1,
          "error: [Errno 2] No such file or directory"),
+        # a field beyond the csv module's limit
+        (_csv_with("records", 1, 1, "x" * 200_000), "fit", 2,
+         "cannot be read: field larger than field limit (131072) (line 2)"),
+        # a model whose space or characteristics section is invalid
+        (_model_with(_set(["space", "age_min"], 99)), "project", 2,
+         "model file: invalid state space configuration\n  - age range [99,"),
+        (_model_with(_set(["characteristics", "levels", 0], ["b1", "b1"])), "project", 2,
+         "model file: invalid characteristic space\n  - characteristic 'band': duplicate"),
     ],
     ids=["model-missing-annual", "overrides-list", "levels-list", "reserve-marker-int",
          "finance-full-time-hours", "reserve-nan", "workload-nan", "salary-nan",
@@ -421,7 +429,8 @@ NAN = float("nan")
          "inflation-below-minus-one", "reserve-beyond-int64", "reserve-sum-huge",
          "model-i0-huge", "model-i0-negative", "config-binary", "records-binary",
          "model-binary", "config-directory", "records-directory", "fit-out-unwritable",
-         "project-out-unwritable", "dump-draws-unwritable"],
+         "project-out-unwritable", "dump-draws-unwritable", "records-field-too-large",
+         "model-age-range-empty", "model-level-repeated"],
 )
 def test_malformed_inputs_are_classified(
     mini_pipeline, tmp_path, damage, command, code, message

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import sys
 import tempfile
 import textwrap
 from pathlib import Path
@@ -301,6 +302,32 @@ def test_a_byte_that_is_not_utf8_is_reported_at_its_offset_and_line(tmp_path):
             f"records file {path} cannot be read: 'utf-8' codec can't decode byte 0xff "
             f"in position {at}: invalid start byte (line {line})"
         )
+
+
+def test_a_line_the_csv_module_refuses_is_a_data_error_at_its_line(tmp_path):
+    cfg = load_run_config(DEMO / "config.yaml")
+    lines = (DEMO / "records.csv").read_text().splitlines(keepends=True)
+    path = tmp_path / "r.csv"
+    for line in (2, 1001):  # in the first and in a later block of rows
+        bad = list(lines)
+        bad[line - 1] = bad[line - 1].replace(",b", "," + "x" * 200_000 + "b")
+        path.write_text("".join(bad))
+        with pytest.raises(DataError) as err:
+            parse_records(path, cfg)
+        assert str(err.value) == (
+            f"records file {path} cannot be read: "
+            f"field larger than field limit (131072) (line {line})"
+        )
+    # before Python 3.11 the csv module refuses a NUL; later ones pass it to the checks
+    bad = list(lines)
+    bad[5] = bad[5].replace(",40,", ",4\x000,")
+    path.write_text("".join(bad))
+    with pytest.raises(DataError) as err:
+        parse_records(path, cfg)
+    if sys.version_info < (3, 11):
+        assert str(err.value) == f"records file {path} cannot be read: line contains NUL (line 6)"
+    else:
+        assert "row 5: non-numeric workload '4\\x000'" in str(err.value)
 
 
 def test_load_reserve_csv(tmp_path):

@@ -81,8 +81,12 @@ def test_strict_policy_rejects_age_overflow():
     # the horizon check fires before any stepping
     pi = np.zeros_like(model.pi)
     pi[1, 2, 1] = 1.0
-    with pytest.raises(HorizonError, match="age overflow"):
+    with pytest.raises(HorizonError) as err:
         trajectory(pi, model, 2)
+    assert str(err.value) == (
+        "age overflow: initial mass at age 2 cannot be projected 2 years within [0,4); "
+        "shorten the horizon or set overflow_policy: absorb"
+    )
     assert len(trajectory(pi, model, 1)) == 2
 
 

@@ -168,4 +168,4 @@ def dump_draws(result: SimulationResult, path) -> None:
         fh.write(header.tobytes())
         for y in years:
             fh.write(np.array([y], dtype="<u8").tobytes())
-            fh.write(result.years[y].draws.astype("<i8").tobytes())
+            fh.write(result.years[y].draws.astype("<i8", order="C"))  # its buffer, not a copy

@@ -142,11 +142,6 @@ class LabelIndex:
         """Per raveled cell id: whether its category is in-system."""
         return self.category[self.bounds[:-1]] > 0
 
-    def split_labels(self, cell: int) -> range:
-        """Labels of a cell that carry a characteristic tuple (none if unsplit)."""
-        lo, hi = self.bounds[cell], self.bounds[cell + 1]
-        return range(lo, hi) if self.tuple_code[lo] else range(0)
-
     def split(self, p: np.ndarray) -> np.ndarray:
         """Label probabilities: each cell's mass times its tuple shares."""
         return p.ravel()[self.cell_id] * self.weight

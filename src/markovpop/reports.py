@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -69,10 +70,6 @@ class RunManifest:
         return lines
 
 
-def _fstr(x) -> str:
-    return repr(float(x))
-
-
 def _cell_names(space) -> list[list[str]]:
     """[category code, age group, seniority group] per raveled cell id."""
     return [
@@ -82,16 +79,59 @@ def _cell_names(space) -> list[list[str]]:
     ]
 
 
-def _write_rows(path, manifest: RunManifest, header, rows) -> None:
+@contextmanager
+def _report(path, manifest: RunManifest, header):
+    """An open report file after its manifest lines and its header row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in manifest.comment_lines():
             fh.write(line + "\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        csv.writer(fh).writerow(header)
+        yield fh
+
+
+def _write_rows(path, manifest: RunManifest, header, rows) -> None:
+    with _report(path, manifest, header) as fh:
+        csv.writer(fh).writerows(rows)
 
 
 _CELL_COLUMNS = ["year", "category", "age_group", "seniority_group"]
+
+
+class _Echo:
+    """A file whose write returns its text, so csv.writer hands back one rendered row."""
+
+    def write(self, text):
+        return text
+
+
+def _write_label_rows(path, manifest, model, labels, columns, years) -> None:
+    """A report of label-level rows: per year, each shown cell's '*' row, then its shown labels.
+
+    `years` yields (year, shown, values), each indexed by source: the
+    raveled cells, then the labels.  A label is written only if its
+    cell is shown.  Values are written with repr, which is str for the
+    integer quantiles; category, groups and tuple are quoted as
+    csv.writer quotes them.
+    """
+    names = _cell_names(model.space)
+    tuple_names = [model.characteristics.label(t) for t in labels.tuples]
+    render = csv.writer(_Echo()).writerow
+    keys = [render([*name, "*"])[:-2] for name in names]
+    pairs = zip(labels.cell_id.tolist(), labels.tuple_code.tolist())
+    keys += [render([*names[c], tuple_names[k]])[:-2] for c, k in pairs]
+    keys = np.array(keys, dtype=object)
+    # the row layout: each cell's '*' row, then the labels that split it (code 0 does not)
+    split = np.flatnonzero(labels.tuple_code)
+    at = np.searchsorted(split, labels.bounds[:-1])
+    cells = np.arange(len(names))
+    source = np.insert(len(names) + split, at, cells)
+    cell = np.insert(labels.cell_id[split], at, cells)
+    header = _CELL_COLUMNS + ["characteristic_tuple", *columns]
+    with _report(path, manifest, header) as fh:
+        for year, shown, values in years:
+            rows = source[shown[cell] & shown[source]]
+            fmt = (f"{year},{{}}" + ",{!r}" * len(columns) + "\r\n").format
+            fh.write("".join(map(fmt, keys[rows].tolist(), *(v[rows].tolist() for v in values))))
 
 
 def write_projection_csv(path, manifest, model, labels, tables) -> None:
@@ -101,47 +141,35 @@ def write_projection_csv(path, manifest, model, labels, tables) -> None:
     populated cell gets a '*' aggregate row followed by its characteristic
     tuple rows; never-populated cells are omitted.
     """
-    names = _cell_names(model.space)
-    tuple_names = [model.characteristics.label(labels.tuples[k]) for k in labels.tuple_code]
 
-    def rows():
+    def years():
         for table in tables:
-            year = model.base_year + table.year
             counts, label_counts = expected_populations(table, model.i0)
-            p, counts = table.p.ravel(), counts.ravel()
-            for cell in np.flatnonzero(p):
-                base = [year, *names[cell]]
-                yield base + ["*", _fstr(p[cell]), _fstr(counts[cell])]
-                for j in labels.split_labels(cell):
-                    yield base + [tuple_names[j], _fstr(table.probs[j]), _fstr(label_counts[j])]
+            p = table.p.ravel()
+            shown = np.append(p != 0.0, np.ones(len(label_counts), dtype=bool))
+            values = np.append(p, table.probs), np.append(counts, label_counts)
+            yield model.base_year + table.year, shown, values
 
-    header = _CELL_COLUMNS + ["characteristic_tuple", "probability", "expected_count"]
-    _write_rows(path, manifest, header, rows())
+    columns = ["probability", "expected_count"]
+    _write_label_rows(path, manifest, model, labels, columns, years())
+
+
+_SIM_STATS = ("mean", "sd", "p05", "p50", "p95")
 
 
 def write_simulation_csv(path, manifest, model, labels, result: SimulationResult) -> None:
-    """Simulation report: summary statistics per cell and tuple."""
-    names = _cell_names(model.space)
-    tuple_names = [model.characteristics.label(labels.tuples[k]) for k in labels.tuple_code]
+    """Simulation report: summary statistics per cell and tuple.
 
-    def fields(stats, j):
-        quantiles = (str(int(stats[k][j])) for k in ("p05", "p50", "p95"))
-        return [_fstr(stats["mean"][j]), _fstr(stats["sd"][j]), *quantiles]
+    Cells and labels whose mean and sd are both 0 are omitted.
+    """
 
-    def rows():
+    def years():
         for year, sim in sorted(result.years.items()):
             cells, label_stats = summarize(labels.cell_sums(sim.draws)), summarize(sim.draws)
-            for cell in range(len(names)):
-                if cells["mean"][cell] == 0.0 and cells["sd"][cell] == 0.0:
-                    continue
-                base = [year, *names[cell]]
-                yield base + ["*", *fields(cells, cell)]
-                for j in labels.split_labels(cell):
-                    if label_stats["mean"][j] != 0.0 or label_stats["sd"][j] != 0.0:
-                        yield base + [tuple_names[j], *fields(label_stats, j)]
+            values = [np.append(cells[k], label_stats[k]) for k in _SIM_STATS]
+            yield year, (values[0] != 0.0) | (values[1] != 0.0), values
 
-    header = _CELL_COLUMNS + ["characteristic_tuple", "mean", "sd", "p05", "p50", "p95"]
-    _write_rows(path, manifest, header, rows())
+    _write_label_rows(path, manifest, model, labels, _SIM_STATS, years())
 
 
 def _priced(model, labels, table, scale, profiles, schedule):

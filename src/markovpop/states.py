@@ -147,19 +147,24 @@ class StateSpaceConfig:
             problems.append("categories: need the out-of-system code plus at least one in-system code")
         if len(set(self.categories)) != len(self.categories):
             problems.append("categories: duplicate codes")
-        if self.age_min >= self.age_max:
+        # an empty range is the only problem reported for its groups (and working age)
+        ages = self.age_min < self.age_max
+        seniorities = self.seniority_max >= 1
+        if not ages:
             problems.append(f"age range [{self.age_min},{self.age_max}) is empty")
-        if self.seniority_max < 1:
+        if not seniorities:
             problems.append("seniority_max must be >= 1")
-        if not (self.age_min <= self.working_age_min < self.age_max):
+        if ages and not self.age_min <= self.working_age_min < self.age_max:
             problems.append(
                 f"working_age_min {self.working_age_min} outside age range "
                 f"[{self.age_min},{self.age_max})"
             )
-        _check_partition(self.age_groups, self.age_min, self.age_max, "age_groups", problems)
-        _check_partition(
-            self.seniority_groups, 0, self.seniority_max, "seniority_groups", problems
-        )
+        if ages:
+            _check_partition(self.age_groups, self.age_min, self.age_max, "age_groups", problems)
+        if seniorities:
+            _check_partition(
+                self.seniority_groups, 0, self.seniority_max, "seniority_groups", problems
+            )
         if problems:
             raise ConfigError("invalid state space configuration", problems)
         # each validated partition covers its range in order, one group index per value

@@ -1,8 +1,11 @@
 """Scalar reference implementations the array code of markovpop is checked against.
 
 They share no logic with the code they check: the one-step law of a
-single (category, age, seniority) state, and the row-by-row records
-parser whose problem list ``ingest.parse_records`` must reproduce.
+single (category, age, seniority) state, the row-by-row records
+parser whose problem list ``ingest.parse_records`` must reproduce, and
+the row-by-row projection and simulation writers whose bytes the bulk
+writers of ``markovpop.reports`` must reproduce (they share only the
+cell names, the manifest and the header with them).
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import numpy as np
 from markovpop.errors import DataError
 from markovpop.ingest import Records, finite_float
 from markovpop.model import FittedModel
+from markovpop.montecarlo import SimulationResult, summarize
+from markovpop.project import expected_populations
+from markovpop.reports import _CELL_COLUMNS, _cell_names, _write_rows
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
@@ -138,3 +144,58 @@ def parse_records_by_row(path, cfg) -> Records:
         absm - absm[-1], absm // 12, absm % 12 + 1,
         *(np.asarray(col)[order] for col in columns), tuple(person_ids),
     )
+
+
+def _fstr(x) -> str:
+    return repr(float(x))
+
+
+def _split_labels(labels, cell: int) -> range:
+    """Labels of a cell that carry a characteristic tuple (none if unsplit)."""
+    lo, hi = labels.bounds[cell], labels.bounds[cell + 1]
+    return range(lo, hi) if labels.tuple_code[lo] else range(0)
+
+
+def write_projection_csv_by_row(path, manifest, model, labels, tables) -> None:
+    """Projection report, one csv.writer row per cell and label."""
+    names = _cell_names(model.space)
+    tuple_names = [model.characteristics.label(labels.tuples[k]) for k in labels.tuple_code]
+
+    def rows():
+        for table in tables:
+            year = model.base_year + table.year
+            counts, label_counts = expected_populations(table, model.i0)
+            p, counts = table.p.ravel(), counts.ravel()
+            for cell in np.flatnonzero(p):
+                base = [year, *names[cell]]
+                yield base + ["*", _fstr(p[cell]), _fstr(counts[cell])]
+                for j in _split_labels(labels, cell):
+                    yield base + [tuple_names[j], _fstr(table.probs[j]), _fstr(label_counts[j])]
+
+    header = _CELL_COLUMNS + ["characteristic_tuple", "probability", "expected_count"]
+    _write_rows(path, manifest, header, rows())
+
+
+def write_simulation_csv_by_row(path, manifest, model, labels, result: SimulationResult) -> None:
+    """Simulation report, one csv.writer row per shown cell and label."""
+    names = _cell_names(model.space)
+    tuple_names = [model.characteristics.label(labels.tuples[k]) for k in labels.tuple_code]
+
+    def fields(stats, j):
+        quantiles = (str(int(stats[k][j])) for k in ("p05", "p50", "p95"))
+        return [_fstr(stats["mean"][j]), _fstr(stats["sd"][j]), *quantiles]
+
+    def rows():
+        for year, sim in sorted(result.years.items()):
+            cells, label_stats = summarize(labels.cell_sums(sim.draws)), summarize(sim.draws)
+            for cell in range(len(names)):
+                if cells["mean"][cell] == 0.0 and cells["sd"][cell] == 0.0:
+                    continue
+                base = [year, *names[cell]]
+                yield base + ["*", *fields(cells, cell)]
+                for j in _split_labels(labels, cell):
+                    if label_stats["mean"][j] != 0.0 or label_stats["sd"][j] != 0.0:
+                        yield base + [tuple_names[j], *fields(label_stats, j)]
+
+    header = _CELL_COLUMNS + ["characteristic_tuple", "mean", "sd", "p05", "p50", "p95"]
+    _write_rows(path, manifest, header, rows())

@@ -62,6 +62,26 @@ def test_empty_group_rejected():
         space_from(seniority_groups=((0, 0), (0, 6)))
 
 
+def test_an_empty_range_is_the_only_problem_of_its_groups():
+    # the groups and the working age still name values of the non-empty ranges
+    with pytest.raises(ConfigError) as err:
+        space_from(age_min=21)
+    assert err.value.problems == ["age range [21,20) is empty"]
+    with pytest.raises(ConfigError) as err:
+        space_from(seniority_max=0)
+    assert err.value.problems == ["seniority_max must be >= 1"]
+    with pytest.raises(ConfigError) as err:
+        space_from(age_min=21, seniority_max=0, working_age_min=5)
+    assert err.value.problems == ["age range [21,20) is empty", "seniority_max must be >= 1"]
+    # a range that is not empty keeps its own checks
+    with pytest.raises(ConfigError) as err:
+        space_from(working_age_min=5, age_groups=((10, 15), (14, 20)))
+    assert err.value.problems == [
+        "working_age_min 5 outside age range [10,20)",
+        "age_groups: overlap at 14 (previous group ends at 15)",
+    ]
+
+
 def test_category_requirements():
     with pytest.raises(ConfigError, match="out-of-system"):
         space_from(categories=("out",))

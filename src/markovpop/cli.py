@@ -18,14 +18,12 @@ from .config import RunConfig, load_run_config
 from .errors import ConfigError, MarkovPopError
 from .estimate import fit_model
 from .finance import load_salary_scale, parse_finance_config
-from .ingest import build_counts, build_reserve, load_reserve_csv, parse_records, split_records
+from .ingest import build_counts, load_reserve_csv, parse_records, split_records
 from .model import FittedModel
 from .montecarlo import STREAM_VERSION, dump_draws, simulate_projection
 from .project import projection
 from .reports import (
     RunManifest,
-    backtest_rows,
-    cost_rows,
     write_backtest_csv,
     write_cost_csv,
     write_projection_csv,
@@ -62,7 +60,7 @@ def _pricing(args, cfg: RunConfig):
 
 
 def _fit(records, reserve, cfg: RunConfig) -> FittedModel:
-    cube = build_reserve(build_counts(records, cfg), reserve, cfg)
+    cube = build_counts(records, cfg)
     log.info("fitting %d months (%d person-month records)", len(cube.months), len(records))
     return fit_model(cube, reserve, cfg)
 
@@ -124,10 +122,10 @@ def cmd_simulate(args) -> int:
     if args.years < 1:
         raise ConfigError(f"--years must be >= 1 for simulate (got {args.years})")
     labels, _tables, result = _simulation(model, cfg, args, args.years)
+    if args.dump_draws:  # before the report: a failed dump leaves no report
+        dump_draws(result, args.dump_draws)
     manifest = _manifest("simulate", args, ("config", "model"), _sim_params(args, result))
     write_simulation_csv(args.out, manifest, model, labels, result)
-    if args.dump_draws:
-        dump_draws(result, args.dump_draws)
     return 0
 
 
@@ -139,10 +137,9 @@ def cmd_cost_report(args) -> int:
         raise ConfigError(f"--years must be >= 1 for cost-report (got {args.years})")
     pricing = _pricing(args, cfg)
     labels, tables, result = _simulation(model, cfg, args, args.years)
-    rows = cost_rows(model, labels, tables, result, *pricing)
     roles = ("config", "model", "salary-scale")
     manifest = _manifest("cost-report", args, roles, _sim_params(args, result))
-    write_cost_csv(args.out, manifest, rows)
+    write_cost_csv(args.out, manifest, model, labels, tables, result, *pricing)
     return 0
 
 
@@ -156,12 +153,11 @@ def cmd_backtest(args) -> int:
     model = _fit(fit_records, reserve, cfg)
     horizon = int(holdout.cal_year.max()) - model.base_year
     labels, tables, result = _simulation(model, cfg, args, horizon)
-    rows = backtest_rows(model, labels, tables, result, holdout, *pricing)
     roles = ("config", "records", "reserve", "salary-scale")
     params = {"split-year": args.split_year, "iterations": result.iterations, "seed": args.seed,
               "stream": STREAM_VERSION}
     manifest = _manifest("backtest", args, roles, params)
-    write_backtest_csv(args.out, manifest, rows)
+    write_backtest_csv(args.out, manifest, model, labels, tables, result, holdout, *pricing)
     return 0
 
 

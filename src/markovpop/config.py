@@ -10,7 +10,7 @@ only for the commands that need it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
@@ -27,12 +27,12 @@ class RunConfig:
 
     space: StateSpaceConfig
     characteristics: CharacteristicSpace
-    full_time_hours: float = 40.0
-    stopping_time_pmf: tuple[float, ...] = tuple([1.0 / 12.0] * 12)
-    stopping_time_overrides: dict[str, tuple[float, ...]] = field(default_factory=dict)
-    overflow_policy: str = "strict"
-    iterations: int = DEFAULT_ITERATIONS
-    finance_raw: dict = field(default_factory=dict)
+    full_time_hours: float
+    stopping_time_pmf: tuple[float, ...]
+    stopping_time_overrides: dict[str, tuple[float, ...]]
+    overflow_policy: str
+    iterations: int
+    finance_raw: dict
 
 
 def is_number(value) -> bool:

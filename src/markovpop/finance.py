@@ -111,7 +111,7 @@ def parse_finance_config(raw: dict, chars: CharacteristicSpace):
             "finance.full_time_hours is not a finance key; set the top-level "
             "full_time_hours instead"
         )
-    inflation = raw.get("inflation", 0.0388)
+    inflation = raw.get("inflation", RateSchedule.inflation)
     if not is_number(inflation):
         raise ConfigError(f"finance.inflation must be a number (got {inflation!r})")
     if inflation <= -1:

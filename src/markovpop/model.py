@@ -89,7 +89,6 @@ class FittedModel:
     # an all-zero row is a cell that cannot be split
     r: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-    _operators: dict = field(default_factory=dict, repr=False, compare=False)
 
     def transition_operator(self, ei: int, ai: int) -> np.ndarray:
         """Square annual operator over all categories for one cell.
@@ -99,15 +98,10 @@ class FittedModel:
         the operator is applied only to the in-system branch of the
         yearly step, conditioning on membership next year.
         """
-        key = (ei, ai)
-        op = self._operators.get(key)
-        if op is None:
-            c = self.space.n_categories
-            op = np.zeros((c, c))
-            op[0, 1:] = self.entry[key]
-            op[1:, 1:] = self.annual[key]
-            op.flags.writeable = False
-            self._operators[key] = op
+        c = self.space.n_categories
+        op = np.zeros((c, c))
+        op[0, 1:] = self.entry[(ei, ai)]
+        op[1:, 1:] = self.annual[(ei, ai)]
         return op
 
     # -- serialization -------------------------------------------------

@@ -89,11 +89,6 @@ def _report(path, manifest: RunManifest, header):
         yield fh
 
 
-def _write_rows(path, manifest: RunManifest, header, rows) -> None:
-    with _report(path, manifest, header) as fh:
-        csv.writer(fh).writerows(rows)
-
-
 _CELL_COLUMNS = ["year", "category", "age_group", "seniority_group"]
 
 
@@ -172,117 +167,117 @@ def write_simulation_csv(path, manifest, model, labels, result: SimulationResult
     _write_label_rows(path, manifest, model, labels, _SIM_STATS, years())
 
 
-def _priced(model, labels, table, scale, profiles, schedule):
-    """Full-time cost table, label prices and expected cell and label counts of a year."""
+def _priced_year(model, labels, table, result, scale, profiles, schedule):
+    """A projected year's full-time cost table, and each cell's expected cost and simulated costs.
+
+    Each label is priced at full time: counts are full-time equivalents.
+    The costs are one C-order row per raveled cell: its expected cost,
+    then its simulated cost in each iteration.
+    """
     year = model.base_year + table.year
     full_time = full_time_costs(year, model.space.n_categories, scale, profiles, schedule)
     g = full_time[labels.category, labels.tuple_code]
-    return full_time, g, *expected_populations(table, model.i0)
+    _, label_counts = expected_populations(table, model.i0)
+    expected = np.bincount(labels.cell_id, label_counts * g)
+    return full_time, np.column_stack([expected, labels.cell_sums(result.years[year].draws * g).T])
 
 
-def _cell_rows(year, names, cells, values):
-    """A row per cell of `cells`, then a '*' row, each ending in its (finite) `values` row."""
-    if not np.isfinite(values).all():
-        raise DataError(f"costs for year {year} are not finite")
-    keys = [names[c] for c in cells] + [["*", "*", "*"]]
-    return [(year, *key, *row) for key, row in zip(keys, values.tolist())]
+def _write_cell_rows(path, manifest, model, columns, years, fields) -> None:
+    """A report of cell rows: per year, a row per kept cell, then a '*' row.
 
-
-@np.errstate(over="ignore", invalid="ignore")  # _cell_rows reports overflow
-def cost_rows(model, labels, tables, result, scale, profiles, schedule) -> list[tuple]:
-    """Expected and simulated cost per populated in-system cell, plus a '*' total.
-
-    Each label is priced at full time: counts are full-time equivalents.
+    `years` yields (year, kept cell ids, values): a row per kept cell and
+    a last row for '*', each rendered by `fields`.  Every row is built
+    before the file opens, so a cost that is not finite writes no report.
     """
     names = _cell_names(model.space)
     rows = []
-    for table in tables[1:]:
-        year = model.base_year + table.year
-        _, g, _, label_counts = _priced(model, labels, table, scale, profiles, schedule)
-        populated = np.bincount(labels.cell_id, label_counts != 0.0) > 0.0
-        kept = np.flatnonzero(populated & labels.in_system_cells)
-        expected = np.bincount(labels.cell_id, label_counts * g)
-        sim_costs = labels.cell_sums(result.years[year].draws * g).T
-        # C-order rows, one per kept cell: sums add the cells in order, means add along a row
-        costs = np.column_stack([expected, sim_costs])[kept]
-        costs = np.vstack([costs, costs.sum(axis=0)])
-        sim = summarize(costs[:, 1:].T)
-        values = np.column_stack([costs[:, 0], sim["mean"], sim["p05"], sim["p95"]])
-        rows += _cell_rows(year, names, kept, values)
-    return rows
+    for year, kept, values in years:
+        if not np.isfinite(values).all():
+            raise DataError(f"costs for year {year} are not finite")
+        keys = [names[c] for c in kept] + [["*", "*", "*"]]
+        rows += [[year, *key, *fields(row)] for key, row in zip(keys, values.tolist())]
+    with _report(path, manifest, _CELL_COLUMNS + columns) as fh:
+        csv.writer(fh).writerows(rows)
 
 
-def write_cost_csv(path, manifest, rows) -> None:
-    """Cost report; currency columns are rounded to whole units here."""
-    header = _CELL_COLUMNS + ["expected_cost", "sim_mean_cost", "sim_p05", "sim_p95"]
-    rounded = ([*row[:4], *(str(int(round(x))) for x in row[4:])] for row in rows)
-    _write_rows(path, manifest, header, rounded)
+def _units(values):
+    return [str(int(round(x))) for x in values]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _cell_rows reports overflow
-def backtest_rows(model, labels, tables, result, records, scale, profiles, schedule):
-    """Observed, expected and simulated population and cost per cell and year.
+@np.errstate(over="ignore", invalid="ignore")  # _write_cell_rows reports overflow
+def write_cost_csv(path, manifest, model, labels, tables, result, scale, profiles, schedule):
+    """Cost report: expected and simulated cost per populated in-system cell, plus a '*' total.
+
+    The simulated columns are the mean, p05 and p95 of a cell's cost over
+    the iterations; currency columns are rounded to whole units here.
+    """
+
+    def years():
+        for table in tables[1:]:
+            _, costs = _priced_year(model, labels, table, result, scale, profiles, schedule)
+            _, label_counts = expected_populations(table, model.i0)
+            populated = np.bincount(labels.cell_id, label_counts != 0.0) > 0.0
+            kept = np.flatnonzero(populated & labels.in_system_cells)
+            # C-order rows, one per kept cell: sums add the cells in order, means add along a row
+            costs = np.vstack([costs[kept], costs[kept].sum(axis=0)])
+            sim = summarize(costs[:, 1:].T)
+            values = np.column_stack([costs[:, 0], sim["mean"], sim["p05"], sim["p95"]])
+            yield model.base_year + table.year, kept, values
+
+    columns = ["expected_cost", "sim_mean_cost", "sim_p05", "sim_p95"]
+    _write_cell_rows(path, manifest, model, columns, years(), _units)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _write_cell_rows reports overflow
+def write_backtest_csv(
+    path, manifest, model, labels, tables, result, records, scale, profiles, schedule
+):
+    """Backtest report: observed vs expected vs simulated population and cost, with errors.
 
     Rows cover the projected years that have records.  Each record counts
     as a full-time equivalent (workload over `model.full_time_hours`)
     averaged over the year's observed months, and is priced at the same
-    full-time label cost as the projection.
+    full-time label cost as the projection.  The simulated cost is the
+    iteration mean of the cell cost that the cost report summarizes.
     """
     space = model.space
-    names = _cell_names(space)
     shape = (space.n_categories, space.n_age_groups, space.n_seniority_groups)
-    rows = []
-    for table in tables[1:]:
-        year = model.base_year + table.year
-        observed = records.take(records.cal_year == year)
-        if not len(observed):
-            continue
-        m_obs = len(np.unique(observed.cal_month))
-        full_time, g, counts, label_counts = _priced(
-            model, labels, table, scale, profiles, schedule
-        )
-        groups = space.locate_groups(observed.age, observed.seniority)
-        cell = np.ravel_multi_index((observed.category, *groups), shape)
-        fte = observed.workload / model.full_time_hours
-        price = full_time[observed.category, observed.tuple_code]
-        obs_pop = np.bincount(cell, fte / m_obs, len(names))
-        obs_cost = np.bincount(cell, fte * price / m_obs, len(names))
 
-        draws = result.years[year].draws
-        columns = (
-            obs_pop,
-            counts.ravel(),
-            labels.cell_sums(draws).mean(axis=0),
-            obs_cost,
-            np.bincount(labels.cell_id, label_counts * g),
-            np.bincount(labels.cell_id, draws.mean(axis=0) * g),
-        )
-        keep = labels.in_system_cells & ((obs_pop > 0.0) | (table.p.ravel() > 0.0))
-        values = np.column_stack(columns)[keep]
-        values = np.vstack([values, values.sum(axis=0)])
-        rows += _cell_rows(year, names, np.flatnonzero(keep), values)
-    return rows
-
-
-def write_backtest_csv(path, manifest, rows) -> None:
-    """Backtest report: observed vs expected vs simulated, with errors."""
+    def years():
+        for table in tables[1:]:
+            year = model.base_year + table.year
+            observed = records.take(records.cal_year == year)
+            if not len(observed):
+                continue
+            m_obs = len(np.unique(observed.cal_month))
+            full_time, costs = _priced_year(model, labels, table, result, scale, profiles, schedule)
+            groups = space.locate_groups(observed.age, observed.seniority)
+            cell = np.ravel_multi_index((observed.category, *groups), shape)
+            fte = observed.workload / model.full_time_hours
+            price = full_time[observed.category, observed.tuple_code]
+            counts = expected_populations(table, model.i0)[0].ravel()
+            obs_pop = np.bincount(cell, fte / m_obs, counts.size)
+            columns = (
+                obs_pop,
+                counts,
+                labels.cell_sums(result.years[year].draws).mean(axis=0),
+                np.bincount(cell, fte * price / m_obs, counts.size),
+                costs[:, 0],
+                costs[:, 1:].mean(axis=1),
+            )
+            kept = np.flatnonzero(
+                labels.in_system_cells & ((obs_pop > 0.0) | (table.p.ravel() > 0.0))
+            )
+            values = np.column_stack(columns)[kept]
+            yield year, kept, np.vstack([values, values.sum(axis=0)])
 
     def fields(row):
-        year, cat, eg, ag, obs_p, exp_p, sim_p, obs_c, exp_c, sim_c = row
+        obs_p, exp_p, sim_p, obs_c, exp_c, sim_c = row
         rel_p = "" if obs_p == 0 else "%.6g" % ((exp_p - obs_p) / obs_p)
         rel_c = "" if obs_c == 0 else "%.6g" % ((exp_c - obs_c) / obs_c)
-        pops = ("%.6g" % x for x in (obs_p, exp_p, sim_p))
-        costs = (str(int(round(x))) for x in (obs_c, exp_c, sim_c))
-        return [year, cat, eg, ag, *pops, *costs, rel_p, rel_c]
+        return ["%.6g" % x for x in (obs_p, exp_p, sim_p)] + _units(row[3:]) + [rel_p, rel_c]
 
-    header = _CELL_COLUMNS + [
-        "observed_population",
-        "expected_population",
-        "sim_mean_population",
-        "observed_cost",
-        "expected_cost",
-        "sim_mean_cost",
-        "rel_err_population",
-        "rel_err_cost",
-    ]
-    _write_rows(path, manifest, header, (fields(row) for row in rows))
+    columns = ["observed_population", "expected_population", "sim_mean_population",
+               "observed_cost", "expected_cost", "sim_mean_cost", "rel_err_population",
+               "rel_err_cost"]
+    _write_cell_rows(path, manifest, model, columns, years(), fields)

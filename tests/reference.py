@@ -21,7 +21,7 @@ from markovpop.ingest import Records, finite_float
 from markovpop.model import FittedModel
 from markovpop.montecarlo import SimulationResult, summarize
 from markovpop.project import expected_populations
-from markovpop.reports import _CELL_COLUMNS, _cell_names, _write_rows
+from markovpop.reports import _CELL_COLUMNS, _cell_names, _report
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
@@ -173,7 +173,8 @@ def write_projection_csv_by_row(path, manifest, model, labels, tables) -> None:
                     yield base + [tuple_names[j], _fstr(table.probs[j]), _fstr(label_counts[j])]
 
     header = _CELL_COLUMNS + ["characteristic_tuple", "probability", "expected_count"]
-    _write_rows(path, manifest, header, rows())
+    with _report(path, manifest, header) as fh:
+        csv.writer(fh).writerows(rows())
 
 
 def write_simulation_csv_by_row(path, manifest, model, labels, result: SimulationResult) -> None:
@@ -198,4 +199,5 @@ def write_simulation_csv_by_row(path, manifest, model, labels, result: Simulatio
                         yield base + [tuple_names[j], *fields(label_stats, j)]
 
     header = _CELL_COLUMNS + ["characteristic_tuple", "mean", "sd", "p05", "p50", "p95"]
-    _write_rows(path, manifest, header, rows())
+    with _report(path, manifest, header) as fh:
+        csv.writer(fh).writerows(rows())

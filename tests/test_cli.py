@@ -446,6 +446,8 @@ def test_malformed_inputs_are_classified(
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert message in proc.stderr
+    # a failed run writes no report
+    assert not pathlib.Path(argv[argv.index("--out") + 1]).exists()
 
 
 def test_zero_iterations_is_rejected_not_replaced(capsys, mini_pipeline, tmp_path):

@@ -50,8 +50,6 @@ def test_transition_operator_structure():
     np.testing.assert_array_equal(op[:, 0], 0.0)
     np.testing.assert_array_equal(op[0, 1:], model.entry[(1, 0)])
     np.testing.assert_array_equal(op[1:, 1:], model.annual[(1, 0)])
-    assert not op.flags.writeable
-    assert model.transition_operator(1, 0) is op
 
 
 def test_r_json_holds_nonzero_codes_per_in_system_cell(tmp_path):

@@ -1,5 +1,7 @@
-"""Label-level reports: the bulk writers reproduce the row-by-row ones byte for byte."""
+"""Reports: the bulk label writers reproduce the row-by-row ones byte for byte, and
+cost-report and backtest price a cell alike."""
 
+import csv
 import dataclasses
 import pathlib
 
@@ -7,13 +9,24 @@ import numpy as np
 import pytest
 
 from markovpop.cli import main
+from markovpop.config import load_run_config
+from markovpop.estimate import fit_model
+from markovpop.finance import load_salary_scale, parse_finance_config
+from markovpop.ingest import build_counts, load_reserve_csv, parse_records, split_records
 from markovpop.model import FittedModel
 from markovpop.montecarlo import simulate_projection
 from markovpop.project import projection
-from markovpop.reports import RunManifest, write_projection_csv, write_simulation_csv
+from markovpop.reports import (
+    RunManifest,
+    write_backtest_csv,
+    write_cost_csv,
+    write_projection_csv,
+    write_simulation_csv,
+)
 from markovpop.states import CharacteristicSpace, StateSpaceConfig
 
-from conftest import make_random_model
+import panelgen
+from conftest import make_random_model, write_world_inputs
 from reference import write_projection_csv_by_row, write_simulation_csv_by_row
 
 DEMO = pathlib.Path(__file__).resolve().parent.parent / "demo"
@@ -86,3 +99,41 @@ def test_bulk_writers_match_the_row_by_row_writers(tmp_path, which):
         if which == "quoted":
             assert b'"A,1"' in expected and b'"B""q"' in expected
             assert b'"x,y/ lead"' in expected and 'Dé'.encode() in expected
+
+
+def _cell_rows(path):
+    """Rows of a cell report by (year, category, age group, seniority group), '*' rows left out."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    rows = csv.DictReader(lines)
+    keys = ("year", "category", "age_group", "seniority_group")
+    return {tuple(r[k] for k in keys): r for r in rows if r["category"] != "*"}
+
+
+def test_cost_report_and_backtest_price_a_cell_alike(tmp_path):
+    # one model, projection, simulation and pricing for both reports, over two held-out years
+    spec = panelgen.make_mini_world()
+    panel = panelgen.generate(spec, start_year=2014, n_years=5, seed=5)
+    paths = write_world_inputs(spec, panel, tmp_path, scale=panelgen.MINI_SALARY_SCALE)
+    cfg = load_run_config(paths["config"])
+    fit_records, holdout = split_records(parse_records(paths["records"], cfg), 2017)
+    reserve = load_reserve_csv(paths["reserve"], cfg.space)
+    model = fit_model(build_counts(fit_records, cfg), reserve, cfg)
+    labels, tables = projection(model, int(holdout.cal_year.max()) - model.base_year, "absorb")
+    probs = {model.base_year + t.year: t.probs for t in tables[1:]}
+    result = simulate_projection(probs, model.i0, 200, seed=7)
+    schedule, profiles = parse_finance_config(cfg.finance_raw, cfg.characteristics)
+    pricing = load_salary_scale(paths["scale"], cfg.space), profiles, schedule
+    manifest = RunManifest.collect("test", {}, {})
+    reports = model, labels, tables, result
+    write_cost_csv(tmp_path / "cost.csv", manifest, *reports, *pricing)
+    write_backtest_csv(tmp_path / "backtest.csv", manifest, *reports, holdout, *pricing)
+
+    cost, backtest = _cell_rows(tmp_path / "cost.csv"), _cell_rows(tmp_path / "backtest.csv")
+    assert {key[:2] for key in cost} == {(y, c) for y in ("2017", "2018") for c in "AB"}
+    assert set(cost) <= set(backtest)
+    for key, row in backtest.items():
+        # a cell the cost report leaves out has no expected mass and no draws
+        want = cost.get(key, {"expected_cost": "0", "sim_mean_cost": "0"})
+        assert (row["expected_cost"], row["sim_mean_cost"]) == (
+            want["expected_cost"], want["sim_mean_cost"]
+        ), key

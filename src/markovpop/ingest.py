@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigError, DataError
-from .states import StateSpaceConfig
+from .states import STATE_BOUND, StateSpaceConfig
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
@@ -48,7 +48,8 @@ class Records:
     `month` is normalized (latest observed month == 0); `person` indexes
     `person_ids`, which is sorted; `category` is in-system (>= 1);
     `tuple_code` is the characteristic tuple's
-    :meth:`~markovpop.states.CharacteristicSpace.code`.
+    :meth:`~markovpop.states.CharacteristicSpace.code`.  Every integer
+    column is int32 and `workload` is float64: 40 bytes a row.
     """
 
     month: np.ndarray
@@ -69,17 +70,26 @@ class Records:
     def from_columns(
         cls, abs_month, person, person_ids, category, age, seniority, workload, tuple_code
     ):
-        """Records from unordered columns.
+        """Records from unordered columns, cast to the dtypes of the layout.
 
         `abs_month` is ``year * 12 + month - 1`` and `person` indexes the
-        sorted `person_ids`.
+        sorted `person_ids`.  A column that already has its dtype is
+        reordered in place and becomes the records' own, so a parse never
+        holds its columns twice; pass arrays nothing else uses.
         """
         order = np.lexsort((person, abs_month))
-        absm = abs_month[order]
-        columns = (person, category, age, seniority, workload, tuple_code)
+
+        def ordered(column, dtype=np.int32):
+            column = np.asarray(column).astype(dtype, copy=False)
+            column[:] = column[order]
+            return column
+
+        month = ordered(abs_month)
+        cal_year, cal_month = month // 12, month % 12 + 1
+        month -= month[-1]
         return cls(
-            absm - absm[-1], absm // 12, absm % 12 + 1,
-            *(col[order] for col in columns), tuple(person_ids),
+            month, cal_year, cal_month, *map(ordered, (person, category, age, seniority)),
+            ordered(workload, np.float64), ordered(tuple_code), tuple(person_ids),
         )
 
     def take(self, rows) -> "Records":
@@ -169,8 +179,9 @@ def _encode_columns(path, header):
     """Dictionary-encode the columns of a records CSV, block by block.
 
     Returns, per column of `header`, its distinct fields in code order and
-    the code of each row, plus the number of fields of each row.  Missing
-    fields read as None, as in :class:`csv.DictReader`.
+    the int32 code of each row, plus the number of fields of each row
+    longer than the header, by row index.  Missing fields read as None,
+    as in :class:`csv.DictReader`.
     """
     blocks = _csv_blocks(path, "records file", header)
     names = next(blocks)
@@ -178,27 +189,34 @@ def _encode_columns(path, header):
     index = [defaultdict() for _ in header]  # per column: {field: code}
     for seen in index:
         seen.default_factory = seen.__len__  # a new field takes the next code
-    codes = [[np.zeros(0, np.intp)] for _ in header]
-    lengths = [np.zeros(0, np.intp)]
+    # buffers grow and shrink in place; no view of one outlives a block
+    codes = [np.zeros(_BLOCK_ROWS, np.int32) for _ in header]
+    n, long = 0, {}
     for block in blocks:
-        sizes = np.fromiter(map(len, block), np.intp, len(block))
+        k = len(block)
+        if n + k > len(codes[0]):
+            for out in codes:
+                out.resize(n + k + n // 4, refcheck=False)
+        sizes = np.fromiter(map(len, block), np.intp, k)
         for i in np.flatnonzero(sizes != width).tolist():
-            block[i] = (block[i] + [None] * width)[:width]  # a long row is only reported
+            if sizes[i] > width:  # a long row is only reported
+                long[n + i] = int(sizes[i])
+            block[i] = (block[i] + [None] * width)[:width]
         columns = list(zip(*block))
         for seen, out, j in zip(index, codes, at):
-            out.append(np.fromiter(map(seen.__getitem__, columns[j]), np.intp, len(block)))
-        lengths.append(sizes)
-    for seen in index:
+            out[n:n + k] = np.fromiter(map(seen.__getitem__, columns[j]), np.int32, k)
+        n += k
+    for seen, out in zip(index, codes):
         seen.default_factory = None  # it refers to its own dict; free the dict with the last name
-    encoded = [(list(seen), np.concatenate(out)) for seen, out in zip(index, codes)]
-    return encoded, np.concatenate(lengths)
+        out.resize(n, refcheck=False)
+    return [(list(seen), out) for seen, out in zip(index, codes)], long
 
 
-def _each(check, values, codes):
+def _each(check, values, codes, dtype):
     """`check` run once on each distinct field of a column, broadcast to its rows.
 
-    Returns the result of each row and the mask of the rows whose field
-    `check` rejects, by returning None or raising TypeError or
+    Returns the `dtype` result of each row and the mask of the rows whose
+    field `check` rejects, by returning None or raising TypeError or
     ValueError; a rejected field reads 0.
     """
     results = []
@@ -208,7 +226,7 @@ def _each(check, values, codes):
         except (TypeError, ValueError):
             results.append(None)
     failed = np.array([r is None for r in results], bool)
-    return np.array([0 if r is None else r for r in results])[codes], failed[codes]
+    return np.array([0 if r is None else r for r in results], dtype)[codes], failed[codes]
 
 
 def _abs_month(text):
@@ -219,9 +237,19 @@ def _abs_month(text):
     return None
 
 
-def _int64(text) -> int:
-    """``int(text)``, clipped into int64 where it lies outside every range."""
-    return max(-(2**62), min(int(text), 2**62))
+def _clipped(text) -> int:
+    """``int(text)``, clipped to the state bound, past which it lies outside every range."""
+    return max(-STATE_BOUND, min(int(text), STATE_BOUND))
+
+
+def _duplicates(person, absm, failed):
+    """Mask of the valid rows whose (person, month) key an earlier valid row has."""
+    by_key = np.lexsort((absm, person))  # stable: a key's rows in file order
+    by_key = by_key[~failed[by_key]]
+    again = (np.diff(person[by_key]) == 0) & (np.diff(absm[by_key]) == 0)
+    duplicate = np.zeros(len(failed), bool)
+    duplicate[by_key[1:][again]] = True
+    return duplicate
 
 
 def parse_records(path, cfg: RunConfig) -> Records:
@@ -231,46 +259,43 @@ def parse_records(path, cfg: RunConfig) -> Records:
     one column per declared characteristic.  Months are YYYY-MM.  Every
     violated constraint is collected with its row number, in row order
     and then in check order; any violation fails the whole parse.  Each
-    check runs once per distinct field of its column.
+    check runs once per distinct field of its column, and each column's
+    codes are dropped once its checks have run.
     """
     space, chars = cfg.space, cfg.characteristics
-    columns, lengths = _encode_columns(path, REQUIRED_COLUMNS + chars.names)
-    if not len(lengths):
+    header = REQUIRED_COLUMNS + chars.names
+    columns, long = _encode_columns(path, header)
+    n = len(columns[0][1])
+    if not n:
         raise DataError(f"records file {path} contains no data rows")
     month, person_id, category, age, seniority, workload, *levels = columns
+    del columns
+    # per check, in row order, (row, problem) of the rows that fail it; a long row has one
+    found = [[(i, f"{size - len(header)} field(s) beyond the header") for i, size in long.items()]]
+    failed = np.zeros(n, bool)
+    failed[list(long)] = True
+
+    def check(mask, say):
+        found.append([(i, say(i)) for i in np.flatnonzero(mask).tolist() if i not in long])
+        np.logical_or(failed, mask, out=failed)
 
     def field(column, i):
         values, codes = column
         return values[codes[i]]
 
-    absm, bad_month = _each(_abs_month, *month)
+    absm, bad = _each(_abs_month, *month, np.int32)
+    check(bad, lambda i: f"malformed month {field(month, i)!r} (expected YYYY-MM)")
     ids, id_code = person_id
+    del person_id
     pid = [(v or "").strip() for v in ids]
     person_ids = sorted(set(pid))
     rank = {s: k for k, s in enumerate(person_ids)}
-    person = np.array([rank[s] for s in pid])[id_code]
-    no_pid = np.array([not s for s in pid])[id_code]
+    person = np.array([rank[s] for s in pid], np.int32)[id_code]
+    check(np.array([not s for s in pid])[id_code], lambda i: "empty person_id")
+    del ids, id_code, pid, rank
+
     in_system = {c: k for k, c in enumerate(space.categories) if k}
-    cat, bad_cat = _each(lambda v: in_system.get((v or "").strip()), *category)
-    age_of, bad_age = _each(_int64, *age)
-    sen_of, bad_sen = _each(_int64, *seniority)
-    non_integer = bad_age | bad_sen
-    in_range = (
-        (space.age_min <= age_of) & (age_of < space.age_max)
-        & (0 <= sen_of) & (sen_of < space.seniority_max)
-    )
-    out_of_range = ~non_integer & ~in_range
-    infeasible = ~non_integer & in_range & ~space.feasible(age_of, sen_of)
-    hours, non_numeric = _each(finite_float, *workload)
-    not_positive = ~non_numeric & (hours <= 0)
-    unknown_level = np.zeros(len(lengths), bool)
-    level_codes = []
-    for lv, column in zip(chars.levels, levels):
-        level_of = {name: k for k, name in enumerate(lv)}
-        k, unknown = _each(lambda v: level_of.get((v or "").strip()), *column)
-        level_codes.append(k)
-        unknown_level |= unknown
-    tuple_code = chars.code(level_codes) + np.zeros(len(lengths), int)
+    cat, bad = _each(lambda v: in_system.get((v or "").strip()), *category, np.int32)
 
     def category_problem(i):
         code = (field(category, i) or "").strip()
@@ -278,48 +303,55 @@ def parse_records(path, cfg: RunConfig) -> Records:
             return f"category {code!r} is the out-of-system code; records must be in-system"
         return f"unknown category code {code!r}"
 
+    check(bad, category_problem)
+    del category
+
+    age_of, bad = _each(_clipped, *age, np.int32)
+    sen_of, bad_sen = _each(_clipped, *seniority, np.int32)
+    bad |= bad_sen
+    check(bad, lambda i: f"non-integer age/seniority {field(age, i)!r}/{field(seniority, i)!r}")
+    in_range = (
+        (space.age_min <= age_of) & (age_of < space.age_max)
+        & (0 <= sen_of) & (sen_of < space.seniority_max)
+    )
+    check(~bad & ~in_range, lambda i: (
+        f"age {int(field(age, i))} / seniority {int(field(seniority, i))} outside "
+        f"[{space.age_min},{space.age_max}) x [0,{space.seniority_max})"
+    ))
+    check(~bad & in_range & ~space.feasible(age_of, sen_of), lambda i: (
+        f"infeasible seniority {sen_of[i]} at age {age_of[i]}"
+    ))
+    del age, seniority, bad_sen, in_range
+
+    hours, bad = _each(finite_float, *workload, np.float64)
+    check(bad, lambda i: f"non-numeric workload {field(workload, i)!r} (need a finite number)")
+    check(~bad & (hours <= 0), lambda i: f"workload must be positive (got {float(hours[i])})")
+    del workload, bad
+
+    coded = [  # per characteristic: each row's level code, and the mask of unknown levels
+        _each({name: k for k, name in enumerate(lv)}.get, [(v or "").strip() for v in values],
+              codes, np.int32)
+        for lv, (values, codes) in zip(chars.levels, levels)
+    ]
+
     def level_problem(i):
         try:
             chars.encode([(field(column, i) or "").strip() for column in levels])
         except ConfigError as exc:
             return str(exc)
 
-    checks = [  # (rows that fail, the problem of row i), in the order a row lists them
-        (bad_month, lambda i: f"malformed month {field(month, i)!r} (expected YYYY-MM)"),
-        (no_pid, lambda i: "empty person_id"),
-        (bad_cat, category_problem),
-        (non_integer, lambda i: (
-            f"non-integer age/seniority {field(age, i)!r}/{field(seniority, i)!r}"
-        )),
-        (out_of_range, lambda i: (
-            f"age {int(field(age, i))} / seniority {int(field(seniority, i))} outside "
-            f"[{space.age_min},{space.age_max}) x [0,{space.seniority_max})"
-        )),
-        (infeasible, lambda i: f"infeasible seniority {sen_of[i]} at age {age_of[i]}"),
-        (non_numeric, lambda i: (
-            f"non-numeric workload {field(workload, i)!r} (need a finite number)"
-        )),
-        (not_positive, lambda i: f"workload must be positive (got {float(hours[i])})"),
-        (unknown_level, level_problem),
-    ]
-    long = lengths > len(columns)
-    failed = long | np.logical_or.reduce([mask for mask, _ in checks])
-    # of the valid rows with one (person, month) key, the first one read is kept
-    rows = np.flatnonzero(~failed)
-    by_key = rows[np.lexsort((rows, absm[rows], person[rows]))]
-    again = (np.diff(person[by_key]) == 0) & (np.diff(absm[by_key]) == 0)
-    duplicate = np.zeros(len(lengths), bool)
-    duplicate[by_key[1:][again]] = True
-    checks.append((duplicate, lambda i: (
-        f"duplicate (person_id={pid[id_code[i]]!r}, month={field(month, i)})"
-    )))
+    check(np.logical_or.reduce([np.zeros(n, bool), *(mask for _, mask in coded)]), level_problem)
+    del levels
+    tuple_code = chars.code([k for k, _ in coded]) + np.zeros(n, np.int32)
+    del coded
 
-    problems = []
-    for i in np.flatnonzero(failed | duplicate).tolist():
-        if long[i]:
-            problems.append(f"row {i + 1}: {lengths[i] - len(columns)} field(s) beyond the header")
-        else:
-            problems += [f"row {i + 1}: {say(i)}" for mask, say in checks if mask[i]]
+    check(_duplicates(person, absm, failed), lambda i: (
+        f"duplicate (person_id={person_ids[person[i]]!r}, month={field(month, i)})"
+    ))
+    del month, failed
+    # a stable sort: a row's problems stay in check order
+    by_row = sorted(itertools.chain.from_iterable(found), key=lambda p: p[0])
+    problems = [f"row {i + 1}: {say}" for i, say in by_row]
     if problems:
         raise DataError(f"records file {path}: {len(problems)} invalid row(s)", problems)
     return Records.from_columns(absm, person, person_ids, cat, age_of, sen_of, hours, tuple_code)
@@ -459,8 +491,9 @@ def build_counts(records: Records, cfg: RunConfig) -> CountsCube:
 
     # a December row stays when its person has a row in the next year; a hire
     # is a person's first row of a q-year without a row the December before
-    span = rec.cal_year.max() - rec.cal_year.min() + 1
-    slot = rec.person * span + rec.cal_year - rec.cal_year.min()  # one per (person, year)
+    span = int(rec.cal_year.max() - rec.cal_year.min()) + 1
+    # one per (person, year), in intp: the product outgrows the int32 columns
+    slot = rec.person.astype(np.intp) * span + (rec.cal_year - rec.cal_year.min())
     present = np.zeros(len(rec.person_ids) * span, dtype=bool)
     present[slot] = True
     december = np.zeros_like(present)

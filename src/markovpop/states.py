@@ -24,6 +24,10 @@ from .errors import ConfigError
 
 GroupRange = tuple[int, int]  # half-open [lo, hi)
 
+# ages and seniorities are held as int32: two values inside this bound,
+# or on it, differ by less than 2**31
+STATE_BOUND = 2**30
+
 
 def _check_partition(groups, lo, hi, what, problems):
     """Verify that `groups` is an ordered partition of [lo, hi)."""
@@ -154,6 +158,8 @@ class StateSpaceConfig:
             problems.append(f"age range [{self.age_min},{self.age_max}) is empty")
         if not seniorities:
             problems.append("seniority_max must be >= 1")
+        if max(abs(self.age_min), abs(self.age_max), self.seniority_max) >= STATE_BOUND:
+            problems.append(f"ages and seniorities must lie within (-{STATE_BOUND},{STATE_BOUND})")
         if ages and not self.age_min <= self.working_age_min < self.age_max:
             problems.append(
                 f"working_age_min {self.working_age_min} outside age range "

@@ -138,11 +138,12 @@ def parse_records_by_row(path, cfg) -> Records:
     code = {pid: k for k, pid in enumerate(person_ids)}
     person = np.array([code[pid] for pid in person_id])
     order = np.lexsort((person, abs_month))
-    absm = np.asarray(abs_month)[order]
-    columns = (person, category, age, seniority, workload, tuple_code)
+    absm = np.asarray(abs_month, np.int32)[order]
+    ints = (np.asarray(col, np.int32)[order] for col in (person, category, age, seniority))
     return Records(
-        absm - absm[-1], absm // 12, absm % 12 + 1,
-        *(np.asarray(col)[order] for col in columns), tuple(person_ids),
+        absm - absm[-1], absm // 12, absm % 12 + 1, *ints,
+        np.asarray(workload, np.float64)[order], np.asarray(tuple_code, np.int32)[order],
+        tuple(person_ids),
     )
 
 

@@ -20,8 +20,10 @@ from markovpop.ingest import (
     build_reserve,
     load_reserve_csv,
     parse_records,
+    split_records,
 )
 
+import panelgen
 from reference import parse_records_by_row
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -79,6 +81,18 @@ def test_parse_records_happy_path(tmp_path):
     assert tuples[records.tuple_code[4]] == (1,)  # y
 
 
+def test_records_hold_int32_columns_and_float64_workload_in_40_bytes_a_row():
+    parsed = parse_records(DEMO / "records.csv", load_run_config(DEMO / "config.yaml"))
+    spec = panelgen.make_mini_world()
+    made = panelgen.generate(spec, start_year=2014, n_years=3, seed=3).to_records()
+    every_third = parsed.take(np.arange(0, len(parsed), 3))
+    for records in (parsed, made, *split_records(parsed, 2016), every_third):
+        columns = {k: v for k, v in vars(records).items() if k != "person_ids"}
+        for name, column in columns.items():
+            assert column.dtype == (np.float64 if name == "workload" else np.int32), name
+        assert len(records) and sum(c.nbytes for c in columns.values()) == 40 * len(records)
+
+
 def test_parse_records_header_mismatch(tmp_path):
     cfg = small_cfg()
     bad = "month,person_id,category,age,seniority,workload,g,extra\n"
@@ -110,12 +124,14 @@ def test_parse_records_collects_row_problems(tmp_path):
         2020-11,p5,A,18,0,40,zzz
         2020-11,p6,out,18,0,40,x
         2020-11,p7,A,18,1,40,x
+        2020-11,p8,A,2147483648,0,40,x
+        2020-11,p9,A,18,-2147483649,40,x
         """
     )
     with pytest.raises(DataError) as err:
         parse_records(write(tmp_path, "r.csv", text), cfg)
     msg = str(err.value)
-    assert "7 invalid row(s)" in msg
+    assert "9 invalid row(s)" in msg
     assert "malformed month" in msg
     assert "unknown category code 'Z'" in msg
     assert "age 25" in msg
@@ -123,6 +139,9 @@ def test_parse_records_collects_row_problems(tmp_path):
     assert "unknown level 'zzz'" in msg
     assert "out-of-system code" in msg
     assert "infeasible seniority 1 at age 18" in msg
+    # beyond int32, in either direction, with the fields as written
+    assert "row 8: age 2147483648 / seniority 0 outside [16,20) x [0,2)" in err.value.problems
+    assert "row 9: age 18 / seniority -2147483649 outside [16,20) x [0,2)" in err.value.problems
 
 
 BAD_PANEL = HEADER + (
@@ -187,6 +206,7 @@ FIELDS = (
     "", " ", "2020-11", " 2020-12 ", "2021-01", "2020-13", "2020-00", "2020-1", "٢٠٢٠-١١",
     "p1", " p1", "p2 ", "p3", "A", " B ", "out", "Z", "a,b",
     "16", " 18", "19 ", "25", "-1", "0", "1", "2", "1_8", "١٨", "abc", "99999999999999999999",
+    "2147483647", "2147483648", "-2147483649",
     "40", "0.5", "-5", "nan", "inf", "1e400", "x", " y ", "zzz",
 )
 VALID = (  # per column, fields that pass its own check

@@ -82,6 +82,21 @@ def test_an_empty_range_is_the_only_problem_of_its_groups():
     ]
 
 
+def test_ages_and_seniorities_lie_inside_the_int32_headroom():
+    top = 2**30
+    with pytest.raises(ConfigError) as err:
+        space_from(age_min=top - 4, age_max=top, age_groups=((top - 4, top),),
+                   working_age_min=top - 4)
+    assert err.value.problems == [
+        "ages and seniorities must lie within (-1073741824,1073741824)"
+    ]
+    with pytest.raises(ConfigError) as err:
+        space_from(seniority_max=top, seniority_groups=((0, top),))
+    assert len(err.value.problems) == 1
+    space_from(age_min=1 - top, age_max=5 - top, age_groups=((1 - top, 5 - top),),
+               working_age_min=1 - top)
+
+
 def test_category_requirements():
     with pytest.raises(ConfigError, match="out-of-system"):
         space_from(categories=("out",))

@@ -1,23 +1,26 @@
-"""Scalar reference implementations the array code of markovpop is checked against.
+"""Reference implementations the array code of markovpop is checked against.
 
 They share no logic with the code they check: the one-step law of a
 single (category, age, seniority) state, the row-by-row records
-parser whose problem list ``ingest.parse_records`` must reproduce, and
-the row-by-row projection and simulation writers whose bytes the bulk
-writers of ``markovpop.reports`` must reproduce (they share only the
-cell names, the manifest and the header with them).
+parser whose problem list ``ingest.parse_records`` must reproduce, the
+sort-based counts cube whose arrays ``ingest.build_counts`` must
+reproduce bit for bit, and the row-by-row projection and simulation
+writers whose bytes the bulk writers of ``markovpop.reports`` must
+reproduce (they share only the cell names, the manifest and the header
+with them).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from markovpop.errors import DataError
-from markovpop.ingest import Records, finite_float
+from markovpop.ingest import CountsCube, Records, finite_float
 from markovpop.model import FittedModel
 from markovpop.montecarlo import SimulationResult, summarize
 from markovpop.project import expected_populations
@@ -144,6 +147,92 @@ def parse_records_by_row(path, cfg) -> Records:
         absm - absm[-1], absm // 12, absm % 12 + 1, *ints,
         np.asarray(workload, np.float64)[order], np.asarray(tuple_code, np.int32)[order],
         tuple(person_ids),
+    )
+
+
+def _count(index, weights, shape) -> np.ndarray:
+    """Add `weights` into a dense array of `shape` at `index`, in input order."""
+    flat = np.ravel_multi_index(index, shape)
+    return np.bincount(flat, weights, minlength=math.prod(shape)).reshape(shape)
+
+
+def build_counts_by_sort(records: Records, cfg) -> CountsCube:
+    """Aggregate validated records into the counts cube.
+
+    Flows are only counted across consecutive observed months; a person
+    present at m and absent at the observed month m+1 is an exit flow to
+    category 0, weighted like the month-m record.  Year events need the
+    previous December observed plus at least one month of the year.
+    """
+    space, rec = cfg.space, records
+    w = rec.workload / cfg.full_time_hours
+    eg, sg = space.locate_groups(rec.age, rec.seniority)
+    cat, age, sen = rec.category, rec.age - space.age_min, rec.seniority
+    months, first_row, m = np.unique(rec.month, return_index=True, return_inverse=True)
+    calendar = {
+        int(k): (int(rec.cal_year[i]), int(rec.cal_month[i])) for k, i in zip(months, first_row)
+    }
+    cal = set(calendar.values())
+    q_years = tuple(sorted({y for y, _ in cal if (y - 1, 12) in cal}))
+    is_flow = np.isin(months + 1, months)
+    nm, ny, nc = len(months), len(q_years), space.n_categories
+    g = (space.n_age_groups, space.n_seniority_groups)
+
+    # each record's category next month; 0 (an exit) when its person is gone
+    chrono = np.lexsort((rec.month, rec.person))  # rows by person, then month
+    moves = (np.diff(rec.person[chrono]) == 0) & (np.diff(rec.month[chrono]) == 1)
+    to = np.zeros(len(rec), dtype=int)
+    to[chrono[:-1][moves]] = cat[chrono[1:][moves]]
+    f = is_flow[m]
+    flow_month = (np.cumsum(is_flow) - 1)[m[f]]
+
+    # a December row stays when its person has a row in the next year; a hire
+    # is a person's first row of a q-year without a row the December before
+    span = int(rec.cal_year.max() - rec.cal_year.min()) + 1
+    # one per (person, year), in intp: the product outgrows the int32 columns
+    slot = rec.person.astype(np.intp) * span + (rec.cal_year - rec.cal_year.min())
+    present = np.zeros(len(rec.person_ids) * span, dtype=bool)
+    present[slot] = True
+    december = np.zeros_like(present)
+    december[slot[rec.cal_month == 12]] = True
+    dec = (rec.cal_month == 12) & np.isin(rec.cal_year + 1, q_years)
+    stays = (np.searchsorted(q_years, rec.cal_year[dec] + 1), eg[dec], sg[dec], cat[dec])
+    exits = ~present[slot[dec] + 1]
+    first = chrono[np.r_[True, np.diff(slot[chrono]) != 0]]
+    # a q-year's previous year is in the panel, so slot - 1 is the same person's
+    hire = first[np.isin(rec.cal_year[first], q_years) & ~december[slot[first] - 1]]
+    # in year order, then in order of each person's first appearance
+    people, first_seen = np.unique(rec.person, return_index=True)
+    first_seen = first_seen[np.searchsorted(people, rec.person[hire])]
+    hire = hire[np.lexsort((first_seen, rec.cal_year[hire]))]
+    src_age = rec.age[hire] - 1
+    clamped = src_age < space.age_min
+    src = space.locate_groups(np.maximum(src_age, space.age_min), np.maximum(sen[hire] - 1, 0))
+    hires = (np.searchsorted(q_years, rec.cal_year[hire]), *src)
+    n_codes = len(cfg.characteristics.tuples())
+    window = rec.month >= -11
+    return CountsCube(
+        months=tuple(months.tolist()),
+        calendar=calendar,
+        flow_months=tuple(months[is_flow].tolist()),
+        q_years=q_years,
+        group_totals=_count((m, eg, sg, cat), w, (nm, *g, nc)),
+        flows=_count((flow_month, eg[f], sg[f], cat[f], to[f]), w[f], (is_flow.sum(), *g, nc, nc)),
+        char_counts=_count((m, cat, eg, sg, rec.tuple_code), w, (nm, nc, *g, n_codes)),
+        stay_exit=_count((*stays, exits.astype(int)), w[dec], (ny, *g, nc, 2)),
+        hires=_count(hires, w[hire], (ny, *g)),
+        entry_cats=_count((*hires, cat[hire]), w[hire], (ny, *g, nc)),
+        in_system=_count((m, age), w, (nm, space.n_ages)),
+        latest=_count(
+            (rec.month[window] + 11, cat[window], age[window], sen[window]),
+            w[window],
+            (12, nc, space.n_ages, space.seniority_max),
+        ),
+        warnings=tuple(
+            f"hire of {rec.person_ids[p]!r} in {y}: source age below the configured "
+            f"range, clamped to {space.age_min}"
+            for p, y in zip(rec.person[hire][clamped], rec.cal_year[hire][clamped])
+        ),
     )
 
 

@@ -1,6 +1,7 @@
 """CSV parsing, validation, and the counts cube arithmetic."""
 
 import csv
+import dataclasses
 import gc
 import sys
 import tempfile
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from markovpop.config import build_run_config, load_run_config
 from markovpop.errors import DataError
 from markovpop.ingest import (
+    Records,
     ReserveSpec,
     build_counts,
     build_reserve,
@@ -24,7 +26,7 @@ from markovpop.ingest import (
 )
 
 import panelgen
-from reference import parse_records_by_row
+from reference import build_counts_by_sort, parse_records_by_row
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -54,6 +56,14 @@ PANEL = HEADER + textwrap.dedent(
     2020-11,p2,B,19,1,20,y
     2020-12,p2,B,19,1,20,y
     2021-01,p3,A,19,1,40,x
+    """
+)
+
+CLAMPED_HIRE = HEADER + textwrap.dedent(
+    """\
+    2020-12,p1,A,18,0,40,x
+    2021-01,p1,A,19,1,40,x
+    2021-01,p9,A,16,0,40,x
     """
 )
 
@@ -434,18 +444,85 @@ def test_build_counts_skips_gap_months(tmp_path):
 
 def test_build_counts_clamps_hire_below_age_range(tmp_path):
     cfg = small_cfg()
-    text = HEADER + textwrap.dedent(
-        """\
-        2020-12,p1,A,18,0,40,x
-        2021-01,p1,A,19,1,40,x
-        2021-01,p9,A,16,0,40,x
-        """
-    )
-    cube = build_counts(parse_records(write(tmp_path, "r.csv", text), cfg), cfg)
+    cube = build_counts(parse_records(write(tmp_path, "r.csv", CLAMPED_HIRE), cfg), cfg)
     assert cube.hires[0, 0, 0] == 1.0
     assert cube.warnings == (
         "hire of 'p9' in 2021: source age below the configured range, clamped to 16",
     )
+
+
+# unequal workloads, so the order of each weighted sum shows in the bits
+WORKLOADS = (13.0, 21.0, 33.0, 37.0, 40.0)
+
+
+def _demo_panel(tmp_path):
+    cfg = load_run_config(DEMO / "config.yaml")
+    return parse_records(DEMO / "records.csv", cfg), cfg
+
+
+def _mini_panel(tmp_path):
+    spec = panelgen.make_mini_world()
+    records = panelgen.generate(spec, start_year=2014, n_years=3, seed=3).to_records()
+    cycled = np.resize(np.array(WORKLOADS), len(records))
+    return dataclasses.replace(records, workload=cycled), spec.run_config()
+
+
+def _gap_panel(tmp_path):
+    """`demo/` without June and December 2015: two gaps, and 2016 loses its December."""
+    records, cfg = _demo_panel(tmp_path)
+    gone = (records.cal_year == 2015) & np.isin(records.cal_month, (6, 12))
+    return records.take(~gone), cfg
+
+
+def _person_gap_panel(tmp_path):
+    """The cycled mini world without every 7th row: people leave and come back."""
+    records, cfg = _mini_panel(tmp_path)
+    return records.take(np.arange(len(records)) % 7 != 3), cfg
+
+
+def _renamed_panel(tmp_path):
+    """The cycled mini world with its person ids renamed so that their order reverses."""
+    r, cfg = _mini_panel(tmp_path)
+    renamed = sorted(f"w{999_999 - int(pid[1:]):06d}" for pid in r.person_ids)
+    records = Records.from_columns(
+        r.cal_year * 12 + r.cal_month - 1, len(renamed) - 1 - r.person, renamed,
+        *(column.copy() for column in (r.category, r.age, r.seniority, r.workload, r.tuple_code)),
+    )
+    return records, cfg
+
+
+def _clamped_hire_panel(tmp_path):
+    cfg = small_cfg()
+    return parse_records(write(tmp_path, "r.csv", CLAMPED_HIRE), cfg), cfg
+
+
+def _half(panel, split_year, k):
+    def make(tmp_path):
+        records, cfg = panel(tmp_path)
+        return split_records(records, split_year)[k], cfg
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "panel",
+    [_demo_panel, _mini_panel, _gap_panel, _person_gap_panel, _renamed_panel,
+     _clamped_hire_panel, _half(_demo_panel, 2016, 0), _half(_demo_panel, 2016, 1),
+     _half(_mini_panel, 2015, 0), _half(_mini_panel, 2015, 1)],
+    ids=["demo", "mini-cycled-workloads", "demo-gap-months", "mini-person-gaps",
+         "mini-renamed-ids", "clamped-hire", "demo-fit-half", "demo-held-out-half",
+         "mini-fit-half", "mini-held-out-half"],
+)
+def test_build_counts_matches_the_sort_based_reference_bit_for_bit(panel, tmp_path):
+    records, cfg = panel(tmp_path)
+    cube, want = build_counts(records, cfg), build_counts_by_sort(records, cfg)
+    for field in dataclasses.fields(cube):
+        got, expected = getattr(cube, field.name), getattr(want, field.name)
+        if isinstance(expected, np.ndarray):
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape), field.name
+            assert got.tobytes() == expected.tobytes(), field.name
+        else:
+            assert got == expected, field.name
 
 
 def test_build_reserve_splits_equally_over_feasible_seniorities(tmp_path):

@@ -93,7 +93,7 @@ class Records:
         )
 
     def take(self, rows) -> "Records":
-        """The rows selected by a mask or an index array, in the same order."""
+        """The rows of a mask, an increasing index array or a slice (as views), in order."""
         return replace(self, **{k: v[rows] for k, v in vars(self).items() if k != "person_ids"})
 
 
@@ -360,15 +360,16 @@ def parse_records(path, cfg: RunConfig) -> Records:
 def split_records(records: Records, split_year: int) -> tuple[Records, Records]:
     """Split a panel into records before `split_year` and the held-out rest.
 
-    The fitting part is renormalized so its own latest month is 0.
+    Both parts are views of `records` (rows run by month), but for the
+    fitting part's `month`, renormalized so its own latest month is 0.
     """
-    before = records.cal_year < split_year
-    if not before.any():
+    k = int(np.searchsorted(records.cal_year, split_year))
+    if k == 0:
         raise DataError(f"no records before the split year {split_year}")
-    if before.all():
+    if k == len(records):
         raise DataError(f"no held-out records at or after the split year {split_year}")
-    fit = records.take(before)
-    return replace(fit, month=fit.month - fit.month.max()), records.take(~before)
+    fit = records.take(slice(0, k))
+    return replace(fit, month=fit.month - fit.month[-1]), records.take(slice(k, None))
 
 
 @dataclass(frozen=True)
@@ -466,68 +467,82 @@ def build_counts(records: Records, cfg: RunConfig) -> CountsCube:
     present at m and absent at the observed month m+1 is an exit flow to
     category 0, weighted like the month-m record.  Year events need the
     previous December observed plus at least one month of the year.
+    Sums add in row order; per-row temporaries are narrow and short-lived.
     """
     space, rec = cfg.space, records
-    w = rec.workload / cfg.full_time_hours
-    eg, sg = space.locate_groups(rec.age, rec.seniority)
-    cat, age, sen = rec.category, rec.age - space.age_min, rec.seniority
-    months, first_row, m = np.unique(rec.month, return_index=True, return_inverse=True)
+    month, cat, sen = rec.month, rec.category, rec.seniority
+    eg, sg = space.locate_groups(rec.age, sen)
+    first_row = np.flatnonzero(np.r_[True, month[1:] != month[:-1]])  # rows run by month
+    months = month[first_row]
     calendar = {
         int(k): (int(rec.cal_year[i]), int(rec.cal_month[i])) for k, i in zip(months, first_row)
     }
     cal = set(calendar.values())
     q_years = tuple(sorted({y for y, _ in cal if (y - 1, 12) in cal}))
     is_flow = np.isin(months + 1, months)
-    nm, ny, nc = len(months), len(q_years), space.n_categories
+    nm, nf, ny, nc = len(months), int(is_flow.sum()), len(q_years), space.n_categories
     g = (space.n_age_groups, space.n_seniority_groups)
 
     # each record's category next month; 0 (an exit) when its person is gone
-    chrono = np.lexsort((rec.month, rec.person))  # rows by person, then month
-    moves = (np.diff(rec.person[chrono]) == 0) & (np.diff(rec.month[chrono]) == 1)
-    to = np.zeros(len(rec), dtype=int)
+    chrono = np.argsort(rec.person, kind="stable")  # rows by person, then month
+    same = np.diff(rec.person[chrono]) == 0
+    moves = same & (np.diff(month[chrono]) == 1)
+    to = np.zeros(len(rec), np.int32)
     to[chrono[:-1][moves]] = cat[chrono[1:][moves]]
-    f = is_flow[m]
-    flow_month = (np.cumsum(is_flow) - 1)[m[f]]
+    # each person's first row of each year, by person, then year
+    first = chrono[np.r_[True, ~same | (np.diff(rec.cal_year[chrono]) != 0)]]
+    del chrono, same, moves
 
     # a December row stays when its person has a row in the next year; a hire
     # is a person's first row of a q-year without a row the December before
-    span = int(rec.cal_year.max() - rec.cal_year.min()) + 1
-    # one per (person, year), in intp: the product outgrows the int32 columns
-    slot = rec.person.astype(np.intp) * span + (rec.cal_year - rec.cal_year.min())
+    y0, span = int(rec.cal_year[0]), int(rec.cal_year[-1] - rec.cal_year[0]) + 1
+
+    def slot(rows):  # one per (person, year), in intp: the product outgrows the int32 columns
+        return rec.person[rows].astype(np.intp) * span + (rec.cal_year[rows] - y0)
+
     present = np.zeros(len(rec.person_ids) * span, dtype=bool)
-    present[slot] = True
+    present[slot(first)] = True
     december = np.zeros_like(present)
-    december[slot[rec.cal_month == 12]] = True
-    dec = (rec.cal_month == 12) & np.isin(rec.cal_year + 1, q_years)
+    dec = np.flatnonzero(rec.cal_month == 12)
+    december[slot(dec)] = True
+    dec = dec[np.isin(rec.cal_year[dec] + 1, q_years)]
     stays = (np.searchsorted(q_years, rec.cal_year[dec] + 1), eg[dec], sg[dec], cat[dec])
-    exits = ~present[slot[dec] + 1]
-    first = chrono[np.r_[True, np.diff(slot[chrono]) != 0]]
+    exits = ~present[slot(dec) + 1]
     # a q-year's previous year is in the panel, so slot - 1 is the same person's
-    hire = first[np.isin(rec.cal_year[first], q_years) & ~december[slot[first] - 1]]
-    # in year order, then in order of each person's first appearance
-    people, first_seen = np.unique(rec.person, return_index=True)
-    first_seen = first_seen[np.searchsorted(people, rec.person[hire])]
+    hire = first[np.isin(rec.cal_year[first], q_years) & ~december[slot(first) - 1]]
+    # in year order, then in order of each person's first appearance (`first` runs by person)
+    people, at = np.unique(rec.person[first], return_index=True)
+    first_seen = first[at[np.searchsorted(people, rec.person[hire])]]
     hire = hire[np.lexsort((first_seen, rec.cal_year[hire]))]
     src_age = rec.age[hire] - 1
     clamped = src_age < space.age_min
     src = space.locate_groups(np.maximum(src_age, space.age_min), np.maximum(sen[hire] - 1, 0))
     hires = (np.searchsorted(q_years, rec.cal_year[hire]), *src)
+
+    w = rec.workload / cfg.full_time_hours
+    m = np.repeat(np.arange(nm, dtype=np.int32), np.diff(first_row, append=len(rec)))
+    # rows of months without a next month count into a spare last flow month, dropped
+    flow_of = np.full(nm, nf, np.int32)
+    flow_of[is_flow] = np.arange(nf)
+    flows = _count((flow_of[m], eg, sg, cat, to), w, (nf + 1, *g, nc, nc))[:nf]
+    del to
+    age = rec.age - space.age_min
+    window = slice(int(np.searchsorted(month, -11)), None)  # normalized months -11..0
     n_codes = len(cfg.characteristics.tuples())
-    window = rec.month >= -11
     return CountsCube(
         months=tuple(months.tolist()),
         calendar=calendar,
         flow_months=tuple(months[is_flow].tolist()),
         q_years=q_years,
         group_totals=_count((m, eg, sg, cat), w, (nm, *g, nc)),
-        flows=_count((flow_month, eg[f], sg[f], cat[f], to[f]), w[f], (is_flow.sum(), *g, nc, nc)),
+        flows=flows,
         char_counts=_count((m, cat, eg, sg, rec.tuple_code), w, (nm, nc, *g, n_codes)),
-        stay_exit=_count((*stays, exits.astype(int)), w[dec], (ny, *g, nc, 2)),
+        stay_exit=_count((*stays, exits), w[dec], (ny, *g, nc, 2)),
         hires=_count(hires, w[hire], (ny, *g)),
         entry_cats=_count((*hires, cat[hire]), w[hire], (ny, *g, nc)),
         in_system=_count((m, age), w, (nm, space.n_ages)),
         latest=_count(
-            (rec.month[window] + 11, cat[window], age[window], sen[window]),
+            (month[window] + 11, cat[window], age[window], sen[window]),
             w[window],
             (12, nc, space.n_ages, space.seniority_max),
         ),

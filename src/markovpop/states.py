@@ -142,8 +142,8 @@ class StateSpaceConfig:
     seniority_max: int
     seniority_groups: tuple[GroupRange, ...]
     working_age_min: int
-    _age_group_of: tuple[int, ...] = field(repr=False, compare=False, default=())
-    _seniority_group_of: tuple[int, ...] = field(repr=False, compare=False, default=())
+    _age_group_of: np.ndarray = field(repr=False, compare=False, default=None)
+    _seniority_group_of: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         problems = []
@@ -173,11 +173,11 @@ class StateSpaceConfig:
             )
         if problems:
             raise ConfigError("invalid state space configuration", problems)
-        # each validated partition covers its range in order, one group index per value
-        age_of = (i for i, (lo, hi) in enumerate(self.age_groups) for _ in range(lo, hi))
-        sen_of = (k for k, (lo, hi) in enumerate(self.seniority_groups) for _ in range(lo, hi))
-        object.__setattr__(self, "_age_group_of", tuple(age_of))
-        object.__setattr__(self, "_seniority_group_of", tuple(sen_of))
+        # each validated partition covers its range in order, one narrow group index per value
+        for name, groups in (("_age_group_of", self.age_groups),
+                             ("_seniority_group_of", self.seniority_groups)):
+            of = [i for i, (lo, hi) in enumerate(groups) for _ in range(lo, hi)]
+            object.__setattr__(self, name, np.array(of, np.min_scalar_type(-len(groups))))
 
     # -- sizes ---------------------------------------------------------
 
@@ -207,10 +207,10 @@ class StateSpaceConfig:
             raise ConfigError(f"unknown category code {code!r}") from None
 
     def age_group(self, age: int) -> int:
-        return self._age_group_of[age - self.age_min]
+        return int(self._age_group_of[age - self.age_min])
 
     def seniority_group(self, seniority: int) -> int:
-        return self._seniority_group_of[seniority]
+        return int(self._seniority_group_of[seniority])
 
     def locate_groups(self, age, seniority):
         """(age group index, seniority group index) of a state, or of arrays of states."""

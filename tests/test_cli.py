@@ -20,6 +20,7 @@ from markovpop.config import load_run_config
 from markovpop.model import FittedModel
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+DEMO = SRC.parent / "demo"
 
 
 def read_report(path):
@@ -328,6 +329,15 @@ def _unwritable(role):
     return lambda paths, tmp_path: {role: tmp_path / "missing" / "output"}
 
 
+def _demo_split(year):
+    """The inputs of `demo/` (2014-2016), backtested from `year`."""
+    files = {"config": "config.yaml", "records": "records.csv", "reserve": "reserve.csv",
+             "scale": "salary_scale.csv"}
+    return lambda paths, tmp_path: {
+        **{role: DEMO / name for role, name in files.items()}, "split_year": year
+    }
+
+
 def _argv(command, paths, out):
     """Command line of one CLI command on the input files in `paths`."""
     argv = [command, "--config", str(paths["config"]), "--out", str(paths.get("out", out))]
@@ -340,7 +350,7 @@ def _argv(command, paths, out):
     if command in ("cost-report", "backtest"):
         argv += ["--salary-scale", str(paths["scale"])]
     if command == "backtest":
-        argv += ["--split-year", "2016"]
+        argv += ["--split-year", str(paths.get("split_year", 2016))]
     if "dump_draws" in paths:
         argv += ["--dump-draws", str(paths["dump_draws"])]
     return argv
@@ -419,6 +429,10 @@ NAN = float("nan")
          "model file: invalid state space configuration\n  - age range [99,"),
         (_model_with(_set(["characteristics", "levels", 0], ["b1", "b1"])), "project", 2,
          "model file: invalid characteristic space\n  - characteristic 'band': duplicate"),
+        # a split year that leaves one side of the backtest empty
+        (_demo_split(2014), "backtest", 2, "error: no records before the split year 2014\n"),
+        (_demo_split(2017), "backtest", 2,
+         "error: no held-out records at or after the split year 2017\n"),
     ],
     ids=["model-missing-annual", "overrides-list", "levels-list", "reserve-marker-int",
          "finance-full-time-hours", "reserve-nan", "workload-nan", "salary-nan",
@@ -430,7 +444,8 @@ NAN = float("nan")
          "model-i0-huge", "model-i0-negative", "config-binary", "records-binary",
          "model-binary", "config-directory", "records-directory", "fit-out-unwritable",
          "project-out-unwritable", "dump-draws-unwritable", "records-field-too-large",
-         "model-age-range-empty", "model-level-repeated"],
+         "model-age-range-empty", "model-level-repeated", "split-before-first-year",
+         "split-after-last-year"],
 )
 def test_malformed_inputs_are_classified(
     mini_pipeline, tmp_path, damage, command, code, message

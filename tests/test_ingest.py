@@ -6,6 +6,7 @@ import gc
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,20 @@ def test_records_hold_int32_columns_and_float64_workload_in_40_bytes_a_row():
         for name, column in columns.items():
             assert column.dtype == (np.float64 if name == "workload" else np.int32), name
         assert len(records) and sum(c.nbytes for c in columns.values()) == 40 * len(records)
+
+
+def test_split_records_returns_views_of_the_parsed_columns():
+    parsed = parse_records(DEMO / "records.csv", load_run_config(DEMO / "config.yaml"))
+    fit, held_out = split_records(parsed, 2016)
+    assert len(fit) + len(held_out) == len(parsed)
+    assert set(fit.cal_year.tolist()) == {2014, 2015} and set(held_out.cal_year.tolist()) == {2016}
+    for half in (fit, held_out):
+        columns = {k: v for k, v in vars(half).items() if k != "person_ids"}
+        assert sum(c.nbytes for c in columns.values()) == 40 * len(half)
+        # the fitting part's months are renormalized, so only they are its own
+        shared = [k for k, v in columns.items() if np.shares_memory(v, getattr(parsed, k))]
+        assert shared == [k for k in columns if half is held_out or k != "month"]
+    assert fit.month[-1] == 0 and (held_out.month == parsed.month[len(fit):]).all()
 
 
 def test_parse_records_header_mismatch(tmp_path):
@@ -523,6 +538,22 @@ def test_build_counts_matches_the_sort_based_reference_bit_for_bit(panel, tmp_pa
             assert got.tobytes() == expected.tobytes(), field.name
         else:
             assert got == expected, field.name
+
+
+def test_build_counts_allocates_at_most_72_bytes_a_row():
+    spec = panelgen.make_costed_world()
+    records = panelgen.generate(spec, start_year=2010, n_years=4, seed=1).to_records()
+    cfg = spec.run_config()
+    assert len(records) >= 50_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        build_counts(records, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the records themselves hold 40 bytes a row; the cube's arrays are counted in the peak
+    assert peak <= 72 * len(records), f"{peak / len(records):.1f} bytes a row"
 
 
 def test_build_reserve_splits_equally_over_feasible_seniorities(tmp_path):

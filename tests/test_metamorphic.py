@@ -8,6 +8,7 @@ import random
 from pathlib import Path
 
 import pytest
+import yaml
 
 from markovpop.cli import main
 
@@ -61,3 +62,47 @@ def test_shuffling_the_records_rows_leaves_the_model_byte_identical(world, tmp_p
     assert _fit(paths, shuffled, tmp_path / "b.json") == _fit(
         paths, paths["records"], tmp_path / "a.json"
     )
+
+
+def _unused_category(raw, scale):
+    raw["categories"].append("C")
+    scale.write_text(scale.read_text() + "C,500000\n")
+
+
+def _unused_level(raw, scale):
+    raw["characteristics"][0]["levels"].append("b2")
+    raw["finance"]["bindings"]["annuity_pct"]["levels"]["b2"] = 0.06
+
+
+def _reports(tmp_path, edit) -> dict[str, list[str]]:
+    """Data rows of `project`, `simulate` and `cost-report` on `demo/` under a config edit."""
+    raw = yaml.safe_load((DEMO / "config.yaml").read_text())
+    scale = tmp_path / "scale.csv"
+    scale.write_text((DEMO / "salary_scale.csv").read_text())
+    edit(raw, scale)
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    model = tmp_path / "model.json"
+    _fit({"config": config, "reserve": DEMO / "reserve.csv"}, DEMO / "records.csv", model)
+    common = ["--config", str(config), "--model", str(model), "--years", "3"]
+    sim = ["--iterations", "200", "--seed", "5"]
+    runs = {"project": [], "simulate": sim, "cost-report": ["--salary-scale", str(scale), *sim]}
+    rows = {}
+    for command, extra in runs.items():
+        out = tmp_path / f"{command}.csv"
+        assert main([command, *common, *extra, "--out", str(out)]) == 0
+        rows[command] = [r for r in out.read_text().splitlines() if not r.startswith("#")]
+    return rows
+
+
+@pytest.mark.parametrize("edit", [_unused_category, _unused_level],
+                         ids=["unused-category", "unused-level"])
+def test_an_unused_category_or_level_leaves_the_reports_byte_identical(edit, tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    plain = _reports(tmp_path / "a", lambda raw, scale: None)
+    assert all(len(rows) > 1 for rows in plain.values())
+    assert _reports(tmp_path / "b", edit) == plain
+    # the edit reached the fitted model's axes
+    models = [(tmp_path / side / "model.json").read_bytes() for side in "ab"]
+    assert models[0] != models[1]

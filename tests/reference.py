@@ -4,7 +4,8 @@ They share no logic with the code they check: the one-step law of a
 single (category, age, seniority) state, the row-by-row records
 parser whose problem list ``ingest.parse_records`` must reproduce, the
 sort-based counts cube whose arrays ``ingest.build_counts`` must
-reproduce bit for bit, and the row-by-row projection and simulation
+reproduce bit for bit, the (month, pair)-indexed reserve whose arrays
+``ingest.build_reserve`` must reproduce bit for bit, and the row-by-row projection and simulation
 writers whose bytes the bulk writers of ``markovpop.reports`` must
 reproduce (they share only the cell names, the manifest and the header
 with them).
@@ -15,12 +16,12 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from markovpop.errors import DataError
-from markovpop.ingest import CountsCube, Records, finite_float
+from markovpop.ingest import CountsCube, Records, ReserveSpec, finite_float
 from markovpop.model import FittedModel
 from markovpop.montecarlo import SimulationResult, summarize
 from markovpop.project import expected_populations
@@ -234,6 +235,43 @@ def build_counts_by_sort(records: Records, cfg) -> CountsCube:
             for p, y in zip(rec.person[hire][clamped], rec.cal_year[hire][clamped])
         ),
     )
+
+
+def build_reserve_by_index(cube: CountsCube, reserve: ReserveSpec, cfg) -> CountsCube:
+    """Add out-of-system (category 0) mass to every month of the cube.
+
+    Per month and age, the reserve mass is the census total minus the
+    weighted in-system count at that age, spread equally over the
+    feasible seniorities for that age.  A materially negative remainder
+    means the census and the panel disagree and is an error.
+    """
+    space = cfg.space
+    ages = range(space.age_min, space.age_max)
+    total = np.array([reserve.age_totals[e] for e in ages])
+    rest = total - cube.in_system
+    problems = [
+        f"age {ages[e]}, month {'%d-%02d' % cube.calendar[cube.months[m]]}: in-system weight "
+        f"{cube.in_system[m, e]:.6g} exceeds the census total {total[e]:.6g}"
+        for m, e in np.argwhere(rest < -1e-9 * np.maximum(1.0, total))
+    ]
+    if problems:
+        raise DataError("reserve construction failed", problems)
+    share = np.maximum(rest, 0.0) / [len(space.feasible_seniorities(e)) for e in ages]
+
+    # each share is added once per feasible seniority, in (age, seniority) order
+    pairs = np.array([(e, a) for e in ages for a in space.feasible_seniorities(e)])
+    n = len(cube.months)
+    groups = (np.tile(g, n) for g in space.locate_groups(*pairs.T))
+    pe, pa = pairs[:, 0] - space.age_min, pairs[:, 1]
+    group_totals = cube.group_totals.copy()
+    group_totals[..., 0] += _count(
+        (np.repeat(np.arange(n), len(pairs)), *groups), share[:, pe].ravel(), group_totals.shape[:3]
+    )
+    window = np.arange(-11, 1)
+    k = np.flatnonzero(np.isin(window, cube.months))
+    latest = cube.latest.copy()
+    latest[k[:, None], 0, pe, pa] = share[np.searchsorted(cube.months, window[k])][:, pe]
+    return replace(cube, group_totals=group_totals, latest=latest, has_reserve=True)
 
 
 def _fstr(x) -> str:

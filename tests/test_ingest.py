@@ -27,7 +27,7 @@ from markovpop.ingest import (
 )
 
 import panelgen
-from reference import build_counts_by_sort, parse_records_by_row
+from reference import build_counts_by_sort, build_reserve_by_index, parse_records_by_row
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -530,7 +530,10 @@ def _half(panel, split_year, k):
 )
 def test_build_counts_matches_the_sort_based_reference_bit_for_bit(panel, tmp_path):
     records, cfg = panel(tmp_path)
-    cube, want = build_counts(records, cfg), build_counts_by_sort(records, cfg)
+    _assert_same_cube(build_counts(records, cfg), build_counts_by_sort(records, cfg))
+
+
+def _assert_same_cube(cube, want):
     for field in dataclasses.fields(cube):
         got, expected = getattr(cube, field.name), getattr(want, field.name)
         if isinstance(expected, np.ndarray):
@@ -538,6 +541,31 @@ def test_build_counts_matches_the_sort_based_reference_bit_for_bit(panel, tmp_pa
             assert got.tobytes() == expected.tobytes(), field.name
         else:
             assert got == expected, field.name
+
+
+def _demo_reserve(cfg):
+    return load_reserve_csv(DEMO / "reserve.csv", cfg.space)
+
+
+def _mini_reserve(cfg):
+    panel = panelgen.generate(panelgen.make_mini_world(), start_year=2014, n_years=3, seed=3)
+    return panel.reserve_spec()
+
+
+@pytest.mark.parametrize(
+    "panel, reserve",
+    [(_demo_panel, _demo_reserve), (_mini_panel, _mini_reserve),
+     (_half(_demo_panel, 2016, 0), _demo_reserve), (_half(_demo_panel, 2016, 1), _demo_reserve),
+     (_half(_mini_panel, 2015, 0), _mini_reserve), (_half(_mini_panel, 2015, 1), _mini_reserve)],
+    ids=["demo", "mini-cycled-workloads", "demo-fit-half", "demo-held-out-half",
+         "mini-fit-half", "mini-held-out-half"],
+)
+def test_build_reserve_matches_the_indexed_reference_bit_for_bit(panel, reserve, tmp_path):
+    records, cfg = panel(tmp_path)
+    cube = build_counts(records, cfg)
+    _assert_same_cube(
+        build_reserve(cube, reserve(cfg), cfg), build_reserve_by_index(cube, reserve(cfg), cfg)
+    )
 
 
 def test_build_counts_allocates_at_most_72_bytes_a_row():

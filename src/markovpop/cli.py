@@ -18,12 +18,13 @@ from .config import RunConfig, load_run_config
 from .errors import ConfigError, MarkovPopError
 from .estimate import fit_model
 from .finance import load_salary_scale, parse_finance_config
-from .ingest import build_counts, load_reserve_csv, parse_records, split_records
+from .ingest import CountsCube, build_counts, load_reserve_csv, parse_records, split_records
 from .model import FittedModel
 from .montecarlo import STREAM_VERSION, dump_draws, simulate_projection
 from .project import projection
 from .reports import (
     RunManifest,
+    observed_totals,
     write_backtest_csv,
     write_cost_csv,
     write_projection_csv,
@@ -59,10 +60,10 @@ def _pricing(args, cfg: RunConfig):
     return load_salary_scale(args.salary_scale, cfg.space), profiles, schedule
 
 
-def _fit(records, reserve, cfg: RunConfig) -> FittedModel:
+def _counts(records, cfg: RunConfig) -> CountsCube:
     cube = build_counts(records, cfg)
     log.info("fitting %d months (%d person-month records)", len(cube.months), len(records))
-    return fit_model(cube, reserve, cfg)
+    return cube
 
 
 def _simulation(model: FittedModel, cfg: RunConfig, args, years: int):
@@ -91,7 +92,10 @@ def cmd_fit(args) -> int:
     _require(args, "config", "records", "reserve", "out")
     cfg = load_run_config(args.config)
     records = parse_records(args.records, cfg)
-    model = _fit(records, load_reserve_csv(args.reserve, cfg.space), cfg)
+    reserve = load_reserve_csv(args.reserve, cfg.space)
+    cube = _counts(records, cfg)
+    del records  # the fit needs only the cube
+    model = fit_model(cube, reserve, cfg)
     model.save(args.out)
     diag = model.diagnostics
     for w in diag.get("warnings", []):
@@ -150,14 +154,17 @@ def cmd_backtest(args) -> int:
     records = parse_records(args.records, cfg)
     reserve = load_reserve_csv(args.reserve, cfg.space)
     fit_records, holdout = split_records(records, args.split_year)
-    model = _fit(fit_records, reserve, cfg)
-    horizon = int(holdout.cal_year.max()) - model.base_year
-    labels, tables, result = _simulation(model, cfg, args, horizon)
+    observed = observed_totals(holdout, cfg, *pricing)
+    cube = _counts(fit_records, cfg)
+    del records, fit_records, holdout  # views of the panel: the fit needs only the cube
+    model = fit_model(cube, reserve, cfg)
+    del cube  # its memory is reused by the simulation
+    labels, tables, result = _simulation(model, cfg, args, max(observed) - model.base_year)
     roles = ("config", "records", "reserve", "salary-scale")
     params = {"split-year": args.split_year, "iterations": result.iterations, "seed": args.seed,
               "stream": STREAM_VERSION}
     manifest = _manifest("backtest", args, roles, params)
-    write_backtest_csv(args.out, manifest, model, labels, tables, result, holdout, *pricing)
+    write_backtest_csv(args.out, manifest, model, labels, tables, result, observed, *pricing)
     return 0
 
 

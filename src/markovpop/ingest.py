@@ -575,15 +575,14 @@ def build_reserve(cube: CountsCube, reserve: ReserveSpec, cfg: RunConfig) -> Cou
         raise DataError("reserve construction failed", problems)
     share = np.maximum(rest, 0.0) / [len(space.feasible_seniorities(e)) for e in ages]
 
-    # each share is added once per feasible seniority, in (age, seniority) order
+    # each month's share is added once per feasible seniority, in (age, seniority) order
     pairs = np.array([(e, a) for e in ages for a in space.feasible_seniorities(e)])
-    n = len(cube.months)
-    groups = (np.tile(g, n) for g in space.locate_groups(*pairs.T))
     pe, pa = pairs[:, 0] - space.age_min, pairs[:, 1]
+    g = (space.n_age_groups, space.n_seniority_groups)
+    cell = np.ravel_multi_index(space.locate_groups(*pairs.T), g)
     group_totals = cube.group_totals.copy()
-    group_totals[..., 0] += _count(
-        (np.repeat(np.arange(n), len(pairs)), *groups), share[:, pe].ravel(), group_totals.shape[:3]
-    )
+    for m, month_share in enumerate(share):
+        group_totals[m, ..., 0] += np.bincount(cell, month_share[pe], math.prod(g)).reshape(g)
     window = np.arange(-11, 1)
     k = np.flatnonzero(np.isin(window, cube.months))
     latest = cube.latest.copy()

@@ -18,8 +18,6 @@ order and of the number of workers.
 from __future__ import annotations
 
 import logging
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,7 +137,10 @@ def simulate_projection(
     processes = min(workers, len(args))
     if processes <= 1:
         draws = [draw_year(*a) for a in args]
-    else:
+    else:  # imported here: a single-process run never loads the pool machinery
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(processes, mp_context=ctx) as pool:
             futures = [pool.submit(draw_year, *a) for a in args]

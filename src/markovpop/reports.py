@@ -13,7 +13,7 @@ currency amounts are rounded to whole units here and nowhere else.
 from __future__ import annotations
 
 import csv
-import hashlib
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -29,6 +29,8 @@ from .project import expected_populations
 
 
 def _sha256(path) -> str:
+    import hashlib  # loads OpenSSL: only commands that write a report pay for it
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -168,7 +170,7 @@ def write_simulation_csv(path, manifest, model, labels, result: SimulationResult
 
 
 def _priced_year(model, labels, table, result, scale, profiles, schedule):
-    """A projected year's full-time cost table, and each cell's expected cost and simulated costs.
+    """Each cell's expected cost and simulated costs in a projected year.
 
     Each label is priced at full time: counts are full-time equivalents.
     The costs are one C-order row per raveled cell: its expected cost,
@@ -179,7 +181,7 @@ def _priced_year(model, labels, table, result, scale, profiles, schedule):
     g = full_time[labels.category, labels.tuple_code]
     _, label_counts = expected_populations(table, model.i0)
     expected = np.bincount(labels.cell_id, label_counts * g)
-    return full_time, np.column_stack([expected, labels.cell_sums(result.years[year].draws * g).T])
+    return np.column_stack([expected, labels.cell_sums(result.years[year].draws * g).T])
 
 
 def _write_cell_rows(path, manifest, model, columns, years, fields) -> None:
@@ -214,7 +216,7 @@ def write_cost_csv(path, manifest, model, labels, tables, result, scale, profile
 
     def years():
         for table in tables[1:]:
-            _, costs = _priced_year(model, labels, table, result, scale, profiles, schedule)
+            costs = _priced_year(model, labels, table, result, scale, profiles, schedule)
             _, label_counts = expected_populations(table, model.i0)
             populated = np.bincount(labels.cell_id, label_counts != 0.0) > 0.0
             kept = np.flatnonzero(populated & labels.in_system_cells)
@@ -228,40 +230,57 @@ def write_cost_csv(path, manifest, model, labels, tables, result, scale, profile
     _write_cell_rows(path, manifest, model, columns, years(), _units)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # write_backtest_csv reports overflow
+def observed_totals(records, cfg, scale, profiles, schedule) -> dict[int, tuple]:
+    """Each calendar year's observed population and cost per raveled cell, by year.
+
+    Each record counts as a full-time equivalent (workload over
+    `cfg.full_time_hours`) averaged over the year's observed months, and
+    is priced at the year's full-time label cost, as the projection is.
+    """
+    space = cfg.space
+    shape = (space.n_categories, space.n_age_groups, space.n_seniority_groups)
+    year_of = records.cal_year
+    starts = np.flatnonzero(np.r_[True, year_of[1:] != year_of[:-1]])  # rows run by month
+    totals = {}
+    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(records)]):
+        year, observed = int(year_of[lo]), records.take(slice(lo, hi))
+        m_obs = len(np.unique(observed.cal_month))
+        full_time = full_time_costs(year, space.n_categories, scale, profiles, schedule)
+        groups = space.locate_groups(observed.age, observed.seniority)
+        cell = np.ravel_multi_index((observed.category, *groups), shape)
+        fte = observed.workload / cfg.full_time_hours
+        price = full_time[observed.category, observed.tuple_code]
+        totals[year] = (
+            np.bincount(cell, fte / m_obs, math.prod(shape)),
+            np.bincount(cell, fte * price / m_obs, math.prod(shape)),
+        )
+    return totals
+
+
 @np.errstate(over="ignore", invalid="ignore")  # _write_cell_rows reports overflow
 def write_backtest_csv(
-    path, manifest, model, labels, tables, result, records, scale, profiles, schedule
+    path, manifest, model, labels, tables, result, observed, scale, profiles, schedule
 ):
     """Backtest report: observed vs expected vs simulated population and cost, with errors.
 
-    Rows cover the projected years that have records.  Each record counts
-    as a full-time equivalent (workload over `model.full_time_hours`)
-    averaged over the year's observed months, and is priced at the same
-    full-time label cost as the projection.  The simulated cost is the
-    iteration mean of the cell cost that the cost report summarizes.
+    Rows cover the projected years that `observed` (:func:`observed_totals`)
+    has.  The simulated cost is the iteration mean of the cell cost that
+    the cost report summarizes.
     """
-    space = model.space
-    shape = (space.n_categories, space.n_age_groups, space.n_seniority_groups)
 
     def years():
         for table in tables[1:]:
             year = model.base_year + table.year
-            observed = records.take(records.cal_year == year)
-            if not len(observed):
+            if year not in observed:
                 continue
-            m_obs = len(np.unique(observed.cal_month))
-            full_time, costs = _priced_year(model, labels, table, result, scale, profiles, schedule)
-            groups = space.locate_groups(observed.age, observed.seniority)
-            cell = np.ravel_multi_index((observed.category, *groups), shape)
-            fte = observed.workload / model.full_time_hours
-            price = full_time[observed.category, observed.tuple_code]
-            counts = expected_populations(table, model.i0)[0].ravel()
-            obs_pop = np.bincount(cell, fte / m_obs, counts.size)
+            obs_pop, obs_cost = observed[year]
+            costs = _priced_year(model, labels, table, result, scale, profiles, schedule)
             columns = (
                 obs_pop,
-                counts,
+                expected_populations(table, model.i0)[0].ravel(),
                 labels.cell_sums(result.years[year].draws).mean(axis=0),
-                np.bincount(cell, fte * price / m_obs, counts.size),
+                obs_cost,
                 costs[:, 0],
                 costs[:, 1:].mean(axis=1),
             )

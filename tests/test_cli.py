@@ -329,6 +329,18 @@ def _unwritable(role):
     return lambda paths, tmp_path: {role: tmp_path / "missing" / "output"}
 
 
+def _in_turn(*damages):
+    """Several damages, each applied to the inputs the ones before it left."""
+
+    def make(paths, tmp_path):
+        changed = {}
+        for damage in damages:
+            changed.update(damage({**paths, **changed}, tmp_path))
+        return changed
+
+    return make
+
+
 def _demo_split(year):
     """The inputs of `demo/` (2014-2016), backtested from `year`."""
     files = {"config": "config.yaml", "records": "records.csv", "reserve": "reserve.csv",
@@ -404,6 +416,10 @@ NAN = float("nan")
          "employer costs for year 2017 are not finite"),
         (_config_with(_set(["finance", "inflation"], -2)), "cost-report", 1,
          "finance.inflation must be greater than -1 (got -2)"),
+        # an observed cost beyond the float range: a held-out record at 200 times full time
+        (_in_turn(_csv_with("records", -1, 5, "8000"), _csv_with("scale", 1, 1, "6e306"),
+                  _csv_with("scale", 2, 1, "6e306")),
+         "backtest", 2, "error: costs for year 2016 are not finite"),
         (_csv_with("reserve", 1, 1, "1e19"), "backtest", 2,
          "population size 1e+19 is too large to simulate"),
         (_csv_with("reserve", 1, 1, "1e308"), "fit", 2, "census totals too large"),
@@ -440,8 +456,8 @@ NAN = float("nan")
          "pmf-nan", "model-nan", "records-extra-field", "reserve-repeated-column",
          "pi-category-negative",
          "pi-age-below-range", "salary-huge", "cost-sum-huge", "inflation-huge",
-         "inflation-below-minus-one", "reserve-beyond-int64", "reserve-sum-huge",
-         "model-i0-huge", "model-i0-negative", "config-binary", "records-binary",
+         "inflation-below-minus-one", "observed-cost-huge", "reserve-beyond-int64",
+         "reserve-sum-huge", "model-i0-huge", "model-i0-negative", "config-binary", "records-binary",
          "model-binary", "config-directory", "records-directory", "fit-out-unwritable",
          "project-out-unwritable", "dump-draws-unwritable", "records-field-too-large",
          "model-age-range-empty", "model-level-repeated", "split-before-first-year",
@@ -463,6 +479,22 @@ def test_malformed_inputs_are_classified(
     assert message in proc.stderr
     # a failed run writes no report
     assert not pathlib.Path(argv[argv.index("--out") + 1]).exists()
+
+
+def test_importing_the_cli_loads_neither_openssl_nor_the_process_pool():
+    # measured on top of the dependencies, which may load some of these themselves
+    probe = (
+        "import sys, numpy, yaml; before = set(sys.modules); import markovpop.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    added = set(proc.stdout.split())
+    assert "markovpop.cli" in added
+    assert not added & {"multiprocessing", "concurrent.futures", "hashlib", "_hashlib"}
 
 
 def test_zero_iterations_is_rejected_not_replaced(capsys, mini_pipeline, tmp_path):

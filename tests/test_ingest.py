@@ -584,6 +584,24 @@ def test_build_counts_allocates_at_most_72_bytes_a_row():
     assert peak <= 72 * len(records), f"{peak / len(records):.1f} bytes a row"
 
 
+def test_build_reserve_allocates_at_most_twice_its_result():
+    spec = panelgen.make_costed_world()
+    panel = panelgen.generate(spec, start_year=2006, n_years=12, seed=1)
+    cfg = spec.run_config()
+    cube, reserve = build_counts(panel.to_records(), cfg), panel.reserve_spec()
+    assert len(cube.months) == 144
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = build_reserve(cube, reserve, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result's own copies of group_totals and latest are counted in the peak
+    own = result.group_totals.nbytes + result.latest.nbytes
+    assert peak <= 2 * own, f"{peak / own:.2f} times its result"
+
+
 def test_build_reserve_splits_equally_over_feasible_seniorities(tmp_path):
     cfg = small_cfg()
     records = parse_records(write(tmp_path, "r.csv", PANEL), cfg)

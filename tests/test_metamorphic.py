@@ -4,6 +4,8 @@ Each test states a relation between two runs on related inputs and checks
 it on `demo/` and on a small generated world; neither needs a stored output.
 """
 
+import csv
+import math
 import random
 from pathlib import Path
 
@@ -11,6 +13,8 @@ import pytest
 import yaml
 
 from markovpop.cli import main
+from markovpop.model import FittedModel
+from markovpop.reports import _cell_names
 
 import panelgen
 from conftest import write_world_inputs
@@ -106,3 +110,35 @@ def test_an_unused_category_or_level_leaves_the_reports_byte_identical(edit, tmp
     # the edit reached the fitted model's axes
     models = [(tmp_path / side / "model.json").read_bytes() for side in "ab"]
     assert models[0] != models[1]
+
+
+def _star_column(path, column) -> dict[tuple, float]:
+    """`column` of each '*' row of a label report, by (year, category, age and seniority group)."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    keys = ("year", "category", "age_group", "seniority_group")
+    rows = csv.DictReader(lines)
+    return {tuple(r[k] for k in keys): float(r[column]) for r in rows
+            if r["characteristic_tuple"] == "*"}
+
+
+def test_simulated_cell_means_lie_within_four_standard_errors_of_the_projection(tmp_path):
+    # a cell's count is Binomial(i0, p): its mean over n iterations has sd sqrt(i0 p (1 - p) / n)
+    paths, model, iterations = _demo(tmp_path), tmp_path / "model.json", 2000
+    _fit(paths, paths["records"], model)
+    common = ["--config", str(paths["config"]), "--model", str(model), "--years", "1"]
+    assert main(["project", *common, "--out", str(tmp_path / "project.csv")]) == 0
+    assert main(["simulate", *common, "--iterations", str(iterations), "--seed", "11",
+                 "--out", str(tmp_path / "simulate.csv")]) == 0
+    fitted = FittedModel.load(model)
+    i0, year = fitted.i0, str(fitted.base_year + 1)
+    assert i0 == round(i0)
+    cells = {(year, *name) for name in _cell_names(fitted.space)}
+    # both reports leave out a cell whose mean (or p) is 0; the projection has the base year too
+    mean = _star_column(tmp_path / "simulate.csv", "mean")
+    p = {k: v for k, v in _star_column(tmp_path / "project.csv", "probability").items()
+         if k[0] == year}
+    assert set(mean) <= cells and set(p) < cells  # some cells have p = 0
+    for key in cells:
+        pk = p.get(key, 0.0)
+        bound = 4.0 * math.sqrt(i0 * pk * (1.0 - pk) / iterations)
+        assert abs(mean.get(key, 0.0) - i0 * pk) <= bound, (key, pk)

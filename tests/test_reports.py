@@ -18,6 +18,7 @@ from markovpop.montecarlo import simulate_projection
 from markovpop.project import projection
 from markovpop.reports import (
     RunManifest,
+    observed_totals,
     write_backtest_csv,
     write_cost_csv,
     write_projection_csv,
@@ -126,7 +127,8 @@ def test_cost_report_and_backtest_price_a_cell_alike(tmp_path):
     manifest = RunManifest.collect("test", {}, {})
     reports = model, labels, tables, result
     write_cost_csv(tmp_path / "cost.csv", manifest, *reports, *pricing)
-    write_backtest_csv(tmp_path / "backtest.csv", manifest, *reports, holdout, *pricing)
+    observed = observed_totals(holdout, cfg, *pricing)
+    write_backtest_csv(tmp_path / "backtest.csv", manifest, *reports, observed, *pricing)
 
     cost, backtest = _cell_rows(tmp_path / "cost.csv"), _cell_rows(tmp_path / "backtest.csv")
     assert {key[:2] for key in cost} == {(y, c) for y in ("2017", "2018") for c in "AB"}

@@ -8,9 +8,9 @@ and the year-boundary events (stay/exit and hires) the entry estimators
 use.  :func:`build_reserve` adds the unobserved out-of-system mass from
 census-style per-age totals.
 
-Months are normalized so the latest observed month is 0; calendar years
-and months are kept alongside because year boundaries and Decembers
-matter for the yearly estimators.
+A record's month is the absolute month ``year * 12 + month - 1``, so any
+run of months of a parsed panel is itself a panel.  Only
+:func:`build_counts` normalizes months, to the latest month of its input.
 """
 
 from __future__ import annotations
@@ -45,16 +45,13 @@ def finite_float(text) -> float:
 class Records:
     """A validated monthly panel: equal-length columns in (month, person_id) order.
 
-    `month` is normalized (latest observed month == 0); `person` indexes
-    `person_ids`, which is sorted; `category` is in-system (>= 1);
-    `tuple_code` is the characteristic tuple's
-    :meth:`~markovpop.states.CharacteristicSpace.code`.  Every integer
-    column is int32 and `workload` is float64: 40 bytes a row.
+    `month` is ``year * 12 + month - 1``; `person` indexes `person_ids`,
+    which is sorted; `category` is in-system (>= 1); `tuple_code` is the
+    characteristic tuple's :meth:`~markovpop.states.CharacteristicSpace.code`.
+    Every integer column is int32 and `workload` is float64: 32 bytes a row.
     """
 
     month: np.ndarray
-    cal_year: np.ndarray
-    cal_month: np.ndarray
     person: np.ndarray
     category: np.ndarray
     age: np.ndarray
@@ -68,27 +65,23 @@ class Records:
 
     @classmethod
     def from_columns(
-        cls, abs_month, person, person_ids, category, age, seniority, workload, tuple_code
+        cls, month, person, person_ids, category, age, seniority, workload, tuple_code
     ):
         """Records from unordered columns, cast to the dtypes of the layout.
 
-        `abs_month` is ``year * 12 + month - 1`` and `person` indexes the
-        sorted `person_ids`.  A column that already has its dtype is
-        reordered in place and becomes the records' own, so a parse never
-        holds its columns twice; pass arrays nothing else uses.
+        `person` indexes the sorted `person_ids`.  A column that already
+        has its dtype is reordered in place and becomes the records' own
+        (a parse never holds its columns twice): pass arrays nothing else uses.
         """
-        order = np.lexsort((person, abs_month))
+        order = np.lexsort((person, month))
 
         def ordered(column, dtype=np.int32):
             column = np.asarray(column).astype(dtype, copy=False)
             column[:] = column[order]
             return column
 
-        month = ordered(abs_month)
-        cal_year, cal_month = month // 12, month % 12 + 1
-        month -= month[-1]
         return cls(
-            month, cal_year, cal_month, *map(ordered, (person, category, age, seniority)),
+            *map(ordered, (month, person, category, age, seniority)),
             ordered(workload, np.float64), ordered(tuple_code), tuple(person_ids),
         )
 
@@ -107,14 +100,15 @@ def _csv_blocks(path, what: str, header):
     """Yield the header of a CSV file, then its rows as lists of fields, in blocks.
 
     The header must hold `header`, each column once.  Blank lines are not
-    rows, as in :class:`csv.DictReader`.  A byte that is not UTF-8 is
-    reported by its offset in the file and its line, and a line the csv
-    module refuses (a field beyond :func:`csv.field_size_limit`, or before
-    Python 3.11 a NUL character) by its line.
+    rows, as in :class:`csv.DictReader`, and a leading UTF-8 byte-order
+    mark is not text.  A byte that is not UTF-8 is reported by its offset
+    in the file and its line, and a line the csv module refuses (a field
+    beyond :func:`csv.field_size_limit`, or before Python 3.11 a NUL
+    character) by its line.
     """
     # the guard spans the row loop: the file is decoded as it is read
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             names = next(reader, [])
             got, want = set(names), set(header)
@@ -360,16 +354,14 @@ def parse_records(path, cfg: RunConfig) -> Records:
 def split_records(records: Records, split_year: int) -> tuple[Records, Records]:
     """Split a panel into records before `split_year` and the held-out rest.
 
-    Both parts are views of `records` (rows run by month), but for the
-    fitting part's `month`, renormalized so its own latest month is 0.
+    Both parts are views of `records` (rows run by month).
     """
-    k = int(np.searchsorted(records.cal_year, split_year))
+    k = int(np.searchsorted(records.month, split_year * 12))
     if k == 0:
         raise DataError(f"no records before the split year {split_year}")
     if k == len(records):
         raise DataError(f"no held-out records at or after the split year {split_year}")
-    fit = records.take(slice(0, k))
-    return replace(fit, month=fit.month - fit.month[-1]), records.take(slice(k, None))
+    return records.take(slice(0, k)), records.take(slice(k, None))
 
 
 @dataclass(frozen=True)
@@ -467,16 +459,16 @@ def build_counts(records: Records, cfg: RunConfig) -> CountsCube:
     present at m and absent at the observed month m+1 is an exit flow to
     category 0, weighted like the month-m record.  Year events need the
     previous December observed plus at least one month of the year.
-    Sums add in row order; per-row temporaries are narrow and short-lived.
+    Months are normalized to the latest month of `records`.  Sums add in
+    row order; per-row temporaries are narrow and short-lived.
     """
     space, rec = cfg.space, records
     month, cat, sen = rec.month, rec.category, rec.seniority
     eg, sg = space.locate_groups(rec.age, sen)
     first_row = np.flatnonzero(np.r_[True, month[1:] != month[:-1]])  # rows run by month
-    months = month[first_row]
-    calendar = {
-        int(k): (int(rec.cal_year[i]), int(rec.cal_month[i])) for k, i in zip(months, first_row)
-    }
+    latest = int(month[-1])
+    months = month[first_row] - latest
+    calendar = {int(k) - latest: (int(k) // 12, int(k) % 12 + 1) for k in month[first_row]}
     cal = set(calendar.values())
     q_years = tuple(sorted({y for y, _ in cal if (y - 1, 12) in cal}))
     is_flow = np.isin(months + 1, months)
@@ -490,34 +482,34 @@ def build_counts(records: Records, cfg: RunConfig) -> CountsCube:
     to = np.zeros(len(rec), np.int32)
     to[chrono[:-1][moves]] = cat[chrono[1:][moves]]
     # each person's first row of each year, by person, then year
-    first = chrono[np.r_[True, ~same | (np.diff(rec.cal_year[chrono]) != 0)]]
+    first = chrono[np.r_[True, ~same | (np.diff(month[chrono] // 12) != 0)]]
     del chrono, same, moves
 
     # a December row stays when its person has a row in the next year; a hire
     # is a person's first row of a q-year without a row the December before
-    y0, span = int(rec.cal_year[0]), int(rec.cal_year[-1] - rec.cal_year[0]) + 1
+    y0, span = int(month[0]) // 12, latest // 12 - int(month[0]) // 12 + 1
 
     def slot(rows):  # one per (person, year), in intp: the product outgrows the int32 columns
-        return rec.person[rows].astype(np.intp) * span + (rec.cal_year[rows] - y0)
+        return rec.person[rows].astype(np.intp) * span + (month[rows] // 12 - y0)
 
     present = np.zeros(len(rec.person_ids) * span, dtype=bool)
     present[slot(first)] = True
     december = np.zeros_like(present)
-    dec = np.flatnonzero(rec.cal_month == 12)
+    dec = np.flatnonzero(month % 12 == 11)
     december[slot(dec)] = True
-    dec = dec[np.isin(rec.cal_year[dec] + 1, q_years)]
-    stays = (np.searchsorted(q_years, rec.cal_year[dec] + 1), eg[dec], sg[dec], cat[dec])
+    dec = dec[np.isin(month[dec] // 12 + 1, q_years)]
+    stays = (np.searchsorted(q_years, month[dec] // 12 + 1), eg[dec], sg[dec], cat[dec])
     exits = ~present[slot(dec) + 1]
     # a q-year's previous year is in the panel, so slot - 1 is the same person's
-    hire = first[np.isin(rec.cal_year[first], q_years) & ~december[slot(first) - 1]]
+    hire = first[np.isin(month[first] // 12, q_years) & ~december[slot(first) - 1]]
     # in year order, then in order of each person's first appearance (`first` runs by person)
     people, at = np.unique(rec.person[first], return_index=True)
     first_seen = first[at[np.searchsorted(people, rec.person[hire])]]
-    hire = hire[np.lexsort((first_seen, rec.cal_year[hire]))]
+    hire = hire[np.lexsort((first_seen, month[hire] // 12))]
     src_age = rec.age[hire] - 1
     clamped = src_age < space.age_min
     src = space.locate_groups(np.maximum(src_age, space.age_min), np.maximum(sen[hire] - 1, 0))
-    hires = (np.searchsorted(q_years, rec.cal_year[hire]), *src)
+    hires = (np.searchsorted(q_years, month[hire] // 12), *src)
 
     w = rec.workload / cfg.full_time_hours
     m = np.repeat(np.arange(nm, dtype=np.int32), np.diff(first_row, append=len(rec)))
@@ -527,7 +519,7 @@ def build_counts(records: Records, cfg: RunConfig) -> CountsCube:
     flows = _count((flow_of[m], eg, sg, cat, to), w, (nf + 1, *g, nc, nc))[:nf]
     del to
     age = rec.age - space.age_min
-    window = slice(int(np.searchsorted(month, -11)), None)  # normalized months -11..0
+    window = slice(int(np.searchsorted(month, latest - 11)), None)  # normalized months -11..0
     n_codes = len(cfg.characteristics.tuples())
     return CountsCube(
         months=tuple(months.tolist()),
@@ -542,14 +534,14 @@ def build_counts(records: Records, cfg: RunConfig) -> CountsCube:
         entry_cats=_count((*hires, cat[hire]), w[hire], (ny, *g, nc)),
         in_system=_count((m, age), w, (nm, space.n_ages)),
         latest=_count(
-            (month[window] + 11, cat[window], age[window], sen[window]),
+            (month[window] - (latest - 11), cat[window], age[window], sen[window]),
             w[window],
             (12, nc, space.n_ages, space.seniority_max),
         ),
         warnings=tuple(
             f"hire of {rec.person_ids[p]!r} in {y}: source age below the configured "
             f"range, clamped to {space.age_min}"
-            for p, y in zip(rec.person[hire][clamped], rec.cal_year[hire][clamped])
+            for p, y in zip(rec.person[hire][clamped], month[hire][clamped] // 12)
         ),
     )
 

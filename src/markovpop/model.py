@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import is_number
 from .errors import ConfigError, DataError
 from .states import CharacteristicSpace, StateSpaceConfig, validate_config
 
@@ -190,10 +191,14 @@ class FittedModel:
             levels=tuple(tuple(lv) for lv in doc["characteristics"]["levels"]),
         )
         pi = _parse_pi(doc["pi"], space)
-        i0 = float(doc["i0"])
-        # JSON reads an out-of-range literal such as 1e400 as inf
-        if not 0.0 <= i0 < float("inf"):
+        i0, base_year, hours = doc["i0"], doc["base_year"], doc["full_time_hours"]
+        # JSON reads an out-of-range literal such as 1e400 as inf; a bool is not a number
+        if not (is_number(i0) and i0 >= 0):
             raise DataError(f"model file: i0 must be a finite number >= 0 (got {i0!r})")
+        if type(base_year) is not int:
+            raise DataError(f"model file: base_year must be an integer (got {base_year!r})")
+        if not (is_number(hours) and hours > 0):
+            raise DataError(f"model file: full_time_hours must be a number > 0 (got {hours!r})")
 
         def cell_arrays(section, shape):
             out = {}
@@ -228,9 +233,9 @@ class FittedModel:
         return cls(
             space=space,
             characteristics=chars,
-            i0=i0,
-            base_year=int(doc["base_year"]),
-            full_time_hours=float(doc["full_time_hours"]),
+            i0=float(i0),
+            base_year=base_year,
+            full_time_hours=float(hours),
             stopping_time_pmf=tuple(doc["stopping_time_pmf"]),
             stopping_time_overrides={
                 k: tuple(v) for k, v in doc["stopping_time_overrides"].items()

@@ -240,12 +240,12 @@ def observed_totals(records, cfg, scale, profiles, schedule) -> dict[int, tuple]
     """
     space = cfg.space
     shape = (space.n_categories, space.n_age_groups, space.n_seniority_groups)
-    year_of = records.cal_year
+    year_of = records.month // 12
     starts = np.flatnonzero(np.r_[True, year_of[1:] != year_of[:-1]])  # rows run by month
     totals = {}
     for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(records)]):
         year, observed = int(year_of[lo]), records.take(slice(lo, hi))
-        m_obs = len(np.unique(observed.cal_month))
+        m_obs = len(np.unique(observed.month))
         full_time = full_time_costs(year, space.n_categories, scale, profiles, schedule)
         groups = space.locate_groups(observed.age, observed.seniority)
         cell = np.ravel_multi_index((observed.category, *groups), shape)

@@ -1,5 +1,7 @@
 """Shared fixtures: toy spaces, randomized models, a generated CLI world."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -86,6 +88,39 @@ def write_world_inputs(spec, panel, base, scale=None):
     if scale is not None:
         paths["scale"] = base / "scale.csv"
         panelgen.write_salary_scale_csv(paths["scale"], scale)
+    return paths
+
+
+def demo_inputs(base):
+    """The input files of `demo/` by role, as :func:`write_world_inputs` returns them.
+
+    `base` is not used: it is there so that `demo/` takes a world's arguments.
+    """
+    demo = Path(__file__).resolve().parent.parent / "demo"
+    return {"config": demo / "config.yaml", "records": demo / "records.csv",
+            "reserve": demo / "reserve.csv", "scale": demo / "salary_scale.csv"}
+
+
+# unequal workloads, so the order of a month's weighted sums shows in the bits
+CYCLED_WORKLOADS = ("13", "21", "33", "37", "40")
+
+
+def write_cycled_mini_world(base):
+    """The mini world's inputs and salary scale, with workloads cycling in file order.
+
+    The panel runs from 2014 for 3 years (seed 3); workloads cycle over
+    `CYCLED_WORKLOADS`.
+    """
+    spec = panelgen.make_mini_world()
+    panel = panelgen.generate(spec, start_year=2014, n_years=3, seed=3)
+    paths = write_world_inputs(spec, panel, base, scale=panelgen.MINI_SALARY_SCALE)
+    header, *rows = paths["records"].read_text().splitlines()
+    at = header.split(",").index("workload")
+    for k, row in enumerate(rows):
+        fields = row.split(",")
+        fields[at] = CYCLED_WORKLOADS[k % len(CYCLED_WORKLOADS)]
+        rows[k] = ",".join(fields)
+    paths["records"].write_text("\n".join([header, *rows]) + "\n")
     return paths
 
 

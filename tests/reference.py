@@ -17,6 +17,7 @@ import csv
 import math
 import re
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -145,7 +146,7 @@ def parse_records_by_row(path, cfg) -> Records:
     absm = np.asarray(abs_month, np.int32)[order]
     ints = (np.asarray(col, np.int32)[order] for col in (person, category, age, seniority))
     return Records(
-        absm - absm[-1], absm // 12, absm % 12 + 1, *ints,
+        absm, *ints,
         np.asarray(workload, np.float64)[order], np.asarray(tuple_code, np.int32)[order],
         tuple(person_ids),
     )
@@ -165,6 +166,10 @@ def build_counts_by_sort(records: Records, cfg) -> CountsCube:
     category 0, weighted like the month-m record.  Year events need the
     previous December observed plus at least one month of the year.
     """
+    # the normalized month and the calendar columns this reference was written against
+    absm = records.month
+    records = SimpleNamespace(**{**vars(records), "month": absm - absm[-1]},
+                              cal_year=absm // 12, cal_month=absm % 12 + 1)
     space, rec = cfg.space, records
     w = rec.workload / cfg.full_time_hours
     eg, sg = space.locate_groups(rec.age, rec.seniority)
@@ -182,7 +187,7 @@ def build_counts_by_sort(records: Records, cfg) -> CountsCube:
     # each record's category next month; 0 (an exit) when its person is gone
     chrono = np.lexsort((rec.month, rec.person))  # rows by person, then month
     moves = (np.diff(rec.person[chrono]) == 0) & (np.diff(rec.month[chrono]) == 1)
-    to = np.zeros(len(rec), dtype=int)
+    to = np.zeros(len(rec.month), dtype=int)
     to[chrono[:-1][moves]] = cat[chrono[1:][moves]]
     f = is_flow[m]
     flow_month = (np.cumsum(is_flow) - 1)[m[f]]

@@ -449,6 +449,24 @@ NAN = float("nan")
         (_demo_split(2014), "backtest", 2, "error: no records before the split year 2014\n"),
         (_demo_split(2017), "backtest", 2,
          "error: no held-out records at or after the split year 2017\n"),
+        # split years whose first month is beyond the int32 range of the record months
+        (_demo_split(99999999999), "backtest", 2,
+         "error: no held-out records at or after the split year 99999999999\n"),
+        (_demo_split(-999999999), "backtest", 2,
+         "error: no records before the split year -999999999\n"),
+        # model numbers of the wrong JSON type
+        (_model_with(_set(["i0"], True)), "project", 2,
+         "model file: i0 must be a finite number >= 0 (got True)"),
+        (_model_with(_set(["i0"], "60")), "project", 2,
+         "model file: i0 must be a finite number >= 0 (got '60')"),
+        (_model_with(_set(["base_year"], 2016.7)), "project", 2,
+         "model file: base_year must be an integer (got 2016.7)"),
+        (_model_with(_set(["base_year"], True)), "project", 2,
+         "model file: base_year must be an integer (got True)"),
+        (_model_with(_set(["full_time_hours"], "40")), "project", 2,
+         "model file: full_time_hours must be a number > 0 (got '40')"),
+        (_model_with(_set(["full_time_hours"], True)), "project", 2,
+         "model file: full_time_hours must be a number > 0 (got True)"),
     ],
     ids=["model-missing-annual", "overrides-list", "levels-list", "reserve-marker-int",
          "finance-full-time-hours", "reserve-nan", "workload-nan", "salary-nan",
@@ -461,7 +479,9 @@ NAN = float("nan")
          "model-binary", "config-directory", "records-directory", "fit-out-unwritable",
          "project-out-unwritable", "dump-draws-unwritable", "records-field-too-large",
          "model-age-range-empty", "model-level-repeated", "split-before-first-year",
-         "split-after-last-year"],
+         "split-after-last-year", "split-year-huge", "split-year-very-negative",
+         "model-i0-bool", "model-i0-string", "model-base-year-fraction", "model-base-year-bool",
+         "model-full-time-hours-string", "model-full-time-hours-bool"],
 )
 def test_malformed_inputs_are_classified(
     mini_pipeline, tmp_path, damage, command, code, message

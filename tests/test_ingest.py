@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from markovpop.config import build_run_config, load_run_config
 from markovpop.errors import DataError
+from markovpop.estimate import fit_model
+from markovpop.finance import load_salary_scale
 from markovpop.ingest import (
     Records,
     ReserveSpec,
@@ -27,6 +29,7 @@ from markovpop.ingest import (
 )
 
 import panelgen
+from conftest import demo_inputs, write_cycled_mini_world, write_world_inputs
 from reference import build_counts_by_sort, build_reserve_by_index, parse_records_by_row
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -79,12 +82,12 @@ def test_parse_records_happy_path(tmp_path):
     cfg = small_cfg()
     records = parse_records(write(tmp_path, "r.csv", PANEL), cfg)
     assert len(records) == 6
-    # sorted by (normalized month, person); the latest month is 0
+    # sorted by (month, person); a month is year * 12 + month - 1
     people = [records.person_ids[p] for p in records.person]
+    nov, dec, jan = 2020 * 12 + 10, 2020 * 12 + 11, 2021 * 12
     assert list(zip(records.month.tolist(), people)) == [
-        (-2, "p1"), (-2, "p2"), (-1, "p1"), (-1, "p2"), (0, "p1"), (0, "p3"),
+        (nov, "p1"), (nov, "p2"), (dec, "p1"), (dec, "p2"), (jan, "p1"), (jan, "p3"),
     ]
-    assert (records.cal_year[0], records.cal_month[0]) == (2020, 11)
     assert records.category[0] == 1  # A
     tuples = cfg.characteristics.tuples()
     assert tuples[records.tuple_code[0]] == (0,)  # x
@@ -92,7 +95,7 @@ def test_parse_records_happy_path(tmp_path):
     assert tuples[records.tuple_code[4]] == (1,)  # y
 
 
-def test_records_hold_int32_columns_and_float64_workload_in_40_bytes_a_row():
+def test_records_hold_int32_columns_and_float64_workload_in_32_bytes_a_row():
     parsed = parse_records(DEMO / "records.csv", load_run_config(DEMO / "config.yaml"))
     spec = panelgen.make_mini_world()
     made = panelgen.generate(spec, start_year=2014, n_years=3, seed=3).to_records()
@@ -101,21 +104,38 @@ def test_records_hold_int32_columns_and_float64_workload_in_40_bytes_a_row():
         columns = {k: v for k, v in vars(records).items() if k != "person_ids"}
         for name, column in columns.items():
             assert column.dtype == (np.float64 if name == "workload" else np.int32), name
-        assert len(records) and sum(c.nbytes for c in columns.values()) == 40 * len(records)
+        assert len(columns) == 7
+        assert len(records) and sum(c.nbytes for c in columns.values()) == 32 * len(records)
 
 
 def test_split_records_returns_views_of_the_parsed_columns():
     parsed = parse_records(DEMO / "records.csv", load_run_config(DEMO / "config.yaml"))
     fit, held_out = split_records(parsed, 2016)
     assert len(fit) + len(held_out) == len(parsed)
-    assert set(fit.cal_year.tolist()) == {2014, 2015} and set(held_out.cal_year.tolist()) == {2016}
+    assert set((fit.month // 12).tolist()) == {2014, 2015}
+    assert set((held_out.month // 12).tolist()) == {2016}
     for half in (fit, held_out):
         columns = {k: v for k, v in vars(half).items() if k != "person_ids"}
-        assert sum(c.nbytes for c in columns.values()) == 40 * len(half)
-        # the fitting part's months are renormalized, so only they are its own
-        shared = [k for k, v in columns.items() if np.shares_memory(v, getattr(parsed, k))]
-        assert shared == [k for k in columns if half is held_out or k != "month"]
-    assert fit.month[-1] == 0 and (held_out.month == parsed.month[len(fit):]).all()
+        assert sum(c.nbytes for c in columns.values()) == 32 * len(half)
+        assert all(np.shares_memory(v, getattr(parsed, k)) for k, v in columns.items())
+    assert (fit.month == parsed.month[:len(fit)]).all()
+    assert (held_out.month == parsed.month[len(fit):]).all()
+
+
+def test_csv_loaders_ignore_a_leading_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with one
+    cfg = load_run_config(DEMO / "config.yaml")
+
+    def marked(name):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + (DEMO / name).read_bytes())
+        return path
+
+    got, want = parse_records(marked("records.csv"), cfg), parse_records(DEMO / "records.csv", cfg)
+    for name, column in vars(want).items():
+        assert np.array_equal(getattr(got, name), column), name
+    for name, load in (("reserve.csv", load_reserve_csv), ("salary_scale.csv", load_salary_scale)):
+        assert load(marked(name), cfg.space) == load(DEMO / name, cfg.space), name
 
 
 def test_parse_records_header_mismatch(tmp_path):
@@ -485,7 +505,7 @@ def _mini_panel(tmp_path):
 def _gap_panel(tmp_path):
     """`demo/` without June and December 2015: two gaps, and 2016 loses its December."""
     records, cfg = _demo_panel(tmp_path)
-    gone = (records.cal_year == 2015) & np.isin(records.cal_month, (6, 12))
+    gone = np.isin(records.month, (2015 * 12 + 5, 2015 * 12 + 11))
     return records.take(~gone), cfg
 
 
@@ -500,7 +520,7 @@ def _renamed_panel(tmp_path):
     r, cfg = _mini_panel(tmp_path)
     renamed = sorted(f"w{999_999 - int(pid[1:]):06d}" for pid in r.person_ids)
     records = Records.from_columns(
-        r.cal_year * 12 + r.cal_month - 1, len(renamed) - 1 - r.person, renamed,
+        r.month.copy(), len(renamed) - 1 - r.person, renamed,
         *(column.copy() for column in (r.category, r.age, r.seniority, r.workload, r.tuple_code)),
     )
     return records, cfg
@@ -543,6 +563,36 @@ def _assert_same_cube(cube, want):
             assert got == expected, field.name
 
 
+def _costed_inputs(tmp_path):
+    spec = panelgen.make_costed_world()
+    panel = panelgen.generate(spec, start_year=2010, n_years=5, seed=1)
+    return write_world_inputs(spec, panel, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "inputs, view",
+    [(_costed_inputs, lambda r: r.take(slice(*np.searchsorted(r.month, (2011 * 12, 2014 * 12))))),
+     (demo_inputs, lambda r: split_records(r, 2016)[0]),
+     (write_cycled_mini_world, lambda r: split_records(r, 2016)[0])],
+    ids=["costed-2011-2013", "demo-fit-half", "mini-cycled-fit-half"],
+)
+def test_any_run_of_months_of_a_panel_fits_like_a_file_of_only_its_rows(inputs, view, tmp_path):
+    paths = inputs(tmp_path)
+    cfg = load_run_config(paths["config"])
+    reserve = load_reserve_csv(paths["reserve"], cfg.space)
+    part = view(parse_records(paths["records"], cfg))
+    stamps = {f"{m // 12:04d}-{m % 12 + 1:02d}" for m in part.month.tolist()}
+    header, *rows = paths["records"].read_text().splitlines(keepends=True)
+    csv_text = header + "".join(row for row in rows if row[:7] in stamps)
+    alone = parse_records(write(tmp_path, "part.csv", csv_text), cfg)
+    assert len(alone) == len(part) < len(rows)
+
+    def fit(records):
+        return fit_model(build_counts(records, cfg), reserve, cfg).to_json()
+
+    assert fit(part) == fit(alone)
+
+
 def _demo_reserve(cfg):
     return load_reserve_csv(DEMO / "reserve.csv", cfg.space)
 
@@ -580,7 +630,7 @@ def test_build_counts_allocates_at_most_72_bytes_a_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the records themselves hold 40 bytes a row; the cube's arrays are counted in the peak
+    # the records themselves hold 32 bytes a row; the cube's arrays are counted in the peak
     assert peak <= 72 * len(records), f"{peak / len(records):.1f} bytes a row"
 
 

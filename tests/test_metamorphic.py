@@ -7,7 +7,6 @@ it on `demo/` and on a small generated world; neither needs a stored output.
 import csv
 import math
 import random
-from pathlib import Path
 
 import pytest
 import yaml
@@ -16,35 +15,9 @@ from markovpop.cli import main
 from markovpop.model import FittedModel
 from markovpop.reports import _cell_names
 
-import panelgen
-from conftest import write_world_inputs
+from conftest import demo_inputs, write_cycled_mini_world
 
-DEMO = Path(__file__).resolve().parent.parent / "demo"
-# unequal workloads, so the order of a month's weighted sums shows in the bits
-WORKLOADS = ("13", "21", "33", "37", "40")
-
-
-def _demo(tmp_path):
-    return {
-        "config": DEMO / "config.yaml",
-        "records": DEMO / "records.csv",
-        "reserve": DEMO / "reserve.csv",
-    }
-
-
-def _mini_world(tmp_path):
-    """The mini world's inputs, with workloads cycling over `WORKLOADS`."""
-    spec = panelgen.make_mini_world()
-    panel = panelgen.generate(spec, start_year=2014, n_years=3, seed=3)
-    paths = write_world_inputs(spec, panel, tmp_path)
-    header, *rows = paths["records"].read_text().splitlines()
-    at = header.split(",").index("workload")
-    for k, row in enumerate(rows):
-        fields = row.split(",")
-        fields[at] = WORKLOADS[k % len(WORKLOADS)]
-        rows[k] = ",".join(fields)
-    paths["records"].write_text("\n".join([header, *rows]) + "\n")
-    return paths
+WORLDS = (demo_inputs, write_cycled_mini_world)
 
 
 def _fit(paths, records, out) -> bytes:
@@ -56,7 +29,7 @@ def _fit(paths, records, out) -> bytes:
     return out.read_bytes()
 
 
-@pytest.mark.parametrize("world", [_demo, _mini_world], ids=["demo", "mini-cycled-workloads"])
+@pytest.mark.parametrize("world", WORLDS, ids=["demo", "mini-cycled-workloads"])
 def test_shuffling_the_records_rows_leaves_the_model_byte_identical(world, tmp_path):
     paths = world(tmp_path)
     header, *rows = paths["records"].read_text().splitlines(keepends=True)
@@ -78,16 +51,17 @@ def _unused_level(raw, scale):
     raw["finance"]["bindings"]["annuity_pct"]["levels"]["b2"] = 0.06
 
 
-def _reports(tmp_path, edit) -> dict[str, list[str]]:
-    """Data rows of `project`, `simulate` and `cost-report` on `demo/` under a config edit."""
-    raw = yaml.safe_load((DEMO / "config.yaml").read_text())
+def _reports(tmp_path, world, edit) -> dict[str, list[str]]:
+    """Data rows of `project`, `simulate` and `cost-report` on a world under a config edit."""
+    paths = world(tmp_path)
+    raw = yaml.safe_load(paths["config"].read_text())
     scale = tmp_path / "scale.csv"
-    scale.write_text((DEMO / "salary_scale.csv").read_text())
+    scale.write_text(paths["scale"].read_text())
     edit(raw, scale)
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump(raw))
     model = tmp_path / "model.json"
-    _fit({"config": config, "reserve": DEMO / "reserve.csv"}, DEMO / "records.csv", model)
+    _fit({"config": config, "reserve": paths["reserve"]}, paths["records"], model)
     common = ["--config", str(config), "--model", str(model), "--years", "3"]
     sim = ["--iterations", "200", "--seed", "5"]
     runs = {"project": [], "simulate": sim, "cost-report": ["--salary-scale", str(scale), *sim]}
@@ -102,14 +76,17 @@ def _reports(tmp_path, edit) -> dict[str, list[str]]:
 @pytest.mark.parametrize("edit", [_unused_category, _unused_level],
                          ids=["unused-category", "unused-level"])
 def test_an_unused_category_or_level_leaves_the_reports_byte_identical(edit, tmp_path):
-    (tmp_path / "a").mkdir()
-    (tmp_path / "b").mkdir()
-    plain = _reports(tmp_path / "a", lambda raw, scale: None)
-    assert all(len(rows) > 1 for rows in plain.values())
-    assert _reports(tmp_path / "b", edit) == plain
-    # the edit reached the fitted model's axes
-    models = [(tmp_path / side / "model.json").read_bytes() for side in "ab"]
-    assert models[0] != models[1]
+    # each world in turn, so that the test keeps one id per edit
+    for world in WORLDS:
+        base = tmp_path / world.__name__
+        for side in "ab":
+            (base / side).mkdir(parents=True)
+        plain = _reports(base / "a", world, lambda raw, scale: None)
+        assert all(len(rows) > 1 for rows in plain.values()), world.__name__
+        assert _reports(base / "b", world, edit) == plain, world.__name__
+        # the edit reached the fitted model's axes
+        models = [(base / side / "model.json").read_bytes() for side in "ab"]
+        assert models[0] != models[1], world.__name__
 
 
 def _star_column(path, column) -> dict[tuple, float]:
@@ -123,22 +100,26 @@ def _star_column(path, column) -> dict[tuple, float]:
 
 def test_simulated_cell_means_lie_within_four_standard_errors_of_the_projection(tmp_path):
     # a cell's count is Binomial(i0, p): its mean over n iterations has sd sqrt(i0 p (1 - p) / n)
-    paths, model, iterations = _demo(tmp_path), tmp_path / "model.json", 2000
-    _fit(paths, paths["records"], model)
-    common = ["--config", str(paths["config"]), "--model", str(model), "--years", "1"]
-    assert main(["project", *common, "--out", str(tmp_path / "project.csv")]) == 0
-    assert main(["simulate", *common, "--iterations", str(iterations), "--seed", "11",
-                 "--out", str(tmp_path / "simulate.csv")]) == 0
-    fitted = FittedModel.load(model)
-    i0, year = fitted.i0, str(fitted.base_year + 1)
-    assert i0 == round(i0)
-    cells = {(year, *name) for name in _cell_names(fitted.space)}
-    # both reports leave out a cell whose mean (or p) is 0; the projection has the base year too
-    mean = _star_column(tmp_path / "simulate.csv", "mean")
-    p = {k: v for k, v in _star_column(tmp_path / "project.csv", "probability").items()
-         if k[0] == year}
-    assert set(mean) <= cells and set(p) < cells  # some cells have p = 0
-    for key in cells:
-        pk = p.get(key, 0.0)
-        bound = 4.0 * math.sqrt(i0 * pk * (1.0 - pk) / iterations)
-        assert abs(mean.get(key, 0.0) - i0 * pk) <= bound, (key, pk)
+    iterations = 2000
+    for world in WORLDS:  # each world in turn, so that the test keeps its id
+        base = tmp_path / world.__name__
+        base.mkdir()
+        paths, model = world(base), base / "model.json"
+        _fit(paths, paths["records"], model)
+        common = ["--config", str(paths["config"]), "--model", str(model), "--years", "1"]
+        assert main(["project", *common, "--out", str(base / "project.csv")]) == 0
+        assert main(["simulate", *common, "--iterations", str(iterations), "--seed", "11",
+                     "--out", str(base / "simulate.csv")]) == 0
+        fitted = FittedModel.load(model)
+        i0, year = fitted.i0, str(fitted.base_year + 1)
+        assert i0 == round(i0)
+        cells = {(year, *name) for name in _cell_names(fitted.space)}
+        # both reports leave out a cell whose mean (or p) is 0; the projection has the base year
+        mean = _star_column(base / "simulate.csv", "mean")
+        p = {k: v for k, v in _star_column(base / "project.csv", "probability").items()
+             if k[0] == year}
+        assert set(mean) <= cells and set(p) < cells, world.__name__  # some cells have p = 0
+        for key in cells:
+            pk = p.get(key, 0.0)
+            bound = 4.0 * math.sqrt(i0 * pk * (1.0 - pk) / iterations)
+            assert abs(mean.get(key, 0.0) - i0 * pk) <= bound, (world.__name__, key, pk)

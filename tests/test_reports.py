@@ -119,7 +119,7 @@ def test_cost_report_and_backtest_price_a_cell_alike(tmp_path):
     fit_records, holdout = split_records(parse_records(paths["records"], cfg), 2017)
     reserve = load_reserve_csv(paths["reserve"], cfg.space)
     model = fit_model(build_counts(fit_records, cfg), reserve, cfg)
-    labels, tables = projection(model, int(holdout.cal_year.max()) - model.base_year, "absorb")
+    labels, tables = projection(model, int(holdout.month[-1]) // 12 - model.base_year, "absorb")
     probs = {model.base_year + t.year: t.probs for t in tables[1:]}
     result = simulate_projection(probs, model.i0, 200, seed=7)
     schedule, profiles = parse_finance_config(cfg.finance_raw, cfg.characteristics)

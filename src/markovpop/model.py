@@ -12,12 +12,22 @@ sparse triplet list; matrices are dense row-major lists; ``r`` maps each
 in-system ``"c|ei,ai"`` cell to its tuples with a non-zero share.  Floats
 are written with Python's shortest round-trip repr, so loading recovers
 the exact binary values.
+
+Loading never holds the whole decoded triplet list.  The top-level object
+is read with the json module's own scanner, except that the ``pi`` array
+stays text, cut after whole entries into spans of about 128 KiB that are
+decoded one at a time.  Anything this path does not accept (another
+layout, such as a duplicated key or ``pi`` not opening with ``[[``, or
+any fault at all) is decoded again as one whole document, so a file
+loads, or fails with its message, exactly as ``json.loads`` reads it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +38,8 @@ from .states import CharacteristicSpace, StateSpaceConfig, validate_config
 
 FORMAT_NAME = "markovpop-model"
 FORMAT_VERSION = 1
+_SPAN = 1 << 17  # characters of pi text decoded at a time
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's
 
 
 def _cell_key(ei: int, ai: int) -> str:
@@ -43,14 +55,71 @@ def _parse_cell_key(s: str) -> tuple[int, int]:
     return int(ei), int(ai)
 
 
+def _pi_spans(text: str, lo: int, end: int):
+    """The entries in text[lo:end], in spans of about _SPAN characters cut after a "],"."""
+    while lo < end:
+        cut = text.find("],", lo + _SPAN, end)
+        hi = end if cut < 0 else cut + 1
+        yield text[lo:hi]
+        lo = hi + 1
+
+
+def _decode_pieces(text: str) -> dict:
+    """The top-level object of a model file, with ``pi`` as an iterator of text spans.
+
+    Keys are read by the json module's string scanner and other values by
+    its decoder.  The ``pi`` array is taken to end at its first "]]"; a
+    span cut in the wrong place cannot decode as JSON, so when every span
+    decodes the result equals ``json.loads``.  A layout this does not
+    follow raises ValueError or StopIteration, a NaN token DataError.
+    """
+    scan = json.JSONDecoder(parse_constant=_reject_constant).scan_once
+    ws = _WHITESPACE.match
+    doc = {}
+    i = ws(text).end()
+    if text[i : i + 1] != "{":
+        raise ValueError("not an object")
+    delim = ","
+    while delim == ",":
+        i = ws(text, i + 1).end()
+        if text[i : i + 1] != '"':
+            raise ValueError("no key")
+        key, i = json.decoder.scanstring(text, i + 1)
+        i = ws(text, i).end()
+        if text[i : i + 1] != ":" or key in doc:
+            raise ValueError("no colon, or a repeated key")
+        i = ws(text, i + 1).end()
+        if key == "pi":
+            if not text.startswith("[[", i):
+                raise ValueError("pi does not open with [[")
+            end = text.index("]]", i) + 1
+            doc[key], i = _pi_spans(text, i + 1, end), end + 1
+        else:
+            doc[key], i = scan(text, i)
+        i = ws(text, i).end()
+        delim = text[i : i + 1]
+    if delim != "}" or ws(text, i + 1).end() != len(text):
+        raise ValueError("not one object")
+    return doc
+
+
 def _parse_pi(triplets, space: StateSpaceConfig) -> np.ndarray:
-    """The initial distribution from its [category, age, seniority, p] triplets."""
+    """The initial distribution from its [category, age, seniority, p] triplets.
+
+    `triplets` is the decoded list, or the text spans of `_decode_pieces`,
+    decoded one at a time so that the whole list is never held.
+    """
+    if isinstance(triplets, Iterator):
+        blocks = (json.loads(f"[{s}]", parse_constant=_reject_constant) for s in triplets)
+    else:  # in slices, so the arrays stay small
+        blocks = (triplets[lo : lo + 8192] for lo in range(0, len(triplets), 8192))
     pi = np.zeros((space.n_categories, space.n_ages, space.seniority_max))
     listed = np.zeros(pi.size, dtype=bool)
-    for lo in range(0, len(triplets), 8192):  # in blocks, so the arrays stay small
-        block = triplets[lo : lo + 8192]
+    n_entries = 0
+    for block in blocks:
         if set(map(len, block)) != {4}:
             raise ValueError("pi entries must be [category, age, seniority, p]")
+        n_entries += len(block)
         rows = np.fromiter(itertools.chain.from_iterable(block), float).reshape(-1, 4)
         idx = rows[:, :3] - [0, space.age_min, 0]
         outside = ~((idx >= 0) & (idx < pi.shape) & (idx == np.floor(idx))).all(axis=1)
@@ -62,7 +131,7 @@ def _parse_pi(triplets, space: StateSpaceConfig) -> np.ndarray:
         flat = np.ravel_multi_index(idx.T.astype(int), pi.shape)
         listed[flat] = True
         pi.flat[flat] = rows[:, 3]
-    if np.count_nonzero(listed) != len(triplets):
+    if np.count_nonzero(listed) != n_entries:
         raise DataError("model file: pi lists a (category, age, seniority) twice")
     total = float(pi.sum())
     if not abs(total - 1.0) <= 1e-9:
@@ -252,12 +321,18 @@ class FittedModel:
     @classmethod
     def load(cls, path) -> "FittedModel":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh, parse_constant=_reject_constant)
+            with open(path, "r", encoding="utf-8-sig") as fh:
+                text = fh.read()
         except FileNotFoundError:
             raise DataError(f"model file not found: {path}") from None
         except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"model file {path} cannot be read: {exc}") from None
+        try:
+            return cls.from_json_dict(_decode_pieces(text))
+        except (DataError, ValueError, StopIteration):
+            pass  # decode the whole document, the only path for any other file
+        try:
+            doc = json.loads(text, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise DataError(f"model file {path} is not valid JSON: {exc}") from None
         return cls.from_json_dict(doc)

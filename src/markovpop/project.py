@@ -42,7 +42,7 @@ def propagate_distribution(
     """
     space = model.space
     d = dist.values
-    _, n_ages, n_sen = d.shape
+    n_sen = d.shape[2]
     if policy == "strict" and d[:, -1].sum() > 0.0:
         raise HorizonError(
             f"age overflow: mass {d[:, -1].sum():.3g} at the top age {space.age_max - 1} "
@@ -70,12 +70,25 @@ def propagate_distribution(
             f"(cell {ei},{space.n_seniority_groups - 1}, year {dist.year}); {_ADVICE}"
         )
     # under strict the checks above leave the clamped targets only zero mass
-    older = np.minimum(np.arange(n_ages) + 1, n_ages - 1)
-    senior = np.minimum(np.arange(n_sen) + 1, n_sen - 1)
-    out = np.zeros_like(d)
-    np.add.at(out, (slice(1, None), older[:, None], senior), moved[1:])
-    np.add.at(out[0], (older[:, None], np.arange(n_sen)), moved[0])
-    return TripleDistribution(values=out, year=dist.year + 1)
+    return TripleDistribution(values=_age(moved), year=dist.year + 1)
+
+
+def _age(moved: np.ndarray) -> np.ndarray:
+    """Shift every state one age up, and in-system ones one seniority up, clamped at the top.
+
+    A target adds its sources in (age, seniority) order, as ``np.add.at``
+    would: the shifted source first, then the source already at the top
+    seniority, then the one already at the top age, then the corner.
+    """
+    out = np.zeros_like(moved)
+    o, m = out[1:], moved[1:]
+    o[:, 1:, 1:] += m[:, :-1, :-1]
+    o[:, 1:, -1] += m[:, :-1, -1]
+    o[:, -1, 1:] += m[:, -1, :-1]
+    o[:, -1, -1] += m[:, -1, -1]
+    out[0, 1:] += moved[0, :-1]  # out of the system, seniority is kept
+    out[0, -1] += moved[0, -1]
+    return out
 
 
 def distribution_at_year(
@@ -89,6 +102,11 @@ def trajectory(
     pi: np.ndarray, model: FittedModel, n: int, policy: str = "strict"
 ) -> list[TripleDistribution]:
     """Distributions for years 0..n (year 0 is the initial distribution)."""
+    return list(_years(pi, model, n, policy))
+
+
+def _years(pi: np.ndarray, model: FittedModel, n: int, policy: str):
+    """Yield the distributions for years 0..n, each propagated from the one before."""
     if n < 0:
         raise HorizonError(f"projection horizon must be >= 0 (got {n})")
     space = model.space
@@ -98,10 +116,11 @@ def trajectory(
             f"age overflow: initial mass at age {ages[-1]} cannot be projected "
             f"{n} years within [{space.age_min},{space.age_max}); {_ADVICE}"
         )
-    out = [TripleDistribution(values=np.array(pi, dtype=float), year=0)]
+    dist = TripleDistribution(values=np.array(pi, dtype=float), year=0)
+    yield dist
     for _ in range(n):
-        out.append(propagate_distribution(out[-1], model, policy))
-    return out
+        dist = propagate_distribution(dist, model, policy)
+        yield dist
 
 
 @dataclass(frozen=True)
@@ -189,7 +208,10 @@ def expected_populations(table: GroupProbabilityTable, i0: float):
 
 
 def projection(model: FittedModel, years: int, policy: str = "strict"):
-    """The model's label index and its group tables for years 0..years."""
+    """The model's label index and its group tables for years 0..years.
+
+    Only the current year's distribution is held while the tables are built.
+    """
     labels = LabelIndex.build(model)
-    dists = trajectory(model.pi, model, years, policy)
+    dists = _years(model.pi, model, years, policy)
     return labels, [group_probabilities(d, model, labels) for d in dists]

@@ -25,6 +25,19 @@ def make_toy_space() -> StateSpaceConfig:
     )
 
 
+def make_wide_space() -> StateSpaceConfig:
+    """12 categories, 90 ages, 60 seniorities in 2 x 2 cells: a 2.1 MB model file."""
+    return StateSpaceConfig(
+        categories=("out", *(f"c{k}" for k in range(1, 12))),
+        age_min=0,
+        age_max=90,
+        age_groups=((0, 45), (45, 90)),
+        seniority_max=60,
+        seniority_groups=((0, 30), (30, 60)),
+        working_age_min=0,
+    )
+
+
 def make_random_model(
     space: StateSpaceConfig,
     chars: CharacteristicSpace | None = None,

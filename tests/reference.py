@@ -1,7 +1,10 @@
 """Reference implementations the array code of markovpop is checked against.
 
 They share no logic with the code they check: the one-step law of a
-single (category, age, seniority) state, the row-by-row records
+single (category, age, seniority) state, the ``np.add.at`` aging step
+whose bits ``project.propagate_distribution`` must reproduce, the
+whole-document model decode whose models and errors
+``FittedModel.load`` must reproduce, the row-by-row records
 parser whose problem list ``ingest.parse_records`` must reproduce, the
 sort-based counts cube whose arrays ``ingest.build_counts`` must
 reproduce bit for bit, the (month, pair)-indexed reserve whose arrays
@@ -14,6 +17,7 @@ with them).
 from __future__ import annotations
 
 import csv
+import json
 import math
 import re
 from dataclasses import dataclass, replace
@@ -62,6 +66,40 @@ def one_step_triple_probability(frm: Triple, to: Triple, model: FittedModel) -> 
     if delta != 0:
         return 0.0
     return 1.0 - q
+
+
+def age_by_add_at(moved: np.ndarray) -> np.ndarray:
+    """One year of aging of a (category, age, seniority) array, clamped at the top.
+
+    Every state moves one age up and, in system (category >= 1), one
+    seniority up; ``np.add.at`` adds the mass meeting in a clamped top
+    value in source order.
+    """
+    _, n_ages, n_sen = moved.shape
+    older = np.minimum(np.arange(n_ages) + 1, n_ages - 1)
+    senior = np.minimum(np.arange(n_sen) + 1, n_sen - 1)
+    out = np.zeros_like(moved)
+    np.add.at(out, (slice(1, None), older[:, None], senior), moved[1:])
+    np.add.at(out[0], (older[:, None], np.arange(n_sen)), moved[0])
+    return out
+
+
+def _reject_constant(name: str):
+    raise DataError(f"model file: non-finite number {name}")
+
+
+def load_model_whole(path) -> FittedModel:
+    """Load a model file by decoding the whole JSON document at once."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh, parse_constant=_reject_constant)
+    except FileNotFoundError:
+        raise DataError(f"model file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"model file {path} cannot be read: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"model file {path} is not valid JSON: {exc}") from None
+    return FittedModel.from_json_dict(doc)
 
 
 def parse_records_by_row(path, cfg) -> Records:

@@ -1,15 +1,23 @@
 """Fitted model serialization, operators, and compatibility checks."""
 
 import json
+import os
+import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from markovpop import model as model_module
 from markovpop.errors import ConfigError, DataError
 from markovpop.model import FittedModel
 from markovpop.states import CharacteristicSpace, StateSpaceConfig
 
-from conftest import make_random_model, make_toy_space
+from conftest import make_random_model, make_toy_space, make_wide_space
+from reference import load_model_whole
 
 
 def make_chars():
@@ -145,3 +153,119 @@ def test_check_against_flags_mismatches():
         model.check_against(space, CharacteristicSpace(("g",), (("x", "y"),)))
     with pytest.raises(ConfigError, match="full-time equivalents at 40 hours"):
         model.check_against(space, chars, 48.0)
+
+
+def assert_same_model(a: FittedModel, b: FittedModel) -> None:
+    """Every array of the two models equal bit for bit, every other field in type and value."""
+    for name in ("space", "characteristics", "i0", "base_year", "full_time_hours",
+                 "stopping_time_pmf", "stopping_time_overrides", "diagnostics"):
+        assert repr(getattr(a, name)) == repr(getattr(b, name)), name
+    pairs = [(a.pi, b.pi), (a.r, b.r)]
+    for name in ("monthly", "annual", "entry", "q1"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert list(x) == list(y), name
+        pairs += [(x[k], y[k]) for k in x]
+    for x, y in pairs:
+        assert x.dtype == y.dtype == np.float64 and x.shape == y.shape
+        np.testing.assert_array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def test_load_ignores_a_utf8_byte_order_mark(tmp_path):
+    model = make_random_model(make_toy_space(), make_chars(), seed=13, with_r=True)
+    plain, bom = tmp_path / "model.json", tmp_path / "model-bom.json"
+    model.save(plain)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert_same_model(FittedModel.load(bom), FittedModel.load(plain))
+
+
+def test_load_allocates_at_most_two_and_a_half_times_the_file(tmp_path):
+    path = tmp_path / "model.json"
+    make_random_model(make_wide_space(), seed=14).save(path)
+    size = os.path.getsize(path)
+    assert size >= 2_000_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        FittedModel.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # reading the file holds its bytes and its text at once: twice its size
+    assert peak <= 2.5 * size, f"{peak / size:.2f} times the file"
+
+
+# a number outside any string: after "[", "," or ": ", before ",", "]", "}" or whitespace
+_NUMBER = re.compile(r"(?<=[\[,: ])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?=[,\]}\s])")
+_WHITESPACE = ["", " ", "\n", "\t", "\r\n  "]
+_ODD_VALUES = ["NaN", "Infinity", "1e400", "true", "null", '"x"', "[]"]
+_BRACKET_STRINGS = ["]]", "],", "a]],[1", "],[0,0,0,", '"]]', "x]]}"]
+_JUNK = ["\n", " \t", "x", "}", "{}", ",", "0", "\x0c", "\u2003", "\ufeff"]
+
+
+def _mutate(data, text: str) -> str:
+    """One mutation of a model file's canonical text."""
+    doc = json.loads(text)
+    start = text.rindex('"pi": ')  # the top level's: "diagnostics" sorts before it
+    member = text[start : text.index("]]", start) + 2]
+    kind = data.draw(st.sampled_from(
+        ["indent", "pi-whitespace", "pi-moved", "pi-twice", "nested", "bracket-string",
+         "odd-number", "truncated", "junk"]))
+    if kind == "indent":
+        return json.dumps(doc, sort_keys=True, indent=data.draw(st.sampled_from([None, 0, 1, "\t"])))
+    if kind == "pi-whitespace":
+        before, after = data.draw(st.sampled_from(_WHITESPACE)), data.draw(st.sampled_from(_WHITESPACE))
+        sep = data.draw(st.sampled_from(["],[", ","]))
+        spaced = member.replace(sep, sep.replace(",", f"{before},{after}"))
+        return text.replace(member, spaced)
+    if kind == "pi-moved":
+        pi = doc.pop("pi")
+        front = data.draw(st.booleans())
+        order = {"pi": pi, **doc} if front else {**doc, "pi": pi}
+        return json.dumps(order, separators=(",", ": "))
+    if kind == "pi-twice":
+        # the other copy is the same, one entry shorter, or not JSON (a comma missing)
+        shorter = member[: member.rindex("],[") + 1] + "]"
+        other = data.draw(st.sampled_from([member, shorter, member.replace("],[", "][", 1)]))
+        pair = [member, other] if data.draw(st.booleans()) else [other, member]
+        return text.replace(member, ",".join(pair))
+    if kind in ("nested", "bracket-string"):
+        pi = doc["pi"]
+        k, j = data.draw(st.integers(0, len(pi) - 1)), data.draw(st.integers(0, 3))
+        if kind == "bracket-string":
+            pi[k][j] = data.draw(st.sampled_from(_BRACKET_STRINGS))
+        elif data.draw(st.booleans()):
+            pi[k] = [pi[k]]
+        else:
+            pi[k][j] = [pi[k][j]]
+        return json.dumps(doc, sort_keys=True, separators=(",", ": "))
+    if kind == "odd-number":
+        spots = list(_NUMBER.finditer(text))
+        spot = spots[data.draw(st.integers(0, len(spots) - 1))]
+        return text[: spot.start()] + data.draw(st.sampled_from(_ODD_VALUES)) + text[spot.end() :]
+    if kind == "truncated":
+        return text[: data.draw(st.integers(0, len(text) - 1))]
+    return text + data.draw(st.sampled_from(_JUNK))
+
+
+def _outcome(load, path):
+    try:
+        return load(path), None
+    except DataError as exc:
+        return None, str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_load_equals_the_whole_document_decode(tmp_path_factory, data):
+    model = make_random_model(make_toy_space(), make_chars(), seed=15, with_r=True)
+    model.diagnostics = {"warnings": ["]],", "pi"], "pi": [[0, 1]]}
+    path = tmp_path_factory.mktemp("mutated") / "model.json"
+    path.write_text(_mutate(data, model.to_json() + "\n"))
+    # short spans, so that the 36 entries of this pi are cut in many places
+    span = data.draw(st.sampled_from([1, 40, 100, 1 << 17]))
+    with mock.patch.object(model_module, "_SPAN", span):
+        got, error = _outcome(FittedModel.load, path)
+    want, want_error = _outcome(load_model_whole, path)
+    assert error == want_error
+    if want is not None:
+        assert_same_model(got, want)

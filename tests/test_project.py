@@ -1,5 +1,8 @@
 """Yearly propagation: the one-step law, overflow policies, aggregation."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from markovpop.errors import HorizonError
 from markovpop.project import (
     LabelIndex,
     TripleDistribution,
+    _age,
     distribution_at_year,
     expected_populations,
     group_probabilities,
@@ -15,8 +19,8 @@ from markovpop.project import (
     trajectory,
 )
 
-from conftest import make_random_model, make_toy_space
-from reference import Triple, one_step_triple_probability
+from conftest import make_random_model, make_toy_space, make_wide_space
+from reference import Triple, age_by_add_at, one_step_triple_probability
 from test_model import make_chars
 
 
@@ -120,6 +124,34 @@ def test_absorb_clamps_top_cell():
     for c in (1, 2):
         assert out.values[c, 3, 2] == pytest.approx(q * t[1, c])
     assert out.values.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("policy", ["strict", "absorb"])
+def test_aging_matches_np_add_at_bit_for_bit(policy):
+    rng = np.random.default_rng(31)
+    # 97 ages and 72 seniorities: the width of demo/config-institution.yaml
+    for n_ages, n_sen in itertools.product((1, 2, 3, 97), (1, 2, 3, 72)):
+        shape = (5, n_ages, n_sen)
+        moved = rng.random(shape) * 10.0 ** rng.integers(-12, 1, shape)
+        if policy == "strict":  # its checks leave the clamped sources no mass
+            moved[:, -1] = 0.0
+            moved[1:, :, -1] = 0.0
+        np.testing.assert_array_equal(
+            _age(moved).view(np.int64), age_by_add_at(moved).view(np.int64)
+        )
+
+
+def test_projection_holds_one_year_at_a_time():
+    model = make_random_model(make_wide_space(), seed=32)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        projection(model, 10, "absorb")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # eleven distributions held at once would be 11 times pi on their own
+    assert peak <= 5 * model.pi.nbytes, f"{peak / model.pi.nbytes:.2f} times pi"
 
 
 def test_negative_horizon_rejected():

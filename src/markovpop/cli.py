@@ -70,8 +70,8 @@ def _simulation(model: FittedModel, cfg: RunConfig, args, years: int):
     labels, tables = projection(model, years, cfg.overflow_policy)
     probs = {model.base_year + t.year: t.probs for t in tables[1:]}
     iterations = cfg.iterations if args.iterations is None else args.iterations
-    result = simulate_projection(probs, model.i0, iterations, args.seed, args.workers)
-    return labels, tables, result
+    draws = simulate_projection(probs, model.i0, iterations, args.seed, args.workers)
+    return labels, tables, iterations, draws
 
 
 def _manifest(command, args, roles, params) -> RunManifest:
@@ -80,8 +80,8 @@ def _manifest(command, args, roles, params) -> RunManifest:
     return RunManifest.collect(command, inputs, params)
 
 
-def _sim_params(args, result) -> dict:
-    return {"years": args.years, "iterations": result.iterations, "seed": args.seed,
+def _sim_params(args, iterations) -> dict:
+    return {"years": args.years, "iterations": iterations, "seed": args.seed,
             "stream": STREAM_VERSION}
 
 
@@ -125,11 +125,11 @@ def cmd_simulate(args) -> int:
     model = _load_model(args, cfg)
     if args.years < 1:
         raise ConfigError(f"--years must be >= 1 for simulate (got {args.years})")
-    labels, _tables, result = _simulation(model, cfg, args, args.years)
-    if args.dump_draws:  # before the report: a failed dump leaves no report
-        dump_draws(result, args.dump_draws)
-    manifest = _manifest("simulate", args, ("config", "model"), _sim_params(args, result))
-    write_simulation_csv(args.out, manifest, model, labels, result)
+    labels, _tables, iterations, draws = _simulation(model, cfg, args, args.years)
+    if args.dump_draws:  # the report opens after the last year: a failed dump leaves none
+        draws = dump_draws(draws, args.dump_draws, args.years, iterations, len(labels.cell_id))
+    manifest = _manifest("simulate", args, ("config", "model"), _sim_params(args, iterations))
+    write_simulation_csv(args.out, manifest, model, labels, draws)
     return 0
 
 
@@ -140,10 +140,10 @@ def cmd_cost_report(args) -> int:
     if args.years < 1:
         raise ConfigError(f"--years must be >= 1 for cost-report (got {args.years})")
     pricing = _pricing(args, cfg)
-    labels, tables, result = _simulation(model, cfg, args, args.years)
+    labels, tables, iterations, draws = _simulation(model, cfg, args, args.years)
     roles = ("config", "model", "salary-scale")
-    manifest = _manifest("cost-report", args, roles, _sim_params(args, result))
-    write_cost_csv(args.out, manifest, model, labels, tables, result, *pricing)
+    manifest = _manifest("cost-report", args, roles, _sim_params(args, iterations))
+    write_cost_csv(args.out, manifest, model, labels, tables, draws, *pricing)
     return 0
 
 
@@ -159,12 +159,13 @@ def cmd_backtest(args) -> int:
     del records, fit_records, holdout  # views of the panel: the fit needs only the cube
     model = fit_model(cube, reserve, cfg)
     del cube  # its memory is reused by the simulation
-    labels, tables, result = _simulation(model, cfg, args, max(observed) - model.base_year)
+    horizon = max(observed) - model.base_year
+    labels, tables, iterations, draws = _simulation(model, cfg, args, horizon)
     roles = ("config", "records", "reserve", "salary-scale")
-    params = {"split-year": args.split_year, "iterations": result.iterations, "seed": args.seed,
+    params = {"split-year": args.split_year, "iterations": iterations, "seed": args.seed,
               "stream": STREAM_VERSION}
     manifest = _manifest("backtest", args, roles, params)
-    write_backtest_csv(args.out, manifest, model, labels, tables, result, observed, *pricing)
+    write_backtest_csv(args.out, manifest, model, labels, tables, draws, observed, *pricing)
     return 0
 
 

@@ -18,7 +18,9 @@ order and of the number of workers.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import os
+from collections import deque
+from itertools import starmap
 
 import numpy as np
 
@@ -83,35 +85,21 @@ def summarize(draws: np.ndarray) -> dict[str, np.ndarray]:
     return stats
 
 
-@dataclass
-class YearSimulation:
-    """Raw draws for one simulated year."""
-
-    year: int
-    draws: np.ndarray  # (iterations, n_labels), int32
-
-
-@dataclass
-class SimulationResult:
-    seed: int
-    iterations: int
-    trials: int
-    years: dict[int, YearSimulation]
-
-
 def simulate_projection(
     v_by_year: dict[int, np.ndarray],
     i0: float,
     iterations: int,
     seed: int,
     workers: int = 1,
-) -> SimulationResult:
-    """Draw the yearly multinomial ensembles.
+):
+    """Draw the yearly multinomial ensembles as a stream of (year, draws).
 
     `v_by_year` maps a year to its label probabilities, the `probs` of
-    :func:`markovpop.project.group_probabilities`.  Up to `workers`
-    processes draw whole years; results are bit-identical for a given
-    seed regardless of `workers`.
+    :func:`markovpop.project.group_probabilities`.  Every input is checked
+    here, before the first draw; the years are then drawn in ascending
+    order as the stream is consumed.  Up to `workers` processes (at most
+    one per year and per CPU) draw whole years, one year in flight each;
+    results are bit-identical for a given seed regardless of `workers`.
     """
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1 (got {iterations})")
@@ -121,52 +109,67 @@ def simulate_projection(
     if not i0 < 2**31 - 0.5:
         raise DataError(f"population size {i0!r} is too large to simulate (needs < 2**31)")
     trials = int(round(i0))
+    if trials < 0:
+        raise ConfigError(f"multinomial trials must be >= 0 (got {trials})")
     if abs(i0 - trials) > 1e-9:
         log.warning(
             "population size %r is not an integer; simulating %d trials", i0, trials
         )
 
-    args = []
-    for year, probs in sorted(v_by_year.items()):
-        total = float(np.asarray(probs).sum())
+    years = sorted(v_by_year)
+    for year in years:
+        total = float(np.asarray(v_by_year[year]).sum())
         if not abs(total - 1.0) <= 1e-9:
             raise ConfigError(
                 f"cell probabilities for year {year} sum to {total!r}, expected 1"
             )
-        args.append((trials, probs, iterations, derive_generator(seed, year)))
-    processes = min(workers, len(args))
-    if processes <= 1:
-        draws = [draw_year(*a) for a in args]
-    else:  # imported here: a single-process run never loads the pool machinery
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(processes, mp_context=ctx) as pool:
-            futures = [pool.submit(draw_year, *a) for a in args]
-            draws = [f.result() for f in futures]
-    years = {y: YearSimulation(y, d) for y, d in zip(sorted(v_by_year), draws)}
-    return SimulationResult(seed=seed, iterations=iterations, trials=trials, years=years)
+    args = [(trials, v_by_year[y], iterations, derive_generator(seed, y)) for y in years]
+    processes = min(workers, len(args), os.cpu_count() or 1)
+    draws = starmap(draw_year, args) if processes <= 1 else _pooled(args, processes)
+    # fresh pairs: a consumer's own zip would keep this zip's reused pair, and the previous
+    # year in it; strict, so the end of the stream also runs `draws` (and a pool) to its end
+    return ((year, d) for year, d in zip(years, draws, strict=True))
 
 
-def dump_draws(result: SimulationResult, path) -> None:
-    """Write raw draws as little-endian int64 in a fixed layout.
+def _pooled(args, processes):
+    """draw_year over `args` in order; at most `processes` years submitted and not yet taken."""
+    # imported here: a single-process run never loads the pool machinery
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    Layout: 5 uint64 header fields (magic 0x4d504f50, layout version 1,
-    number of years, iterations, cells per year), then per year in
-    ascending order one uint64 (the year) followed by iterations x cells
-    int64 values, iteration-major.  All integers little-endian.
+    pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("spawn"))
+    pending = deque()
+    try:
+        for a in args:
+            pending.append(pool.submit(draw_year, *a))
+            if len(pending) == processes:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:  # an abandoned stream draws none of the years not yet started
+        pool.shutdown(cancel_futures=True)
+
+
+def dump_draws(years, path, n_years: int, iterations: int, n_labels: int):
+    """Pass the (year, draws) stream `years` through, writing each year's raw draws to `path`.
+
+    The file is opened and its header written at the call; each year is
+    written as it passes.  Layout: 5 uint64 header fields (magic
+    0x4d504f50, layout version 1, number of years, iterations, labels
+    per year), then per year in ascending order one uint64 (the year)
+    followed by iterations x labels int64 values, iteration-major.  All
+    integers little-endian.
     """
-    years = sorted(result.years)
-    n_cells = {result.years[y].draws.shape[1] for y in years}
-    if len(n_cells) > 1:
-        raise ConfigError("draw dump requires a uniform cell layout across years")
-    cells = n_cells.pop() if n_cells else 0
-    with open(path, "wb") as fh:
-        header = np.array(
-            [0x4D504F50, 1, len(years), result.iterations, cells], dtype="<u8"
-        )
-        fh.write(header.tobytes())
-        for y in years:
-            fh.write(np.array([y], dtype="<u8").tobytes())
-            fh.write(result.years[y].draws.astype("<i8", order="C"))  # its buffer, not a copy
+    fh = open(path, "wb")
+    header = np.array([0x4D504F50, 1, n_years, iterations, n_labels], dtype="<u8")
+    fh.write(header.tobytes())
+    return _written(years, fh)
+
+
+def _written(years, fh):
+    """Write each (year, draws) of `years` to `fh` as it passes; close `fh` at the end."""
+    with fh:
+        for year, draws in years:
+            fh.write(np.array([year], dtype="<u8").tobytes())
+            fh.write(draws.astype("<i8", order="C"))  # its buffer, not a copy
+            yield year, draws

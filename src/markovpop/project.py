@@ -137,8 +137,6 @@ class LabelIndex:
     """
 
     category: np.ndarray
-    age_group: np.ndarray
-    seniority_group: np.ndarray
     tuple_code: np.ndarray
     cell_id: np.ndarray  # index into the raveled (category, age group, seniority group) cube
     weight: np.ndarray  # share of the cell's mass; 1.0 for unsplittable cells
@@ -154,7 +152,7 @@ class LabelIndex:
         cell_id = np.ravel_multi_index((cat, eg, sg), weights.shape[:-1])
         bounds = np.searchsorted(cell_id, np.arange(cell_id[-1] + 2))
         tuples = model.characteristics.tuples()
-        return cls(cat, eg, sg, code, cell_id, weights[cat, eg, sg, code], tuples, bounds)
+        return cls(cat, code, cell_id, weights[cat, eg, sg, code], tuples, bounds)
 
     @property
     def in_system_cells(self) -> np.ndarray:

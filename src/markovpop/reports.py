@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import DataError
 from .finance import full_time_costs
-from .montecarlo import SimulationResult, summarize
+from .montecarlo import summarize
 from .project import expected_populations
 
 
@@ -154,23 +154,23 @@ def write_projection_csv(path, manifest, model, labels, tables) -> None:
 _SIM_STATS = ("mean", "sd", "p05", "p50", "p95")
 
 
-def write_simulation_csv(path, manifest, model, labels, result: SimulationResult) -> None:
-    """Simulation report: summary statistics per cell and tuple.
+def write_simulation_csv(path, manifest, model, labels, years) -> None:
+    """Simulation report: summary statistics per cell and tuple of each (year, draws) in `years`.
 
-    Cells and labels whose mean and sd are both 0 are omitted.
+    Cells and labels whose mean and sd are both 0 are omitted.  Every
+    year is summarized before the file opens, so a failed draw writes no
+    report.
     """
-
-    def years():
-        for year, sim in sorted(result.years.items()):
-            cells, label_stats = summarize(labels.cell_sums(sim.draws)), summarize(sim.draws)
-            values = [np.append(cells[k], label_stats[k]) for k in _SIM_STATS]
-            yield year, (values[0] != 0.0) | (values[1] != 0.0), values
-
-    _write_label_rows(path, manifest, model, labels, _SIM_STATS, years())
+    summaries = []
+    for year, draws in years:
+        cells, label_stats = summarize(labels.cell_sums(draws)), summarize(draws)
+        values = [np.append(cells[k], label_stats[k]) for k in _SIM_STATS]
+        summaries.append((year, (values[0] != 0.0) | (values[1] != 0.0), values))
+    _write_label_rows(path, manifest, model, labels, _SIM_STATS, summaries)
 
 
-def _priced_year(model, labels, table, result, scale, profiles, schedule):
-    """Each cell's expected cost and simulated costs in a projected year.
+def _priced_year(model, labels, table, draws, scale, profiles, schedule):
+    """Each cell's expected cost and its simulated costs over `draws` in a projected year.
 
     Each label is priced at full time: counts are full-time equivalents.
     The costs are one C-order row per raveled cell: its expected cost,
@@ -181,7 +181,7 @@ def _priced_year(model, labels, table, result, scale, profiles, schedule):
     g = full_time[labels.category, labels.tuple_code]
     _, label_counts = expected_populations(table, model.i0)
     expected = np.bincount(labels.cell_id, label_counts * g)
-    return np.column_stack([expected, labels.cell_sums(result.years[year].draws * g).T])
+    return np.column_stack([expected, labels.cell_sums(draws * g).T])
 
 
 def _write_cell_rows(path, manifest, model, columns, years, fields) -> None:
@@ -207,16 +207,17 @@ def _units(values):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _write_cell_rows reports overflow
-def write_cost_csv(path, manifest, model, labels, tables, result, scale, profiles, schedule):
+def write_cost_csv(path, manifest, model, labels, tables, years, scale, profiles, schedule):
     """Cost report: expected and simulated cost per populated in-system cell, plus a '*' total.
 
-    The simulated columns are the mean, p05 and p95 of a cell's cost over
-    the iterations; currency columns are rounded to whole units here.
+    `years` is the (year, draws) stream of `tables[1:]`.  The simulated
+    columns are the mean, p05 and p95 of a cell's cost over the
+    iterations; currency columns are rounded to whole units here.
     """
 
-    def years():
-        for table in tables[1:]:
-            costs = _priced_year(model, labels, table, result, scale, profiles, schedule)
+    def priced():
+        for table, (_, draws) in zip(tables[1:], years, strict=True):
+            costs = _priced_year(model, labels, table, draws, scale, profiles, schedule)
             _, label_counts = expected_populations(table, model.i0)
             populated = np.bincount(labels.cell_id, label_counts != 0.0) > 0.0
             kept = np.flatnonzero(populated & labels.in_system_cells)
@@ -227,7 +228,7 @@ def write_cost_csv(path, manifest, model, labels, tables, result, scale, profile
             yield model.base_year + table.year, kept, values
 
     columns = ["expected_cost", "sim_mean_cost", "sim_p05", "sim_p95"]
-    _write_cell_rows(path, manifest, model, columns, years(), _units)
+    _write_cell_rows(path, manifest, model, columns, priced(), _units)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # write_backtest_csv reports overflow
@@ -260,26 +261,26 @@ def observed_totals(records, cfg, scale, profiles, schedule) -> dict[int, tuple]
 
 @np.errstate(over="ignore", invalid="ignore")  # _write_cell_rows reports overflow
 def write_backtest_csv(
-    path, manifest, model, labels, tables, result, observed, scale, profiles, schedule
+    path, manifest, model, labels, tables, years, observed, scale, profiles, schedule
 ):
     """Backtest report: observed vs expected vs simulated population and cost, with errors.
 
-    Rows cover the projected years that `observed` (:func:`observed_totals`)
-    has.  The simulated cost is the iteration mean of the cell cost that
-    the cost report summarizes.
+    `years` is the (year, draws) stream of `tables[1:]`.  Rows cover the
+    years that `observed` (:func:`observed_totals`) has.  The simulated
+    cost is the iteration mean of the cell cost that the cost report
+    summarizes.
     """
 
-    def years():
-        for table in tables[1:]:
-            year = model.base_year + table.year
+    def compared():
+        for table, (year, draws) in zip(tables[1:], years, strict=True):
             if year not in observed:
                 continue
             obs_pop, obs_cost = observed[year]
-            costs = _priced_year(model, labels, table, result, scale, profiles, schedule)
+            costs = _priced_year(model, labels, table, draws, scale, profiles, schedule)
             columns = (
                 obs_pop,
                 expected_populations(table, model.i0)[0].ravel(),
-                labels.cell_sums(result.years[year].draws).mean(axis=0),
+                labels.cell_sums(draws).mean(axis=0),
                 obs_cost,
                 costs[:, 0],
                 costs[:, 1:].mean(axis=1),
@@ -299,4 +300,4 @@ def write_backtest_csv(
     columns = ["observed_population", "expected_population", "sim_mean_population",
                "observed_cost", "expected_cost", "sim_mean_cost", "rel_err_population",
                "rel_err_cost"]
-    _write_cell_rows(path, manifest, model, columns, years(), fields)
+    _write_cell_rows(path, manifest, model, columns, compared(), fields)

@@ -78,10 +78,6 @@ class CharacteristicSpace:
         if problems:
             raise ConfigError("invalid characteristic space", problems)
 
-    @property
-    def n_characteristics(self) -> int:
-        return len(self.names)
-
     def index_of(self, name: str) -> int:
         try:
             return self.names.index(name)

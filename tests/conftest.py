@@ -64,7 +64,7 @@ def make_random_model(
         annual[cell] = stochastic((n_in, n_in))
         entry[cell] = stochastic((n_in,))
         q1[cell] = rng.uniform(0.1, 0.9, size=nc)
-        if with_r and chars.n_characteristics:
+        if with_r and chars.names:
             for c in range(1, nc):
                 r[(c, *cell)][1:] = stochastic((codes - 1,))
     pi = rng.random((nc, space.n_ages, space.seniority_max))

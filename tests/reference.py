@@ -28,7 +28,7 @@ import numpy as np
 from markovpop.errors import DataError
 from markovpop.ingest import CountsCube, Records, ReserveSpec, finite_float
 from markovpop.model import FittedModel
-from markovpop.montecarlo import SimulationResult, summarize
+from markovpop.montecarlo import summarize
 from markovpop.project import expected_populations
 from markovpop.reports import _CELL_COLUMNS, _cell_names, _report
 
@@ -348,8 +348,8 @@ def write_projection_csv_by_row(path, manifest, model, labels, tables) -> None:
         csv.writer(fh).writerows(rows())
 
 
-def write_simulation_csv_by_row(path, manifest, model, labels, result: SimulationResult) -> None:
-    """Simulation report, one csv.writer row per shown cell and label."""
+def write_simulation_csv_by_row(path, manifest, model, labels, years) -> None:
+    """Simulation report of (year, draws) `years`, one csv.writer row per shown cell and label."""
     names = _cell_names(model.space)
     tuple_names = [model.characteristics.label(labels.tuples[k]) for k in labels.tuple_code]
 
@@ -358,8 +358,8 @@ def write_simulation_csv_by_row(path, manifest, model, labels, result: Simulatio
         return [_fstr(stats["mean"][j]), _fstr(stats["sd"][j]), *quantiles]
 
     def rows():
-        for year, sim in sorted(result.years.items()):
-            cells, label_stats = summarize(labels.cell_sums(sim.draws)), summarize(sim.draws)
+        for year, draws in years:
+            cells, label_stats = summarize(labels.cell_sums(draws)), summarize(draws)
             for cell in range(len(names)):
                 if cells["mean"][cell] == 0.0 and cells["sd"][cell] == 0.0:
                     continue

@@ -221,8 +221,7 @@ def test_04_simulation_calibration():
     model = make_random_model(make_toy_space(), seed=404, i0=i0)
     dist = distribution_at_year(model.pi, model, 1, policy="absorb")
     probs = group_probabilities(dist, model).probs
-    result = simulate_projection({1: probs}, i0, 10_000, seed=2024)
-    draws = result.years[1].draws
+    [(_, draws)] = simulate_projection({1: probs}, i0, 10_000, seed=2024)
 
     assert draws.shape == (10_000, len(probs))
     sums = draws.sum(axis=1)

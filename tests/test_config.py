@@ -27,7 +27,7 @@ def test_defaults():
     assert cfg.overflow_policy == "strict"
     assert cfg.iterations == 10_000
     assert cfg.finance_raw == {}
-    assert cfg.characteristics.n_characteristics == 0
+    assert cfg.characteristics.names == ()
 
 
 def test_explicit_values():

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_model, make_toy_space
+from markovpop import montecarlo
 from markovpop.errors import ConfigError, DataError
 from markovpop.montecarlo import (
-    SimulationResult,
-    YearSimulation,
     derive_generator,
     draw_year,
     dump_draws,
@@ -119,27 +118,124 @@ def small_v():
 
 
 def test_simulate_projection_draws_and_stats():
-    result = simulate_projection(small_v(), i0=50.3, iterations=30, seed=11)
-    assert result.trials == 50
-    assert sorted(result.years) == [1, 2]
-    for sim in result.years.values():
-        assert sim.draws.shape == (30, 4)
-        assert np.all(sim.draws.sum(axis=1) == 50)
-        assert sim.draws.dtype == np.int32
-        stats = summarize(sim.draws)
+    stream = list(simulate_projection(small_v(), i0=50.3, iterations=30, seed=11))
+    assert [year for year, _ in stream] == [1, 2]
+    for _, draws in stream:
+        assert draws.shape == (30, 4)
+        assert np.all(draws.sum(axis=1) == 50)  # 50.3 people are 50 trials
+        assert draws.dtype == np.int32
+        stats = summarize(draws)
         assert set(stats) == {"mean", "sd", "p05", "p50", "p95"}
-        np.testing.assert_array_equal(stats["mean"], sim.draws.mean(axis=0))
+        np.testing.assert_array_equal(stats["mean"], draws.mean(axis=0))
 
 
 def test_simulate_projection_is_deterministic_across_workers():
-    one = simulate_projection(small_v(), i0=40, iterations=24, seed=5, workers=1)
-    two = simulate_projection(small_v(), i0=40, iterations=24, seed=5, workers=3)
-    for y in one.years:
-        np.testing.assert_array_equal(one.years[y].draws, two.years[y].draws)
-    other = simulate_projection(small_v(), i0=40, iterations=24, seed=6)
-    assert any(
-        not np.array_equal(other.years[y].draws, one.years[y].draws) for y in one.years
-    )
+    one = dict(simulate_projection(small_v(), i0=40, iterations=24, seed=5, workers=1))
+    two = dict(simulate_projection(small_v(), i0=40, iterations=24, seed=5, workers=3))
+    assert sorted(one) == sorted(two) == [1, 2]
+    for y in one:
+        np.testing.assert_array_equal(one[y], two[y])
+    other = dict(simulate_projection(small_v(), i0=40, iterations=24, seed=6))
+    assert any(not np.array_equal(other[y], one[y]) for y in one)
+
+
+class _FakePool:
+    """A ProcessPoolExecutor that draws in this process and records how it is used."""
+
+    made = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.max_workers, self.unconsumed, self.most, self.shut_down = max_workers, 0, 0, False
+        _FakePool.made.append(self)
+
+    def submit(self, fn, *args):
+        self.unconsumed += 1
+        self.most = max(self.most, self.unconsumed)
+        value, pool = fn(*args), self
+
+        class Future:
+            def result(self):
+                pool.unconsumed -= 1
+                return value
+
+        return Future()
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shut_down = True
+
+
+@pytest.mark.parametrize(
+    "workers, years, cpus, processes",
+    [(5, 3, 8, 3), (5, 8, 2, 2), (3, 8, 16, 3), (4, 8, None, 0), (1, 8, 16, 0)],
+)
+def test_the_pool_is_capped_and_holds_one_year_per_process(
+    monkeypatch, workers, years, cpus, processes
+):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_FakePool, "made", [])
+    v = {y: small_v()[1 + y % 2] for y in range(1, years + 1)}
+    got = list(simulate_projection(v, i0=40, iterations=6, seed=5, workers=workers))
+    want = list(simulate_projection(v, i0=40, iterations=6, seed=5))
+    assert [y for y, _ in got] == [y for y, _ in want] == list(range(1, years + 1))
+    for (_, a), (_, b) in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    if processes == 0:  # one process: no pool at all
+        assert _FakePool.made == []
+        return
+    [pool] = _FakePool.made
+    assert (pool.max_workers, pool.most, pool.unconsumed) == (processes, processes, 0)
+    assert pool.shut_down
+
+
+def test_an_abandoned_pooled_stream_shuts_its_pool_down(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_FakePool, "made", [])
+    v = {y: small_v()[1] for y in range(1, 9)}
+    stream = simulate_projection(v, i0=40, iterations=6, seed=5, workers=2)
+    assert next(stream)[0] == 1
+    [pool] = _FakePool.made
+    assert pool.most == 2 and not pool.shut_down
+    del stream  # closes the suspended stream
+    assert pool.shut_down
+
+
+def test_simulation_holds_one_year_at_a_time():
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    probs = rng.random(3000)
+    probs /= probs.sum()
+
+    def peak(years):
+        v = {y: probs for y in range(years)}
+        tracemalloc.start()
+        try:
+            # zipped with the years' tables, as the cost and backtest reports consume it
+            stream = simulate_projection(v, 500, 200, seed=1)
+            for _, (_, draws) in zip(range(years), stream, strict=True):
+                assert draws.shape == (200, 3000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(2), peak(8)
+    assert long <= 1.25 * short, f"8 years peak at {long / short:.2f} times 2 years"
+
+
+def test_a_bad_later_year_raises_at_the_call(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew before every year was checked")
+
+    monkeypatch.setattr(montecarlo, "draw_year", no_draw)
+    v = {**small_v(), 3: small_v()[2] * 0.9}
+    with pytest.raises(ConfigError, match="for year 3 sum to"):
+        simulate_projection(v, 10, 5, 1)
 
 
 def test_simulate_projection_validation():
@@ -158,9 +254,12 @@ def test_simulate_projection_validation():
 
 
 def test_dump_draws_layout(tmp_path):
-    result = simulate_projection(small_v(), i0=20, iterations=6, seed=9)
     path = tmp_path / "draws.bin"
-    dump_draws(result, path)
+    drawn = simulate_projection(small_v(), i0=20, iterations=6, seed=9)
+    stream = dump_draws(drawn, path, 2, 6, 4)
+    assert path.exists()  # opened at the call, before any year is drawn
+    passed = dict(stream)
+    want = dict(simulate_projection(small_v(), i0=20, iterations=6, seed=9))
     raw = path.read_bytes()
     header = np.frombuffer(raw[:40], dtype="<u8")
     assert header.tolist() == [0x4D504F50, 1, 2, 6, 4]
@@ -170,22 +269,11 @@ def test_dump_draws_layout(tmp_path):
         assert marker == year
         offset += 8
         block = np.frombuffer(raw[offset : offset + 6 * 4 * 8], dtype="<i8")
-        np.testing.assert_array_equal(
-            block.reshape(6, 4), result.years[year].draws
-        )
+        np.testing.assert_array_equal(block.reshape(6, 4), passed[year])
+        np.testing.assert_array_equal(passed[year], want[year])  # passed through unchanged
         offset += 6 * 4 * 8
     assert offset == len(raw)
-    assert result.years[1].draws.dtype == np.int32  # widened to int64 in the file
-
-
-def test_dump_draws_rejects_ragged_years(tmp_path):
-    years = {
-        1: YearSimulation(1, np.zeros((2, 1), dtype=np.int64)),
-        2: YearSimulation(2, np.zeros((2, 2), dtype=np.int64)),
-    }
-    result = SimulationResult(seed=0, iterations=2, trials=0, years=years)
-    with pytest.raises(ConfigError, match="uniform cell layout"):
-        dump_draws(result, tmp_path / "draws.bin")
+    assert passed[1].dtype == np.int32  # widened to int64 in the file
 
 
 def test_draw_frequencies_match_probabilities():
@@ -225,7 +313,7 @@ def test_second_moments_match_the_multinomial_oracle():
     labels = LabelIndex.build(model)
     p = group_probabilities(distribution_at_year(model.pi, model, 1, "absorb"), model, labels).probs
     assert p.min() > 0.0 and len(p) > len(labels.bounds) - 1  # split cells, no empty label
-    draws = simulate_projection({1: p}, i0, n, seed=2024).years[1].draws
+    [(_, draws)] = simulate_projection({1: p}, i0, n, seed=2024)
     price = np.where(labels.category > 0, np.linspace(1.0, 3.0, len(p)), 0.0)
     onehot_cells = np.eye(len(labels.bounds) - 1)[labels.cell_id]
     checks = [

@@ -183,7 +183,8 @@ def test_group_probabilities_aggregate_and_split():
     assert np.all(labels.tuple_code[~out] > 0)  # every in-system cell splits
     assert len(labels.cell_id) == 4 + 2 * 4 * 6  # 6 tuples per in-system cell
     for j in np.flatnonzero(~out):
-        c, ei, ai = labels.category[j], labels.age_group[j], labels.seniority_group[j]
+        c, ei, ai = np.unravel_index(labels.cell_id[j], table.p.shape)
+        assert c == labels.category[j]
         assert table.probs[j] == table.p[c, ei, ai] * model.r[c, ei, ai, labels.tuple_code[j]]
 
 
@@ -205,9 +206,9 @@ def test_label_order_is_year_invariant():
     labels, tables = projection(model, 2, policy="absorb")
     keys = list(zip(labels.cell_id, labels.tuple_code))
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
-    lone = np.flatnonzero(
-        (labels.category == 1) & (labels.age_group == 0) & (labels.seniority_group == 0)
-    )
+    cat, eg, sg = np.unravel_index(labels.cell_id, model.r.shape[:-1])
+    assert np.array_equal(cat, labels.category)
+    lone = np.flatnonzero((cat == 1) & (eg == 0) & (sg == 0))
     assert len(lone) == 1 and labels.tuple_code[lone[0]] == 0
     assert labels.tuples[0] is None
     assert labels.tuples[1:] == tuple(model.characteristics.all_tuples())

@@ -80,18 +80,19 @@ def test_bulk_writers_match_the_row_by_row_writers(tmp_path, which):
     model = _demo_model(tmp_path) if which == "demo" else _quoted_model()
     labels, tables = projection(model, 4, "absorb")
     probs = {model.base_year + t.year: t.probs for t in tables[1:]}
-    result = simulate_projection(probs, model.i0, 50, seed=3)
+    years = list(simulate_projection(probs, model.i0, 50, seed=3))
     manifest = RunManifest.collect("test", {}, {"years": 4})
     if which == "quoted":
         # both skip rules have something to skip
         assert (tables[0].p == 0.0).any()
         tiny = labels.cell_id[(labels.weight > 0.0) & (labels.weight < 1e-9)]
         assert tiny.size and (tables[1].p.ravel()[tiny] > 0.0).all()
-        assert not result.years[model.base_year + 1].draws[:, labels.weight < 1e-9].any()
+        assert years[0][0] == model.base_year + 1
+        assert not years[0][1][:, labels.weight < 1e-9].any()
 
     for new, old, data in (
         (write_projection_csv, write_projection_csv_by_row, tables),
-        (write_simulation_csv, write_simulation_csv_by_row, result),
+        (write_simulation_csv, write_simulation_csv_by_row, years),
     ):
         new(tmp_path / "new.csv", manifest, model, labels, data)
         old(tmp_path / "old.csv", manifest, model, labels, data)
@@ -121,14 +122,18 @@ def test_cost_report_and_backtest_price_a_cell_alike(tmp_path):
     model = fit_model(build_counts(fit_records, cfg), reserve, cfg)
     labels, tables = projection(model, int(holdout.month[-1]) // 12 - model.base_year, "absorb")
     probs = {model.base_year + t.year: t.probs for t in tables[1:]}
-    result = simulate_projection(probs, model.i0, 200, seed=7)
     schedule, profiles = parse_finance_config(cfg.finance_raw, cfg.characteristics)
     pricing = load_salary_scale(paths["scale"], cfg.space), profiles, schedule
     manifest = RunManifest.collect("test", {}, {})
-    reports = model, labels, tables, result
-    write_cost_csv(tmp_path / "cost.csv", manifest, *reports, *pricing)
+    reports = model, labels, tables
+    # each writer takes its own stream of the same draws: one seed, drawn twice
+    cost_years = simulate_projection(probs, model.i0, 200, seed=7)
+    write_cost_csv(tmp_path / "cost.csv", manifest, *reports, cost_years, *pricing)
     observed = observed_totals(holdout, cfg, *pricing)
-    write_backtest_csv(tmp_path / "backtest.csv", manifest, *reports, observed, *pricing)
+    backtest_years = simulate_projection(probs, model.i0, 200, seed=7)
+    write_backtest_csv(
+        tmp_path / "backtest.csv", manifest, *reports, backtest_years, observed, *pricing
+    )
 
     cost, backtest = _cell_rows(tmp_path / "cost.csv"), _cell_rows(tmp_path / "backtest.csv")
     assert {key[:2] for key in cost} == {(y, c) for y in ("2017", "2018") for c in "AB"}

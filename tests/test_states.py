@@ -167,7 +167,7 @@ def test_characteristics_validation():
 
 def test_empty_characteristic_space():
     cs = CharacteristicSpace((), ())
-    assert cs.n_characteristics == 0
+    assert cs.names == ()
     assert list(cs.all_tuples()) == [()]
     assert cs.label(()) == ""
 

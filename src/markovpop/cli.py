@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import nullcontext
+from functools import partial
 
 from . import __version__
 from .config import RunConfig, load_run_config
@@ -20,11 +22,13 @@ from .estimate import fit_model
 from .finance import load_salary_scale, parse_finance_config
 from .ingest import CountsCube, build_counts, load_reserve_csv, parse_records, split_records
 from .model import FittedModel
-from .montecarlo import STREAM_VERSION, dump_draws, simulate_projection
+from .montecarlo import STREAM_VERSION, dump_draws, dumped, simulate_projection
 from .project import projection
 from .reports import (
     RunManifest,
+    cell_costs,
     observed_totals,
+    summaries,
     write_backtest_csv,
     write_cost_csv,
     write_projection_csv,
@@ -66,12 +70,14 @@ def _counts(records, cfg: RunConfig) -> CountsCube:
     return cube
 
 
-def _simulation(model: FittedModel, cfg: RunConfig, args, years: int):
-    labels, tables = projection(model, years, cfg.overflow_policy)
+def _simulation(model: FittedModel, cfg: RunConfig, args, labels, tables, reduce):
+    """(iterations, the (year, reduce(year, blocks)) stream of `tables[1:]`)."""
     probs = {model.base_year + t.year: t.probs for t in tables[1:]}
     iterations = cfg.iterations if args.iterations is None else args.iterations
-    draws = simulate_projection(probs, model.i0, iterations, args.seed, args.workers)
-    return labels, tables, iterations, draws
+    years = simulate_projection(
+        probs, model.i0, iterations, args.seed, args.workers, bounds=labels.bounds, reduce=reduce
+    )
+    return iterations, years
 
 
 def _manifest(command, args, roles, params) -> RunManifest:
@@ -125,11 +131,17 @@ def cmd_simulate(args) -> int:
     model = _load_model(args, cfg)
     if args.years < 1:
         raise ConfigError(f"--years must be >= 1 for simulate (got {args.years})")
-    labels, _tables, iterations, draws = _simulation(model, cfg, args, args.years)
-    if args.dump_draws:  # the report opens after the last year: a failed dump leaves none
-        draws = dump_draws(draws, args.dump_draws, args.years, iterations, len(labels.cell_id))
+    labels, tables = projection(model, args.years, cfg.overflow_policy)
+    years, n_labels = [model.base_year + t.year for t in tables[1:]], len(labels.cell_id)
+    reduce = partial(summaries, labels.bounds)
+    if args.dump_draws:
+        reduce = partial(dumped, reduce, args.dump_draws, years, n_labels)
+    iterations, stream = _simulation(model, cfg, args, labels, tables, reduce)
     manifest = _manifest("simulate", args, ("config", "model"), _sim_params(args, iterations))
-    write_simulation_csv(args.out, manifest, model, labels, draws)
+    # the report opens after the last year; a failure before it ends removes the dump
+    dumping = args.dump_draws and dump_draws(args.dump_draws, years, iterations, n_labels)
+    with dumping or nullcontext():
+        write_simulation_csv(args.out, manifest, model, labels, stream)
     return 0
 
 
@@ -140,10 +152,12 @@ def cmd_cost_report(args) -> int:
     if args.years < 1:
         raise ConfigError(f"--years must be >= 1 for cost-report (got {args.years})")
     pricing = _pricing(args, cfg)
-    labels, tables, iterations, draws = _simulation(model, cfg, args, args.years)
+    labels, tables = projection(model, args.years, cfg.overflow_policy)
+    reduce = cell_costs(model, labels, tables, *pricing)
+    iterations, years = _simulation(model, cfg, args, labels, tables, reduce)
     roles = ("config", "model", "salary-scale")
     manifest = _manifest("cost-report", args, roles, _sim_params(args, iterations))
-    write_cost_csv(args.out, manifest, model, labels, tables, draws, *pricing)
+    write_cost_csv(args.out, manifest, model, labels, tables, years)
     return 0
 
 
@@ -159,13 +173,14 @@ def cmd_backtest(args) -> int:
     del records, fit_records, holdout  # views of the panel: the fit needs only the cube
     model = fit_model(cube, reserve, cfg)
     del cube  # its memory is reused by the simulation
-    horizon = max(observed) - model.base_year
-    labels, tables, iterations, draws = _simulation(model, cfg, args, horizon)
+    labels, tables = projection(model, max(observed) - model.base_year, cfg.overflow_policy)
+    reduce = cell_costs(model, labels, tables, *pricing)
+    iterations, years = _simulation(model, cfg, args, labels, tables, reduce)
     roles = ("config", "records", "reserve", "salary-scale")
     params = {"split-year": args.split_year, "iterations": iterations, "seed": args.seed,
               "stream": STREAM_VERSION}
     manifest = _manifest("backtest", args, roles, params)
-    write_backtest_csv(args.out, manifest, model, labels, tables, draws, observed, *pricing)
+    write_backtest_csv(args.out, manifest, model, labels, tables, years, observed)
     return 0
 
 

@@ -7,7 +7,9 @@ label i takes `binomial(remaining, p_i / tail_i)` for every iteration
 at once, where `tail_i` sums the probabilities of label i and the labels
 after it, and the last non-zero label takes what remains.
 Zero-probability labels are skipped without consuming randomness, which
-keeps streams aligned when a config edit adds empty cells.
+keeps streams aligned when a config edit adds empty cells.  The chain
+is drawn in blocks of whole cells, each reduced as it is drawn, so no
+year's (iterations x labels) matrix is ever held.
 
 Randomness comes from numpy's counter-based Philox generator.  The
 stream of one year is keyed by (master seed, year), and worker
@@ -20,6 +22,7 @@ from __future__ import annotations
 import logging
 import os
 from collections import deque
+from contextlib import contextmanager
 from itertools import starmap
 
 import numpy as np
@@ -39,33 +42,44 @@ def derive_generator(seed: int, year: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def draw_year(
-    trials: int, probs: np.ndarray, iterations: int, gen: np.random.Generator
-) -> np.ndarray:
-    """`iterations` multinomial vectors, (iterations, labels) int32, from `gen`."""
+BLOCK_LABELS = 256  # labels per block, at least, but in a year's last block
+
+
+def draw_blocks(
+    trials: int, probs: np.ndarray, iterations: int, gen: np.random.Generator, bounds: np.ndarray
+):
+    """`iterations` multinomial vectors from `gen`, yielded as (lo, hi, block) as they are drawn.
+
+    `block` holds labels lo:hi, (iterations, hi - lo) int32 in C order,
+    and whole cells, cell i being labels bounds[i]:bounds[i + 1]: two or
+    more unless it is the only block, as over one column numpy sums the
+    iterations pairwise, not row by row.
+    """
     probs = np.asarray(probs, dtype=float)
     if trials < 0:
         raise ConfigError(f"multinomial trials must be >= 0 (got {trials})")
     if np.any(probs < 0.0):
         raise ConfigError("multinomial probabilities must be non-negative")
-    draws = np.zeros((iterations, probs.shape[0]), dtype=np.int32)
-    if trials == 0:
-        return draws
-    nz = np.flatnonzero(probs > 0.0)
-    if nz.size == 0:
+    nz = np.flatnonzero(probs > 0.0) if trials else np.zeros(0, dtype=np.intp)
+    if trials and nz.size == 0:
         raise ConfigError("multinomial probabilities sum to 0 with trials > 0")
     p = probs[nz]
-    cond = np.minimum(p / np.cumsum(p[::-1])[::-1], 1.0)
-    # one contiguous row per label, scattered into columns once at the end
-    rows = np.empty((nz.size, iterations), dtype=np.int32)
+    cond = np.minimum(p / np.cumsum(p[::-1])[::-1], 1.0).tolist()
     remaining = np.full(iterations, trials, dtype=np.int64)
-    for k, p_cond in enumerate(cond[:-1].tolist()):
-        c = gen.binomial(remaining, p_cond)
-        rows[k] = c
-        remaining -= c
-    rows[-1] = remaining
-    draws[:, nz] = rows.T
-    return draws
+    b, starts = bounds.tolist(), [0]  # the first cell of each block
+    for cell in range(2, len(b) - 2):  # a cut leaves two cells or more on either side
+        if cell - starts[-1] >= 2 and b[cell] - b[starts[-1]] >= BLOCK_LABELS:
+            starts.append(cell)
+    edges = [b[cell] for cell in starts] + b[-1:]
+    k = 0  # the chain's next non-zero label; the last takes what remains
+    for lo, hi in zip(edges, edges[1:]):
+        block = np.zeros((iterations, hi - lo), dtype=np.int32)
+        for j in nz[k : np.searchsorted(nz, hi)].tolist():
+            c = remaining if k == len(cond) - 1 else gen.binomial(remaining, cond[k])
+            block[:, j - lo] = c
+            remaining -= c
+            k += 1
+        yield lo, hi, block
 
 
 def summarize(draws: np.ndarray) -> dict[str, np.ndarray]:
@@ -80,8 +94,9 @@ def summarize(draws: np.ndarray) -> dict[str, np.ndarray]:
         k = int(np.ceil(q * n)) - 1
         part.partition(k, axis=1)
         stats[key] = part[:, k].copy()
-    del part  # before `std` allocates its temporary
-    stats["sd"] = draws.std(axis=0, ddof=0)
+    del part  # before `std` allocates its float64 temporary, for half the columns at a time
+    h = draws.shape[1] // 2 if draws.shape[1] >= 4 else draws.shape[1]  # two columns or more
+    stats["sd"] = np.concatenate([draws[:, :h].std(axis=0), draws[:, h:].std(axis=0)])
     return stats
 
 
@@ -91,15 +106,20 @@ def simulate_projection(
     iterations: int,
     seed: int,
     workers: int = 1,
+    *,
+    bounds: np.ndarray,
+    reduce,
 ):
-    """Draw the yearly multinomial ensembles as a stream of (year, draws).
+    """Draw the yearly multinomial ensembles as a stream of (year, reduce(year, blocks)).
 
-    `v_by_year` maps a year to its label probabilities, the `probs` of
-    :func:`markovpop.project.group_probabilities`.  Every input is checked
-    here, before the first draw; the years are then drawn in ascending
-    order as the stream is consumed.  Up to `workers` processes (at most
-    one per year and per CPU) draw whole years, one year in flight each;
-    results are bit-identical for a given seed regardless of `workers`.
+    `v_by_year` maps a year to its label probabilities (the `probs` of
+    :func:`markovpop.project.group_probabilities`), and `blocks` are its
+    `draw_blocks` over `bounds`.  Every input is checked here, before the
+    first draw; the years are then drawn in ascending order as the stream
+    is consumed.  Up to `workers` processes (at most one per year and per
+    CPU) draw and reduce whole years, one year in flight each, so `reduce`
+    must pickle; results are bit-identical for a given seed regardless of
+    `workers`.
     """
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1 (got {iterations})")
@@ -123,16 +143,21 @@ def simulate_projection(
             raise ConfigError(
                 f"cell probabilities for year {year} sum to {total!r}, expected 1"
             )
-    args = [(trials, v_by_year[y], iterations, derive_generator(seed, y)) for y in years]
+    args = [(reduce, y, trials, v_by_year[y], iterations, derive_generator(seed, y), bounds)
+            for y in years]
     processes = min(workers, len(args), os.cpu_count() or 1)
-    draws = starmap(draw_year, args) if processes <= 1 else _pooled(args, processes)
+    reduced = starmap(_reduced, args) if processes <= 1 else _pooled(args, processes)
     # fresh pairs: a consumer's own zip would keep this zip's reused pair, and the previous
-    # year in it; strict, so the end of the stream also runs `draws` (and a pool) to its end
-    return ((year, d) for year, d in zip(years, draws, strict=True))
+    # year in it; strict, so the end of the stream also runs `reduced` (and a pool) to its end
+    return ((year, r) for year, r in zip(years, reduced, strict=True))
+
+
+def _reduced(reduce, year, trials, probs, iterations, gen, bounds):
+    return reduce(year, draw_blocks(trials, probs, iterations, gen, bounds))
 
 
 def _pooled(args, processes):
-    """draw_year over `args` in order; at most `processes` years submitted and not yet taken."""
+    """_reduced over `args` in order; at most `processes` years submitted and not yet taken."""
     # imported here: a single-process run never loads the pool machinery
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -141,7 +166,7 @@ def _pooled(args, processes):
     pending = deque()
     try:
         for a in args:
-            pending.append(pool.submit(draw_year, *a))
+            pending.append(pool.submit(_reduced, *a))
             if len(pending) == processes:
                 yield pending.popleft().result()
         while pending:
@@ -150,26 +175,37 @@ def _pooled(args, processes):
         pool.shutdown(cancel_futures=True)
 
 
-def dump_draws(years, path, n_years: int, iterations: int, n_labels: int):
-    """Pass the (year, draws) stream `years` through, writing each year's raw draws to `path`.
+@contextmanager
+def dump_draws(path, years, iterations: int, n_labels: int):
+    """Make the draw dump `path` whole for `dumped` to fill; on an error in the block, remove it.
 
-    The file is opened and its header written at the call; each year is
-    written as it passes.  Layout: 5 uint64 header fields (magic
-    0x4d504f50, layout version 1, number of years, iterations, labels
-    per year), then per year in ascending order one uint64 (the year)
-    followed by iterations x labels int64 values, iteration-major.  All
-    integers little-endian.
+    Layout: 5 uint64 header fields (magic 0x4d504f50, layout version 1,
+    number of years, iterations, labels per year), then per year of
+    `years` one uint64 (the year) followed by iterations x labels int64
+    values, iteration-major.  All integers little-endian.
     """
-    fh = open(path, "wb")
-    header = np.array([0x4D504F50, 1, n_years, iterations, n_labels], dtype="<u8")
-    fh.write(header.tobytes())
-    return _written(years, fh)
+    size = iterations * n_labels
+    words = np.memmap(path, "<u8", "w+", shape=(5 + len(years) * (1 + size),))
+    try:
+        words[:5] = [0x4D504F50, 1, len(years), iterations, n_labels]
+        words[5 :: 1 + size] = years
+        del words  # unmapped; the draws are written by `dumped`
+        yield
+    except BaseException:
+        os.remove(path)
+        raise
 
 
-def _written(years, fh):
-    """Write each (year, draws) of `years` to `fh` as it passes; close `fh` at the end."""
-    with fh:
-        for year, draws in years:
-            fh.write(np.array([year], dtype="<u8").tobytes())
-            fh.write(draws.astype("<i8", order="C"))  # its buffer, not a copy
-            yield year, draws
+def dumped(reduce, path, years, n_labels, year, blocks):
+    """`reduce(year, blocks)`, each block first written to its place in the `dump_draws` file."""
+
+    def written(k=years.index(year)):
+        for lo, hi, block in blocks:
+            iterations = len(block)
+            offset = 8 * (6 + k * (1 + iterations * n_labels))  # past year k's marker
+            region = np.memmap(path, "<i8", "r+", offset, (iterations, n_labels))
+            region[:, lo:hi] = block
+            del region  # unmapped: its pages leave this process's resident set
+            yield lo, hi, block
+
+    return reduce(year, written())

@@ -163,16 +163,17 @@ class LabelIndex:
         """Label probabilities: each cell's mass times its tuple shares."""
         return p.ravel()[self.cell_id] * self.weight
 
-    def cell_sums(self, values: np.ndarray) -> np.ndarray:
-        """Sum label columns (last axis) per cell, adding in label order."""
-        sizes = np.diff(self.bounds)
-        starts = self.bounds[:-1]
-        # np.take keeps C order; reductions over iterations depend on the layout
-        out = np.take(values, starts, axis=-1)
-        for k in range(1, sizes.max()):
-            has = sizes > k
-            out[..., has] += values[..., starts[has] + k]
-        return out
+
+def cell_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Sum label columns (last axis) per cell of `bounds` in label order, from label bounds[0]."""
+    sizes = np.diff(bounds)
+    starts = bounds[:-1] - bounds[0]
+    # np.take keeps C order; reductions over iterations depend on the layout
+    out = np.take(values, starts, axis=-1)
+    for k in range(1, sizes.max()):
+        has = sizes > k
+        out[..., has] += values[..., starts[has] + k]
+    return out
 
 
 @dataclass(frozen=True)

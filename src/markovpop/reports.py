@@ -18,6 +18,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from . import __version__
 from .errors import DataError
 from .finance import full_time_costs
 from .montecarlo import summarize
-from .project import expected_populations
+from .project import cell_sums, expected_populations
 
 
 def _sha256(path) -> str:
@@ -154,34 +155,63 @@ def write_projection_csv(path, manifest, model, labels, tables) -> None:
 _SIM_STATS = ("mean", "sd", "p05", "p50", "p95")
 
 
+def summaries(bounds, _year, blocks) -> list[np.ndarray]:
+    """A simulated year's `_SIM_STATS`, each over the raveled cells, then the labels.
+
+    Each of the year's `draw_blocks`, over labels whose cell bounds are
+    `bounds`, is summarized, and so are its cell sums.
+    """
+    cells, labels = [], []
+    for lo, hi, block in blocks:
+        c0, c1 = np.searchsorted(bounds, [lo, hi]).tolist()  # the block's cells
+        cells.append(summarize(cell_sums(block, bounds[c0 : c1 + 1])))
+        labels.append(summarize(block))
+    return [np.concatenate([s[k] for s in cells + labels]) for k in _SIM_STATS]
+
+
 def write_simulation_csv(path, manifest, model, labels, years) -> None:
-    """Simulation report: summary statistics per cell and tuple of each (year, draws) in `years`.
+    """Simulation report: the (year, `summaries`) of `years`, per cell and tuple.
 
     Cells and labels whose mean and sd are both 0 are omitted.  Every
-    year is summarized before the file opens, so a failed draw writes no
+    year is taken before the file opens, so a failed draw writes no
     report.
     """
-    summaries = []
-    for year, draws in years:
-        cells, label_stats = summarize(labels.cell_sums(draws)), summarize(draws)
-        values = [np.append(cells[k], label_stats[k]) for k in _SIM_STATS]
-        summaries.append((year, (values[0] != 0.0) | (values[1] != 0.0), values))
-    _write_label_rows(path, manifest, model, labels, _SIM_STATS, summaries)
+    stats = [(year, (v[0] != 0.0) | (v[1] != 0.0), v) for year, v in years]
+    _write_label_rows(path, manifest, model, labels, _SIM_STATS, stats)
 
 
-def _priced_year(model, labels, table, draws, scale, profiles, schedule):
-    """Each cell's expected cost and its simulated costs over `draws` in a projected year.
+@np.errstate(over="ignore", invalid="ignore")  # _write_cell_rows reports overflow
+def cell_costs(model, labels, tables, scale, profiles, schedule):
+    """The reduction that prices the simulated years of `tables[1:]` per cell.
 
     Each label is priced at full time: counts are full-time equivalents.
-    The costs are one C-order row per raveled cell: its expected cost,
-    then its simulated cost in each iteration.
     """
-    year = model.base_year + table.year
-    full_time = full_time_costs(year, model.space.n_categories, scale, profiles, schedule)
-    g = full_time[labels.category, labels.tuple_code]
-    _, label_counts = expected_populations(table, model.i0)
-    expected = np.bincount(labels.cell_id, label_counts * g)
-    return np.column_stack([expected, labels.cell_sums(draws * g).T])
+    prices, expected = {}, {}
+    for table in tables[1:]:
+        year = model.base_year + table.year
+        full_time = full_time_costs(year, model.space.n_categories, scale, profiles, schedule)
+        prices[year] = full_time[labels.category, labels.tuple_code]
+        label_counts = expected_populations(table, model.i0)[1]
+        expected[year] = np.bincount(labels.cell_id, label_counts * prices[year])
+    return partial(_cell_costs, labels.bounds, prices, expected)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _write_cell_rows reports overflow
+def _cell_costs(bounds, prices, expected, year, blocks):
+    """A simulated year per raveled cell: its mean population, and its costs.
+
+    The costs are one C-order row per cell: its expected cost, then its
+    cost in each iteration, a sum over its labels in label order.
+    """
+    pops = np.empty(len(bounds) - 1)
+    for lo, hi, block in blocks:
+        if lo == 0:  # the first block gives the number of iterations
+            costs = np.empty((len(pops), 1 + len(block)))
+            costs[:, 0] = expected[year]
+        c0, c1 = np.searchsorted(bounds, [lo, hi]).tolist()  # the block's cells
+        pops[c0:c1] = cell_sums(block, bounds[c0 : c1 + 1]).mean(axis=0)
+        costs[c0:c1, 1:] = cell_sums(block * prices[year][lo:hi], bounds[c0 : c1 + 1]).T
+    return pops, costs
 
 
 def _write_cell_rows(path, manifest, model, columns, years, fields) -> None:
@@ -207,17 +237,16 @@ def _units(values):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _write_cell_rows reports overflow
-def write_cost_csv(path, manifest, model, labels, tables, years, scale, profiles, schedule):
+def write_cost_csv(path, manifest, model, labels, tables, years):
     """Cost report: expected and simulated cost per populated in-system cell, plus a '*' total.
 
-    `years` is the (year, draws) stream of `tables[1:]`.  The simulated
-    columns are the mean, p05 and p95 of a cell's cost over the
-    iterations; currency columns are rounded to whole units here.
+    `years` is the (year, `cell_costs`) stream of `tables[1:]`.  The
+    simulated columns are the mean, p05 and p95 of a cell's cost over
+    the iterations; currency columns are rounded to whole units here.
     """
 
     def priced():
-        for table, (_, draws) in zip(tables[1:], years, strict=True):
-            costs = _priced_year(model, labels, table, draws, scale, profiles, schedule)
+        for table, (_, (_, costs)) in zip(tables[1:], years, strict=True):
             _, label_counts = expected_populations(table, model.i0)
             populated = np.bincount(labels.cell_id, label_counts != 0.0) > 0.0
             kept = np.flatnonzero(populated & labels.in_system_cells)
@@ -260,27 +289,24 @@ def observed_totals(records, cfg, scale, profiles, schedule) -> dict[int, tuple]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _write_cell_rows reports overflow
-def write_backtest_csv(
-    path, manifest, model, labels, tables, years, observed, scale, profiles, schedule
-):
+def write_backtest_csv(path, manifest, model, labels, tables, years, observed):
     """Backtest report: observed vs expected vs simulated population and cost, with errors.
 
-    `years` is the (year, draws) stream of `tables[1:]`.  Rows cover the
-    years that `observed` (:func:`observed_totals`) has.  The simulated
-    cost is the iteration mean of the cell cost that the cost report
-    summarizes.
+    `years` is the (year, `cell_costs`) stream of `tables[1:]`.  Rows
+    cover the years that `observed` (:func:`observed_totals`) has.  The
+    simulated cost is the iteration mean of the cell cost that the cost
+    report summarizes.
     """
 
     def compared():
-        for table, (year, draws) in zip(tables[1:], years, strict=True):
+        for table, (year, (sim_pop, costs)) in zip(tables[1:], years, strict=True):
             if year not in observed:
                 continue
             obs_pop, obs_cost = observed[year]
-            costs = _priced_year(model, labels, table, draws, scale, profiles, schedule)
             columns = (
                 obs_pop,
                 expected_populations(table, model.i0)[0].ravel(),
-                labels.cell_sums(draws).mean(axis=0),
+                sim_pop,
                 obs_cost,
                 costs[:, 0],
                 costs[:, 1:].mean(axis=1),

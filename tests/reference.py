@@ -8,10 +8,12 @@ whole-document model decode whose models and errors
 parser whose problem list ``ingest.parse_records`` must reproduce, the
 sort-based counts cube whose arrays ``ingest.build_counts`` must
 reproduce bit for bit, the (month, pair)-indexed reserve whose arrays
-``ingest.build_reserve`` must reproduce bit for bit, and the row-by-row projection and simulation
-writers whose bytes the bulk writers of ``markovpop.reports`` must
-reproduce (they share only the cell names, the manifest and the header
-with them).
+``ingest.build_reserve`` must reproduce bit for bit, the whole-year
+multinomial draw whose matrix the blocks of ``montecarlo.draw_blocks``
+must stack to, and the row-by-row projection and simulation writers
+whose bytes the bulk writers of ``markovpop.reports`` must reproduce
+(they share only the cell names, the manifest and the header with
+them).
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from markovpop.errors import DataError
+from markovpop.errors import ConfigError, DataError
 from markovpop.ingest import CountsCube, Records, ReserveSpec, finite_float
 from markovpop.model import FittedModel
 from markovpop.montecarlo import summarize
-from markovpop.project import expected_populations
+from markovpop.project import cell_sums, expected_populations
 from markovpop.reports import _CELL_COLUMNS, _cell_names, _report
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
@@ -82,6 +84,40 @@ def age_by_add_at(moved: np.ndarray) -> np.ndarray:
     np.add.at(out, (slice(1, None), older[:, None], senior), moved[1:])
     np.add.at(out[0], (older[:, None], np.arange(n_sen)), moved[0])
     return out
+
+
+def draw_year(
+    trials: int, probs: np.ndarray, iterations: int, gen: np.random.Generator
+) -> np.ndarray:
+    """`iterations` multinomial vectors, (iterations, labels) int32, from `gen`, in one matrix."""
+    probs = np.asarray(probs, dtype=float)
+    if trials < 0:
+        raise ConfigError(f"multinomial trials must be >= 0 (got {trials})")
+    if np.any(probs < 0.0):
+        raise ConfigError("multinomial probabilities must be non-negative")
+    draws = np.zeros((iterations, probs.shape[0]), dtype=np.int32)
+    if trials == 0:
+        return draws
+    nz = np.flatnonzero(probs > 0.0)
+    if nz.size == 0:
+        raise ConfigError("multinomial probabilities sum to 0 with trials > 0")
+    p = probs[nz]
+    cond = np.minimum(p / np.cumsum(p[::-1])[::-1], 1.0)
+    # one contiguous row per label, scattered into columns once at the end
+    rows = np.empty((nz.size, iterations), dtype=np.int32)
+    remaining = np.full(iterations, trials, dtype=np.int64)
+    for k, p_cond in enumerate(cond[:-1].tolist()):
+        c = gen.binomial(remaining, p_cond)
+        rows[k] = c
+        remaining -= c
+    rows[-1] = remaining
+    draws[:, nz] = rows.T
+    return draws
+
+
+def stacked(_year, blocks) -> np.ndarray:
+    """A year's whole (iterations, labels) matrix, stacked from its `draw_blocks`."""
+    return np.hstack([block for _, _, block in blocks])
 
 
 def _reject_constant(name: str):
@@ -359,7 +395,7 @@ def write_simulation_csv_by_row(path, manifest, model, labels, years) -> None:
 
     def rows():
         for year, draws in years:
-            cells, label_stats = summarize(labels.cell_sums(draws)), summarize(draws)
+            cells, label_stats = summarize(cell_sums(draws, labels.bounds)), summarize(draws)
             for cell in range(len(names)):
                 if cells["mean"][cell] == 0.0 and cells["sd"][cell] == 0.0:
                     continue

@@ -21,11 +21,11 @@ from markovpop.estimate import annualize_transitions, fit_model
 from markovpop.finance import PensionRegime, RateSchedule
 from markovpop.ingest import build_counts, build_reserve
 from markovpop.montecarlo import simulate_projection
-from markovpop.project import distribution_at_year, group_probabilities
+from markovpop.project import LabelIndex, distribution_at_year, group_probabilities
 
 import panelgen
 from conftest import make_random_model, make_toy_space
-from reference import Triple, one_step_triple_probability
+from reference import Triple, one_step_triple_probability, stacked
 
 
 def report(num, desc, detail):
@@ -221,7 +221,10 @@ def test_04_simulation_calibration():
     model = make_random_model(make_toy_space(), seed=404, i0=i0)
     dist = distribution_at_year(model.pi, model, 1, policy="absorb")
     probs = group_probabilities(dist, model).probs
-    [(_, draws)] = simulate_projection({1: probs}, i0, 10_000, seed=2024)
+    bounds = LabelIndex.build(model).bounds
+    [(_, draws)] = simulate_projection(
+        {1: probs}, i0, 10_000, seed=2024, bounds=bounds, reduce=stacked
+    )
 
     assert draws.shape == (10_000, len(probs))
     sums = draws.sum(axis=1)

@@ -15,8 +15,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_cycled_mini_world
+from markovpop import montecarlo
 from markovpop.cli import main
 from markovpop.config import load_run_config
+from markovpop.errors import DataError
 from markovpop.model import FittedModel
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -515,6 +518,64 @@ def test_importing_the_cli_loads_neither_openssl_nor_the_process_pool():
     added = set(proc.stdout.split())
     assert "markovpop.cli" in added
     assert not added & {"multiprocessing", "concurrent.futures", "hashlib", "_hashlib"}
+
+
+@pytest.mark.parametrize("world", ["demo", "cycled"])
+def test_the_block_width_leaves_every_output_byte_identical(tmp_path, monkeypatch, world):
+    if world == "demo":
+        inputs = {"config": DEMO / "config.yaml", "records": DEMO / "records.csv",
+                  "reserve": DEMO / "reserve.csv", "scale": DEMO / "salary_scale.csv"}
+    else:
+        inputs = write_cycled_mini_world(tmp_path)
+    cfg = ["--config", str(inputs["config"])]
+    panel = ["--records", str(inputs["records"]), "--reserve", str(inputs["reserve"])]
+    scale = ["--salary-scale", str(inputs["scale"])]
+    model = ["--model", str(tmp_path / "model.json")]
+    assert main(["fit", *cfg, *panel, "--out", str(tmp_path / "model.json")]) == 0
+    sim = ["--years", "3", "--iterations", "30", "--seed", "5"]
+
+    def outputs(width):
+        monkeypatch.setattr(montecarlo, "BLOCK_LABELS", width)
+        out = tmp_path / f"width-{width}"
+        out.mkdir()
+        runs = [
+            ["simulate", *cfg, *model, *sim, "--out", str(out / "simulation.csv"),
+             "--dump-draws", str(out / "draws.bin")],
+            ["cost-report", *cfg, *model, *scale, *sim, "--out", str(out / "cost.csv")],
+            ["backtest", *cfg, *panel, *scale, "--split-year", "2016", *sim[2:],
+             "--out", str(out / "backtest.csv")],
+        ]
+        for argv in runs:
+            assert main(argv) == 0, argv[0]
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    whole = outputs(montecarlo.BLOCK_LABELS)  # one block a year on these small worlds
+    assert len(whole) == 4
+    for width in (2, 3):
+        assert outputs(width) == whole, f"block width {width}"
+
+
+def test_a_failed_draw_leaves_neither_dump_nor_report(
+    capsys, monkeypatch, mini_pipeline, tmp_path
+):
+    draw_blocks, years = montecarlo.draw_blocks, []
+
+    def failing_in_year_2(*args):
+        years.append(args)
+        blocks = draw_blocks(*args)
+        if len(years) == 2:
+            yield next(blocks)  # so the second year is part written
+            raise DataError("the draw failed")
+        yield from blocks
+
+    monkeypatch.setattr(montecarlo, "draw_blocks", failing_in_year_2)
+    monkeypatch.setattr(montecarlo, "BLOCK_LABELS", 2)
+    out, dump = tmp_path / "sim.csv", tmp_path / "draws.bin"
+    argv = _argv("simulate", {**mini_pipeline, "dump_draws": dump}, out)
+    argv[argv.index("--years") + 1] = "3"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: the draw failed\n"
+    assert len(years) == 2 and not out.exists() and not dump.exists()
 
 
 def test_zero_iterations_is_rejected_not_replaced(capsys, mini_pipeline, tmp_path):

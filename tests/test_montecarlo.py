@@ -1,4 +1,6 @@
-"""Simulation streams: keyed generators, conditional binomials, dumps."""
+"""Simulation streams: keyed generators, conditional binomials in blocks, dumps."""
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,13 +12,16 @@ from markovpop import montecarlo
 from markovpop.errors import ConfigError, DataError
 from markovpop.montecarlo import (
     derive_generator,
-    draw_year,
+    draw_blocks,
     dump_draws,
+    dumped,
     simulate_projection,
     summarize,
 )
-from markovpop.project import LabelIndex, distribution_at_year, group_probabilities
+from markovpop.project import LabelIndex, cell_sums, distribution_at_year, group_probabilities
+from markovpop.reports import _cell_costs, summaries
 from markovpop.states import CharacteristicSpace
+from reference import draw_year, stacked
 
 
 def test_derive_generator_keys_streams_independently():
@@ -69,6 +74,48 @@ def test_multinomial_draw_validation():
         draw_year(5, np.array([0.5, -0.5]), 3, gen)
     with pytest.raises(ConfigError, match="sum to 0"):
         draw_year(5, np.array([0.0, 0.0]), 3, gen)
+    # the blocks make every check the whole-year draw makes
+    for trials, probs, message in [(-1, [1.0], "trials must be >= 0"),
+                                   (5, [0.5, -0.5], "non-negative"), (5, [0.0, 0.0], "sum to 0")]:
+        with pytest.raises(ConfigError, match=message):
+            list(draw_blocks(trials, np.array(probs), 3, gen, np.arange(len(probs) + 1)))
+
+
+@st.composite
+def _years(draw):
+    """(trials, probs, cell bounds, iterations, seed): zero labels, empty years, lone labels."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=10))
+    n = sum(sizes)
+    weights = draw(st.lists(st.sampled_from([0.0, 0.0, 1e-9, 0.3, 1.0, 7.5]), min_size=n,
+                            max_size=n))
+    probs = np.array(weights)
+    if probs.sum() == 0.0:
+        probs[draw(st.integers(0, n - 1))] = 1.0
+    trials = draw(st.sampled_from([0, 1, 2, 37, 500]))
+    bounds = np.cumsum([0, *sizes])
+    return trials, probs, bounds, draw(st.integers(1, 6)), draw(st.integers(0, 2**32))
+
+
+@given(year=_years(), width=st.sampled_from([2, 3, 5, 256]))
+@settings(max_examples=150, deadline=None)
+def test_stacked_blocks_are_the_whole_year_draw(year, width):
+    trials, probs, bounds, iterations, seed = year
+    old = montecarlo.BLOCK_LABELS
+    montecarlo.BLOCK_LABELS = width
+    try:
+        blocks = list(draw_blocks(trials, probs, iterations, derive_generator(seed, 0), bounds))
+    finally:
+        montecarlo.BLOCK_LABELS = old
+    want = draw_year(trials, probs, iterations, derive_generator(seed, 0))
+    np.testing.assert_array_equal(np.hstack([b for _, _, b in blocks]), want)
+    edges = [lo for lo, _, _ in blocks] + [blocks[-1][1]]
+    assert edges[0] == 0 and edges[-1] == len(probs) and set(edges) <= set(bounds.tolist())
+    for n, (lo, hi, block) in enumerate(blocks, 1):
+        assert block.dtype == np.int32 and block.flags.c_contiguous
+        assert block.shape == (iterations, hi - lo)
+        if len(blocks) > 1:  # two cells or more, and `width` labels but in the last block
+            assert np.searchsorted(bounds, hi) - np.searchsorted(bounds, lo) >= 2
+            assert hi - lo >= width or n == len(blocks)
 
 
 @given(
@@ -117,8 +164,16 @@ def small_v():
     return {1: np.array([0.4, 0.25, 0.15, 0.2]), 2: np.array([0.1, 0.2, 0.3, 0.4])}
 
 
+SMALL_BOUNDS = np.array([0, 1, 3, 4])  # three cells over small_v's four labels
+
+
+def simulate(v, i0, iterations, seed, workers=1, bounds=SMALL_BOUNDS, reduce=stacked):
+    """simulate_projection reduced to each year's whole draw matrix."""
+    return simulate_projection(v, i0, iterations, seed, workers, bounds=bounds, reduce=reduce)
+
+
 def test_simulate_projection_draws_and_stats():
-    stream = list(simulate_projection(small_v(), i0=50.3, iterations=30, seed=11))
+    stream = list(simulate(small_v(), i0=50.3, iterations=30, seed=11))
     assert [year for year, _ in stream] == [1, 2]
     for _, draws in stream:
         assert draws.shape == (30, 4)
@@ -130,12 +185,12 @@ def test_simulate_projection_draws_and_stats():
 
 
 def test_simulate_projection_is_deterministic_across_workers():
-    one = dict(simulate_projection(small_v(), i0=40, iterations=24, seed=5, workers=1))
-    two = dict(simulate_projection(small_v(), i0=40, iterations=24, seed=5, workers=3))
+    one = dict(simulate(small_v(), i0=40, iterations=24, seed=5, workers=1))
+    two = dict(simulate(small_v(), i0=40, iterations=24, seed=5, workers=3))
     assert sorted(one) == sorted(two) == [1, 2]
     for y in one:
         np.testing.assert_array_equal(one[y], two[y])
-    other = dict(simulate_projection(small_v(), i0=40, iterations=24, seed=6))
+    other = dict(simulate(small_v(), i0=40, iterations=24, seed=6))
     assert any(not np.array_equal(other[y], one[y]) for y in one)
 
 
@@ -177,8 +232,8 @@ def test_the_pool_is_capped_and_holds_one_year_per_process(
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_FakePool, "made", [])
     v = {y: small_v()[1 + y % 2] for y in range(1, years + 1)}
-    got = list(simulate_projection(v, i0=40, iterations=6, seed=5, workers=workers))
-    want = list(simulate_projection(v, i0=40, iterations=6, seed=5))
+    got = list(simulate(v, i0=40, iterations=6, seed=5, workers=workers))
+    want = list(simulate(v, i0=40, iterations=6, seed=5))
     assert [y for y, _ in got] == [y for y, _ in want] == list(range(1, years + 1))
     for (_, a), (_, b) in zip(got, want):
         np.testing.assert_array_equal(a, b)
@@ -197,7 +252,7 @@ def test_an_abandoned_pooled_stream_shuts_its_pool_down(monkeypatch):
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_FakePool, "made", [])
     v = {y: small_v()[1] for y in range(1, 9)}
-    stream = simulate_projection(v, i0=40, iterations=6, seed=5, workers=2)
+    stream = simulate(v, i0=40, iterations=6, seed=5, workers=2)
     assert next(stream)[0] == 1
     [pool] = _FakePool.made
     assert pool.most == 2 and not pool.shut_down
@@ -217,7 +272,7 @@ def test_simulation_holds_one_year_at_a_time():
         tracemalloc.start()
         try:
             # zipped with the years' tables, as the cost and backtest reports consume it
-            stream = simulate_projection(v, 500, 200, seed=1)
+            stream = simulate(v, 500, 200, seed=1, bounds=np.arange(0, 3001, 3))
             for _, (_, draws) in zip(range(years), stream, strict=True):
                 assert draws.shape == (200, 3000)
             return tracemalloc.get_traced_memory()[1]
@@ -228,38 +283,64 @@ def test_simulation_holds_one_year_at_a_time():
     assert long <= 1.25 * short, f"8 years peak at {long / short:.2f} times 2 years"
 
 
+@pytest.mark.parametrize("reduction", ["summaries", "cell_costs"])
+def test_reducing_a_year_holds_under_half_its_draw_matrix(reduction):
+    import tracemalloc
+
+    iterations, n_labels = 2000, 4000
+    bounds = np.r_[np.arange(0, n_labels, 12), n_labels]  # 12 labels a cell, as in institution
+    probs = np.random.default_rng(0).random(n_labels)
+    probs /= probs.sum()
+    if reduction == "summaries":
+        reduce = partial(summaries, bounds)
+    else:
+        price, expected = np.linspace(1.0, 2.0, n_labels), np.zeros(len(bounds) - 1)
+        reduce = partial(_cell_costs, bounds, {1: price}, {1: expected})
+    tracemalloc.start()
+    try:
+        [(_, reduced)] = simulate_projection(
+            {1: probs}, 100_000, iterations, 1, bounds=bounds, reduce=reduce
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix = iterations * n_labels * 4  # the year's int32 draws: 32 MB
+    assert peak < matrix / 2, f"reducing one year peaked at {peak / matrix:.2f} of its matrix"
+
+
 def test_a_bad_later_year_raises_at_the_call(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew before every year was checked")
 
-    monkeypatch.setattr(montecarlo, "draw_year", no_draw)
+    monkeypatch.setattr(montecarlo, "draw_blocks", no_draw)
     v = {**small_v(), 3: small_v()[2] * 0.9}
     with pytest.raises(ConfigError, match="for year 3 sum to"):
-        simulate_projection(v, 10, 5, 1)
+        simulate(v, 10, 5, 1)
 
 
 def test_simulate_projection_validation():
     probs = small_v()[1]
     with pytest.raises(ConfigError, match="iterations must be >= 1"):
-        simulate_projection({1: probs}, 10, 0, 1)
+        simulate({1: probs}, 10, 0, 1)
     with pytest.raises(ConfigError, match="workers must be >= 1"):
-        simulate_projection({1: probs}, 10, 5, 1, workers=0)
+        simulate({1: probs}, 10, 5, 1, workers=0)
     with pytest.raises(ConfigError, match="sum to"):
-        simulate_projection({1: probs * 0.9}, 10, 5, 1)
+        simulate({1: probs * 0.9}, 10, 5, 1)
     with pytest.raises(ConfigError, match="trials must be >= 0"):
-        simulate_projection({1: probs}, -3, 5, 1)
+        simulate({1: probs}, -3, 5, 1)
     # draws are int32: 2**31 - 0.5 already rounds to 2**31 trials
     with pytest.raises(DataError, match="population size .* is too large to simulate"):
-        simulate_projection({1: probs}, 2**31 - 0.5, 5, 1)
+        simulate({1: probs}, 2**31 - 0.5, 5, 1)
 
 
-def test_dump_draws_layout(tmp_path):
+def test_dump_draws_layout(tmp_path, monkeypatch):
+    monkeypatch.setattr(montecarlo, "BLOCK_LABELS", 2)  # two blocks a year, each mapped alone
     path = tmp_path / "draws.bin"
-    drawn = simulate_projection(small_v(), i0=20, iterations=6, seed=9)
-    stream = dump_draws(drawn, path, 2, 6, 4)
-    assert path.exists()  # opened at the call, before any year is drawn
-    passed = dict(stream)
-    want = dict(simulate_projection(small_v(), i0=20, iterations=6, seed=9))
+    reduce = partial(dumped, stacked, path, [1, 2], 4)
+    with dump_draws(path, [1, 2], 6, 4):
+        assert path.stat().st_size == 40 + 2 * (8 + 6 * 4 * 8)  # made whole at entry
+        passed = dict(simulate(small_v(), i0=20, iterations=6, seed=9, reduce=reduce))
+    want = dict(simulate(small_v(), i0=20, iterations=6, seed=9))
     raw = path.read_bytes()
     header = np.frombuffer(raw[:40], dtype="<u8")
     assert header.tolist() == [0x4D504F50, 1, 2, 6, 4]
@@ -274,6 +355,17 @@ def test_dump_draws_layout(tmp_path):
         offset += 6 * 4 * 8
     assert offset == len(raw)
     assert passed[1].dtype == np.int32  # widened to int64 in the file
+
+
+def test_a_dump_is_removed_on_any_error(tmp_path):
+    path = tmp_path / "draws.bin"
+    reduce = partial(dumped, stacked, path, [1, 2], 4)
+    stream = simulate(small_v(), i0=20, iterations=6, seed=9, reduce=reduce)
+    with pytest.raises(KeyError):
+        with dump_draws(path, [1, 2], 6, 4):
+            next(stream)  # the first year is written
+            raise KeyError("the report failed")
+    assert not path.exists()
 
 
 def test_draw_frequencies_match_probabilities():
@@ -313,12 +405,12 @@ def test_second_moments_match_the_multinomial_oracle():
     labels = LabelIndex.build(model)
     p = group_probabilities(distribution_at_year(model.pi, model, 1, "absorb"), model, labels).probs
     assert p.min() > 0.0 and len(p) > len(labels.bounds) - 1  # split cells, no empty label
-    [(_, draws)] = simulate_projection({1: p}, i0, n, seed=2024)
+    [(_, draws)] = simulate({1: p}, i0, n, seed=2024, bounds=labels.bounds)
     price = np.where(labels.category > 0, np.linspace(1.0, 3.0, len(p)), 0.0)
     onehot_cells = np.eye(len(labels.bounds) - 1)[labels.cell_id]
     checks = [
         (draws, np.eye(len(p))),
-        (labels.cell_sums(draws), onehot_cells),
+        (cell_sums(draws, labels.bounds), onehot_cells),
         ((draws * price).sum(axis=1)[:, None], price[:, None]),
     ]
     for sample, x in checks:
@@ -327,6 +419,6 @@ def test_second_moments_match_the_multinomial_oracle():
         assert np.abs(z).max() < 4.0, z
 
     cell_p = np.bincount(labels.cell_id, p)
-    cells = summarize(labels.cell_sums(draws))
+    cells = summarize(cell_sums(draws, labels.bounds))
     for key, q in (("p05", 0.05), ("p50", 0.50), ("p95", 0.95)):
         np.testing.assert_allclose(cells[key], sps.binom.ppf(q, i0, cell_p), atol=1.0)

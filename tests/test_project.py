@@ -11,6 +11,7 @@ from markovpop.project import (
     LabelIndex,
     TripleDistribution,
     _age,
+    cell_sums,
     distribution_at_year,
     expected_populations,
     group_probabilities,
@@ -226,7 +227,7 @@ def test_cell_sums_add_label_columns_per_cell():
     model.r[2, 1, 0] = 0.0
     labels = LabelIndex.build(model)
     draws = np.arange(3 * len(labels.cell_id)).reshape(3, -1)
-    sums = labels.cell_sums(draws)
+    sums = cell_sums(draws, labels.bounds)
     assert sums.shape == (3, 12) and sums.dtype == draws.dtype
     for cell in range(12):
         cols = np.flatnonzero(labels.cell_id == cell)

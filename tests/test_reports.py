@@ -4,6 +4,7 @@ cost-report and backtest price a cell alike."""
 import csv
 import dataclasses
 import pathlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,12 +14,15 @@ from markovpop.config import load_run_config
 from markovpop.estimate import fit_model
 from markovpop.finance import load_salary_scale, parse_finance_config
 from markovpop.ingest import build_counts, load_reserve_csv, parse_records, split_records
+from markovpop import montecarlo
 from markovpop.model import FittedModel
 from markovpop.montecarlo import simulate_projection
 from markovpop.project import projection
 from markovpop.reports import (
     RunManifest,
+    cell_costs,
     observed_totals,
+    summaries,
     write_backtest_csv,
     write_cost_csv,
     write_projection_csv,
@@ -28,7 +32,7 @@ from markovpop.states import CharacteristicSpace, StateSpaceConfig
 
 import panelgen
 from conftest import make_random_model, write_world_inputs
-from reference import write_projection_csv_by_row, write_simulation_csv_by_row
+from reference import stacked, write_projection_csv_by_row, write_simulation_csv_by_row
 
 DEMO = pathlib.Path(__file__).resolve().parent.parent / "demo"
 
@@ -76,11 +80,17 @@ def _quoted_model():
 
 
 @pytest.mark.parametrize("which", ["demo", "quoted"])
-def test_bulk_writers_match_the_row_by_row_writers(tmp_path, which):
+def test_bulk_writers_match_the_row_by_row_writers(tmp_path, monkeypatch, which):
     model = _demo_model(tmp_path) if which == "demo" else _quoted_model()
     labels, tables = projection(model, 4, "absorb")
     probs = {model.base_year + t.year: t.probs for t in tables[1:]}
-    years = list(simulate_projection(probs, model.i0, 50, seed=3))
+
+    def simulate(reduce):
+        return list(simulate_projection(
+            probs, model.i0, 50, seed=3, bounds=labels.bounds, reduce=reduce
+        ))
+
+    years = simulate(stacked)
     manifest = RunManifest.collect("test", {}, {"years": 4})
     if which == "quoted":
         # both skip rules have something to skip
@@ -90,12 +100,18 @@ def test_bulk_writers_match_the_row_by_row_writers(tmp_path, which):
         assert years[0][0] == model.base_year + 1
         assert not years[0][1][:, labels.weight < 1e-9].any()
 
-    for new, old, data in (
-        (write_projection_csv, write_projection_csv_by_row, tables),
-        (write_simulation_csv, write_simulation_csv_by_row, years),
+    # the bulk simulation writer takes each year's block summaries, the row writer its matrix
+    summarized = []
+    for width in (montecarlo.BLOCK_LABELS, 2):
+        monkeypatch.setattr(montecarlo, "BLOCK_LABELS", width)
+        summarized.append(simulate(partial(summaries, labels.bounds)))
+    for new, old, new_data, old_data in (
+        (write_projection_csv, write_projection_csv_by_row, tables, tables),
+        (write_simulation_csv, write_simulation_csv_by_row, summarized[0], years),
+        (write_simulation_csv, write_simulation_csv_by_row, summarized[1], years),
     ):
-        new(tmp_path / "new.csv", manifest, model, labels, data)
-        old(tmp_path / "old.csv", manifest, model, labels, data)
+        new(tmp_path / "new.csv", manifest, model, labels, new_data)
+        old(tmp_path / "old.csv", manifest, model, labels, old_data)
         expected = (tmp_path / "old.csv").read_bytes()
         assert (tmp_path / "new.csv").read_bytes() == expected
         if which == "quoted":
@@ -126,14 +142,15 @@ def test_cost_report_and_backtest_price_a_cell_alike(tmp_path):
     pricing = load_salary_scale(paths["scale"], cfg.space), profiles, schedule
     manifest = RunManifest.collect("test", {}, {})
     reports = model, labels, tables
+    reduce = cell_costs(*reports, *pricing)
     # each writer takes its own stream of the same draws: one seed, drawn twice
-    cost_years = simulate_projection(probs, model.i0, 200, seed=7)
-    write_cost_csv(tmp_path / "cost.csv", manifest, *reports, cost_years, *pricing)
+    cost_years = simulate_projection(probs, model.i0, 200, 7, bounds=labels.bounds, reduce=reduce)
+    write_cost_csv(tmp_path / "cost.csv", manifest, *reports, cost_years)
     observed = observed_totals(holdout, cfg, *pricing)
-    backtest_years = simulate_projection(probs, model.i0, 200, seed=7)
-    write_backtest_csv(
-        tmp_path / "backtest.csv", manifest, *reports, backtest_years, observed, *pricing
+    backtest_years = simulate_projection(
+        probs, model.i0, 200, 7, bounds=labels.bounds, reduce=reduce
     )
+    write_backtest_csv(tmp_path / "backtest.csv", manifest, *reports, backtest_years, observed)
 
     cost, backtest = _cell_rows(tmp_path / "cost.csv"), _cell_rows(tmp_path / "backtest.csv")
     assert {key[:2] for key in cost} == {(y, c) for y in ("2017", "2018") for c in "AB"}

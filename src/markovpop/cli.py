@@ -157,7 +157,7 @@ def cmd_cost_report(args) -> int:
     iterations, years = _simulation(model, cfg, args, labels, tables, reduce)
     roles = ("config", "model", "salary-scale")
     manifest = _manifest("cost-report", args, roles, _sim_params(args, iterations))
-    write_cost_csv(args.out, manifest, model, labels, tables, years)
+    write_cost_csv(args.out, manifest, model, years)
     return 0
 
 
@@ -247,6 +247,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag in ("iterations", "workers"):  # checked before any input is read
+            if (value := getattr(args, flag, None)) is not None and value < 1:
+                raise ConfigError(f"{flag} must be >= 1 (got {value})")
         logging.basicConfig(
             level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",

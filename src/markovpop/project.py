@@ -164,15 +164,21 @@ class LabelIndex:
         return p.ravel()[self.cell_id] * self.weight
 
 
-def cell_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Sum label columns (last axis) per cell of `bounds` in label order, from label bounds[0]."""
+def cell_sums(values: np.ndarray, bounds: np.ndarray, prices=None) -> np.ndarray:
+    """Sum label columns (last axis) per cell of `bounds` in label order, from label bounds[0].
+
+    With `prices`, one per label column, each column is priced as it is added.
+    """
     sizes = np.diff(bounds)
     starts = bounds[:-1] - bounds[0]
-    # np.take keeps C order; reductions over iterations depend on the layout
-    out = np.take(values, starts, axis=-1)
+    def column(j):  # np.take keeps C order; reductions over iterations depend on the layout
+        taken = np.take(values, j, axis=-1)
+        return taken if prices is None else taken * prices[j]
+
+    out = column(starts)
     for k in range(1, sizes.max()):
         has = sizes > k
-        out[..., has] += values[..., starts[has] + k]
+        out[..., has] += column(starts[has] + k)
     return out
 
 

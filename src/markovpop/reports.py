@@ -182,36 +182,46 @@ def write_simulation_csv(path, manifest, model, labels, years) -> None:
 
 @np.errstate(over="ignore", invalid="ignore")  # _write_cell_rows reports overflow
 def cell_costs(model, labels, tables, scale, profiles, schedule):
-    """The reduction that prices the simulated years of `tables[1:]` per cell.
+    """The `_cell_costs` reduction of the simulated years of `tables[1:]`.
 
     Each label is priced at full time: counts are full-time equivalents.
+    A year shows its populated in-system cells.
     """
-    prices, expected = {}, {}
+    priced = {}
     for table in tables[1:]:
         year = model.base_year + table.year
         full_time = full_time_costs(year, model.space.n_categories, scale, profiles, schedule)
-        prices[year] = full_time[labels.category, labels.tuple_code]
+        prices = full_time[labels.category, labels.tuple_code]
         label_counts = expected_populations(table, model.i0)[1]
-        expected[year] = np.bincount(labels.cell_id, label_counts * prices[year])
-    return partial(_cell_costs, labels.bounds, prices, expected)
+        shown = labels.in_system_cells & (np.bincount(labels.cell_id, label_counts != 0.0) > 0)
+        priced[year] = prices, np.bincount(labels.cell_id, label_counts * prices), shown
+    return partial(_cell_costs, labels.bounds, priced)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _write_cell_rows reports overflow
-def _cell_costs(bounds, prices, expected, year, blocks):
-    """A simulated year per raveled cell: its mean population, and its costs.
+def _cell_costs(bounds, priced, year, blocks):
+    """A simulated year per raveled cell: its mean population, its cost rows, the shown cells.
 
-    The costs are one C-order row per cell: its expected cost, then its
-    cost in each iteration, a sum over its labels in label order.
+    `priced[year]` is (label prices, expected cost per cell, shown cells).
+    A row per cell, then a last '*' row for the shown cells' total, holds
+    the expected cost, then the mean, p05 and p95 over the iterations.
+    A cell adds its labels' costs in label order; the total adds cells in order.
     """
-    pops = np.empty(len(bounds) - 1)
+    prices, expected, shown = priced[year]
+    pops, stats = np.empty(len(bounds) - 1), []
     for lo, hi, block in blocks:
         if lo == 0:  # the first block gives the number of iterations
-            costs = np.empty((len(pops), 1 + len(block)))
-            costs[:, 0] = expected[year]
+            total = np.zeros(len(block))
         c0, c1 = np.searchsorted(bounds, [lo, hi]).tolist()  # the block's cells
         pops[c0:c1] = cell_sums(block, bounds[c0 : c1 + 1]).mean(axis=0)
-        costs[c0:c1, 1:] = cell_sums(block * prices[year][lo:hi], bounds[c0 : c1 + 1]).T
-    return pops, costs
+        # a C-order row of iterations per cell, so its mean adds along the row
+        costs = cell_sums(block, bounds[c0 : c1 + 1], prices[lo:hi]).T.copy()
+        total = sum(costs[shown[c0:c1]], total)  # row by row: numpy sums one column pairwise
+        stats.append(summarize(costs.T))
+    stats.append(summarize(total[:, None]))
+    expected = np.append(expected, np.add.accumulate(np.r_[0.0, expected[shown]])[-1])
+    sim = [np.concatenate([s[k] for s in stats]) for k in ("mean", "p05", "p95")]
+    return pops, np.column_stack([expected, *sim]), np.flatnonzero(shown)
 
 
 def _write_cell_rows(path, manifest, model, columns, years, fields) -> None:
@@ -236,28 +246,16 @@ def _units(values):
     return [str(int(round(x))) for x in values]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _write_cell_rows reports overflow
-def write_cost_csv(path, manifest, model, labels, tables, years):
+def write_cost_csv(path, manifest, model, years):
     """Cost report: expected and simulated cost per populated in-system cell, plus a '*' total.
 
-    `years` is the (year, `cell_costs`) stream of `tables[1:]`.  The
-    simulated columns are the mean, p05 and p95 of a cell's cost over
-    the iterations; currency columns are rounded to whole units here.
+    `years` is a (year, `cell_costs`) stream: the report picks each
+    year's shown cell rows and its '*' row.  Currency columns are rounded
+    to whole units here.
     """
-
-    def priced():
-        for table, (_, (_, costs)) in zip(tables[1:], years, strict=True):
-            _, label_counts = expected_populations(table, model.i0)
-            populated = np.bincount(labels.cell_id, label_counts != 0.0) > 0.0
-            kept = np.flatnonzero(populated & labels.in_system_cells)
-            # C-order rows, one per kept cell: sums add the cells in order, means add along a row
-            costs = np.vstack([costs[kept], costs[kept].sum(axis=0)])
-            sim = summarize(costs[:, 1:].T)
-            values = np.column_stack([costs[:, 0], sim["mean"], sim["p05"], sim["p95"]])
-            yield model.base_year + table.year, kept, values
-
+    picked = ((year, shown, costs[np.append(shown, -1)]) for year, (_, costs, shown) in years)
     columns = ["expected_cost", "sim_mean_cost", "sim_p05", "sim_p95"]
-    _write_cell_rows(path, manifest, model, columns, priced(), _units)
+    _write_cell_rows(path, manifest, model, columns, picked, _units)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # write_backtest_csv reports overflow
@@ -299,21 +297,14 @@ def write_backtest_csv(path, manifest, model, labels, tables, years, observed):
     """
 
     def compared():
-        for table, (year, (sim_pop, costs)) in zip(tables[1:], years, strict=True):
+        for table, (year, (sim_pop, costs, _)) in zip(tables[1:], years, strict=True):
             if year not in observed:
                 continue
             obs_pop, obs_cost = observed[year]
-            columns = (
-                obs_pop,
-                expected_populations(table, model.i0)[0].ravel(),
-                sim_pop,
-                obs_cost,
-                costs[:, 0],
-                costs[:, 1:].mean(axis=1),
-            )
-            kept = np.flatnonzero(
-                labels.in_system_cells & ((obs_pop > 0.0) | (table.p.ravel() > 0.0))
-            )
+            exp_pop = expected_populations(table, model.i0)[0].ravel()
+            columns = obs_pop, exp_pop, sim_pop, obs_cost, *costs[:-1, :2].T  # expected, mean
+            seen = (obs_pop > 0.0) | (table.p.ravel() > 0.0)  # observed or projected
+            kept = np.flatnonzero(labels.in_system_cells & seen)
             values = np.column_stack(columns)[kept]
             yield year, kept, np.vstack([values, values.sum(axis=0)])
 

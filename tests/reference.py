@@ -13,7 +13,9 @@ multinomial draw whose matrix the blocks of ``montecarlo.draw_blocks``
 must stack to, and the row-by-row projection and simulation writers
 whose bytes the bulk writers of ``markovpop.reports`` must reproduce
 (they share only the cell names, the manifest and the header with
-them).
+them), and the whole-matrix cost reduction whose report
+``reports.write_cost_csv`` must reproduce byte for byte (it shares the
+pricing, the cell sums, ``summarize`` and the cell-row writer).
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from markovpop.errors import ConfigError, DataError
+from markovpop.finance import full_time_costs
 from markovpop.ingest import CountsCube, Records, ReserveSpec, finite_float
 from markovpop.model import FittedModel
-from markovpop.montecarlo import summarize
+from markovpop.montecarlo import derive_generator, summarize
 from markovpop.project import cell_sums, expected_populations
-from markovpop.reports import _CELL_COLUMNS, _cell_names, _report
+from markovpop.reports import _CELL_COLUMNS, _cell_names, _report, _units, _write_cell_rows
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
@@ -408,3 +411,35 @@ def write_simulation_csv_by_row(path, manifest, model, labels, years) -> None:
     header = _CELL_COLUMNS + ["characteristic_tuple", "mean", "sd", "p05", "p50", "p95"]
     with _report(path, manifest, header) as fh:
         csv.writer(fh).writerows(rows())
+
+
+def cost_rows_by_matrix(model, labels, tables, pricing, iterations, seed):
+    """Per year of `tables[1:]`: (year, shown cells, their cost rows, then the '*' row).
+
+    The rows come from the year's whole (cells, 1 + iterations) cost
+    matrix: a cell's C-order row holds its expected cost, then its cost
+    in each iteration of the year's `draw_year` draws under `seed`.  The
+    rows of the populated in-system cells are stacked with their sum, and
+    each stacked row is summarized along its iterations.
+    """
+    for table in tables[1:]:
+        year = model.base_year + table.year
+        full_time = full_time_costs(year, model.space.n_categories, *pricing)
+        prices = full_time[labels.category, labels.tuple_code]
+        label_counts = expected_populations(table, model.i0)[1]
+        gen = derive_generator(seed, year)
+        draws = draw_year(int(round(model.i0)), table.probs, iterations, gen)
+        costs = np.empty((len(labels.bounds) - 1, 1 + iterations))
+        costs[:, 0] = np.bincount(labels.cell_id, label_counts * prices)
+        costs[:, 1:] = cell_sums(draws * prices, labels.bounds).T
+        populated = np.bincount(labels.cell_id, label_counts != 0.0) > 0.0
+        kept = np.flatnonzero(populated & labels.in_system_cells)
+        costs = np.vstack([costs[kept], costs[kept].sum(axis=0)])
+        sim = summarize(costs[:, 1:].T)
+        yield year, kept, np.column_stack([costs[:, 0], sim["mean"], sim["p05"], sim["p95"]])
+
+
+def write_cost_csv_by_matrix(path, manifest, model, rows) -> None:
+    """Cost report of the `cost_rows_by_matrix` stream `rows`."""
+    columns = ["expected_cost", "sim_mean_cost", "sim_p05", "sim_p95"]
+    _write_cell_rows(path, manifest, model, columns, rows, _units)

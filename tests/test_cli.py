@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import write_cycled_mini_world
-from markovpop import montecarlo
+from markovpop import cli, montecarlo
 from markovpop.cli import main
 from markovpop.config import load_run_config
 from markovpop.errors import DataError
@@ -584,6 +584,21 @@ def test_zero_iterations_is_rejected_not_replaced(capsys, mini_pipeline, tmp_pat
     argv[argv.index("--iterations") + 1] = "0"
     assert main(argv) == 1
     assert "iterations must be >= 1 (got 0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "cost-report", "backtest"])
+@pytest.mark.parametrize("flag", ["iterations", "workers"])
+def test_simulation_flags_are_checked_before_any_input_is_read(
+    capsys, monkeypatch, mini_pipeline, tmp_path, command, flag
+):
+    def unread(*args):
+        raise AssertionError("read an input before checking the flags")
+
+    monkeypatch.setattr(cli, "load_run_config", unread)
+    monkeypatch.setattr(cli, "parse_records", unread)
+    argv = _argv(command, mini_pipeline, tmp_path / "out") + [f"--{flag}", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {flag} must be >= 1 (got 0)\n"
 
 
 # what a fuzzed config or model entry may become, and a fuzzed CSV field

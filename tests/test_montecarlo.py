@@ -294,8 +294,9 @@ def test_reducing_a_year_holds_under_half_its_draw_matrix(reduction):
     if reduction == "summaries":
         reduce = partial(summaries, bounds)
     else:
-        price, expected = np.linspace(1.0, 2.0, n_labels), np.zeros(len(bounds) - 1)
-        reduce = partial(_cell_costs, bounds, {1: price}, {1: expected})
+        cells = len(bounds) - 1
+        priced = np.linspace(1.0, 2.0, n_labels), np.zeros(cells), np.ones(cells, dtype=bool)
+        reduce = partial(_cell_costs, bounds, {1: priced})
     tracemalloc.start()
     try:
         [(_, reduced)] = simulate_projection(

@@ -1,10 +1,12 @@
-"""Reports: the bulk label writers reproduce the row-by-row ones byte for byte, and
-cost-report and backtest price a cell alike."""
+"""Reports: the bulk label writers reproduce the row-by-row ones byte for byte, the
+block-wise cost reduction reproduces the whole-matrix one bit for bit, and cost-report
+and backtest price a cell alike."""
 
 import csv
 import dataclasses
 import pathlib
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from markovpop.montecarlo import simulate_projection
 from markovpop.project import projection
 from markovpop.reports import (
     RunManifest,
+    _cell_costs,
     cell_costs,
     observed_totals,
     summaries,
@@ -32,7 +35,13 @@ from markovpop.states import CharacteristicSpace, StateSpaceConfig
 
 import panelgen
 from conftest import make_random_model, write_world_inputs
-from reference import stacked, write_projection_csv_by_row, write_simulation_csv_by_row
+from reference import (
+    cost_rows_by_matrix,
+    stacked,
+    write_cost_csv_by_matrix,
+    write_projection_csv_by_row,
+    write_simulation_csv_by_row,
+)
 
 DEMO = pathlib.Path(__file__).resolve().parent.parent / "demo"
 
@@ -119,6 +128,74 @@ def test_bulk_writers_match_the_row_by_row_writers(tmp_path, monkeypatch, which)
             assert b'"x,y/ lead"' in expected and 'Dé'.encode() in expected
 
 
+def _pricing(which, model):
+    """(salary scale, profiles, schedule) for `demo/` or for `_quoted_model`."""
+    if which == "demo":
+        cfg = load_run_config(DEMO / "config.yaml")
+        schedule, profiles = parse_finance_config(cfg.finance_raw, cfg.characteristics)
+        return load_salary_scale(DEMO / "salary_scale.csv", cfg.space), profiles, schedule
+    bindings = {"annuity_pct": {"characteristic": "band", "levels": {"x,y": 0.0, '"q"': 0.12}}}
+    schedule, profiles = parse_finance_config({"bindings": bindings}, model.characteristics)
+    return {1: 400000.0, 2: 650000.0, 3: 512345.5, 4: 333333.0}, profiles, schedule
+
+
+@pytest.mark.parametrize("which", ["demo", "quoted"])
+def test_cost_report_matches_the_whole_matrix_algorithm(tmp_path, monkeypatch, which):
+    model = _demo_model(tmp_path) if which == "demo" else _quoted_model()
+    labels, tables = projection(model, 4, "absorb")
+    probs = {model.base_year + t.year: t.probs for t in tables[1:]}
+    pricing = _pricing(which, model)
+    manifest = RunManifest.collect("test", {}, {"years": 4})
+    # over one iteration a reduction of the cells is one column, which numpy sums pairwise
+    for iterations in (1, 2, 50):
+        old = list(cost_rows_by_matrix(model, labels, tables, pricing, iterations, 3))
+        assert max(len(kept) for _, kept, _ in old) > 3  # enough cells for the order to show
+        write_cost_csv_by_matrix(tmp_path / "old.csv", manifest, model, old)
+        for width in (montecarlo.BLOCK_LABELS, 2):
+            monkeypatch.setattr(montecarlo, "BLOCK_LABELS", width)
+            reduce = cell_costs(model, labels, tables, *pricing)
+            new = list(simulate_projection(
+                probs, model.i0, iterations, 3, bounds=labels.bounds, reduce=reduce
+            ))
+            for (year, (_, costs, shown)), (old_year, kept, values) in zip(new, old, strict=True):
+                assert (year, shown.tolist()) == (old_year, kept.tolist())
+                # every bit, not only the whole units the report rounds to
+                assert costs[np.append(shown, -1)].tobytes() == values.tobytes(), (year, width)
+            write_cost_csv(tmp_path / "new.csv", manifest, model, new)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_costing_a_year_holds_under_its_cell_cost_matrix(tmp_path):
+    import tracemalloc
+
+    iterations, n_labels = 2000, 4000
+    bounds = np.arange(0, n_labels + 1, 4)  # 4 labels a cell: 1 000 cells
+    cells = len(bounds) - 1
+    groups = tuple((k, k + 1) for k in range(10))
+    space = StateSpaceConfig(
+        categories=tuple(f"c{k}" for k in range(10)), age_min=0, age_max=10, age_groups=groups,
+        seniority_max=10, seniority_groups=groups, working_age_min=0,
+    )
+    assert space.n_categories * space.n_age_groups * space.n_seniority_groups == cells
+    probs = np.random.default_rng(0).random(n_labels)
+    probs /= probs.sum()
+    # every cell shown, so the report picks the most rows it can
+    priced = np.linspace(1.0, 2.0, n_labels), np.zeros(cells), np.ones(cells, dtype=bool)
+    manifest = RunManifest.collect("test", {}, {})
+    tracemalloc.start()
+    try:
+        years = simulate_projection(
+            {1: probs}, 100_000, iterations, 1, bounds=bounds,
+            reduce=partial(_cell_costs, bounds, {1: priced}),
+        )
+        write_cost_csv(tmp_path / "cost.csv", manifest, SimpleNamespace(space=space), years)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix = cells * iterations * 8  # the year's float64 cost per cell and iteration: 16 MB
+    assert peak < matrix, f"costing one year peaked at {peak / matrix:.2f} of its cost matrix"
+
+
 def _cell_rows(path):
     """Rows of a cell report by (year, category, age group, seniority group), '*' rows left out."""
     lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
@@ -145,7 +222,7 @@ def test_cost_report_and_backtest_price_a_cell_alike(tmp_path):
     reduce = cell_costs(*reports, *pricing)
     # each writer takes its own stream of the same draws: one seed, drawn twice
     cost_years = simulate_projection(probs, model.i0, 200, 7, bounds=labels.bounds, reduce=reduce)
-    write_cost_csv(tmp_path / "cost.csv", manifest, *reports, cost_years)
+    write_cost_csv(tmp_path / "cost.csv", manifest, model, cost_years)
     observed = observed_totals(holdout, cfg, *pricing)
     backtest_years = simulate_projection(
         probs, model.i0, 200, 7, bounds=labels.bounds, reduce=reduce

@@ -70,14 +70,12 @@ def _counts(records, cfg: RunConfig) -> CountsCube:
     return cube
 
 
-def _simulation(model: FittedModel, cfg: RunConfig, args, labels, tables, reduce):
-    """(iterations, the (year, reduce(year, blocks)) stream of `tables[1:]`)."""
+def _simulation(model: FittedModel, args, iterations, labels, tables, reduce):
+    """The (year, reduce(year, blocks)) list of `tables[1:]`."""
     probs = {model.base_year + t.year: t.probs for t in tables[1:]}
-    iterations = cfg.iterations if args.iterations is None else args.iterations
-    years = simulate_projection(
+    return simulate_projection(
         probs, model.i0, iterations, args.seed, args.workers, bounds=labels.bounds, reduce=reduce
     )
-    return iterations, years
 
 
 def _manifest(command, args, roles, params) -> RunManifest:
@@ -86,9 +84,10 @@ def _manifest(command, args, roles, params) -> RunManifest:
     return RunManifest.collect(command, inputs, params)
 
 
-def _sim_params(args, iterations) -> dict:
-    return {"years": args.years, "iterations": iterations, "seed": args.seed,
-            "stream": STREAM_VERSION}
+def _sim_params(args, cfg: RunConfig, params: dict) -> dict:
+    """`params` and the simulation's; only an absent --iterations takes the config's."""
+    iterations = cfg.iterations if args.iterations is None else args.iterations
+    return {**params, "iterations": iterations, "seed": args.seed, "stream": STREAM_VERSION}
 
 
 # -- commands ----------------------------------------------------------
@@ -132,16 +131,16 @@ def cmd_simulate(args) -> int:
     if args.years < 1:
         raise ConfigError(f"--years must be >= 1 for simulate (got {args.years})")
     labels, tables = projection(model, args.years, cfg.overflow_policy)
+    params = _sim_params(args, cfg, {"years": args.years})
+    manifest = _manifest("simulate", args, ("config", "model"), params)
     years, n_labels = [model.base_year + t.year for t in tables[1:]], len(labels.cell_id)
-    reduce = partial(summaries, labels.bounds)
+    reduce, dumping = partial(summaries, labels.bounds), nullcontext()
     if args.dump_draws:
         reduce = partial(dumped, reduce, args.dump_draws, years, n_labels)
-    iterations, stream = _simulation(model, cfg, args, labels, tables, reduce)
-    manifest = _manifest("simulate", args, ("config", "model"), _sim_params(args, iterations))
-    # the report opens after the last year; a failure before it ends removes the dump
-    dumping = args.dump_draws and dump_draws(args.dump_draws, years, iterations, n_labels)
-    with dumping or nullcontext():
-        write_simulation_csv(args.out, manifest, model, labels, stream)
+        dumping = dump_draws(args.dump_draws, years, params["iterations"], n_labels)
+    with dumping:  # a failure before the report is written removes the dump
+        stats = _simulation(model, args, params["iterations"], labels, tables, reduce)
+        write_simulation_csv(args.out, manifest, model, labels, stats)
     return 0
 
 
@@ -153,10 +152,10 @@ def cmd_cost_report(args) -> int:
         raise ConfigError(f"--years must be >= 1 for cost-report (got {args.years})")
     pricing = _pricing(args, cfg)
     labels, tables = projection(model, args.years, cfg.overflow_policy)
+    params = _sim_params(args, cfg, {"years": args.years})
+    manifest = _manifest("cost-report", args, ("config", "model", "salary-scale"), params)
     reduce = cell_costs(model, labels, tables, *pricing)
-    iterations, years = _simulation(model, cfg, args, labels, tables, reduce)
-    roles = ("config", "model", "salary-scale")
-    manifest = _manifest("cost-report", args, roles, _sim_params(args, iterations))
+    years = _simulation(model, args, params["iterations"], labels, tables, reduce)
     write_cost_csv(args.out, manifest, model, years)
     return 0
 
@@ -174,12 +173,11 @@ def cmd_backtest(args) -> int:
     model = fit_model(cube, reserve, cfg)
     del cube  # its memory is reused by the simulation
     labels, tables = projection(model, max(observed) - model.base_year, cfg.overflow_policy)
-    reduce = cell_costs(model, labels, tables, *pricing)
-    iterations, years = _simulation(model, cfg, args, labels, tables, reduce)
     roles = ("config", "records", "reserve", "salary-scale")
-    params = {"split-year": args.split_year, "iterations": iterations, "seed": args.seed,
-              "stream": STREAM_VERSION}
+    params = _sim_params(args, cfg, {"split-year": args.split_year})
     manifest = _manifest("backtest", args, roles, params)
+    reduce = cell_costs(model, labels, tables, *pricing)
+    years = _simulation(model, args, params["iterations"], labels, tables, reduce)
     write_backtest_csv(args.out, manifest, model, labels, tables, years, observed)
     return 0
 

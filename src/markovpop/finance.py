@@ -193,6 +193,9 @@ def load_salary_scale(path, space) -> dict[int, float]:
             problems.append(f"row {i}: duplicate category {code!r}")
             continue
         scale[idx] = w
+    missing = [code for i, code in enumerate(space.categories) if i and i not in scale]
+    if missing:
+        problems.append(f"missing categories: {', '.join(missing)}")
     if problems:
         raise DataError(f"salary scale {path} is invalid", problems)
     return scale

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import logging
 import os
-from collections import deque
 from contextlib import contextmanager
-from itertools import starmap
 
 import numpy as np
 
@@ -110,16 +108,15 @@ def simulate_projection(
     bounds: np.ndarray,
     reduce,
 ):
-    """Draw the yearly multinomial ensembles as a stream of (year, reduce(year, blocks)).
+    """Draw the yearly multinomial ensembles: a list of (year, reduce(year, blocks)).
 
     `v_by_year` maps a year to its label probabilities (the `probs` of
     :func:`markovpop.project.group_probabilities`), and `blocks` are its
-    `draw_blocks` over `bounds`.  Every input is checked here, before the
-    first draw; the years are then drawn in ascending order as the stream
-    is consumed.  Up to `workers` processes (at most one per year and per
-    CPU) draw and reduce whole years, one year in flight each, so `reduce`
-    must pickle; results are bit-identical for a given seed regardless of
-    `workers`.
+    `draw_blocks` over `bounds`.  Every input is checked before the first
+    draw; the years are then drawn and reduced at the call, and listed in
+    ascending order.  Up to `workers` processes (at most one per year and
+    per CPU) draw and reduce whole years, so `reduce` must pickle; results
+    are bit-identical for a given seed regardless of `workers`.
     """
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1 (got {iterations})")
@@ -146,33 +143,18 @@ def simulate_projection(
     args = [(reduce, y, trials, v_by_year[y], iterations, derive_generator(seed, y), bounds)
             for y in years]
     processes = min(workers, len(args), os.cpu_count() or 1)
-    reduced = starmap(_reduced, args) if processes <= 1 else _pooled(args, processes)
-    # fresh pairs: a consumer's own zip would keep this zip's reused pair, and the previous
-    # year in it; strict, so the end of the stream also runs `reduced` (and a pool) to its end
-    return ((year, r) for year, r in zip(years, reduced, strict=True))
-
-
-def _reduced(reduce, year, trials, probs, iterations, gen, bounds):
-    return reduce(year, draw_blocks(trials, probs, iterations, gen, bounds))
-
-
-def _pooled(args, processes):
-    """_reduced over `args` in order; at most `processes` years submitted and not yet taken."""
+    if processes <= 1:
+        return [_reduced(*a) for a in args]
     # imported here: a single-process run never loads the pool machinery
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("spawn"))
-    pending = deque()
-    try:
-        for a in args:
-            pending.append(pool.submit(_reduced, *a))
-            if len(pending) == processes:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:  # an abandoned stream draws none of the years not yet started
-        pool.shutdown(cancel_futures=True)
+    with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(_reduced, *zip(*args)))
+
+
+def _reduced(reduce, year, trials, probs, iterations, gen, bounds):
+    return year, reduce(year, draw_blocks(trials, probs, iterations, gen, bounds))
 
 
 @contextmanager

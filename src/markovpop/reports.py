@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .finance import full_time_costs
 from .montecarlo import summarize
 from .project import cell_sums, expected_populations
@@ -46,15 +46,23 @@ class RunManifest:
     command: str
     inputs: tuple[tuple[str, str, str], ...]  # (role, path, sha256)
     params: tuple[tuple[str, str], ...]
+    timestamp: str | None  # SOURCE_DATE_EPOCH in ISO 8601, if set
     version: str = __version__
 
     @classmethod
     def collect(cls, command: str, inputs: dict, params: dict) -> "RunManifest":
+        epoch, timestamp = os.environ.get("SOURCE_DATE_EPOCH"), None
+        if epoch:
+            try:
+                timestamp = datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+            except (ValueError, OverflowError, OSError):
+                msg = f"SOURCE_DATE_EPOCH must be a whole number of seconds (got {epoch!r})"
+                raise ConfigError(msg) from None
         resolved = tuple(
             (role, str(path), _sha256(path)) for role, path in sorted(inputs.items())
         )
         rendered = tuple((k, str(v)) for k, v in sorted(params.items()))
-        return cls(command=command, inputs=resolved, params=rendered)
+        return cls(command=command, inputs=resolved, params=rendered, timestamp=timestamp)
 
     def comment_lines(self) -> list[str]:
         lines = [
@@ -66,10 +74,8 @@ class RunManifest:
             lines.append(f"# {k}: {v}")
         for role, path, digest in self.inputs:
             lines.append(f"# input {role}: {path} sha256={digest}")
-        epoch = os.environ.get("SOURCE_DATE_EPOCH")
-        if epoch:
-            stamp = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-            lines.append(f"# timestamp: {stamp.isoformat()}")
+        if self.timestamp:
+            lines.append(f"# timestamp: {self.timestamp}")
         return lines
 
 
@@ -170,11 +176,9 @@ def summaries(bounds, _year, blocks) -> list[np.ndarray]:
 
 
 def write_simulation_csv(path, manifest, model, labels, years) -> None:
-    """Simulation report: the (year, `summaries`) of `years`, per cell and tuple.
+    """Simulation report: the (year, `summaries`) list `years`, per cell and tuple.
 
-    Cells and labels whose mean and sd are both 0 are omitted.  Every
-    year is taken before the file opens, so a failed draw writes no
-    report.
+    Cells and labels whose mean and sd are both 0 are omitted.
     """
     stats = [(year, (v[0] != 0.0) | (v[1] != 0.0), v) for year, v in years]
     _write_label_rows(path, manifest, model, labels, _SIM_STATS, stats)
@@ -249,7 +253,7 @@ def _units(values):
 def write_cost_csv(path, manifest, model, years):
     """Cost report: expected and simulated cost per populated in-system cell, plus a '*' total.
 
-    `years` is a (year, `cell_costs`) stream: the report picks each
+    `years` is a (year, `cell_costs`) list: the report picks each
     year's shown cell rows and its '*' row.  Currency columns are rounded
     to whole units here.
     """
@@ -290,7 +294,7 @@ def observed_totals(records, cfg, scale, profiles, schedule) -> dict[int, tuple]
 def write_backtest_csv(path, manifest, model, labels, tables, years, observed):
     """Backtest report: observed vs expected vs simulated population and cost, with errors.
 
-    `years` is the (year, `cell_costs`) stream of `tables[1:]`.  Rows
+    `years` is the (year, `cell_costs`) list of `tables[1:]`.  Rows
     cover the years that `observed` (:func:`observed_totals`) has.  The
     simulated cost is the iteration mean of the cell cost that the cost
     report summarizes.

@@ -601,6 +601,51 @@ def test_simulation_flags_are_checked_before_any_input_is_read(
     assert capsys.readouterr().err == f"error: {flag} must be >= 1 (got 0)\n"
 
 
+def test_a_salary_scale_without_an_in_system_category_fails_before_the_panel_is_read(
+    capsys, monkeypatch, tmp_path
+):
+    def unread(*args):
+        raise AssertionError("parsed the panel before checking the salary scale")
+
+    monkeypatch.setattr(cli, "parse_records", unread)
+    scale = tmp_path / "scale.csv"
+    scale.write_text("category,base_salary\nA,400000\n")
+    paths = {**_demo_split(2016)({}, tmp_path), "scale": scale}
+    out = tmp_path / "backtest.csv"
+    assert main(_argv("backtest", paths, out)) == 2
+    err = capsys.readouterr().err
+    assert f"salary scale {scale} is invalid" in err and "missing categories: B" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epoch", ["abc", "99999999999999999", "1.5"])
+@pytest.mark.parametrize("command", ["project", "simulate"])
+def test_a_source_date_epoch_that_is_not_whole_seconds_fails_before_any_draw(
+    capsys, monkeypatch, mini_pipeline, tmp_path, command, epoch
+):
+    def no_draw(*args):
+        raise AssertionError("drew before the manifest was collected")
+
+    monkeypatch.setattr(montecarlo, "draw_blocks", no_draw)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    out = tmp_path / "report.csv"
+    assert main(_argv(command, mini_pipeline, out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: SOURCE_DATE_EPOCH must be a whole number of seconds (got {epoch!r})\n"
+    assert not out.exists()
+
+
+def test_source_date_epoch_sets_the_timestamp_line(monkeypatch, mini_pipeline, tmp_path):
+    out = tmp_path / "project.csv"
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    assert main(_argv("project", mini_pipeline, out)) == 0
+    comments, _, _ = read_report(out)
+    assert comments[-1] == "# timestamp: 1970-01-01T00:00:00+00:00\n"
+    monkeypatch.delenv("SOURCE_DATE_EPOCH")
+    assert main(_argv("project", mini_pipeline, out)) == 0
+    assert not any(c.startswith("# timestamp") for c in read_report(out)[0])
+
+
 # what a fuzzed config or model entry may become, and a fuzzed CSV field
 FUZZ_VALUES = [NAN, float("inf"), -float("inf"), 1.0e308, 1e19, "", [], [0.5], {}, "x", -1, 0,
                None]

@@ -224,6 +224,11 @@ def test_load_salary_scale(tmp_path):
         "duplicate category 'X'",
     ):
         assert part in msg
+    # an in-system category without a row is a problem of the file, named by its code
+    path.write_text("category,base_salary\nX,500000\n")
+    with pytest.raises(DataError) as err:
+        load_salary_scale(path, space)
+    assert err.value.problems == ["missing categories: Y"]
 
 
 def test_full_time_costs_price_every_category_and_tuple():

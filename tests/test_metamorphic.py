@@ -8,11 +8,13 @@ import csv
 import math
 import random
 
+import numpy as np
 import pytest
 import yaml
 
 from markovpop.cli import main
 from markovpop.model import FittedModel
+from markovpop.project import LabelIndex
 from markovpop.reports import _cell_names
 
 from conftest import demo_inputs, write_cycled_mini_world
@@ -123,3 +125,47 @@ def test_simulated_cell_means_lie_within_four_standard_errors_of_the_projection(
             pk = p.get(key, 0.0)
             bound = 4.0 * math.sqrt(i0 * pk * (1.0 - pk) / iterations)
             assert abs(mean.get(key, 0.0) - i0 * pk) <= bound, (world.__name__, key, pk)
+
+
+def _column(path, column) -> dict[tuple, float]:
+    """`column` of each row of a label report, by (year, category, groups, tuple)."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    keys = ("year", "category", "age_group", "seniority_group", "characteristic_tuple")
+    return {tuple(r[k] for k in keys): float(r[column]) for r in csv.DictReader(lines)}
+
+
+def test_simulated_counts_follow_their_exact_binomial_laws(tmp_path):
+    # a cell's count, a label's and the in-system total are each Binomial(i0, P); over n
+    # draws the empirical CDF leaves the DKW band eps only with probability alpha
+    from scipy.stats import binom
+
+    iterations, years, alpha = 2000, 3, 1e-6
+    eps = math.sqrt(math.log(2 / alpha) / (2 * iterations))
+    paths, model, dump = demo_inputs(tmp_path), tmp_path / "model.json", tmp_path / "draws.bin"
+    _fit(paths, paths["records"], model)
+    common = ["--config", str(paths["config"]), "--model", str(model), "--years", str(years)]
+    assert main(["project", *common, "--out", str(tmp_path / "project.csv")]) == 0
+    assert main(["simulate", *common, "--iterations", str(iterations), "--seed", "11",
+                 "--out", str(tmp_path / "simulate.csv"), "--dump-draws", str(dump)]) == 0
+    fitted = FittedModel.load(model)
+    trials, labels = round(fitted.i0), LabelIndex.build(fitted)
+    assert fitted.i0 == trials
+    p = _column(tmp_path / "project.csv", "probability")  # leaves out cells with p = 0
+    raw = np.frombuffer(dump.read_bytes(), dtype="<i8")[5:].reshape(years, -1)
+    support = np.arange(trials + 1)
+    for t in range(1, years + 1):
+        year = str(fitted.base_year + t)
+        assert raw[t - 1, 0] == fitted.base_year + t
+        cells = np.add.reduceat(raw[t - 1, 1:].reshape(iterations, -1), labels.bounds[:-1], 1)
+        cell_p = np.array([p.get((year, *name, "*"), 0.0) for name in _cell_names(fitted.space)])
+        inside = labels.in_system_cells
+        counts = [*cells.T, cells[:, inside].sum(axis=1)]
+        for x, pk in zip(counts, [*cell_p, cell_p[inside].sum()], strict=True):
+            ecdf = np.searchsorted(np.sort(x), support, side="right") / iterations
+            gap = np.abs(ecdf - binom.cdf(support, trials, pk)).max()
+            assert gap <= eps, (year, pk, gap)
+    # nearest-rank quantiles: within the band, the q quantile lies between the laws' q +- eps
+    for q, column in ((0.05, "p05"), (0.50, "p50"), (0.95, "p95")):
+        for key, value in _column(tmp_path / "simulate.csv", column).items():
+            lo, hi = binom.ppf([max(q - eps, 0.0), min(q + eps, 1.0)], trials, p[key])
+            assert lo <= value <= hi, (key, column, value, lo, hi)

@@ -200,20 +200,17 @@ class _FakePool:
     made = []
 
     def __init__(self, max_workers, mp_context=None):
-        self.max_workers, self.unconsumed, self.most, self.shut_down = max_workers, 0, 0, False
+        self.max_workers, self.shut_down = max_workers, False
         _FakePool.made.append(self)
 
-    def submit(self, fn, *args):
-        self.unconsumed += 1
-        self.most = max(self.most, self.unconsumed)
-        value, pool = fn(*args), self
+    def __enter__(self):
+        return self
 
-        class Future:
-            def result(self):
-                pool.unconsumed -= 1
-                return value
+    def __exit__(self, *exc):
+        self.shutdown()
 
-        return Future()
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
     def shutdown(self, wait=True, cancel_futures=False):
         self.shut_down = True
@@ -232,8 +229,8 @@ def test_the_pool_is_capped_and_holds_one_year_per_process(
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_FakePool, "made", [])
     v = {y: small_v()[1 + y % 2] for y in range(1, years + 1)}
-    got = list(simulate(v, i0=40, iterations=6, seed=5, workers=workers))
-    want = list(simulate(v, i0=40, iterations=6, seed=5))
+    got = simulate(v, i0=40, iterations=6, seed=5, workers=workers)
+    want = simulate(v, i0=40, iterations=6, seed=5)
     assert [y for y, _ in got] == [y for y, _ in want] == list(range(1, years + 1))
     for (_, a), (_, b) in zip(got, want):
         np.testing.assert_array_equal(a, b)
@@ -241,22 +238,26 @@ def test_the_pool_is_capped_and_holds_one_year_per_process(
         assert _FakePool.made == []
         return
     [pool] = _FakePool.made
-    assert (pool.max_workers, pool.most, pool.unconsumed) == (processes, processes, 0)
+    assert pool.max_workers == processes
     assert pool.shut_down
 
 
-def test_an_abandoned_pooled_stream_shuts_its_pool_down(monkeypatch):
+def test_a_failing_year_shuts_its_pool_down(monkeypatch):
     import concurrent.futures
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_FakePool, "made", [])
+
+    def failing_in_year_3(year, blocks):
+        if year == 3:
+            raise DataError("the reduction failed")
+        return stacked(year, blocks)
+
     v = {y: small_v()[1] for y in range(1, 9)}
-    stream = simulate(v, i0=40, iterations=6, seed=5, workers=2)
-    assert next(stream)[0] == 1
+    with pytest.raises(DataError, match="the reduction failed"):
+        simulate(v, i0=40, iterations=6, seed=5, workers=2, reduce=failing_in_year_3)
     [pool] = _FakePool.made
-    assert pool.most == 2 and not pool.shut_down
-    del stream  # closes the suspended stream
     assert pool.shut_down
 
 
@@ -266,16 +267,17 @@ def test_simulation_holds_one_year_at_a_time():
     rng = np.random.default_rng(0)
     probs = rng.random(3000)
     probs /= probs.sum()
+    bounds = np.arange(0, 3001, 3)
 
     def peak(years):
         v = {y: probs for y in range(years)}
         tracemalloc.start()
         try:
-            # zipped with the years' tables, as the cost and backtest reports consume it
-            stream = simulate(v, 500, 200, seed=1, bounds=np.arange(0, 3001, 3))
-            for _, (_, draws) in zip(range(years), stream, strict=True):
-                assert draws.shape == (200, 3000)
-            return tracemalloc.get_traced_memory()[1]
+            reduced = simulate(v, 500, 200, seed=1, bounds=bounds,
+                               reduce=partial(summaries, bounds))
+            assert [y for y, _ in reduced] == list(range(years))
+            held = sum(stat.nbytes for _, stats in reduced for stat in stats)
+            return tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
 
@@ -361,10 +363,9 @@ def test_dump_draws_layout(tmp_path, monkeypatch):
 def test_a_dump_is_removed_on_any_error(tmp_path):
     path = tmp_path / "draws.bin"
     reduce = partial(dumped, stacked, path, [1, 2], 4)
-    stream = simulate(small_v(), i0=20, iterations=6, seed=9, reduce=reduce)
     with pytest.raises(KeyError):
         with dump_draws(path, [1, 2], 6, 4):
-            next(stream)  # the first year is written
+            simulate(small_v(), i0=20, iterations=6, seed=9, reduce=reduce)  # both years written
             raise KeyError("the report failed")
     assert not path.exists()
 

@@ -263,6 +263,10 @@ def main(argv=None) -> int:
     except OSError as exc:  # loaders classify their read errors: this came from writing
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # numpy's allocation errors subclass it
+        hint = "; try a lower --iterations" if hasattr(args, "iterations") else ""
+        print(f"error: {args.command} ran out of memory{hint}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,13 +13,15 @@ in-system ``"c|ei,ai"`` cell to its tuples with a non-zero share.  Floats
 are written with Python's shortest round-trip repr, so loading recovers
 the exact binary values.
 
-Loading never holds the whole decoded triplet list.  The top-level object
-is read with the json module's own scanner, except that the ``pi`` array
-stays text, cut after whole entries into spans of about 128 KiB that are
-decoded one at a time.  Anything this path does not accept (another
-layout, such as a duplicated key or ``pi`` not opening with ``[[``, or
-any fault at all) is decoded again as one whole document, so a file
-loads, or fails with its message, exactly as ``json.loads`` reads it.
+Loading holds neither the whole file nor the whole decoded triplet list.
+The file is read 64 KiB at a time, and each top-level member, or each
+member of a top-level object, is decoded once the buffer holds all of
+it.  ``pi`` comes before the space it is checked against, so it is
+skipped, then read again in spans cut after whole entries.  Anything
+this path does not accept (another layout, such as a repeated key, a key
+with an escape or ``pi`` not opening with ``[[``, a file that cannot
+seek, or any fault at all) is decoded again as one whole document, so a
+file loads, or fails with its message, exactly as ``json.loads`` reads it.
 """
 
 from __future__ import annotations
@@ -38,8 +40,12 @@ from .states import CharacteristicSpace, StateSpaceConfig, validate_config
 
 FORMAT_NAME = "markovpop-model"
 FORMAT_VERSION = 1
-_SPAN = 1 << 17  # characters of pi text decoded at a time
+_SPAN = 1 << 16  # characters read, and of pi text decoded, at a time
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's
+_OPEN, _NEXT = re.compile(r"[ \t\n\r]*\{"), re.compile(r"[ \t\n\r]*([,}])")
+# a key without escapes, its colon and the whitespace around them, as JSON reads them
+_KEY = re.compile(r'[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*(?=[^ \t\n\r])')
+_DELIMITERS = frozenset(",]} \t\n\r")  # what may follow a whole number
 
 
 def _cell_key(ei: int, ai: int) -> str:
@@ -55,50 +61,83 @@ def _parse_cell_key(s: str) -> tuple[int, int]:
     return int(ei), int(ai)
 
 
-def _pi_spans(text: str, lo: int, end: int):
-    """The entries in text[lo:end], in spans of about _SPAN characters cut after a "],"."""
-    while lo < end:
-        cut = text.find("],", lo + _SPAN, end)
-        hi = end if cut < 0 else cut + 1
-        yield text[lo:hi]
-        lo = hi + 1
+def _pi_spans(fh, first: int, end: int):
+    """Characters first:end of `fh`, pi's entries, read _SPAN at a time and cut after a "],"."""
+    fh.seek(0)
+    for left in range(first, 0, -_SPAN):
+        fh.read(min(left, _SPAN))
+    span = ""
+    for left in range(end - first, 0, -_SPAN):
+        span += fh.read(min(left, _SPAN))
+        if (cut := span.rfind("],")) >= 0:
+            head, span = span[: cut + 1], span[cut + 2 :]
+            yield head
+    yield span
 
 
-def _decode_pieces(text: str) -> dict:
-    """The top-level object of a model file, with ``pi`` as an iterator of text spans.
+def _decode_stream(fh) -> dict:
+    """The top-level object of the model file `fh`, with ``pi`` as an iterator of text spans.
 
-    Keys are read by the json module's string scanner and other values by
-    its decoder.  The ``pi`` array is taken to end at its first "]]"; a
-    span cut in the wrong place cannot decode as JSON, so when every span
-    decodes the result equals ``json.loads``.  A layout this does not
-    follow raises ValueError or StopIteration, a NaN token DataError.
+    The ``pi`` array is taken to end at its first "]]"; a span cut in the
+    wrong place cannot decode as JSON, so when every span decodes the
+    result equals ``json.loads``.  A layout this does not follow raises
+    ValueError or StopIteration, a NaN token DataError.
     """
     scan = json.JSONDecoder(parse_constant=_reject_constant).scan_once
-    ws = _WHITESPACE.match
-    doc = {}
-    i = ws(text).end()
-    if text[i : i + 1] != "{":
-        raise ValueError("not an object")
-    delim = ","
-    while delim == ",":
-        i = ws(text, i + 1).end()
-        if text[i : i + 1] != '"':
-            raise ValueError("no key")
-        key, i = json.decoder.scanstring(text, i + 1)
-        i = ws(text, i).end()
-        if text[i : i + 1] != ":" or key in doc:
-            raise ValueError("no colon, or a repeated key")
-        i = ws(text, i + 1).end()
-        if key == "pi":
-            if not text.startswith("[[", i):
-                raise ValueError("pi does not open with [[")
-            end = text.index("]]", i) + 1
-            doc[key], i = _pi_spans(text, i + 1, end), end + 1
-        else:
-            doc[key], i = scan(text, i)
-        i = ws(text, i).end()
-        delim = text[i : i + 1]
-    if delim != "}" or ws(text, i + 1).end() != len(text):
+    buf, dropped = "", 0  # the unconsumed text, and the characters read before it
+
+    def more(n=_SPAN) -> bool:  # append max(n, _SPAN) characters, fewer at the end; False if none
+        nonlocal buf
+        buf += (chunk := fh.read(max(n, _SPAN)))
+        return chunk != ""
+
+    def match(pattern: re.Pattern, i: int) -> re.Match:  # reading on until buf[i:] matches
+        while not (m := pattern.match(buf, i)):
+            if not more():
+                raise ValueError(f"no {pattern.pattern} at {dropped + i}")
+        return m
+
+    def value(i: int):  # the value at buf[i] and the index after it, once a delimiter follows
+        while True:
+            try:
+                v, j = scan(buf, i)
+                if buf[j : j + 1] in _DELIMITERS:  # else a number may go on
+                    return v, j
+            except (StopIteration, ValueError):
+                pass
+            if not more(len(buf) - i):  # as much again: a value's scans add up to O(its length)
+                return scan(buf, i)
+
+    def members(i: int, top: bool):  # the object opened at buf[i - 1], and the index after it
+        nonlocal buf, dropped
+        out, delim = {}, ","
+        while delim == ",":
+            key, i = (m := match(_KEY, i))[1], m.end()
+            if key in out:
+                raise ValueError("a repeated key")
+            if top and key == "pi":  # skipped: its spans are read again once the space is known
+                more()
+                if not buf.startswith("[[", i):
+                    raise ValueError("pi does not open with [[")
+                first = dropped + i + 1
+                while (k := buf.find("]]", i)) < 0:  # the last character may be a "]"
+                    dropped, buf, i = dropped + len(buf) - 1, buf[-1:], 0
+                    if not more():
+                        raise ValueError("pi does not close")
+                out[key], i = _pi_spans(fh, first, dropped + k + 1), k + 2
+            elif top and buf.startswith('{"', i):  # a member at a time
+                out[key], i = members(i + 1, False)
+            else:
+                out[key], i = value(i)
+            delim, i = (m := match(_NEXT, i))[1], m.end()
+            if top:  # drop what is decoded
+                dropped, buf, i = dropped + i, buf[i:], 0
+        return out, i
+
+    doc, i = members(match(_OPEN, 0).end(), True)
+    while more():
+        pass
+    if _WHITESPACE.match(buf, i).end() != len(buf):
         raise ValueError("not one object")
     return doc
 
@@ -106,7 +145,7 @@ def _decode_pieces(text: str) -> dict:
 def _parse_pi(triplets, space: StateSpaceConfig) -> np.ndarray:
     """The initial distribution from its [category, age, seniority, p] triplets.
 
-    `triplets` is the decoded list, or the text spans of `_decode_pieces`,
+    `triplets` is the decoded list, or the text spans of `_decode_stream`,
     decoded one at a time so that the whole list is never held.
     """
     if isinstance(triplets, Iterator):
@@ -322,15 +361,16 @@ class FittedModel:
     def load(cls, path) -> "FittedModel":
         try:
             with open(path, "r", encoding="utf-8-sig") as fh:
+                try:
+                    if fh.seekable():  # pi is read again once the space is known
+                        return cls.from_json_dict(_decode_stream(fh))
+                except (DataError, ValueError, StopIteration):
+                    fh.seek(0)  # decode the whole document, the only path for any other file
                 text = fh.read()
         except FileNotFoundError:
             raise DataError(f"model file not found: {path}") from None
         except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"model file {path} cannot be read: {exc}") from None
-        try:
-            return cls.from_json_dict(_decode_pieces(text))
-        except (DataError, ValueError, StopIteration):
-            pass  # decode the whole document, the only path for any other file
         try:
             doc = json.loads(text, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:

@@ -578,6 +578,30 @@ def test_a_failed_draw_leaves_neither_dump_nor_report(
     assert len(years) == 2 and not out.exists() and not dump.exists()
 
 
+def test_running_out_of_memory_is_an_error_line_not_a_traceback(tmp_path):
+    resource = pytest.importorskip("resource")
+    model, out = tmp_path / "model.json", tmp_path / "simulate.csv"
+    assert main(["fit", "--config", str(DEMO / "config.yaml"), "--records",
+                 str(DEMO / "records.csv"), "--reserve", str(DEMO / "reserve.csv"),
+                 "--out", str(model)]) == 0
+    limit = 1_500_000_000  # bytes of address space; the first draw buffer alone takes 8 GB
+
+    def cap():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "markovpop.cli", "simulate", "--config", str(DEMO / "config.yaml"),
+         "--model", str(model), "--years", "1", "--iterations", "1000000000", "--out", str(out)],
+        capture_output=True, text=True, env=env, preexec_fn=cap,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: simulate ran out of memory; try a lower --iterations\n"
+    assert not out.exists()
+
+
 def test_zero_iterations_is_rejected_not_replaced(capsys, mini_pipeline, tmp_path):
     # only an absent --iterations falls back to the config value
     argv = _argv("simulate", mini_pipeline, tmp_path / "out")

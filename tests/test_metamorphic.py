@@ -13,8 +13,10 @@ import pytest
 import yaml
 
 from markovpop.cli import main
+from markovpop.config import load_run_config
+from markovpop.finance import full_time_costs, load_salary_scale, parse_finance_config
 from markovpop.model import FittedModel
-from markovpop.project import LabelIndex
+from markovpop.project import LabelIndex, projection
 from markovpop.reports import _cell_names
 
 from conftest import demo_inputs, write_cycled_mini_world
@@ -169,3 +171,68 @@ def test_simulated_counts_follow_their_exact_binomial_laws(tmp_path):
         for key, value in _column(tmp_path / "simulate.csv", column).items():
             lo, hi = binom.ppf([max(q - eps, 0.0), min(q + eps, 1.0)], trials, p[key])
             assert lo <= value <= hi, (key, column, value, lo, hi)
+
+
+def test_simulated_sd_and_mean_cost_lie_within_their_exact_standard_errors(tmp_path):
+    # over n draws of a count X ~ Binomial(i0, P), with s = i0 P (1 - P), the printed (ddof 0)
+    # variance has mean (n - 1)/n s and, from the fourth central moment
+    # m4 = s (1 + 3 (i0 - 2) P (1 - P)), standard error
+    # (n - 1)/n sqrt((m4 - s^2 (n - 3)/(n - 1)) / n). A cell's cost sums its labels' counts
+    # N_j times their prices g_j: its mean over n draws has mean i0 sum p_j g_j and variance
+    # i0 (sum p_j g_j^2 - (sum p_j g_j)^2) / n. Each check is Bonferroni-corrected over its
+    # rows at the DKW test's alpha.
+    from scipy.stats import norm
+
+    n, years, alpha = 2000, 3, 1e-6
+    paths, model = demo_inputs(tmp_path), tmp_path / "model.json"
+    _fit(paths, paths["records"], model)
+    common = ["--config", str(paths["config"]), "--model", str(model), "--years", str(years)]
+    sim = ["--iterations", str(n), "--seed", "11"]
+    assert main(["project", *common, "--out", str(tmp_path / "project.csv")]) == 0
+    assert main(["simulate", *common, *sim, "--out", str(tmp_path / "simulate.csv")]) == 0
+    assert main(["cost-report", *common, *sim, "--salary-scale", str(paths["scale"]),
+                 "--out", str(tmp_path / "cost.csv")]) == 0
+    fitted = FittedModel.load(model)
+    trials = round(fitted.i0)
+    assert fitted.i0 == trials
+
+    # the simulated years' cells with P > 0; the report leaves out a cell whose draws are all 0
+    p = {k: v for k, v in _star_column(tmp_path / "project.csv", "probability").items()
+         if k[0] != str(fitted.base_year)}
+    sd = _star_column(tmp_path / "simulate.csv", "sd")
+    assert set(sd) <= set(p) and len(p) > 10
+    z = norm.isf(alpha / (2 * len(p)))
+    for key, pk in p.items():
+        s = trials * pk * (1.0 - pk)
+        m4 = s * (1.0 + 3.0 * (trials - 2) * pk * (1.0 - pk))
+        se = (n - 1) / n * math.sqrt((m4 - s * s * (n - 3) / (n - 1)) / n)
+        assert abs(sd.get(key, 0.0) ** 2 - (n - 1) / n * s) <= z * se, (key, pk, sd.get(key))
+
+    cfg = load_run_config(paths["config"])
+    schedule, profiles = parse_finance_config(cfg.finance_raw, cfg.characteristics)
+    scale = load_salary_scale(paths["scale"], cfg.space)
+    labels, tables = projection(fitted, years, cfg.overflow_policy)
+    lines = [r for r in (tmp_path / "cost.csv").read_text().splitlines() if not r.startswith("#")]
+    keys = ("year", "category", "age_group", "seniority_group")
+    costs = {tuple(r[k] for k in keys): (float(r["expected_cost"]), float(r["sim_mean_cost"]))
+             for r in csv.DictReader(lines)}
+    z = norm.isf(alpha / (2 * len(costs)))
+    checked = 0
+    for table in tables[1:]:
+        year = fitted.base_year + table.year
+        g = full_time_costs(year, fitted.space.n_categories, scale, profiles, schedule)
+        g = g[labels.category, labels.tuple_code]
+        # each shown cell's labels, then the '*' row's: those of every shown cell
+        groups = {(str(year), *name): np.arange(*labels.bounds[c : c + 2])
+                  for c, name in enumerate(_cell_names(fitted.space))
+                  if (str(year), *name) in costs}
+        groups[(str(year), "*", "*", "*")] = np.concatenate(list(groups.values()))
+        for key, at in groups.items():
+            mean = table.probs[at] @ g[at]
+            var = trials * (table.probs[at] @ g[at] ** 2 - mean**2)
+            expected, simulated = costs[key]
+            assert abs(expected - trials * mean) <= 0.5 + 1e-9 * expected, key
+            bound = z * math.sqrt(var / n) + 0.5  # the report rounds to whole units
+            assert abs(simulated - trials * mean) <= bound, (key, simulated, trials * mean, bound)
+            checked += 1
+    assert checked == len(costs)

@@ -66,6 +66,21 @@ def test_multinomial_draw_matches_manual_binomial_chain():
     np.testing.assert_array_equal(got, expected)
 
 
+def test_the_first_block_of_a_seeded_year_is_pinned():
+    # numpy fixes the Philox bits but may change how Generator.binomial turns them into
+    # draws between releases (NEP 19), and pyproject.toml accepts numpy >= 1.24
+    probs = np.array([0.1, 0.0, 0.25, 0.3, 0.35])
+    lo, hi, block = next(draw_blocks(40, probs, 6, derive_generator(7, 2017), np.array([0, 2, 5])))
+    assert (lo, hi, block.dtype) == (0, 5, np.int32)
+    pinned = [[4, 0, 7, 18, 11], [5, 0, 12, 10, 13], [2, 0, 11, 11, 16],
+              [6, 0, 13, 12, 9], [11, 0, 7, 11, 11], [4, 0, 11, 8, 17]]
+    assert block.tolist() == pinned, (
+        f"numpy {np.__version__} draws another stream for the same seed: its binomial "
+        f"sampler changed, so montecarlo.STREAM_VERSION (now {montecarlo.STREAM_VERSION}) "
+        "must rise and the golden report digests be pinned again"
+    )
+
+
 def test_multinomial_draw_validation():
     gen = derive_generator(0, 0)
     with pytest.raises(ConfigError, match="trials must be >= 0"):

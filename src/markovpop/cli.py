@@ -17,7 +17,7 @@ from functools import partial
 
 from . import __version__
 from .config import RunConfig, load_run_config
-from .errors import ConfigError, MarkovPopError
+from .errors import ConfigError, MarkovPopError, atomic
 from .estimate import fit_model
 from .finance import load_salary_scale, parse_finance_config
 from .ingest import CountsCube, build_counts, load_reserve_csv, parse_records, split_records
@@ -134,13 +134,13 @@ def cmd_simulate(args) -> int:
     params = _sim_params(args, cfg, {"years": args.years})
     manifest = _manifest("simulate", args, ("config", "model"), params)
     years, n_labels = [model.base_year + t.year for t in tables[1:]], len(labels.cell_id)
-    reduce, dumping = partial(summaries, labels.bounds), nullcontext()
-    if args.dump_draws:
-        reduce = partial(dumped, reduce, args.dump_draws, years, n_labels)
-        dumping = dump_draws(args.dump_draws, years, params["iterations"], n_labels)
-    with dumping:  # a failure before the report is written removes the dump
+    reduce = partial(summaries, labels.bounds)
+    with atomic(args.dump_draws) if args.dump_draws else nullcontext() as dump:
+        if dump:
+            dump_draws(dump, years, params["iterations"], n_labels)
+            reduce = partial(dumped, reduce, dump, years, n_labels)
         stats = _simulation(model, args, params["iterations"], labels, tables, reduce)
-        write_simulation_csv(args.out, manifest, model, labels, stats)
+        write_simulation_csv(args.out, manifest, model, labels, stats)  # a failure writes neither
     return 0
 
 

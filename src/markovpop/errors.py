@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and what a failed command leaves on disk.
 
 Two error families map onto the CLI exit codes: configuration /
 validation problems (exit code 1) and input-data problems (exit code 2).
 """
+
+import os
+from contextlib import contextmanager
 
 
 class MarkovPopError(Exception):
@@ -40,3 +43,19 @@ class DataError(MarkovPopError):
                 message += f"\n  ... and {len(problems) - len(shown)} more"
         super().__init__(message)
         self.problems = list(problems) if problems else []
+
+
+@contextmanager
+def atomic(path):
+    """A hidden temporary beside `path`, renamed onto it when the block completes, else removed."""
+    path = os.path.realpath(path)  # a symlink is written through to its target
+    if os.path.exists(path) and not os.path.isfile(path):  # a FIFO or device is written in place
+        yield path
+        return
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):
+            os.remove(tmp)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import is_number
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, atomic
 from .states import CharacteristicSpace, StateSpaceConfig, validate_config
 
 FORMAT_NAME = "markovpop-model"
@@ -272,7 +272,7 @@ class FittedModel:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ": "))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
             fh.write("\n")
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import logging
 import os
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -65,8 +64,9 @@ def draw_blocks(
     cond = np.minimum(p / np.cumsum(p[::-1])[::-1], 1.0).tolist()
     remaining = np.full(iterations, trials, dtype=np.int64)
     b, starts = bounds.tolist(), [0]  # the first cell of each block
+    width = min(BLOCK_LABELS, 2**20 // (4 * iterations))  # or 1 MiB of int32 draws, if fewer
     for cell in range(2, len(b) - 2):  # a cut leaves two cells or more on either side
-        if cell - starts[-1] >= 2 and b[cell] - b[starts[-1]] >= BLOCK_LABELS:
+        if cell - starts[-1] >= 2 and b[cell] - b[starts[-1]] >= width:
             starts.append(cell)
     edges = [b[cell] for cell in starts] + b[-1:]
     k = 0  # the chain's next non-zero label; the last takes what remains
@@ -157,9 +157,8 @@ def _reduced(reduce, year, trials, probs, iterations, gen, bounds):
     return year, reduce(year, draw_blocks(trials, probs, iterations, gen, bounds))
 
 
-@contextmanager
-def dump_draws(path, years, iterations: int, n_labels: int):
-    """Make the draw dump `path` whole for `dumped` to fill; on an error in the block, remove it.
+def dump_draws(path, years, iterations: int, n_labels: int) -> None:
+    """Make the draw dump `path` whole, at its full size and with its header, for `dumped` to fill.
 
     Layout: 5 uint64 header fields (magic 0x4d504f50, layout version 1,
     number of years, iterations, labels per year), then per year of
@@ -168,14 +167,8 @@ def dump_draws(path, years, iterations: int, n_labels: int):
     """
     size = iterations * n_labels
     words = np.memmap(path, "<u8", "w+", shape=(5 + len(years) * (1 + size),))
-    try:
-        words[:5] = [0x4D504F50, 1, len(years), iterations, n_labels]
-        words[5 :: 1 + size] = years
-        del words  # unmapped; the draws are written by `dumped`
-        yield
-    except BaseException:
-        os.remove(path)
-        raise
+    words[:5] = [0x4D504F50, 1, len(years), iterations, n_labels]
+    words[5 :: 1 + size] = years
 
 
 def dumped(reduce, path, years, n_labels, year, blocks):

@@ -64,10 +64,10 @@ def propagate_distribution(
 
     overflow = np.flatnonzero(moved[1:, :, -1].sum(axis=0) > 0.0)
     if policy == "strict" and overflow.size:
-        ei = space.age_group(space.age_min + int(overflow[0]))
+        ei, ai = space.locate_groups(space.age_min + int(overflow[0]), n_sen - 1)
         raise HorizonError(
             f"seniority overflow: in-system mass at the top seniority {n_sen - 1} "
-            f"(cell {ei},{space.n_seniority_groups - 1}, year {dist.year}); {_ADVICE}"
+            f"(cell {ei},{ai}, year {dist.year}); {_ADVICE}"
         )
     # under strict the checks above leave the clamped targets only zero mass
     return TripleDistribution(values=_age(moved), year=dist.year + 1)

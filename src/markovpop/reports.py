@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, atomic
 from .finance import full_time_costs
 from .montecarlo import summarize
 from .project import cell_sums, expected_populations
@@ -91,7 +91,7 @@ def _cell_names(space) -> list[list[str]]:
 @contextmanager
 def _report(path, manifest: RunManifest, header):
     """An open report file after its manifest lines and its header row."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
         for line in manifest.comment_lines():
             fh.write(line + "\n")
         csv.writer(fh).writerow(header)
@@ -232,18 +232,15 @@ def _write_cell_rows(path, manifest, model, columns, years, fields) -> None:
     """A report of cell rows: per year, a row per kept cell, then a '*' row.
 
     `years` yields (year, kept cell ids, values): a row per kept cell and
-    a last row for '*', each rendered by `fields`.  Every row is built
-    before the file opens, so a cost that is not finite writes no report.
+    a last row for '*', each rendered by `fields`.
     """
     names = _cell_names(model.space)
-    rows = []
-    for year, kept, values in years:
-        if not np.isfinite(values).all():
-            raise DataError(f"costs for year {year} are not finite")
-        keys = [names[c] for c in kept] + [["*", "*", "*"]]
-        rows += [[year, *key, *fields(row)] for key, row in zip(keys, values.tolist())]
     with _report(path, manifest, _CELL_COLUMNS + columns) as fh:
-        csv.writer(fh).writerows(rows)
+        for year, kept, values in years:
+            if not np.isfinite(values).all():
+                raise DataError(f"costs for year {year} are not finite")
+            rows = zip([names[c] for c in kept] + [["*", "*", "*"]], values.tolist())
+            csv.writer(fh).writerows([year, *key, *fields(row)] for key, row in rows)
 
 
 def _units(values):

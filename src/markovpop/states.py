@@ -202,12 +202,6 @@ class StateSpaceConfig:
         except ValueError:
             raise ConfigError(f"unknown category code {code!r}") from None
 
-    def age_group(self, age: int) -> int:
-        return int(self._age_group_of[age - self.age_min])
-
-    def seniority_group(self, seniority: int) -> int:
-        return int(self._seniority_group_of[seniority])
-
     def locate_groups(self, age, seniority):
         """(age group index, seniority group index) of a state, or of arrays of states."""
         ages = np.subtract(age, self.age_min)

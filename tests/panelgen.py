@@ -135,8 +135,8 @@ def generate(spec: WorldSpec, start_year: int, n_years: int, seed: int) -> Panel
     nc = space.n_categories - 1
     tuple_list = list(chars.all_tuples()) or [()]
     assert spec.r.shape == (nc, len(tuple_list))
-    eg = np.array([space.age_group(e) for e in range(space.age_min, space.age_max)])
-    sg = np.array([space.seniority_group(a) for a in range(space.seniority_max)])
+    ages, seniorities = np.arange(space.age_min, space.age_max), np.arange(space.seniority_max)
+    eg, sg = space.locate_groups(ages, seniorities)
     world_ages = sorted(e for e, n in spec.census.items() if n > 0)
     top_world_age = world_ages[-1]
     assert np.all(spec.q_stay[eg[top_world_age - space.age_min]] == 0.0), (

@@ -5,9 +5,12 @@ import json
 import os
 import pathlib
 import re
+import signal
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import write_cycled_mini_world
-from markovpop import cli, montecarlo
+from markovpop import cli, montecarlo, reports
 from markovpop.cli import main
 from markovpop.config import load_run_config
 from markovpop.errors import DataError
@@ -575,7 +578,95 @@ def test_a_failed_draw_leaves_neither_dump_nor_report(
     argv[argv.index("--years") + 1] = "3"
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: the draw failed\n"
-    assert len(years) == 2 and not out.exists() and not dump.exists()
+    assert len(years) == 2 and list(tmp_path.iterdir()) == []  # no temporary either
+
+
+_KILLED_IN_YEAR_2 = """
+import os, signal, sys
+from markovpop import cli, montecarlo, reports
+
+montecarlo.BLOCK_LABELS = 2  # several blocks a year
+summaries, years = cli.summaries, []
+
+def killed_in_year_2(bounds, year, blocks):
+    years.append(year)
+    if len(years) == 2:
+        next(blocks)  # so the second year is part written
+        os.kill(os.getpid(), signal.SIGKILL)
+    return summaries(bounds, year, blocks)
+
+cli.summaries = killed_in_year_2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("earlier", [None, b"an earlier report\r\n"], ids=["new", "existing"])
+def test_a_killed_simulation_leaves_no_file_under_a_final_name(mini_pipeline, tmp_path, earlier):
+    out, dump = tmp_path / "sim.csv", tmp_path / "draws.bin"
+    if earlier is not None:
+        out.write_bytes(earlier)
+    argv = _argv("simulate", {**mini_pipeline, "dump_draws": dump}, out)
+    argv[argv.index("--years") + 1] = "3"
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _KILLED_IN_YEAR_2, *argv],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    assert not dump.exists()
+    assert (out.read_bytes() if out.exists() else None) == earlier
+    left = [p.name for p in tmp_path.iterdir() if p != out]
+    assert len(left) <= 1 and all(re.fullmatch(r"\.draws\.bin\.\d+\.tmp", n) for n in left), left
+
+
+def test_a_failed_report_keeps_the_earlier_out(monkeypatch, mini_pipeline, tmp_path):
+    expected_populations = reports.expected_populations
+
+    def failing_in_year_3(table, i0):
+        if table.year == 3:
+            raise DataError("the report failed")
+        return expected_populations(table, i0)
+
+    monkeypatch.setattr(reports, "expected_populations", failing_in_year_3)
+    out = tmp_path / "project.csv"
+    out.write_bytes(b"an earlier report\r\n")
+    argv = _argv("project", mini_pipeline, out)
+    argv[argv.index("--years") + 1] = "4"
+    assert main(argv) == 2
+    assert out.read_bytes() == b"an earlier report\r\n"
+    assert list(tmp_path.iterdir()) == [out]  # and no temporary
+
+
+def _project_bytes(mini_pipeline, out) -> bytes:
+    """The `project` report of the mini world written to a plain file."""
+    assert main(_argv("project", mini_pipeline, out)) == 0
+    return out.read_bytes()
+
+
+def test_a_symlinked_out_stays_a_symlink_to_the_report(mini_pipeline, tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"an earlier report\r\n")
+    link.symlink_to(target)
+    assert main(_argv("project", mini_pipeline, link)) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == _project_bytes(mini_pipeline, tmp_path / "plain.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "plain.csv", "target.csv"]
+
+
+def test_a_fifo_out_is_written_in_place(mini_pipeline, tmp_path):
+    fifo, read = tmp_path / "report.fifo", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main(_argv("project", mini_pipeline, fifo)) == 0
+    finally:
+        reader.join(timeout=60)
+        if reader.is_alive():  # the report never opened the FIFO: let the reader go
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert read == [_project_bytes(mini_pipeline, tmp_path / "plain.csv")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.csv", "report.fifo"]
 
 
 def test_running_out_of_memory_is_an_error_line_not_a_traceback(tmp_path):

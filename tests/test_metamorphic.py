@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+from markovpop import montecarlo
 from markovpop.cli import main
 from markovpop.config import load_run_config
 from markovpop.finance import full_time_costs, load_salary_scale, parse_finance_config
@@ -136,14 +137,34 @@ def _column(path, column) -> dict[tuple, float]:
     return {tuple(r[k] for k in keys): float(r[column]) for r in csv.DictReader(lines)}
 
 
-def test_simulated_counts_follow_their_exact_binomial_laws(tmp_path):
+def _each_world_and_block_width(tmp_path, monkeypatch):
+    """(directory, world) per world, drawn first in today's blocks, then in blocks of two labels.
+
+    Two-label blocks give every year many blocks, so a block that drew from
+    the wrong place in its year's stream would show.
+    """
+    widths = (montecarlo.BLOCK_LABELS, 2)
+    for world in WORLDS:
+        for width in widths:
+            monkeypatch.setattr(montecarlo, "BLOCK_LABELS", width)
+            base = tmp_path / f"{world.__name__}-{width}"
+            base.mkdir()
+            yield base, world
+
+
+def test_simulated_counts_follow_their_exact_binomial_laws(tmp_path, monkeypatch):
     # a cell's count, a label's and the in-system total are each Binomial(i0, P); over n
     # draws the empirical CDF leaves the DKW band eps only with probability alpha
+    for base, world in _each_world_and_block_width(tmp_path, monkeypatch):
+        _check_binomial_laws(base, world)
+
+
+def _check_binomial_laws(tmp_path, world):
     from scipy.stats import binom
 
     iterations, years, alpha = 2000, 3, 1e-6
     eps = math.sqrt(math.log(2 / alpha) / (2 * iterations))
-    paths, model, dump = demo_inputs(tmp_path), tmp_path / "model.json", tmp_path / "draws.bin"
+    paths, model, dump = world(tmp_path), tmp_path / "model.json", tmp_path / "draws.bin"
     _fit(paths, paths["records"], model)
     common = ["--config", str(paths["config"]), "--model", str(model), "--years", str(years)]
     assert main(["project", *common, "--out", str(tmp_path / "project.csv")]) == 0
@@ -173,7 +194,12 @@ def test_simulated_counts_follow_their_exact_binomial_laws(tmp_path):
             assert lo <= value <= hi, (key, column, value, lo, hi)
 
 
-def test_simulated_sd_and_mean_cost_lie_within_their_exact_standard_errors(tmp_path):
+def test_simulated_sd_and_mean_cost_lie_within_their_exact_standard_errors(tmp_path, monkeypatch):
+    for base, world in _each_world_and_block_width(tmp_path, monkeypatch):
+        _check_standard_errors(base, world)
+
+
+def _check_standard_errors(tmp_path, world):
     # over n draws of a count X ~ Binomial(i0, P), with s = i0 P (1 - P), the printed (ddof 0)
     # variance has mean (n - 1)/n s and, from the fourth central moment
     # m4 = s (1 + 3 (i0 - 2) P (1 - P)), standard error
@@ -184,7 +210,7 @@ def test_simulated_sd_and_mean_cost_lie_within_their_exact_standard_errors(tmp_p
     from scipy.stats import norm
 
     n, years, alpha = 2000, 3, 1e-6
-    paths, model = demo_inputs(tmp_path), tmp_path / "model.json"
+    paths, model = world(tmp_path), tmp_path / "model.json"
     _fit(paths, paths["records"], model)
     common = ["--config", str(paths["config"]), "--model", str(model), "--years", str(years)]
     sim = ["--iterations", str(n), "--seed", "11"]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_random_model, make_toy_space
 from markovpop import montecarlo
-from markovpop.errors import ConfigError, DataError
+from markovpop.errors import ConfigError, DataError, atomic
 from markovpop.montecarlo import (
     derive_generator,
     draw_blocks,
@@ -131,6 +131,18 @@ def test_stacked_blocks_are_the_whole_year_draw(year, width):
         if len(blocks) > 1:  # two cells or more, and `width` labels but in the last block
             assert np.searchsorted(bounds, hi) - np.searchsorted(bounds, lo) >= 2
             assert hi - lo >= width or n == len(blocks)
+
+
+@pytest.mark.parametrize("iterations, labels", [(1024, 260), (4096, 65), (300_000, 10)])
+def test_a_block_holds_about_one_mib_of_draws(iterations, labels):
+    # cells of five labels: a block is cut once it holds min(256, 2**20 / (4 iterations))
+    # labels, and two cells at the least
+    bounds = np.arange(0, 1001, 5)
+    probs = np.zeros(1000)
+    probs[[0, -1]] = 0.5  # two labels draw; the rest are skipped
+    blocks = draw_blocks(10, probs, iterations, derive_generator(1, 0), bounds)
+    widths = [hi - lo for lo, hi, _ in blocks]
+    assert sum(widths) == 1000 and set(widths[:-1]) == {labels} and widths[-1] <= 2 * labels
 
 
 @given(
@@ -355,9 +367,9 @@ def test_dump_draws_layout(tmp_path, monkeypatch):
     monkeypatch.setattr(montecarlo, "BLOCK_LABELS", 2)  # two blocks a year, each mapped alone
     path = tmp_path / "draws.bin"
     reduce = partial(dumped, stacked, path, [1, 2], 4)
-    with dump_draws(path, [1, 2], 6, 4):
-        assert path.stat().st_size == 40 + 2 * (8 + 6 * 4 * 8)  # made whole at entry
-        passed = dict(simulate(small_v(), i0=20, iterations=6, seed=9, reduce=reduce))
+    dump_draws(path, [1, 2], 6, 4)
+    assert path.stat().st_size == 40 + 2 * (8 + 6 * 4 * 8)  # made whole before the draws
+    passed = dict(simulate(small_v(), i0=20, iterations=6, seed=9, reduce=reduce))
     want = dict(simulate(small_v(), i0=20, iterations=6, seed=9))
     raw = path.read_bytes()
     header = np.frombuffer(raw[:40], dtype="<u8")
@@ -377,12 +389,13 @@ def test_dump_draws_layout(tmp_path, monkeypatch):
 
 def test_a_dump_is_removed_on_any_error(tmp_path):
     path = tmp_path / "draws.bin"
-    reduce = partial(dumped, stacked, path, [1, 2], 4)
     with pytest.raises(KeyError):
-        with dump_draws(path, [1, 2], 6, 4):
+        with atomic(path) as dump:
+            dump_draws(dump, [1, 2], 6, 4)
+            reduce = partial(dumped, stacked, dump, [1, 2], 4)
             simulate(small_v(), i0=20, iterations=6, seed=9, reduce=reduce)  # both years written
             raise KeyError("the report failed")
-    assert not path.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_draw_frequencies_match_probabilities():

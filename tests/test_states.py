@@ -35,10 +35,9 @@ def test_valid_space_basics():
 def test_group_lookup_matches_definition():
     sp = space_from()
     for age in range(sp.age_min, sp.age_max):
-        expected = 0 if age < 14 else 1
-        assert sp.age_group(age) == expected
+        assert sp.locate_groups(age, 0)[0] == (0 if age < 14 else 1)
     for sen in range(sp.seniority_max):
-        assert sp.seniority_group(sen) == (0 if sen < 3 else 1)
+        assert sp.locate_groups(sp.age_min, sen)[1] == (0 if sen < 3 else 1)
     assert sp.locate_groups(15, 4) == (1, 1)
 
 
@@ -111,7 +110,7 @@ def test_working_age_outside_range_rejected():
 
 def test_negative_ages_allowed():
     sp = space_from(age_min=-5, age_groups=((-5, 14), (14, 20)))
-    assert sp.age_group(-5) == 0
+    assert sp.locate_groups(-5, 0) == (0, 0)
     assert sp.feasible(-5, 0)
     assert not sp.feasible(-5, 1)
 

@@ -48,14 +48,18 @@ class DataError(MarkovPopError):
 @contextmanager
 def atomic(path):
     """A hidden temporary beside `path`, renamed onto it when the block completes, else removed."""
-    path = os.path.realpath(path)  # a symlink is written through to its target
-    if os.path.exists(path) and not os.path.isfile(path):  # a FIFO or device is written in place
-        yield path
+    target = os.path.realpath(path)  # a symlink is written through to its target
+    if os.path.exists(target) and not os.path.isfile(target):  # a FIFO or device: in place
+        yield target
         return
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
     try:
         yield tmp
-        os.replace(tmp, path)
+        os.replace(tmp, target)
+    except OSError as exc:
+        if exc.filename == tmp:  # the error names the path as given, not the temporary
+            exc.filename = os.fspath(path)
+        raise
     finally:
         if os.path.lexists(tmp):
             os.remove(tmp)

@@ -16,12 +16,14 @@ the exact binary values.
 Loading holds neither the whole file nor the whole decoded triplet list.
 The file is read 64 KiB at a time, and each top-level member, or each
 member of a top-level object, is decoded once the buffer holds all of
-it.  ``pi`` comes before the space it is checked against, so it is
-skipped, then read again in spans cut after whole entries.  Anything
-this path does not accept (another layout, such as a repeated key, a key
-with an escape or ``pi`` not opening with ``[[``, a file that cannot
-seek, or any fault at all) is decoded again as one whole document, so a
-file loads, or fails with its message, exactly as ``json.loads`` reads it.
+it; a cell's member of ``monthly``, ``annual``, ``entry`` and ``q1`` is
+held only as a float array.  ``pi`` comes before the space it is checked
+against, so it is skipped, then read again in spans cut after whole
+entries.  Anything this path does not accept (another layout, such as a
+repeated key, a key with an escape or ``pi`` not opening with ``[[``, a
+file that cannot seek, a member that does not convert, or any fault at
+all) is decoded again as one whole document, so a file loads, or fails
+with its message, exactly as ``json.loads`` reads it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ _OPEN, _NEXT = re.compile(r"[ \t\n\r]*\{"), re.compile(r"[ \t\n\r]*([,}])")
 # a key without escapes, its colon and the whitespace around them, as JSON reads them
 _KEY = re.compile(r'[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*(?=[^ \t\n\r])')
 _DELIMITERS = frozenset(",]} \t\n\r")  # what may follow a whole number
+_CELL_SECTIONS = frozenset({"monthly", "annual", "entry", "q1"})  # one float array per cell
 
 
 def _cell_key(ei: int, ai: int) -> str:
@@ -80,8 +83,9 @@ def _decode_stream(fh) -> dict:
 
     The ``pi`` array is taken to end at its first "]]"; a span cut in the
     wrong place cannot decode as JSON, so when every span decodes the
-    result equals ``json.loads``.  A layout this does not follow raises
-    ValueError or StopIteration, a NaN token DataError.
+    result equals ``json.loads``, but that each member of a `_CELL_SECTIONS` object is a float
+    array.  A layout this does not follow raises ValueError or StopIteration, a member that
+    does not convert TypeError, ValueError or OverflowError, a NaN token DataError.
     """
     scan = json.JSONDecoder(parse_constant=_reject_constant).scan_once
     buf, dropped = "", 0  # the unconsumed text, and the characters read before it
@@ -108,7 +112,7 @@ def _decode_stream(fh) -> dict:
             if not more(len(buf) - i):  # as much again: a value's scans add up to O(its length)
                 return scan(buf, i)
 
-    def members(i: int, top: bool):  # the object opened at buf[i - 1], and the index after it
+    def members(i: int, top: bool, arrays=False):  # the object opened at buf[i - 1], index after
         nonlocal buf, dropped
         out, delim = {}, ","
         while delim == ",":
@@ -126,9 +130,10 @@ def _decode_stream(fh) -> dict:
                         raise ValueError("pi does not close")
                 out[key], i = _pi_spans(fh, first, dropped + k + 1), k + 2
             elif top and buf.startswith('{"', i):  # a member at a time
-                out[key], i = members(i + 1, False)
+                out[key], i = members(i + 1, False, key in _CELL_SECTIONS)
             else:
-                out[key], i = value(i)
+                v, i = value(i)  # a cell's member is converted as `cell_arrays` would, at once
+                out[key] = np.array(v, dtype=float) if arrays else v
             delim, i = (m := match(_NEXT, i))[1], m.end()
             if top:  # drop what is decoded
                 dropped, buf, i = dropped + i, buf[i:], 0
@@ -311,7 +316,7 @@ class FittedModel:
         def cell_arrays(section, shape):
             out = {}
             for key, rows in doc[section].items():
-                arr = np.array(rows, dtype=float)
+                arr = np.asarray(rows, dtype=float)
                 if arr.shape != shape:
                     raise DataError(f"model file: {section}[{key}] has shape {arr.shape}")
                 out[_parse_cell_key(key)] = arr
@@ -364,7 +369,7 @@ class FittedModel:
                 try:
                     if fh.seekable():  # pi is read again once the space is known
                         return cls.from_json_dict(_decode_stream(fh))
-                except (DataError, ValueError, StopIteration):
+                except (DataError, TypeError, ValueError, OverflowError, StopIteration):
                     fh.seek(0)  # decode the whole document, the only path for any other file
                 text = fh.read()
         except FileNotFoundError:

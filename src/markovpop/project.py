@@ -7,6 +7,8 @@ year, and members gain one year of seniority while non-members keep it.
 
 Age or seniority that would leave the configured ranges is an error
 under the default "strict" policy; "absorb" clamps into the top value.
+
+A projection steps one working copy of the initial distribution in place.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ class TripleDistribution:
 def propagate_distribution(
     dist: TripleDistribution, model: FittedModel, policy: str = "strict"
 ) -> TripleDistribution:
-    """Apply one yearly step to the whole distribution.
+    """Apply one yearly step to the whole distribution, overwriting ``dist.values``.
 
     Each cell's law splits the mass of its (age, seniority) states over
-    next year's categories; one clamped shift then ages all of it.
-    Source categories add in index order (the einsum contracts them in
-    that order), and mass meeting in a clamped top value adds in source
-    order, age first, then seniority, so repeated runs are bit-identical.
+    next year's categories, in the cell's own block (cells partition the
+    plane); one clamped shift then ages all of it.  Source categories add
+    in index order (the einsum contracts them in that order), and mass
+    meeting in a clamped top value adds in source order, age first, then
+    seniority, so repeated runs are bit-identical.
     """
     space = model.space
     d = dist.values
@@ -49,20 +52,20 @@ def propagate_distribution(
             f"cannot age further (year {dist.year}); {_ADVICE}"
         )
 
-    moved = np.zeros_like(d)  # [k, e, a]: mass of state (e, a) in category k next year
-    for ei, ai in space.cells():
+    for ei, ai in space.cells():  # d[k, e, a] becomes the mass of (e, a) in k next year
         elo, ehi = space.age_groups[ei]
         ages = slice(elo - space.age_min, ehi - space.age_min)
         sens = slice(*space.seniority_groups[ai])
         sub = d[:, ages, sens]
-        if not sub.any():
+        if not sub.any():  # zero mass stays zero, and aging adds every value to a zero
             continue
         q1 = model.q1[(ei, ai)][:, None, None]
         t = model.transition_operator(ei, ai)
-        moved[1:, ages, sens] = np.einsum("cea,cl->lea", sub * q1, t[:, 1:])
-        moved[0, ages, sens] = (sub * (1.0 - q1)).sum(axis=0)
+        members = np.einsum("cea,cl->lea", sub * q1, t[:, 1:])
+        sub[0] = (sub * (1.0 - q1)).sum(axis=0)
+        sub[1:] = members
 
-    overflow = np.flatnonzero(moved[1:, :, -1].sum(axis=0) > 0.0)
+    overflow = np.flatnonzero(d[1:, :, -1].sum(axis=0) > 0.0)
     if policy == "strict" and overflow.size:
         ei, ai = space.locate_groups(space.age_min + int(overflow[0]), n_sen - 1)
         raise HorizonError(
@@ -70,25 +73,30 @@ def propagate_distribution(
             f"(cell {ei},{ai}, year {dist.year}); {_ADVICE}"
         )
     # under strict the checks above leave the clamped targets only zero mass
-    return TripleDistribution(values=_age(moved), year=dist.year + 1)
+    _age(d)
+    return TripleDistribution(values=d, year=dist.year + 1)
 
 
-def _age(moved: np.ndarray) -> np.ndarray:
-    """Shift every state one age up, and in-system ones one seniority up, clamped at the top.
+def _age(d: np.ndarray) -> None:
+    """Shift every state one age up, in-system ones one seniority up, clamped at the top, in place.
 
-    A target adds its sources in (age, seniority) order, as ``np.add.at``
-    would: the shifted source first, then the source already at the top
-    seniority, then the one already at the top age, then the corner.
+    Ages are written from the top down, each before the age below it.  A target adds its
+    sources in (age, seniority) order to a zero, as ``np.add.at`` would: the shifted source
+    first, then the one already at the top seniority, then at the top age, then the corner.
     """
-    out = np.zeros_like(moved)
-    o, m = out[1:], moved[1:]
-    o[:, 1:, 1:] += m[:, :-1, :-1]
-    o[:, 1:, -1] += m[:, :-1, -1]
-    o[:, -1, 1:] += m[:, -1, :-1]
-    o[:, -1, -1] += m[:, -1, -1]
-    out[0, 1:] += moved[0, :-1]  # out of the system, seniority is kept
-    out[0, -1] += moved[0, -1]
-    return out
+    top = d[:, -1].copy()
+    for e in range(d.shape[1] - 1, 0, -1):
+        d[:, e] = 0.0
+        _add_older(d[:, e - 1], d[:, e])
+    d[:, 0] = 0.0
+    _add_older(top, d[:, -1])
+
+
+def _add_older(src: np.ndarray, out: np.ndarray) -> None:
+    """Add the (category, seniority) states of one age into `out`, in system one seniority up."""
+    out[1:, 1:] += src[1:, :-1]
+    out[1:, -1] += src[1:, -1]
+    out[0] += src[0]  # out of the system, seniority is kept
 
 
 def distribution_at_year(
@@ -101,12 +109,12 @@ def distribution_at_year(
 def trajectory(
     pi: np.ndarray, model: FittedModel, n: int, policy: str = "strict"
 ) -> list[TripleDistribution]:
-    """Distributions for years 0..n (year 0 is the initial distribution)."""
-    return list(_years(pi, model, n, policy))
+    """Distributions for years 0..n (year 0 is the initial distribution), each its own array."""
+    return [TripleDistribution(d.values.copy(), d.year) for d in _years(pi, model, n, policy)]
 
 
 def _years(pi: np.ndarray, model: FittedModel, n: int, policy: str):
-    """Yield the distributions for years 0..n, each propagated from the one before."""
+    """Yield years 0..n in one working copy of `pi`, each overwritten when the next is asked for."""
     if n < 0:
         raise HorizonError(f"projection horizon must be >= 0 (got {n})")
     space = model.space
@@ -215,7 +223,7 @@ def expected_populations(table: GroupProbabilityTable, i0: float):
 def projection(model: FittedModel, years: int, policy: str = "strict"):
     """The model's label index and its group tables for years 0..years.
 
-    Only the current year's distribution is held while the tables are built.
+    One working distribution is stepped in place while the tables are built.
     """
     labels = LabelIndex.build(model)
     dists = _years(model.pi, model, years, policy)

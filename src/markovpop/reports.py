@@ -99,6 +99,7 @@ def _report(path, manifest: RunManifest, header):
 
 
 _CELL_COLUMNS = ["year", "category", "age_group", "seniority_group"]
+_SLICE_ROWS = 1024  # label rows rendered and written at a time, so a year's text is never held
 
 
 class _Echo:
@@ -135,7 +136,9 @@ def _write_label_rows(path, manifest, model, labels, columns, years) -> None:
         for year, shown, values in years:
             rows = source[shown[cell] & shown[source]]
             fmt = (f"{year},{{}}" + ",{!r}" * len(columns) + "\r\n").format
-            fh.write("".join(map(fmt, keys[rows].tolist(), *(v[rows].tolist() for v in values))))
+            for part in np.split(rows, range(_SLICE_ROWS, len(rows), _SLICE_ROWS)):
+                texts = map(fmt, keys[part].tolist(), *(v[part].tolist() for v in values))
+                fh.write("".join(texts))
 
 
 def write_projection_csv(path, manifest, model, labels, tables) -> None:

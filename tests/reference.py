@@ -3,6 +3,9 @@
 They share no logic with the code they check: the one-step law of a
 single (category, age, seniority) state, the ``np.add.at`` aging step
 whose bits ``project.propagate_distribution`` must reproduce, the
+allocating yearly step (each cell's law into a zeroed array, then four
+clamped slice adds into another) whose every year the in-place
+``project.propagate_distribution`` must reproduce bit for bit, the
 whole-document model decode whose models and errors
 ``FittedModel.load`` must reproduce, the row-by-row records
 parser whose problem list ``ingest.parse_records`` must reproduce, the
@@ -87,6 +90,49 @@ def age_by_add_at(moved: np.ndarray) -> np.ndarray:
     np.add.at(out, (slice(1, None), older[:, None], senior), moved[1:])
     np.add.at(out[0], (older[:, None], np.arange(n_sen)), moved[0])
     return out
+
+
+def age_by_shift(moved: np.ndarray) -> np.ndarray:
+    """One year of aging into a new array: four clamped slice adds per category block.
+
+    A target adds its sources in (age, seniority) order to a zero, as
+    ``np.add.at`` would: the shifted source first, then the source
+    already at the top seniority, then the one already at the top age,
+    then the corner.
+    """
+    out = np.zeros_like(moved)
+    o, m = out[1:], moved[1:]
+    o[:, 1:, 1:] += m[:, :-1, :-1]
+    o[:, 1:, -1] += m[:, :-1, -1]
+    o[:, -1, 1:] += m[:, -1, :-1]
+    o[:, -1, -1] += m[:, -1, -1]
+    out[0, 1:] += moved[0, :-1]  # out of the system, seniority is kept
+    out[0, -1] += moved[0, -1]
+    return out
+
+
+def propagate_by_allocation(values: np.ndarray, model: FittedModel) -> np.ndarray:
+    """One yearly step into new arrays, leaving `values` as it is.
+
+    Each cell's law fills its block of a zeroed array of next year's
+    categories, and `age_by_shift` ages that array into another.  The
+    step is the same under either overflow policy: "strict" only adds
+    checks that raise.
+    """
+    space = model.space
+    moved = np.zeros_like(values)
+    for ei, ai in space.cells():
+        elo, ehi = space.age_groups[ei]
+        ages = slice(elo - space.age_min, ehi - space.age_min)
+        sens = slice(*space.seniority_groups[ai])
+        sub = values[:, ages, sens]
+        if not sub.any():
+            continue
+        q1 = model.q1[(ei, ai)][:, None, None]
+        t = model.transition_operator(ei, ai)
+        moved[1:, ages, sens] = np.einsum("cea,cl->lea", sub * q1, t[:, 1:])
+        moved[0, ages, sens] = (sub * (1.0 - q1)).sum(axis=0)
+    return age_by_shift(moved)
 
 
 def draw_year(

@@ -507,6 +507,21 @@ def test_malformed_inputs_are_classified(
     assert not pathlib.Path(argv[argv.index("--out") + 1]).exists()
 
 
+@pytest.mark.parametrize("command, role", [
+    ("fit", "out"), ("project", "out"), ("simulate", "dump_draws"),
+])
+def test_a_write_error_names_the_output_as_given(
+    mini_pipeline, tmp_path, monkeypatch, capsys, command, role
+):
+    monkeypatch.chdir(tmp_path)
+    given = os.path.join("missing", "output")  # relative, in a directory that does not exist
+    argv = _argv(command, {**mini_pipeline, role: given}, "report.csv")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: {given!r}\n"
+    assert sorted(os.listdir(tmp_path)) == []  # neither a report nor a hidden temporary
+
+
 def test_importing_the_cli_loads_neither_openssl_nor_the_process_pool():
     # measured on top of the dependencies, which may load some of these themselves
     probe = (

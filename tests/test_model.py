@@ -195,8 +195,10 @@ def test_load_allocates_at_most_once_the_file(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the file is read a span at a time: its bytes and its text are never held whole
-    assert peak <= size, f"{peak / size:.2f} times the file"
+    # the file is read a span at a time: its bytes and its text are never held whole.
+    # The load reads 0.72 times the file, with a margin of about a tenth (0.74 when the
+    # cell sections were held as decoded lists)
+    assert peak <= 0.8 * size, f"{peak / size:.2f} times the file"
 
 
 # the growth of a fresh process's resident high-water mark over its resident set, in kB
@@ -231,7 +233,8 @@ def test_load_raises_the_resident_peak_by_at_most_one_and_a_quarter_times_the_fi
 # a number outside any string: after "[", "," or ": ", before ",", "]", "}" or whitespace
 _NUMBER = re.compile(r"(?<=[\[,: ])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?=[,\]}\s])")
 _WHITESPACE = ["", " ", "\n", "\t", "\r\n  "]
-_ODD_VALUES = ["NaN", "Infinity", "1e400", "true", "null", '"x"', "[]"]
+# "1" and 400 zeros is a whole number that no float holds: np.array raises OverflowError
+_ODD_VALUES = ["NaN", "Infinity", "1e400", "1" + "0" * 400, "true", "null", '"x"', "[]"]
 _BRACKET_STRINGS = ["]]", "],", "a]],[1", "],[0,0,0,", '"]]', "x]]}"]
 _JUNK = ["\n", " \t", "x", "}", "{}", ",", "0", "\x0c", "\u2003", "\ufeff"]
 
@@ -303,3 +306,17 @@ def test_load_equals_the_whole_document_decode(tmp_path_factory, data):
     assert error == want_error
     if want is not None:
         assert_same_model(got, want)
+
+
+@pytest.mark.parametrize("section", ["annual", "monthly", "entry", "q1"])
+@pytest.mark.parametrize(  # np.array raises ValueError, TypeError and OverflowError on them
+    "odd", ['"x"', "{}", "1" + "0" * 400], ids=["string", "object", "huge-integer"]
+)
+def test_a_cell_member_that_does_not_convert_fails_as_the_whole_document(tmp_path, section, odd):
+    text = make_random_model(make_toy_space(), seed=16).to_json()
+    head = f'"{section}": {{"0,0": ['
+    first = text.index(head) + len(head) + (section in ("annual", "monthly"))  # its first number
+    path = tmp_path / "model.json"
+    path.write_text(text[:first] + odd + text[text.index(",", first) :])
+    error = _outcome(FittedModel.load, path)[1]
+    assert error is not None and error == _outcome(load_model_whole, path)[1]

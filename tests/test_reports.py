@@ -16,7 +16,7 @@ from markovpop.config import load_run_config
 from markovpop.estimate import fit_model
 from markovpop.finance import load_salary_scale, parse_finance_config
 from markovpop.ingest import build_counts, load_reserve_csv, parse_records, split_records
-from markovpop import montecarlo
+from markovpop import montecarlo, reports
 from markovpop.model import FittedModel
 from markovpop.montecarlo import simulate_projection
 from markovpop.project import projection
@@ -119,13 +119,41 @@ def test_bulk_writers_match_the_row_by_row_writers(tmp_path, monkeypatch, which)
         (write_simulation_csv, write_simulation_csv_by_row, summarized[0], years),
         (write_simulation_csv, write_simulation_csv_by_row, summarized[1], years),
     ):
-        new(tmp_path / "new.csv", manifest, model, labels, new_data)
         old(tmp_path / "old.csv", manifest, model, labels, old_data)
         expected = (tmp_path / "old.csv").read_bytes()
-        assert (tmp_path / "new.csv").read_bytes() == expected
+        for rows in (reports._SLICE_ROWS, 3):  # a year in one slice, and cut into many
+            monkeypatch.setattr(reports, "_SLICE_ROWS", rows)
+            new(tmp_path / "new.csv", manifest, model, labels, new_data)
+            assert (tmp_path / "new.csv").read_bytes() == expected, rows
         if which == "quoted":
             assert b'"A,1"' in expected and b'"B""q"' in expected
             assert b'"x,y/ lead"' in expected and 'Dé'.encode() in expected
+
+
+def test_the_label_writer_holds_a_slice_of_rows_not_a_year(tmp_path, monkeypatch):
+    import tracemalloc
+
+    cfg = load_run_config(DEMO / "config-institution.yaml")  # 8 900 labels, 9 660 rows a year
+    model = make_random_model(cfg.space, cfg.characteristics, seed=0, with_r=True)
+    labels, tables = projection(model, 1, "absorb")
+    manifest = RunManifest.collect("test", {}, {})
+
+    def peak():
+        tracemalloc.start()
+        try:
+            write_projection_csv(tmp_path / "project.csv", manifest, model, labels, tables)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rows = reports._SLICE_ROWS
+    monkeypatch.setattr(reports, "_SLICE_ROWS", 1)
+    fixed = peak()  # the row keys and the row layout, with one row's text at a time
+    monkeypatch.setattr(reports, "_SLICE_ROWS", rows)
+    sliced = peak()
+    # a slice's row text, its values and their list entries take about 230 bytes a row;
+    # a year rendered whole took 2.4 MB beyond `fixed`
+    assert sliced <= fixed + 400 * rows, f"{(sliced - fixed) / rows:.0f} bytes a row"
 
 
 def _pricing(which, model):

@@ -43,7 +43,7 @@ def finite_float(text) -> float:
 
 @dataclass(frozen=True)
 class Records:
-    """A validated monthly panel: equal-length columns in (month, person_id) order.
+    """A validated panel: equal-length columns by month, workload, tuple_code, then person_id.
 
     `month` is ``year * 12 + month - 1``; `person` indexes `person_ids`,
     which is sorted; `category` is in-system (>= 1); `tuple_code` is the
@@ -69,11 +69,12 @@ class Records:
     ):
         """Records from unordered columns, cast to the dtypes of the layout.
 
-        `person` indexes the sorted `person_ids`.  A column that already
-        has its dtype is reordered in place and becomes the records' own
-        (a parse never holds its columns twice): pass arrays nothing else uses.
+        `person` indexes the sorted `person_ids`; only rows that weigh and
+        price alike keep an id-dependent order.  A column that already has
+        its dtype is reordered in place and becomes the records' own (a
+        parse never holds its columns twice): pass arrays nothing else uses.
         """
-        order = np.lexsort((person, month))
+        order = np.lexsort((person, tuple_code, workload, month))
 
         def ordered(column, dtype=np.int32):
             column = np.asarray(column).astype(dtype, copy=False)
@@ -401,7 +402,7 @@ def load_reserve_csv(path, space: StateSpaceConfig) -> ReserveSpec:
         problems.append(f"missing ages: {', '.join(str(e) for e in missing)}")
     if problems:
         raise DataError(f"reserve file {path} is invalid", problems)
-    return ReserveSpec(age_totals=totals)
+    return ReserveSpec(age_totals=dict(sorted(totals.items())))  # i0 adds them in age order
 
 
 @dataclass(frozen=True)
@@ -502,10 +503,7 @@ def build_counts(records: Records, cfg: RunConfig) -> CountsCube:
     exits = ~present[slot(dec) + 1]
     # a q-year's previous year is in the panel, so slot - 1 is the same person's
     hire = first[np.isin(month[first] // 12, q_years) & ~december[slot(first) - 1]]
-    # in year order, then in order of each person's first appearance (`first` runs by person)
-    people, at = np.unique(rec.person[first], return_index=True)
-    first_seen = first[at[np.searchsorted(people, rec.person[hire])]]
-    hire = hire[np.lexsort((first_seen, month[hire] // 12))]
+    hire.sort()  # in row order: `first` runs by person
     src_age = rec.age[hire] - 1
     clamped = src_age < space.age_min
     src = space.locate_groups(np.maximum(src_age, space.age_min), np.maximum(sen[hire] - 1, 0))

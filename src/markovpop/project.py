@@ -137,9 +137,9 @@ class LabelIndex:
 
     Labels run over categories, age groups and seniority groups ascending,
     then over tuple codes ascending within a cell.  Code 0 is the
-    aggregate pseudo-tuple of a cell that cannot be split (category 0, or
-    an in-system cell whose characteristic distribution was never
-    observed); code k >= 1 is ``tuples[k]``, the characteristic tuples in
+    aggregate pseudo-tuple of a cell that cannot be split (category 0, any
+    cell of a model without characteristics, or an unobserved in-system
+    cell); code k >= 1 is ``tuples[k]``, the characteristic tuples in
     declaration order.  The label set depends only on the model, not the
     year, so simulation streams stay aligned across years and horizons.
     """
@@ -153,8 +153,8 @@ class LabelIndex:
 
     @classmethod
     def build(cls, model: FittedModel) -> "LabelIndex":
-        weights = model.r.copy()
         # one aggregate label carries the whole of a cell that cannot be split
+        weights = model.r.copy() if model.characteristics.names else np.zeros_like(model.r)
         weights[..., 0] = ~weights.any(axis=-1)
         cat, eg, sg, code = np.nonzero(weights)  # C order: cell, then tuple code
         cell_id = np.ravel_multi_index((cat, eg, sg), weights.shape[:-1])

@@ -118,6 +118,17 @@ def demo_inputs(base):
 CYCLED_WORKLOADS = ("13", "21", "33", "37", "40")
 
 
+def cycle_workloads(records, out):
+    """Write the records CSV `records` to `out` with workloads cycling over `CYCLED_WORKLOADS`."""
+    header, *rows = Path(records).read_text().splitlines()
+    at = header.split(",").index("workload")
+    for k, row in enumerate(rows):
+        fields = row.split(",")
+        fields[at] = CYCLED_WORKLOADS[k % len(CYCLED_WORKLOADS)]
+        rows[k] = ",".join(fields)
+    Path(out).write_text("\n".join([header, *rows]) + "\n")
+
+
 def write_cycled_mini_world(base):
     """The mini world's inputs and salary scale, with workloads cycling in file order.
 
@@ -127,14 +138,15 @@ def write_cycled_mini_world(base):
     spec = panelgen.make_mini_world()
     panel = panelgen.generate(spec, start_year=2014, n_years=3, seed=3)
     paths = write_world_inputs(spec, panel, base, scale=panelgen.MINI_SALARY_SCALE)
-    header, *rows = paths["records"].read_text().splitlines()
-    at = header.split(",").index("workload")
-    for k, row in enumerate(rows):
-        fields = row.split(",")
-        fields[at] = CYCLED_WORKLOADS[k % len(CYCLED_WORKLOADS)]
-        rows[k] = ",".join(fields)
-    paths["records"].write_text("\n".join([header, *rows]) + "\n")
+    cycle_workloads(paths["records"], paths["records"])
     return paths
+
+
+def write_cycled_demo(base):
+    """The inputs of `demo/` by role, with the records' workloads cycling in file order."""
+    paths = demo_inputs(base)
+    cycle_workloads(paths["records"], base / "records.csv")
+    return {**paths, "records": base / "records.csv"}
 
 
 @pytest.fixture(scope="session")

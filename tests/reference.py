@@ -265,7 +265,7 @@ def parse_records_by_row(path, cfg) -> Records:
     person_ids = sorted(set(person_id))
     code = {pid: k for k, pid in enumerate(person_ids)}
     person = np.array([code[pid] for pid in person_id])
-    order = np.lexsort((person, abs_month))
+    order = np.lexsort((person, tuple_code, workload, abs_month))
     absm = np.asarray(abs_month, np.int32)[order]
     ints = (np.asarray(col, np.int32)[order] for col in (person, category, age, seniority))
     return Records(
@@ -330,10 +330,7 @@ def build_counts_by_sort(records: Records, cfg) -> CountsCube:
     first = chrono[np.r_[True, np.diff(slot[chrono]) != 0]]
     # a q-year's previous year is in the panel, so slot - 1 is the same person's
     hire = first[np.isin(rec.cal_year[first], q_years) & ~december[slot[first] - 1]]
-    # in year order, then in order of each person's first appearance
-    people, first_seen = np.unique(rec.person, return_index=True)
-    first_seen = first_seen[np.searchsorted(people, rec.person[hire])]
-    hire = hire[np.lexsort((first_seen, rec.cal_year[hire]))]
+    hire = np.sort(hire)  # in row order
     src_age = rec.age[hire] - 1
     clamped = src_age < space.age_min
     src = space.locate_groups(np.maximum(src_age, space.age_min), np.maximum(sen[hire] - 1, 0))

@@ -175,6 +175,30 @@ def test_simulate_report_and_draw_dump(mini_pipeline):
     assert np.all(draws.sum(axis=1) == 150)
 
 
+def test_a_space_without_characteristics_prints_no_empty_tuple_row(tmp_path):
+    # with nothing to split by, each cell has its '*' row only: an empty tuple would repeat it
+    raw = yaml.safe_load((DEMO / "config.yaml").read_text())
+    del raw["characteristics"], raw["finance"]["bindings"]
+    config, records, model = tmp_path / "config.yaml", tmp_path / "records.csv", tmp_path / "m.json"
+    config.write_text(yaml.safe_dump(raw))
+    lines = (DEMO / "records.csv").read_text().splitlines()
+    records.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+    assert main(["fit", "--config", str(config), "--records", str(records),
+                 "--reserve", str(DEMO / "reserve.csv"), "--out", str(model)]) == 0
+    common = ["--config", str(config), "--model", str(model), "--years", "2"]
+    dump = tmp_path / "draws.bin"
+    runs = {"project": [], "simulate": ["--iterations", "20", "--seed", "3",
+                                        "--dump-draws", str(dump)]}
+    for command, extra in runs.items():
+        out = tmp_path / f"{command}.csv"
+        assert main([command, *common, *extra, "--out", str(out)]) == 0
+        rows = read_report(out)[2]
+        assert {int(r["year"]) for r in rows} >= {2017, 2018}, command
+        assert {r["characteristic_tuple"] for r in rows} == {"*"}, command
+    # one label per cell: 3 categories x 3 age groups x 1 seniority group
+    assert np.frombuffer(dump.read_bytes()[:40], dtype="<u8")[4] == 9
+
+
 def test_simulate_same_seed_same_bytes(mini_pipeline):
     outs = []
     for name in ("rep1.csv", "rep2.csv"):

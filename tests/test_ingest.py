@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from markovpop.config import build_run_config, load_run_config
 from markovpop.errors import DataError
 from markovpop.estimate import fit_model
-from markovpop.finance import load_salary_scale
+from markovpop.finance import load_salary_scale, parse_finance_config
 from markovpop.ingest import (
     Records,
     ReserveSpec,
@@ -27,6 +27,7 @@ from markovpop.ingest import (
     parse_records,
     split_records,
 )
+from markovpop.reports import observed_totals
 
 import panelgen
 from conftest import demo_inputs, write_cycled_mini_world, write_world_inputs
@@ -82,17 +83,18 @@ def test_parse_records_happy_path(tmp_path):
     cfg = small_cfg()
     records = parse_records(write(tmp_path, "r.csv", PANEL), cfg)
     assert len(records) == 6
-    # sorted by (month, person); a month is year * 12 + month - 1
+    # sorted by (month, workload, tuple, person); a month is year * 12 + month - 1
     people = [records.person_ids[p] for p in records.person]
     nov, dec, jan = 2020 * 12 + 10, 2020 * 12 + 11, 2021 * 12
     assert list(zip(records.month.tolist(), people)) == [
-        (nov, "p1"), (nov, "p2"), (dec, "p1"), (dec, "p2"), (jan, "p1"), (jan, "p3"),
+        (nov, "p2"), (nov, "p1"), (dec, "p2"), (dec, "p1"), (jan, "p3"), (jan, "p1"),
     ]
-    assert records.category[0] == 1  # A
+    assert records.category.tolist() == [2, 1, 2, 1, 1, 2]  # B, A, ...
     tuples = cfg.characteristics.tuples()
-    assert tuples[records.tuple_code[0]] == (0,)  # x
-    assert records.workload[1] == 20.0
-    assert tuples[records.tuple_code[4]] == (1,)  # y
+    assert tuples[records.tuple_code[1]] == (0,)  # x
+    assert records.workload.tolist() == [20.0, 40.0, 20.0, 40.0, 40.0, 40.0]
+    assert tuples[records.tuple_code[4]] == (0,)  # x before y, at equal workloads
+    assert tuples[records.tuple_code[5]] == (1,)
 
 
 def test_records_hold_int32_columns_and_float64_workload_in_32_bytes_a_row():
@@ -497,9 +499,10 @@ def _demo_panel(tmp_path):
 
 def _mini_panel(tmp_path):
     spec = panelgen.make_mini_world()
-    records = panelgen.generate(spec, start_year=2014, n_years=3, seed=3).to_records()
-    cycled = np.resize(np.array(WORKLOADS), len(records))
-    return dataclasses.replace(records, workload=cycled), spec.run_config()
+    r = panelgen.generate(spec, start_year=2014, n_years=3, seed=3).to_records()
+    cycled = np.resize(np.array(WORKLOADS), len(r))
+    columns = (r.category, r.age, r.seniority, cycled, r.tuple_code)
+    return Records.from_columns(r.month, r.person, r.person_ids, *columns), spec.run_config()
 
 
 def _gap_panel(tmp_path):
@@ -516,14 +519,34 @@ def _person_gap_panel(tmp_path):
 
 
 def _renamed_panel(tmp_path):
-    """The cycled mini world with its person ids renamed so that their order reverses."""
+    """The cycled mini world with its person ids renamed so that their order reverses, rows too."""
     r, cfg = _mini_panel(tmp_path)
     renamed = sorted(f"w{999_999 - int(pid[1:]):06d}" for pid in r.person_ids)
+    columns = (r.category, r.age, r.seniority, r.workload, r.tuple_code)
     records = Records.from_columns(
-        r.month.copy(), len(renamed) - 1 - r.person, renamed,
-        *(column.copy() for column in (r.category, r.age, r.seniority, r.workload, r.tuple_code)),
+        r.month[::-1].copy(), (len(renamed) - 1 - r.person)[::-1], renamed,
+        *(column[::-1].copy() for column in columns),
     )
     return records, cfg
+
+
+# hires of one year and cell: p2's first row comes a year before its hire row
+REHIRE = HEADER + textwrap.dedent(
+    """\
+    2020-01,p2,A,18,0,21,x
+    2020-12,p0,A,19,1,40,x
+    2021-01,p0,A,19,1,40,x
+    2021-01,p1,A,19,0,13,x
+    2021-01,p3,A,19,0,33,x
+    2021-02,p2,A,19,0,21,x
+    """
+)
+
+
+def _rehire_panel(tmp_path):
+    """Hires summed in first-appearance order (21 + 13 + 33 h) and in row order differ in bits."""
+    cfg = small_cfg()
+    return parse_records(write(tmp_path, "r.csv", REHIRE), cfg), cfg
 
 
 def _clamped_hire_panel(tmp_path):
@@ -542,15 +565,28 @@ def _half(panel, split_year, k):
 @pytest.mark.parametrize(
     "panel",
     [_demo_panel, _mini_panel, _gap_panel, _person_gap_panel, _renamed_panel,
-     _clamped_hire_panel, _half(_demo_panel, 2016, 0), _half(_demo_panel, 2016, 1),
-     _half(_mini_panel, 2015, 0), _half(_mini_panel, 2015, 1)],
+     _clamped_hire_panel, _rehire_panel, _half(_demo_panel, 2016, 0),
+     _half(_demo_panel, 2016, 1), _half(_mini_panel, 2015, 0), _half(_mini_panel, 2015, 1)],
     ids=["demo", "mini-cycled-workloads", "demo-gap-months", "mini-person-gaps",
-         "mini-renamed-ids", "clamped-hire", "demo-fit-half", "demo-held-out-half",
-         "mini-fit-half", "mini-held-out-half"],
+         "mini-renamed-ids", "clamped-hire", "rehire-after-first-appearance", "demo-fit-half",
+         "demo-held-out-half", "mini-fit-half", "mini-held-out-half"],
 )
 def test_build_counts_matches_the_sort_based_reference_bit_for_bit(panel, tmp_path):
     records, cfg = panel(tmp_path)
     _assert_same_cube(build_counts(records, cfg), build_counts_by_sort(records, cfg))
+
+
+def test_renamed_ids_move_no_bit_of_the_cube_or_the_observed_totals(tmp_path):
+    # only rows that weigh and price alike keep an order that the ids set
+    (records, cfg), (renamed, _) = _mini_panel(tmp_path), _renamed_panel(tmp_path)
+    assert renamed.person_ids != records.person_ids
+    _assert_same_cube(build_counts(renamed, cfg), build_counts(records, cfg))
+    schedule, profiles = parse_finance_config(cfg.finance_raw, cfg.characteristics)
+    scale = {cfg.space.categories.index(c): v for c, v in panelgen.MINI_SALARY_SCALE.items()}
+    got, want = (observed_totals(split_records(r, 2016)[1], cfg, scale, profiles, schedule)
+                 for r in (renamed, records))
+    assert got.keys() == want.keys() == {2016}
+    assert [a.tobytes() for a in got[2016]] == [a.tobytes() for a in want[2016]]
 
 
 def _assert_same_cube(cube, want):

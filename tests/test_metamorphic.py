@@ -20,7 +20,7 @@ from markovpop.model import FittedModel
 from markovpop.project import LabelIndex, projection
 from markovpop.reports import _cell_names
 
-from conftest import demo_inputs, write_cycled_mini_world
+from conftest import demo_inputs, write_cycled_demo, write_cycled_mini_world
 
 WORLDS = (demo_inputs, write_cycled_mini_world)
 
@@ -44,6 +44,55 @@ def test_shuffling_the_records_rows_leaves_the_model_byte_identical(world, tmp_p
     assert _fit(paths, shuffled, tmp_path / "b.json") == _fit(
         paths, paths["records"], tmp_path / "a.json"
     )
+
+
+def _fractional_reserve(reserve, out, reverse=False):
+    """Write `reserve` to `out` with fractional totals, whose sum moves with their order."""
+    header, *rows = reserve.read_text().splitlines()
+    totals = [row.split(",") for row in rows]
+    rows = [f"{age},{float(total) + int(age) * 13 % 100 / 100:.2f}" for age, total in totals]
+    out.write_text("\n".join([header, *(rows[::-1] if reverse else rows)]) + "\n")
+
+
+def _renamed_and_reversed(records, out):
+    """Write `records` to `out` with ids wNNNNNN renamed w(999999 - NNNNNN), rows reversed."""
+    header, *rows = records.read_text().splitlines()
+    at = header.split(",").index("person_id")
+    for k, row in enumerate(rows):
+        fields = row.split(",")
+        fields[at] = f"w{999_999 - int(fields[at][1:]):06d}"
+        rows[k] = ",".join(fields)
+    out.write_text("\n".join([header, *rows[::-1]]) + "\n")
+
+
+def _fit_and_backtest(paths, records, reserve, out):
+    """The model file and the backtest report's lines past its `# input` lines."""
+    panel = ["--config", str(paths["config"]), "--records", str(records),
+             "--reserve", str(reserve)]
+    out.mkdir()
+    assert main(["fit", *panel, "--out", str(out / "model.json")]) == 0
+    assert main(["backtest", *panel, "--salary-scale", str(paths["scale"]), "--split-year",
+                 "2016", "--iterations", "50", "--seed", "3", "--out", str(out / "bt.csv")]) == 0
+    report = out.joinpath("bt.csv").read_text().splitlines()
+    return out.joinpath("model.json").read_bytes(), [r for r in report if "# input" not in r]
+
+
+@pytest.mark.parametrize("world", [write_cycled_demo, write_cycled_mini_world],
+                         ids=["demo-cycled-workloads", "mini-cycled-workloads"])
+def test_renaming_ids_and_reordering_rows_leaves_fit_and_backtest_byte_identical(world, tmp_path):
+    # the fit and the observed totals depend only on what the rows say: each month's sums
+    # must not run in person-id order, nor the census total in reserve file order
+    paths = world(tmp_path)
+    for reverse in (False, True):
+        _fractional_reserve(paths["reserve"], tmp_path / f"reserve-{reverse}.csv", reverse)
+    _renamed_and_reversed(paths["records"], tmp_path / "variant.csv")
+    runs = [
+        _fit_and_backtest(paths, records, tmp_path / f"reserve-{reverse}.csv", tmp_path / side)
+        for side, records, reverse in (("a", paths["records"], False),
+                                       ("b", tmp_path / "variant.csv", True))
+    ]
+    assert len(runs[0][1]) > 10
+    assert runs[1] == runs[0]
 
 
 def _unused_category(raw, scale):

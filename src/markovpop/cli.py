@@ -44,10 +44,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _require(args, *names):
-    missing = ["--" + n.replace("_", "-") for n in names if getattr(args, n, None) is None]
-    if missing:
-        raise ConfigError(f"missing required flag(s): {', '.join(missing)}")
+def _at_least(low: int):
+    """An argparse type: an integer that is at least `low`."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low} (got {value})")
+        return value
+
+    parse.__name__ = "int"  # so a non-integer still reads "invalid int value"
+    return parse
 
 
 def _load_model(args, cfg: RunConfig) -> FittedModel:
@@ -94,7 +101,6 @@ def _sim_params(args, cfg: RunConfig, params: dict) -> dict:
 
 
 def cmd_fit(args) -> int:
-    _require(args, "config", "records", "reserve", "out")
     cfg = load_run_config(args.config)
     records = parse_records(args.records, cfg)
     reserve = load_reserve_csv(args.reserve, cfg.space)
@@ -113,11 +119,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_project(args) -> int:
-    _require(args, "config", "model", "years", "out")
     cfg = load_run_config(args.config)
     model = _load_model(args, cfg)
-    if args.years < 0:
-        raise ConfigError(f"--years must be >= 0 (got {args.years})")
     labels, tables = projection(model, args.years, cfg.overflow_policy)
     manifest = _manifest("project", args, ("config", "model"), {"years": args.years})
     write_projection_csv(args.out, manifest, model, labels, tables)
@@ -125,11 +128,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _require(args, "config", "model", "years", "out")
     cfg = load_run_config(args.config)
     model = _load_model(args, cfg)
-    if args.years < 1:
-        raise ConfigError(f"--years must be >= 1 for simulate (got {args.years})")
     labels, tables = projection(model, args.years, cfg.overflow_policy)
     params = _sim_params(args, cfg, {"years": args.years})
     manifest = _manifest("simulate", args, ("config", "model"), params)
@@ -145,11 +145,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cost_report(args) -> int:
-    _require(args, "config", "model", "salary_scale", "years", "out")
     cfg = load_run_config(args.config)
     model = _load_model(args, cfg)
-    if args.years < 1:
-        raise ConfigError(f"--years must be >= 1 for cost-report (got {args.years})")
     pricing = _pricing(args, cfg)
     labels, tables = projection(model, args.years, cfg.overflow_policy)
     params = _sim_params(args, cfg, {"years": args.years})
@@ -161,7 +158,6 @@ def cmd_cost_report(args) -> int:
 
 
 def cmd_backtest(args) -> int:
-    _require(args, "config", "records", "reserve", "split_year", "salary_scale", "out")
     cfg = load_run_config(args.config)
     pricing = _pricing(args, cfg)
     records = parse_records(args.records, cfg)
@@ -191,63 +187,54 @@ def build_parser() -> _Parser:
     p.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp, *, model=False, records=False, sim=False, scale=False, years=True):
-        sp.add_argument("--config", help="run configuration YAML")
-        sp.add_argument("--out", help="output file path")
+    def common(sp, run, *, model=False, records=False, sim=False, scale=False, years=None):
+        """Flags of a command that runs `run`; `years` is the least --years, None for none."""
+        sp.set_defaults(run=run)
+        sp.add_argument("--config", required=True, help="run configuration YAML")
+        sp.add_argument("--out", required=True, help="output file path")
         if model:
-            sp.add_argument("--model", help="fitted model JSON")
+            sp.add_argument("--model", required=True, help="fitted model JSON")
         if records:
-            sp.add_argument("--records", help="monthly records CSV")
-            sp.add_argument("--reserve", help="per-age census totals CSV")
+            sp.add_argument("--records", required=True, help="monthly records CSV")
+            sp.add_argument("--reserve", required=True, help="per-age census totals CSV")
         if sim:
-            sp.add_argument("--iterations", type=int, default=None,
+            sp.add_argument("--iterations", type=_at_least(1), default=None,
                             help="simulation draws per year (default from config)")
             sp.add_argument("--seed", type=int, default=0, help="master RNG seed")
-            sp.add_argument("--workers", type=int, default=1,
+            sp.add_argument("--workers", type=_at_least(1), default=1,
                             help="worker processes (output is identical for any value)")
         if scale:
-            sp.add_argument("--salary-scale", dest="salary_scale",
+            sp.add_argument("--salary-scale", dest="salary_scale", required=True,
                             help="category base salary CSV")
-        if years:
-            sp.add_argument("--years", type=int, help="projection horizon in years")
+        if years is not None:
+            sp.add_argument("--years", type=_at_least(years), required=True,
+                            help="projection horizon in years")
 
     sp = sub.add_parser("fit", help="estimate the model from a monthly panel")
-    common(sp, records=True, years=False)
+    common(sp, cmd_fit, records=True)
 
     sp = sub.add_parser("project", help="expected population by year")
-    common(sp, model=True)
+    common(sp, cmd_project, model=True, years=0)
 
     sp = sub.add_parser("simulate", help="Monte Carlo around the projection")
-    common(sp, model=True, sim=True)
+    common(sp, cmd_simulate, model=True, sim=True, years=1)
     sp.add_argument("--dump-draws", dest="dump_draws",
                     help="optional raw draw dump (int64 little-endian)")
 
     sp = sub.add_parser("cost-report", help="price the projected population")
-    common(sp, model=True, sim=True, scale=True)
+    common(sp, cmd_cost_report, model=True, sim=True, scale=True, years=1)
 
     sp = sub.add_parser("backtest", help="refit before a split year, compare holdout")
-    common(sp, records=True, sim=True, scale=True, years=False)
-    sp.add_argument("--split-year", dest="split_year", type=int,
+    common(sp, cmd_backtest, records=True, sim=True, scale=True)
+    sp.add_argument("--split-year", dest="split_year", type=int, required=True,
                     help="first held-out calendar year")
     return p
-
-
-COMMANDS = {
-    "fit": cmd_fit,
-    "project": cmd_project,
-    "simulate": cmd_simulate,
-    "cost-report": cmd_cost_report,
-    "backtest": cmd_backtest,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for flag in ("iterations", "workers"):  # checked before any input is read
-            if (value := getattr(args, flag, None)) is not None and value < 1:
-                raise ConfigError(f"{flag} must be >= 1 (got {value})")
         logging.basicConfig(
             level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",
@@ -256,7 +243,7 @@ def main(argv=None) -> int:
         if not args.command:
             parser.print_help(sys.stderr)
             return 1
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except MarkovPopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -19,11 +19,12 @@ member of a top-level object, is decoded once the buffer holds all of
 it; a cell's member of ``monthly``, ``annual``, ``entry`` and ``q1`` is
 held only as a float array.  ``pi`` comes before the space it is checked
 against, so it is skipped, then read again in spans cut after whole
-entries.  Anything this path does not accept (another layout, such as a
-repeated key, a key with an escape or ``pi`` not opening with ``[[``, a
-file that cannot seek, a member that does not convert, or any fault at
-all) is decoded again as one whole document, so a file loads, or fails
-with its message, exactly as ``json.loads`` reads it.
+entries, once ``r`` is built and its decoded dicts are dropped.
+Anything this path does not accept (another layout, such as a repeated
+key, a key with an escape or ``pi`` not opening with ``[[``, a file that
+cannot seek, a member that does not convert, or any fault at all) is
+decoded again as one whole document, so a file loads, or fails with its
+message, exactly as ``json.loads`` reads it.
 """
 
 from __future__ import annotations
@@ -175,6 +176,7 @@ def _parse_pi(triplets, space: StateSpaceConfig) -> np.ndarray:
         flat = np.ravel_multi_index(idx.T.astype(int), pi.shape)
         listed[flat] = True
         pi.flat[flat] = rows[:, 3]
+        del block, rows, idx, outside, flat  # freed before the next block is decoded
     if np.count_nonzero(listed) != n_entries:
         raise DataError("model file: pi lists a (category, age, seniority) twice")
     total = float(pi.sum())
@@ -287,6 +289,7 @@ class FittedModel:
             raise DataError("model file: unrecognized format marker")
         if doc.get("version") != FORMAT_VERSION:
             raise DataError(f"model file: unsupported version {doc.get('version')!r}")
+        doc = dict(doc)  # _from_doc drops what it has read; the caller's dict stays whole
         try:
             return cls._from_doc(doc)
         except ConfigError as exc:  # an invalid space or characteristics section
@@ -303,6 +306,20 @@ class FittedModel:
             names=tuple(doc["characteristics"]["names"]),
             levels=tuple(tuple(lv) for lv in doc["characteristics"]["levels"]),
         )
+        declared = set(chars.all_tuples())
+        in_system = {(c, *cell) for c in range(1, space.n_categories) for cell in space.cells()}
+        shape = (space.n_categories, space.n_age_groups, space.n_seniority_groups)
+        r = np.zeros((*shape, len(chars.tuples())))
+        for key, dist in doc.pop("r").items():  # popped: its dicts are freed before pi is read
+            c_str, cell = key.split("|")
+            idx = (int(c_str), *_parse_cell_key(cell))
+            if idx not in in_system:
+                raise DataError(f"model file: r[{key}] is not an in-system cell")
+            for tkey, p in dist.items():
+                t = tuple(int(x) for x in tkey.split(",")) if tkey else ()
+                if t not in declared:
+                    raise DataError(f"model file: r[{key}] has undeclared tuple {tkey!r}")
+                r[(*idx, chars.code(t))] = float(p)
         pi = _parse_pi(doc["pi"], space)
         i0, base_year, hours = doc["i0"], doc["base_year"], doc["full_time_hours"]
         # JSON reads an out-of-range literal such as 1e400 as inf; a bool is not a number
@@ -329,20 +346,6 @@ class FittedModel:
         annual = cell_arrays("annual", (nc, nc))
         entry = cell_arrays("entry", (nc,))
         q1 = cell_arrays("q1", (space.n_categories,))
-        declared = set(chars.all_tuples())
-        in_system = {(c, *cell) for c in range(1, space.n_categories) for cell in space.cells()}
-        shape = (space.n_categories, space.n_age_groups, space.n_seniority_groups)
-        r = np.zeros((*shape, len(chars.tuples())))
-        for key, dist in doc["r"].items():
-            c_str, cell = key.split("|")
-            idx = (int(c_str), *_parse_cell_key(cell))
-            if idx not in in_system:
-                raise DataError(f"model file: r[{key}] is not an in-system cell")
-            for tkey, p in dist.items():
-                t = tuple(int(x) for x in tkey.split(",")) if tkey else ()
-                if t not in declared:
-                    raise DataError(f"model file: r[{key}] has undeclared tuple {tkey!r}")
-                r[(*idx, chars.code(t))] = float(p)
         return cls(
             space=space,
             characteristics=chars,

@@ -10,11 +10,13 @@ characteristic tuples are redrawn independently every person-month.
 The census is a fixed uniform pyramid over the world's age span: each
 January everybody ages one year, people past the top age leave the world
 and the same number of fresh reserve people appear at the bottom age.
-Membership probabilities are zero in the top age group so these forced
-departures never contaminate the yearly estimates, and zero in the
-bottom (below-working-age) group so the projected reserve gap at the
-youngest ages is inert over short horizons.  All workloads are full
-time, keeping head counts and workload-weighted counts identical.
+Members at the top census age leave in December and nobody is hired from
+it.  The concrete worlds set membership probabilities to zero in the top
+age group so these forced departures never contaminate the yearly
+estimates, and zero in the bottom (below-working-age) group so the
+projected reserve gap at the youngest ages is inert over short horizons.
+All workloads are full time, keeping head counts and workload-weighted
+counts identical.
 """
 
 from __future__ import annotations
@@ -139,9 +141,6 @@ def generate(spec: WorldSpec, start_year: int, n_years: int, seed: int) -> Panel
     eg, sg = space.locate_groups(ages, seniorities)
     world_ages = sorted(e for e, n in spec.census.items() if n > 0)
     top_world_age = world_ages[-1]
-    assert np.all(spec.q_stay[eg[top_world_age - space.age_min]] == 0.0), (
-        "the age group holding the top census age must have zero stay probability"
-    )
     lo_h, hi_h = spec.hire_ages
     # the hire window must cover whole age groups: the fitted group-level
     # hire rate would otherwise mix hiring and non-hiring ages
@@ -199,7 +198,7 @@ def generate(spec: WorldSpec, start_year: int, n_years: int, seed: int) -> Panel
                 continue
 
             # December -> January boundary
-            stay = rng.random(len(pid)) < spec.q_stay[ei, ai, cat]
+            stay = (rng.random(len(pid)) < spec.q_stay[ei, ai, cat]) & (age < top_world_age)
             new_cat = _draw_rows(cum_m[ei, ai, cat][stay], rng)
             in_sys_by_age = np.bincount(age - space.age_min, minlength=space.n_ages)
             pid, cat = pid[stay], new_cat
@@ -209,7 +208,7 @@ def generate(spec: WorldSpec, start_year: int, n_years: int, seed: int) -> Panel
             for e in world_ages:
                 pool = spec.census[e] - int(in_sys_by_age[e - space.age_min])
                 assert pool >= 0, f"census exceeded at age {e}, year {y}"
-                if pool == 0 or not (lo_h <= e <= hi_h):
+                if pool == 0 or not (lo_h <= e <= hi_h) or e == top_world_age:
                     continue
                 feas = space.feasible_seniorities(e)
                 lat = rng.integers(0, len(feas), size=pool)

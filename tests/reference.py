@@ -11,9 +11,10 @@ whole-document model decode whose models and errors
 parser whose problem list ``ingest.parse_records`` must reproduce, the
 sort-based counts cube whose arrays ``ingest.build_counts`` must
 reproduce bit for bit, the (month, pair)-indexed reserve whose arrays
-``ingest.build_reserve`` must reproduce bit for bit, the whole-year
-multinomial draw whose matrix the blocks of ``montecarlo.draw_blocks``
-must stack to, and the row-by-row projection and simulation writers
+``ingest.build_reserve`` must reproduce bit for bit, the column-by-column
+cell sums whose integer arrays ``project.cell_sums`` must reproduce bit
+for bit, the whole-year multinomial draw whose matrix the blocks of
+``montecarlo.draw_blocks`` must stack to, and the row-by-row projection and simulation writers
 whose bytes the bulk writers of ``markovpop.reports`` must reproduce
 (they share only the cell names, the manifest and the header with
 them), and the whole-matrix cost reduction whose report
@@ -167,6 +168,17 @@ def draw_year(
 def stacked(_year, blocks) -> np.ndarray:
     """A year's whole (iterations, labels) matrix, stacked from its `draw_blocks`."""
     return np.hstack([block for _, _, block in blocks])
+
+
+def cell_sums_by_column(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Label columns (last axis) summed per cell of `bounds`, one column rank at a time."""
+    sizes = np.diff(bounds)
+    starts = bounds[:-1] - bounds[0]
+    out = np.take(values, starts, axis=-1)
+    for k in range(1, sizes.max()):
+        has = sizes > k
+        out[..., has] += np.take(values, starts[has] + k, axis=-1)
+    return out
 
 
 def _reject_constant(name: str):

@@ -60,7 +60,7 @@ def test_unknown_command(capsys):
 def test_missing_flags_reported(capsys):
     assert main(["fit"]) == 1
     err = capsys.readouterr().err
-    assert "missing required flag(s)" in err
+    assert "the following arguments are required" in err
     assert "--config" in err and "--out" in err
 
 
@@ -737,22 +737,52 @@ def test_zero_iterations_is_rejected_not_replaced(capsys, mini_pipeline, tmp_pat
     argv = _argv("simulate", mini_pipeline, tmp_path / "out")
     argv[argv.index("--iterations") + 1] = "0"
     assert main(argv) == 1
-    assert "iterations must be >= 1 (got 0)" in capsys.readouterr().err
+    assert "argument --iterations: must be >= 1 (got 0)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["simulate", "cost-report", "backtest"])
-@pytest.mark.parametrize("flag", ["iterations", "workers"])
+def _usage_errors():
+    """(command, flag, value, message) for each command line the parser must reject.
+
+    A `value` of None leaves the flag out.
+    """
+    required = {
+        "fit": ["config", "out", "records", "reserve"],
+        "project": ["config", "out", "model", "years"],
+        "simulate": ["config", "out", "model", "years"],
+        "cost-report": ["config", "out", "model", "salary-scale", "years"],
+        "backtest": ["config", "out", "records", "reserve", "salary-scale", "split-year"],
+    }
+    for command, flags in required.items():
+        if command in ("simulate", "cost-report", "backtest"):
+            for flag in ("iterations", "workers"):
+                yield pytest.param(command, flag, "0", "must be >= 1 (got 0)",
+                                   id=f"{flag}-{command}")
+        for flag in flags:
+            yield pytest.param(command, flag, None, "the following arguments are required",
+                               id=f"no-{flag}-{command}")
+        if "years" in flags:
+            least = 0 if command == "project" else 1
+            yield pytest.param(command, "years", str(least - 1),
+                               f"must be >= {least} (got {least - 1})", id=f"years-low-{command}")
+            yield pytest.param(command, "years", "soon", "invalid int value: 'soon'",
+                               id=f"years-soon-{command}")
+
+
+@pytest.mark.parametrize("command, flag, value, message", _usage_errors())
 def test_simulation_flags_are_checked_before_any_input_is_read(
-    capsys, monkeypatch, mini_pipeline, tmp_path, command, flag
+    capsys, tmp_path, command, flag, value, message
 ):
-    def unread(*args):
-        raise AssertionError("read an input before checking the flags")
-
-    monkeypatch.setattr(cli, "load_run_config", unread)
-    monkeypatch.setattr(cli, "parse_records", unread)
-    argv = _argv(command, mini_pipeline, tmp_path / "out") + [f"--{flag}", "0"]
+    # every input path is missing: a usage error must be found before any is opened
+    missing = tmp_path / "missing"
+    paths = {role: missing / role for role in ("config", "model", "records", "reserve", "scale")}
+    argv = _argv(command, paths, missing / "out")
+    i = argv.index(f"--{flag}") if f"--{flag}" in argv else len(argv)
+    argv[i:i + 2] = [] if value is None else [f"--{flag}", value]
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: {flag} must be >= 1 (got 0)\n"
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: markovpop {command}: ") and err.count("\n") == 1, err
+    assert f"--{flag}" in err and message in err, err
+    assert "not found" not in err
 
 
 def test_a_salary_scale_without_an_in_system_category_fails_before_the_panel_is_read(

@@ -56,6 +56,14 @@ def test_json_round_trip_is_exact(tmp_path):
     assert back.to_json() == model.to_json()
 
 
+def test_from_json_dict_leaves_its_document_unchanged():
+    # the loader drops each section once read, from a copy of its own
+    text = make_random_model(make_toy_space(), make_chars(), seed=12, with_r=True).to_json()
+    doc = json.loads(text)
+    assert FittedModel.from_json_dict(doc).to_json() == text
+    assert doc == json.loads(text)
+
+
 def test_transition_operator_structure():
     model = make_random_model(make_toy_space(), seed=3)
     op = model.transition_operator(1, 0)

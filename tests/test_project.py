@@ -27,6 +27,7 @@ from reference import (
     Triple,
     age_by_add_at,
     age_by_shift,
+    cell_sums_by_column,
     one_step_triple_probability,
     propagate_by_allocation,
 )
@@ -267,6 +268,24 @@ def test_cell_sums_add_label_columns_per_cell():
         cols = np.flatnonzero(labels.cell_id == cell)
         np.testing.assert_array_equal(sums[:, cell], draws[:, cols].sum(axis=1))
     np.testing.assert_array_equal(labels.in_system_cells, np.arange(12) >= 4)
+
+
+@pytest.mark.parametrize("shape", [(200, 37), (1, 5), (64,)])
+@pytest.mark.parametrize("first", [0, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_cell_sums_match_the_column_loop_bit_for_bit(shape, first, seed):
+    rng = np.random.default_rng(seed)
+    n = shape[-1]
+    # cells of 1 to 4 labels, many of them of one label, counted from label `first`
+    sizes = rng.choice([1, 1, 2, 3, 4], size=n)
+    bounds = first + np.r_[0, np.cumsum(sizes)]
+    bounds = bounds[bounds <= first + n]
+    # columns past the last cell, if any, are not summed
+    values = rng.integers(-2**31, 2**31, size=shape, dtype=np.int32)
+    got = cell_sums(values, bounds)
+    want = cell_sums_by_column(values, bounds)
+    assert got.dtype == np.int32 and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
 
 
 def test_expected_populations_scale_by_i0():

@@ -71,8 +71,8 @@ def _pricing(args, cfg: RunConfig):
     return load_salary_scale(args.salary_scale, cfg.space), profiles, schedule
 
 
-def _counts(records, cfg: RunConfig) -> CountsCube:
-    cube = build_counts(records, cfg)
+def _counts(records, census, cfg: RunConfig) -> CountsCube:
+    cube = build_counts(records, census, cfg)
     log.info("fitting %d months (%d person-month records)", len(cube.months), len(records))
     return cube
 
@@ -103,10 +103,10 @@ def _sim_params(args, cfg: RunConfig, params: dict) -> dict:
 def cmd_fit(args) -> int:
     cfg = load_run_config(args.config)
     records = parse_records(args.records, cfg)
-    reserve = load_reserve_csv(args.reserve, cfg.space)
-    cube = _counts(records, cfg)
+    census = load_reserve_csv(args.reserve, cfg.space)
+    cube = _counts(records, census, cfg)
     del records  # the fit needs only the cube
-    model = fit_model(cube, reserve, cfg)
+    model = fit_model(cube, cfg)
     model.save(args.out)
     diag = model.diagnostics
     for w in diag.get("warnings", []):
@@ -161,12 +161,12 @@ def cmd_backtest(args) -> int:
     cfg = load_run_config(args.config)
     pricing = _pricing(args, cfg)
     records = parse_records(args.records, cfg)
-    reserve = load_reserve_csv(args.reserve, cfg.space)
+    census = load_reserve_csv(args.reserve, cfg.space)
     fit_records, holdout = split_records(records, args.split_year)
     observed = observed_totals(holdout, cfg, *pricing)
-    cube = _counts(fit_records, cfg)
+    cube = _counts(fit_records, census, cfg)
     del records, fit_records, holdout  # views of the panel: the fit needs only the cube
-    model = fit_model(cube, reserve, cfg)
+    model = fit_model(cube, cfg)
     del cube  # its memory is reused by the simulation
     labels, tables = projection(model, max(observed) - model.base_year, cfg.overflow_policy)
     roles = ("config", "records", "reserve", "salary-scale")

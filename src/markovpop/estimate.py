@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import DataError
-from .ingest import CountsCube, ReserveSpec, build_reserve
+from .ingest import CountsCube
 from .model import FittedModel
 
 log = logging.getLogger(__name__)
@@ -46,14 +46,8 @@ def _mean_ratio(num: np.ndarray, den: np.ndarray, fallback):
     return mean, n > 0
 
 
-def estimate_initial_distribution(cube: CountsCube, i0: float, cfg: RunConfig) -> np.ndarray:
-    """Average the latest 12 months of counts and normalize by i0.
-
-    Requires the reserve rows to be present, otherwise the result cannot
-    cover the whole population.
-    """
-    if not cube.has_reserve:
-        raise DataError("initial distribution needs reserve rows; run build_reserve first")
+def estimate_initial_distribution(cube: CountsCube, cfg: RunConfig) -> np.ndarray:
+    """Average the latest 12 months of counts, reserve included, and normalize by the census."""
     missing = [m for m in range(-11, 1) if m not in cube.calendar]
     if missing:
         raise DataError(
@@ -66,7 +60,7 @@ def estimate_initial_distribution(cube: CountsCube, i0: float, cfg: RunConfig) -
         raise DataError(
             "census totals too large: the latest 12 months do not sum to a finite number"
         )
-    pi = sums / 12.0 / i0
+    pi = sums / 12.0 / cube.i0
     total = float(pi.sum())
     if not abs(total - 1.0) <= 1e-9:
         raise DataError(
@@ -165,8 +159,6 @@ def estimate_entry_probabilities(cube: CountsCube, cfg: RunConfig):
     boundaries.  The out-of-system row uses the December reserve mass as
     the not-hired pool.  Cells with no observations get 0 and a flag.
     """
-    if not cube.has_reserve:
-        raise DataError("entry probabilities need reserve rows; run build_reserve first")
     if not cube.q_years:
         raise DataError(
             "entry probabilities need at least one year boundary "
@@ -216,12 +208,9 @@ def estimate_characteristic_distribution(cube: CountsCube, cfg: RunConfig):
     return r, {"unobserved_r_cells": unobserved.tolist()}
 
 
-def fit_model(cube: CountsCube, reserve: ReserveSpec, cfg: RunConfig) -> FittedModel:
+def fit_model(cube: CountsCube, cfg: RunConfig) -> FittedModel:
     """Run every estimator and assemble the fitted model."""
-    if not cube.has_reserve:
-        cube = build_reserve(cube, reserve, cfg)
-    i0 = reserve.total_population
-    pi = estimate_initial_distribution(cube, i0, cfg)
+    pi = estimate_initial_distribution(cube, cfg)
     monthly, diag_m = estimate_monthly_transitions(cube, cfg)
     annual, diag_a = annualize_transitions(
         monthly, cfg.stopping_time_pmf, cfg.stopping_time_overrides, cfg
@@ -240,7 +229,7 @@ def fit_model(cube: CountsCube, reserve: ReserveSpec, cfg: RunConfig) -> FittedM
     return FittedModel(
         space=cfg.space,
         characteristics=cfg.characteristics,
-        i0=i0,
+        i0=cube.i0,
         base_year=cube.base_calendar_year,
         full_time_hours=cfg.full_time_hours,
         stopping_time_pmf=tuple(cfg.stopping_time_pmf),

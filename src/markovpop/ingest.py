@@ -1,12 +1,12 @@
-"""Monthly panel ingestion: record columns, the counts cube and the reserve.
+"""Monthly panel ingestion: record columns, the census and the counts cube.
 
 The monthly panel of in-system persons is parsed into :class:`Records`,
 one numpy column per field.  :func:`build_counts` sums the columns with
 ``np.bincount`` into the dense workload-weighted arrays of
 :class:`CountsCube`: cell counts, month-to-month flows (including exits)
 and the year-boundary events (stay/exit and hires) the entry estimators
-use.  :func:`build_reserve` adds the unobserved out-of-system mass from
-census-style per-age totals.
+use.  Its out-of-system category holds the reserve that
+:func:`build_reserve` derives from the census totals per age.
 
 A record's month is the absolute month ``year * 12 + month - 1``, so any
 run of months of a parsed panel is itself a panel.  Only
@@ -362,22 +362,18 @@ def split_records(records: Records, split_year: int) -> tuple[Records, Records]:
         raise DataError(f"no records before the split year {split_year}")
     if k == len(records):
         raise DataError(f"no held-out records at or after the split year {split_year}")
+    # a year boundary, as in build_counts' q_years: a December, then a month of the next year
+    fit = records.month[:k]
+    december = np.arange(fit[0] // 12 * 12 + 11, fit[-1], 12, dtype=fit.dtype)
+    start, january, end = np.searchsorted(fit, [december, december + 1, december + 13])
+    if not ((start < january) & (january < end)).any():
+        raise DataError(f"no year boundary before the split year {split_year}: the fit needs "
+                        "a December and a month of the year after it")
     return records.take(slice(0, k)), records.take(slice(k, None))
 
 
-@dataclass(frozen=True)
-class ReserveSpec:
-    """Census totals per age; the source of the out-of-system mass."""
-
-    age_totals: dict[int, float]
-
-    @property
-    def total_population(self) -> float:
-        return sum(self.age_totals.values())
-
-
-def load_reserve_csv(path, space: StateSpaceConfig) -> ReserveSpec:
-    """Load per-age population totals (header: age,total)."""
+def load_reserve_csv(path, space: StateSpaceConfig) -> np.ndarray:
+    """Load per-age census totals (header: age,total), as float64 by age from ``age_min``."""
     problems = []
     totals: dict[int, float] = {}
     for i, row in csv_rows(path, "reserve file", ("age", "total"), problems):
@@ -402,7 +398,7 @@ def load_reserve_csv(path, space: StateSpaceConfig) -> ReserveSpec:
         problems.append(f"missing ages: {', '.join(str(e) for e in missing)}")
     if problems:
         raise DataError(f"reserve file {path} is invalid", problems)
-    return ReserveSpec(age_totals=dict(sorted(totals.items())))  # i0 adds them in age order
+    return np.array([totals[e] for e in range(space.age_min, space.age_max)])
 
 
 @dataclass(frozen=True)
@@ -414,7 +410,7 @@ class CountsCube:
     and at least one month are observed); eg/sg are age/seniority groups,
     c categories, e ages from ``age_min``, a seniorities, k tuple codes.
 
-    group_totals[m, eg, sg, c]: category 0 only after :func:`build_reserve`.
+    group_totals[m, eg, sg, c]: category 0 is the reserve.
     flows[f, eg, sg, c, to]: weight moving on to category `to` next month;
     to 0 is an exit.
     char_counts[m, c, eg, sg, k].
@@ -422,8 +418,8 @@ class CountsCube:
     December, at their December cell.
     hires[y, eg, sg], entry_cats[y, eg, sg, c]: entries at the virtual
     source cell (age - 1, max(0, seniority - 1) at the year's first row).
-    in_system[m, e]: the weight the reserve tops up to the census.
-    latest[12, c, e, a]: cells of normalized months -11..0.
+    latest[12, c, e, a]: cells of normalized months -11..0, the reserve in c 0.
+    i0: the census total, added in age order.
     """
 
     months: tuple[int, ...]
@@ -436,9 +432,8 @@ class CountsCube:
     stay_exit: np.ndarray
     hires: np.ndarray
     entry_cats: np.ndarray
-    in_system: np.ndarray
     latest: np.ndarray
-    has_reserve: bool = False
+    i0: float
     warnings: tuple[str, ...] = ()
 
     @property
@@ -453,16 +448,27 @@ def _count(index, weights, shape) -> np.ndarray:
     return np.bincount(flat, weights, minlength=math.prod(shape)).reshape(shape)
 
 
-def build_counts(records: Records, cfg: RunConfig) -> CountsCube:
-    """Aggregate validated records into the counts cube.
+def build_counts(records: Records, census: np.ndarray, cfg: RunConfig) -> CountsCube:
+    """Aggregate validated records and the census totals per age into the counts cube.
 
     Flows are only counted across consecutive observed months; a person
     present at m and absent at the observed month m+1 is an exit flow to
     category 0, weighted like the month-m record.  Year events need the
     previous December observed plus at least one month of the year.
     Months are normalized to the latest month of `records`.  Sums add in
-    row order; per-row temporaries are narrow and short-lived.
+    row order; per-row temporaries are narrow and short-lived.  Category 0
+    of `group_totals` and `latest` holds the reserve (:func:`build_reserve`).
     """
+    fields = _panel_counts(records, cfg)  # the per-row temporaries are freed by now
+    reserve = build_reserve(
+        fields.pop("in_system"), census, fields["months"], fields["calendar"], cfg.space
+    )
+    fields["group_totals"][..., 0], fields["latest"][:, 0] = reserve
+    return CountsCube(**fields, i0=sum(census.tolist()))
+
+
+def _panel_counts(records: Records, cfg: RunConfig) -> dict:
+    """The in-system arrays of the cube by field, and `in_system[m, e]`, the weight by age."""
     space, rec = cfg.space, records
     month, cat, sen = rec.month, rec.category, rec.seniority
     eg, sg = space.locate_groups(rec.age, sen)
@@ -519,7 +525,7 @@ def build_counts(records: Records, cfg: RunConfig) -> CountsCube:
     age = rec.age - space.age_min
     window = slice(int(np.searchsorted(month, latest - 11)), None)  # normalized months -11..0
     n_codes = len(cfg.characteristics.tuples())
-    return CountsCube(
+    return dict(
         months=tuple(months.tolist()),
         calendar=calendar,
         flow_months=tuple(months[is_flow].tolist()),
@@ -544,37 +550,38 @@ def build_counts(records: Records, cfg: RunConfig) -> CountsCube:
     )
 
 
-def build_reserve(cube: CountsCube, reserve: ReserveSpec, cfg: RunConfig) -> CountsCube:
-    """Add out-of-system (category 0) mass to every month of the cube.
+def build_reserve(in_system, census, months, calendar, space: StateSpaceConfig):
+    """The reserve (category 0) as group totals [m, eg, sg] and latest cells [12, e, a].
 
     Per month and age, the reserve mass is the census total minus the
-    weighted in-system count at that age, spread equally over the
-    feasible seniorities for that age.  A materially negative remainder
-    means the census and the panel disagree and is an error.
+    in-system weight `in_system[m, e]`, spread equally over the feasible
+    seniorities for that age.  A materially negative remainder means the
+    census and the panel disagree and is an error.
     """
-    space = cfg.space
-    ages = range(space.age_min, space.age_max)
-    total = np.array([reserve.age_totals[e] for e in ages])
-    rest = total - cube.in_system
+    ages = np.arange(space.age_min, space.age_max)
+    feasible = space.feasible(ages[:, None], np.arange(space.seniority_max))
+    # no np.maximum: its code (64 KiB) would be paged in at the fit's resident peak
+    scale = np.where(census > 1.0, census, 1.0)
+    share = census - in_system
     problems = [
-        f"age {ages[e]}, month {'%d-%02d' % cube.calendar[cube.months[m]]}: in-system weight "
-        f"{cube.in_system[m, e]:.6g} exceeds the census total {total[e]:.6g}"
-        for m, e in np.argwhere(rest < -1e-9 * np.maximum(1.0, total))
+        f"age {ages[e]}, month {'%d-%02d' % calendar[months[m]]}: in-system weight "
+        f"{in_system[m, e]:.6g} exceeds the census total {census[e]:.6g}"
+        for m, e in np.argwhere(share < -1e-9 * scale)
     ]
     if problems:
         raise DataError("reserve construction failed", problems)
-    share = np.maximum(rest, 0.0) / [len(space.feasible_seniorities(e)) for e in ages]
+    share[share <= 0.0] = 0.0
+    share /= feasible.sum(axis=1, dtype=float)
 
     # each month's share is added once per feasible seniority, in (age, seniority) order
-    pairs = np.array([(e, a) for e in ages for a in space.feasible_seniorities(e)])
-    pe, pa = pairs[:, 0] - space.age_min, pairs[:, 1]
+    pe, pa = np.nonzero(feasible)
     g = (space.n_age_groups, space.n_seniority_groups)
-    cell = np.ravel_multi_index(space.locate_groups(*pairs.T), g)
-    group_totals = cube.group_totals.copy()
-    for m, month_share in enumerate(share):
-        group_totals[m, ..., 0] += np.bincount(cell, month_share[pe], math.prod(g)).reshape(g)
-    window = np.arange(-11, 1)
-    k = np.flatnonzero(np.isin(window, cube.months))
-    latest = cube.latest.copy()
-    latest[k[:, None], 0, pe, pa] = share[np.searchsorted(cube.months, window[k])][:, pe]
-    return replace(cube, group_totals=group_totals, latest=latest, has_reserve=True)
+    cell = np.ravel_multi_index(space.locate_groups(ages[pe], pa), g)
+    group_totals = np.empty((len(months), *g))
+    latest = np.zeros((12, space.n_ages, space.seniority_max))
+    for m, month in enumerate(months):
+        by_pair = share[m, pe]
+        group_totals[m] = np.bincount(cell, by_pair, math.prod(g)).reshape(g)
+        if month >= -11:  # normalized months -11..0
+            latest[month + 11, pe, pa] = by_pair
+    return group_totals, latest

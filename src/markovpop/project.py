@@ -102,15 +102,10 @@ def _add_older(src: np.ndarray, out: np.ndarray) -> None:
 def distribution_at_year(
     pi: np.ndarray, model: FittedModel, n: int, policy: str = "strict"
 ) -> TripleDistribution:
-    """Propagate the initial distribution n years forward."""
-    return trajectory(pi, model, n, policy)[-1]
-
-
-def trajectory(
-    pi: np.ndarray, model: FittedModel, n: int, policy: str = "strict"
-) -> list[TripleDistribution]:
-    """Distributions for years 0..n (year 0 is the initial distribution), each its own array."""
-    return [TripleDistribution(d.values.copy(), d.year) for d in _years(pi, model, n, policy)]
+    """Propagate the initial distribution n years forward, in one array of its own."""
+    for dist in _years(pi, model, n, policy):
+        pass
+    return dist  # the exhausted generator's working copy of `pi`
 
 
 def _years(pi: np.ndarray, model: FittedModel, n: int, policy: str):

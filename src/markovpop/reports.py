@@ -2,9 +2,10 @@
 
 Every report starts with a comment block ('# ' lines) identifying the
 command, package version, seed and the SHA-256 of each input file, so a
-report can be traced back to exactly what produced it.  A timestamp line
-is included only when SOURCE_DATE_EPOCH is set; by default reports are
-byte-identical across repeated runs.
+report can be traced back to exactly what produced it (an input that is
+not a regular file, such as a pipe, is not read again: its digest is
+unavailable).  A timestamp line is included only when SOURCE_DATE_EPOCH
+is set; by default reports are byte-identical across repeated runs.
 
 Probabilities and counts are written with shortest round-trip precision;
 currency amounts are rounded to whole units here and nowhere else.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -30,6 +32,9 @@ from .project import cell_sums, expected_populations
 
 
 def _sha256(path) -> str:
+    """The hex digest of a regular file; "unavailable" for any other input, which is not read."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return "unavailable (not a regular file)"
     import hashlib  # loads OpenSSL: only commands that write a report pay for it
 
     h = hashlib.sha256()
@@ -44,7 +49,7 @@ class RunManifest:
     """Provenance block embedded at the top of every report."""
 
     command: str
-    inputs: tuple[tuple[str, str, str], ...]  # (role, path, sha256)
+    inputs: tuple[tuple[str, str, str], ...]  # (role, path, sha256 or why it is unavailable)
     params: tuple[tuple[str, str], ...]
     timestamp: str | None  # SOURCE_DATE_EPOCH in ISO 8601, if set
     version: str = __version__

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from markovpop.config import RunConfig, build_run_config
-from markovpop.ingest import Records, ReserveSpec
+from markovpop.ingest import Records
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,11 @@ class Panel:
     def i0(self) -> float:
         return float(sum(self.spec.census.values()))
 
-    def reserve_spec(self) -> ReserveSpec:
+    def census(self) -> np.ndarray:
+        """The census totals by age from ``age_min``, as :func:`load_reserve_csv` loads them."""
         space = self.cfg.space
-        totals = {
-            e: float(self.spec.census.get(e, 0))
-            for e in range(space.age_min, space.age_max)
-        }
-        return ReserveSpec(age_totals=totals)
+        ages = range(space.age_min, space.age_max)
+        return np.array([float(self.spec.census.get(e, 0)) for e in ages])
 
     def to_records(self) -> Records:
         """Build validated-equivalent record columns directly, bypassing CSV."""

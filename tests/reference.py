@@ -11,9 +11,9 @@ whole-document model decode whose models and errors
 parser whose problem list ``ingest.parse_records`` must reproduce, the
 sort-based counts cube whose arrays ``ingest.build_counts`` must
 reproduce bit for bit, the (month, pair)-indexed reserve whose arrays
-``ingest.build_reserve`` must reproduce bit for bit, the column-by-column
-cell sums whose integer arrays ``project.cell_sums`` must reproduce bit
-for bit, the whole-year multinomial draw whose matrix the blocks of
+``ingest.build_reserve`` must reproduce bit for bit (the sort-based cube
+takes its category 0 from it), the column-by-column cell sums whose
+integer arrays ``project.cell_sums`` must reproduce bit for bit, the whole-year multinomial draw whose matrix the blocks of
 ``montecarlo.draw_blocks`` must stack to, and the row-by-row projection and simulation writers
 whose bytes the bulk writers of ``markovpop.reports`` must reproduce
 (they share only the cell names, the manifest and the header with
@@ -28,14 +28,14 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from markovpop.errors import ConfigError, DataError
 from markovpop.finance import full_time_costs
-from markovpop.ingest import CountsCube, Records, ReserveSpec, finite_float
+from markovpop.ingest import CountsCube, Records, finite_float
 from markovpop.model import FittedModel
 from markovpop.montecarlo import derive_generator, summarize
 from markovpop.project import cell_sums, expected_populations
@@ -293,8 +293,20 @@ def _count(index, weights, shape) -> np.ndarray:
     return np.bincount(flat, weights, minlength=math.prod(shape)).reshape(shape)
 
 
-def build_counts_by_sort(records: Records, cfg) -> CountsCube:
-    """Aggregate validated records into the counts cube.
+def build_counts_by_sort(records: Records, census: np.ndarray, cfg) -> CountsCube:
+    """Aggregate validated records and the census into the counts cube, reserve included."""
+    counts = panel_counts_by_sort(records, cfg)
+    in_system = counts.pop("in_system")
+    group_totals, latest = build_reserve_by_index(
+        in_system, census, counts["months"], counts["calendar"], cfg.space
+    )
+    counts["group_totals"][..., 0] = group_totals
+    counts["latest"][:, 0] = latest
+    return CountsCube(**counts, i0=sum(census.tolist()))
+
+
+def panel_counts_by_sort(records: Records, cfg) -> dict:
+    """The in-system arrays of the counts cube by field, and in_system[m, e], by age.
 
     Flows are only counted across consecutive observed months; a person
     present at m and absent at the observed month m+1 is an exit flow to
@@ -349,7 +361,7 @@ def build_counts_by_sort(records: Records, cfg) -> CountsCube:
     hires = (np.searchsorted(q_years, rec.cal_year[hire]), *src)
     n_codes = len(cfg.characteristics.tuples())
     window = rec.month >= -11
-    return CountsCube(
+    return dict(
         months=tuple(months.tolist()),
         calendar=calendar,
         flow_months=tuple(months[is_flow].tolist()),
@@ -374,22 +386,20 @@ def build_counts_by_sort(records: Records, cfg) -> CountsCube:
     )
 
 
-def build_reserve_by_index(cube: CountsCube, reserve: ReserveSpec, cfg) -> CountsCube:
-    """Add out-of-system (category 0) mass to every month of the cube.
+def build_reserve_by_index(in_system, census, months, calendar, space):
+    """Out-of-system (category 0) group totals [m, eg, sg] and latest cells [12, e, a].
 
     Per month and age, the reserve mass is the census total minus the
     weighted in-system count at that age, spread equally over the
     feasible seniorities for that age.  A materially negative remainder
     means the census and the panel disagree and is an error.
     """
-    space = cfg.space
     ages = range(space.age_min, space.age_max)
-    total = np.array([reserve.age_totals[e] for e in ages])
-    rest = total - cube.in_system
+    rest = census - in_system
     problems = [
-        f"age {ages[e]}, month {'%d-%02d' % cube.calendar[cube.months[m]]}: in-system weight "
-        f"{cube.in_system[m, e]:.6g} exceeds the census total {total[e]:.6g}"
-        for m, e in np.argwhere(rest < -1e-9 * np.maximum(1.0, total))
+        f"age {ages[e]}, month {'%d-%02d' % calendar[months[m]]}: in-system weight "
+        f"{in_system[m, e]:.6g} exceeds the census total {census[e]:.6g}"
+        for m, e in np.argwhere(rest < -1e-9 * np.maximum(1.0, census))
     ]
     if problems:
         raise DataError("reserve construction failed", problems)
@@ -397,18 +407,18 @@ def build_reserve_by_index(cube: CountsCube, reserve: ReserveSpec, cfg) -> Count
 
     # each share is added once per feasible seniority, in (age, seniority) order
     pairs = np.array([(e, a) for e in ages for a in space.feasible_seniorities(e)])
-    n = len(cube.months)
+    n = len(months)
     groups = (np.tile(g, n) for g in space.locate_groups(*pairs.T))
     pe, pa = pairs[:, 0] - space.age_min, pairs[:, 1]
-    group_totals = cube.group_totals.copy()
-    group_totals[..., 0] += _count(
-        (np.repeat(np.arange(n), len(pairs)), *groups), share[:, pe].ravel(), group_totals.shape[:3]
+    group_totals = _count(
+        (np.repeat(np.arange(n), len(pairs)), *groups), share[:, pe].ravel(),
+        (n, space.n_age_groups, space.n_seniority_groups),
     )
     window = np.arange(-11, 1)
-    k = np.flatnonzero(np.isin(window, cube.months))
-    latest = cube.latest.copy()
-    latest[k[:, None], 0, pe, pa] = share[np.searchsorted(cube.months, window[k])][:, pe]
-    return replace(cube, group_totals=group_totals, latest=latest, has_reserve=True)
+    k = np.flatnonzero(np.isin(window, months))
+    latest = np.zeros((12, space.n_ages, space.seniority_max))
+    latest[k[:, None], pe, pa] = share[np.searchsorted(months, window[k])][:, pe]
+    return group_totals, latest
 
 
 def _fstr(x) -> str:

@@ -19,7 +19,7 @@ from markovpop.cli import main as cli_main
 from markovpop.config import build_run_config
 from markovpop.estimate import annualize_transitions, fit_model
 from markovpop.finance import PensionRegime, RateSchedule
-from markovpop.ingest import build_counts, build_reserve
+from markovpop.ingest import build_counts
 from markovpop.montecarlo import simulate_projection
 from markovpop.project import LabelIndex, distribution_at_year, group_probabilities
 
@@ -156,9 +156,7 @@ def test_03_parameter_recovery():
     cfg = spec.run_config()
     panel = panelgen.generate(spec, start_year=1900, n_years=100, seed=7)
     records = panel.to_records()
-    reserve = panel.reserve_spec()
-    cube = build_reserve(build_counts(records, cfg), reserve, cfg)
-    model = fit_model(cube, reserve, cfg)
+    model = fit_model(build_counts(records, panel.census(), cfg), cfg)
 
     space = cfg.space
     nc = space.n_categories

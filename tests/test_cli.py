@@ -479,6 +479,10 @@ NAN = float("nan")
         (_demo_split(2014), "backtest", 2, "error: no records before the split year 2014\n"),
         (_demo_split(2017), "backtest", 2,
          "error: no held-out records at or after the split year 2017\n"),
+        # one fit year holds no year boundary to fit the entry probabilities on
+        (_demo_split(2015), "backtest", 2,
+         "error: no year boundary before the split year 2015: the fit needs a December "
+         "and a month of the year after it\n"),
         # split years whose first month is beyond the int32 range of the record months
         (_demo_split(99999999999), "backtest", 2,
          "error: no held-out records at or after the split year 99999999999\n"),
@@ -509,7 +513,8 @@ NAN = float("nan")
          "model-binary", "config-directory", "records-directory", "fit-out-unwritable",
          "project-out-unwritable", "dump-draws-unwritable", "records-field-too-large",
          "model-age-range-empty", "model-level-repeated", "split-before-first-year",
-         "split-after-last-year", "split-year-huge", "split-year-very-negative",
+         "split-after-last-year", "split-one-fit-year", "split-year-huge",
+         "split-year-very-negative",
          "model-i0-bool", "model-i0-string", "model-base-year-fraction", "model-base-year-bool",
          "model-full-time-hours-string", "model-full-time-hours-bool"],
 )
@@ -529,6 +534,35 @@ def test_malformed_inputs_are_classified(
     assert message in proc.stderr
     # a failed run writes no report
     assert not pathlib.Path(argv[argv.index("--out") + 1]).exists()
+
+
+def test_a_model_piped_through_stdin_reports_no_digest_of_input_it_did_not_read(
+    mini_pipeline, tmp_path
+):
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    piped = pathlib.Path(mini_pipeline["model"]).read_bytes()
+    bodies = []
+    for name, model in (("piped", "/dev/stdin"), ("file", str(mini_pipeline["model"]))):
+        out = tmp_path / f"{name}.csv"
+        stdin = {"input": piped} if name == "piped" else {"stdin": subprocess.DEVNULL}
+        proc = subprocess.run(
+            [sys.executable, "-m", "markovpop.cli", "project", "--config",
+             str(mini_pipeline["config"]), "--model", model, "--years", "2", "--out", str(out)],
+            capture_output=True, env=env, **stdin,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = out.read_text().splitlines(keepends=True)
+        model_lines = [line for line in lines if line.startswith("# input model:")]
+        bodies.append([line for line in lines if line not in model_lines])
+        if name == "piped":
+            assert model_lines == ["# input model: /dev/stdin sha256=unavailable "
+                                   "(not a regular file)\n"]
+            # the digest of empty input: what a second read of the drained pipe would hash
+            assert "e3b0c442" not in out.read_text()
+        else:
+            assert re.fullmatch(r"# input model: .* sha256=[0-9a-f]{64}\n", model_lines[0])
+    assert bodies[0] == bodies[1]
 
 
 @pytest.mark.parametrize("command, role", [

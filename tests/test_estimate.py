@@ -1,5 +1,7 @@
 """Estimator arithmetic on hand-built counts cubes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from markovpop.estimate import (
     estimate_monthly_transitions,
     fit_model,
 )
-from markovpop.ingest import CountsCube, build_counts, build_reserve, parse_records
+from markovpop.ingest import CountsCube, build_counts, parse_records
 
 
 def small_cfg():
@@ -32,7 +34,7 @@ def small_cfg():
     )
 
 
-def empty_cube(calendar, q_years=(), has_reserve=False):
+def empty_cube(calendar, q_years=(), i0=0.0):
     """A zero cube of small_cfg's shape; index months by position in `calendar`."""
     months = tuple(sorted(calendar))
     flow_months = tuple(m for m in months if m + 1 in calendar)
@@ -49,9 +51,8 @@ def empty_cube(calendar, q_years=(), has_reserve=False):
         stay_exit=np.zeros((y, *cells, 3, 2)),
         hires=np.zeros((y, *cells)),
         entry_cats=np.zeros((y, *cells, 3)),
-        in_system=np.zeros((m, 4)),
         latest=np.zeros((12, 3, 4, 2)),
-        has_reserve=has_reserve,
+        i0=i0,
     )
 
 
@@ -147,7 +148,6 @@ def test_entry_probabilities_average_yearly_ratios():
     cube = empty_cube(
         {-13: (2020, 12), -1: (2021, 12), 0: (2022, 1)},
         q_years=(2021, 2022),
-        has_reserve=True,
     )
     # in-system: stay 3 / exit 1 in 2021, then 1 / 1 in 2022
     cube.stay_exit[0, 1, 0, 1] = [3.0, 1.0]
@@ -170,10 +170,7 @@ def test_entry_probabilities_average_yearly_ratios():
 
 def test_entry_probabilities_preconditions():
     cfg = small_cfg()
-    cube = empty_cube({0: (2022, 1)}, q_years=(2022,), has_reserve=False)
-    with pytest.raises(DataError, match="reserve"):
-        estimate_entry_probabilities(cube, cfg)
-    cube = empty_cube({0: (2022, 1)}, q_years=(), has_reserve=True)
+    cube = empty_cube({0: (2022, 1)}, q_years=())
     with pytest.raises(DataError, match="year boundary"):
         estimate_entry_probabilities(cube, cfg)
 
@@ -210,22 +207,19 @@ def test_characteristic_distribution_averages_monthly_shares():
 def test_initial_distribution_needs_a_full_year():
     cfg = small_cfg()
     calendar = {m: (2021, 12 + m) for m in range(-11, 1)}
-    cube = empty_cube(calendar, has_reserve=True)
+    cube = empty_cube(calendar, i0=12.0)
     cube.latest[:, 1, 18 - 16, 0] = 6.0
     cube.latest[:, 0, 16 - 16, 0] = 6.0
-    pi = estimate_initial_distribution(cube, 12.0, cfg)
+    pi = estimate_initial_distribution(cube, cfg)
     assert pi.shape == (3, 4, 2)
     assert pi[1, 2, 0] == pytest.approx(0.5)
     assert pi.sum() == pytest.approx(1.0)
 
     with pytest.raises(DataError, match="census totals and panel disagree"):
-        estimate_initial_distribution(cube, 13.0, cfg)
-    short = empty_cube({m: c for m, c in calendar.items() if m > -6}, has_reserve=True)
+        estimate_initial_distribution(replace(cube, i0=13.0), cfg)
+    short = empty_cube({m: c for m, c in calendar.items() if m > -6}, i0=12.0)
     with pytest.raises(DataError, match="missing normalized months"):
-        estimate_initial_distribution(short, 12.0, cfg)
-    bare = empty_cube(calendar, has_reserve=False)
-    with pytest.raises(DataError, match="reserve"):
-        estimate_initial_distribution(bare, 12.0, cfg)
+        estimate_initial_distribution(short, cfg)
 
 
 def test_fit_model_assembles_all_parts(tmp_path):
@@ -237,11 +231,11 @@ def test_fit_model_assembles_all_parts(tmp_path):
     panel.write_records_csv(path)
     cfg = spec.run_config()
     records = parse_records(path, cfg)
-    cube = build_counts(records, cfg)
-    model = fit_model(cube, panel.reserve_spec(), cfg)
+    cube = build_counts(records, panel.census(), cfg)
+    model = fit_model(cube, cfg)
 
     assert model.base_year == 2015
-    assert model.i0 == pytest.approx(panel.reserve_spec().total_population)
+    assert model.i0 == sum(panel.census().tolist())  # added in age order
     assert set(model.monthly) == set(cfg.space.cells())
     assert set(model.annual) == set(cfg.space.cells())
     for cell in cfg.space.cells():

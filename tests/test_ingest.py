@@ -20,7 +20,6 @@ from markovpop.estimate import fit_model
 from markovpop.finance import load_salary_scale, parse_finance_config
 from markovpop.ingest import (
     Records,
-    ReserveSpec,
     build_counts,
     build_reserve,
     load_reserve_csv,
@@ -31,7 +30,12 @@ from markovpop.reports import observed_totals
 
 import panelgen
 from conftest import demo_inputs, write_cycled_mini_world, write_world_inputs
-from reference import build_counts_by_sort, build_reserve_by_index, parse_records_by_row
+from reference import (
+    build_counts_by_sort,
+    build_reserve_by_index,
+    panel_counts_by_sort,
+    parse_records_by_row,
+)
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -63,6 +67,9 @@ PANEL = HEADER + textwrap.dedent(
     2021-01,p3,A,19,1,40,x
     """
 )
+
+# census totals of ages 16..19, above the in-system weight of every small panel here
+SMALL_CENSUS = np.array([3.0, 2.0, 2.0, 2.5])
 
 CLAMPED_HIRE = HEADER + textwrap.dedent(
     """\
@@ -124,6 +131,35 @@ def test_split_records_returns_views_of_the_parsed_columns():
     assert (held_out.month == parsed.month[len(fit):]).all()
 
 
+def test_split_records_needs_a_year_boundary_before_the_split_year(tmp_path):
+    cfg = small_cfg()
+    # November and December 2020, then January 2021: the one boundary is 2020 -> 2021
+    records = parse_records(write(tmp_path, "r.csv", PANEL), cfg)
+    with pytest.raises(DataError) as err:
+        split_records(records, 2021)
+    assert str(err.value) == (
+        "no year boundary before the split year 2021: the fit needs a December "
+        "and a month of the year after it"
+    )
+    # a December and any month of the next year make a boundary, as they make a q-year
+    cases = [
+        (PANEL + "2022-03,p1,B,19,1,40,y\n", 2022, (2021,)),  # January
+        (HEADER + "2019-12,p1,A,18,0,40,x\n2020-12,p1,A,19,1,40,x\n2022-01,p1,A,19,1,40,x\n",
+         2021, (2020,)),  # December
+        (HEADER + "2019-12,p1,A,18,0,40,x\n2021-01,p1,A,19,0,40,x\n2022-01,p1,A,19,0,40,x\n",
+         2022, ()),  # a year apart: no boundary
+    ]
+    for k, (text, split_year, q_years) in enumerate(cases):
+        records = parse_records(write(tmp_path, f"r{k}.csv", text), cfg)
+        fit = records.take(records.month < split_year * 12)
+        assert build_counts(fit, SMALL_CENSUS, cfg).q_years == q_years
+        if q_years:
+            assert len(split_records(records, split_year)[0]) == len(fit)
+        else:
+            with pytest.raises(DataError, match=f"boundary before the split year {split_year}:"):
+                split_records(records, split_year)
+
+
 def test_csv_loaders_ignore_a_leading_byte_order_mark(tmp_path):
     # spreadsheet "CSV UTF-8" exports start with one
     cfg = load_run_config(DEMO / "config.yaml")
@@ -137,7 +173,7 @@ def test_csv_loaders_ignore_a_leading_byte_order_mark(tmp_path):
     for name, column in vars(want).items():
         assert np.array_equal(getattr(got, name), column), name
     for name, load in (("reserve.csv", load_reserve_csv), ("salary_scale.csv", load_salary_scale)):
-        assert load(marked(name), cfg.space) == load(DEMO / name, cfg.space), name
+        np.testing.assert_equal(load(marked(name), cfg.space), load(DEMO / name, cfg.space), name)
 
 
 def test_parse_records_header_mismatch(tmp_path):
@@ -401,8 +437,10 @@ def test_load_reserve_csv(tmp_path):
     cfg = small_cfg()
     good = "age,total\n16,3\n17,2\n18,2\n19,2.5\n"
     res = load_reserve_csv(write(tmp_path, "res.csv", good), cfg.space)
-    assert res.age_totals == {16: 3.0, 17: 2.0, 18: 2.0, 19: 2.5}
-    assert res.total_population == 9.5
+    assert res.dtype == np.float64 and res.tolist() == [3.0, 2.0, 2.0, 2.5]
+    # rows in any order load by age
+    shuffled = "age,total\n19,2.5\n17,2\n16,3\n18,2\n"
+    assert load_reserve_csv(write(tmp_path, "s.csv", shuffled), cfg.space).tolist() == res.tolist()
 
     with pytest.raises(DataError, match="header must be exactly"):
         load_reserve_csv(write(tmp_path, "r1.csv", "age,count\n16,3\n"), cfg.space)
@@ -431,7 +469,7 @@ def test_load_reserve_csv(tmp_path):
 def test_build_counts_flows_and_events(tmp_path):
     cfg = small_cfg()
     records = parse_records(write(tmp_path, "r.csv", PANEL), cfg)
-    cube = build_counts(records, cfg)
+    cube = build_counts(records, SMALL_CENSUS, cfg)
 
     assert cube.months == (-2, -1, 0)
     assert cube.flow_months == (-2, -1)
@@ -442,7 +480,7 @@ def test_build_counts_flows_and_events(tmp_path):
     # category]; month index 0 is month -2; p2 works half time
     assert cube.group_totals[0, 1, 0, 1] == 1.0
     assert cube.group_totals[0, 1, 0, 2] == 0.5
-    assert cube.group_totals.sum() == 5.0
+    assert cube.group_totals[..., 1:].sum() == 5.0
 
     # flows [flow month, age group, seniority group, from, to]
     # November -> December: both stay in their categories
@@ -472,7 +510,7 @@ def test_build_counts_flows_and_events(tmp_path):
 def test_build_counts_skips_gap_months(tmp_path):
     cfg = small_cfg()
     text = HEADER + "2020-11,p1,A,18,0,40,x\n2021-01,p1,A,18,0,40,x\n"
-    cube = build_counts(parse_records(write(tmp_path, "r.csv", text), cfg), cfg)
+    cube = build_counts(parse_records(write(tmp_path, "r.csv", text), cfg), SMALL_CENSUS, cfg)
     # November and January are not consecutive: no flows, no year boundary
     assert cube.flow_months == ()
     assert cube.flows.size == 0
@@ -481,7 +519,8 @@ def test_build_counts_skips_gap_months(tmp_path):
 
 def test_build_counts_clamps_hire_below_age_range(tmp_path):
     cfg = small_cfg()
-    cube = build_counts(parse_records(write(tmp_path, "r.csv", CLAMPED_HIRE), cfg), cfg)
+    records = parse_records(write(tmp_path, "r.csv", CLAMPED_HIRE), cfg)
+    cube = build_counts(records, SMALL_CENSUS, cfg)
     assert cube.hires[0, 0, 0] == 1.0
     assert cube.warnings == (
         "hire of 'p9' in 2021: source age below the configured range, clamped to 16",
@@ -492,42 +531,48 @@ def test_build_counts_clamps_hire_below_age_range(tmp_path):
 WORKLOADS = (13.0, 21.0, 33.0, 37.0, 40.0)
 
 
+# each panel below is (records, census, cfg)
+
+
 def _demo_panel(tmp_path):
     cfg = load_run_config(DEMO / "config.yaml")
-    return parse_records(DEMO / "records.csv", cfg), cfg
+    census = load_reserve_csv(DEMO / "reserve.csv", cfg.space)
+    return parse_records(DEMO / "records.csv", cfg), census, cfg
 
 
 def _mini_panel(tmp_path):
     spec = panelgen.make_mini_world()
-    r = panelgen.generate(spec, start_year=2014, n_years=3, seed=3).to_records()
+    panel = panelgen.generate(spec, start_year=2014, n_years=3, seed=3)
+    r = panel.to_records()
     cycled = np.resize(np.array(WORKLOADS), len(r))
     columns = (r.category, r.age, r.seniority, cycled, r.tuple_code)
-    return Records.from_columns(r.month, r.person, r.person_ids, *columns), spec.run_config()
+    records = Records.from_columns(r.month, r.person, r.person_ids, *columns)
+    return records, panel.census(), spec.run_config()
 
 
 def _gap_panel(tmp_path):
     """`demo/` without June and December 2015: two gaps, and 2016 loses its December."""
-    records, cfg = _demo_panel(tmp_path)
+    records, census, cfg = _demo_panel(tmp_path)
     gone = np.isin(records.month, (2015 * 12 + 5, 2015 * 12 + 11))
-    return records.take(~gone), cfg
+    return records.take(~gone), census, cfg
 
 
 def _person_gap_panel(tmp_path):
     """The cycled mini world without every 7th row: people leave and come back."""
-    records, cfg = _mini_panel(tmp_path)
-    return records.take(np.arange(len(records)) % 7 != 3), cfg
+    records, census, cfg = _mini_panel(tmp_path)
+    return records.take(np.arange(len(records)) % 7 != 3), census, cfg
 
 
 def _renamed_panel(tmp_path):
     """The cycled mini world with its person ids renamed so that their order reverses, rows too."""
-    r, cfg = _mini_panel(tmp_path)
+    r, census, cfg = _mini_panel(tmp_path)
     renamed = sorted(f"w{999_999 - int(pid[1:]):06d}" for pid in r.person_ids)
     columns = (r.category, r.age, r.seniority, r.workload, r.tuple_code)
     records = Records.from_columns(
         r.month[::-1].copy(), (len(renamed) - 1 - r.person)[::-1], renamed,
         *(column[::-1].copy() for column in columns),
     )
-    return records, cfg
+    return records, census, cfg
 
 
 # hires of one year and cell: p2's first row comes a year before its hire row
@@ -546,18 +591,20 @@ REHIRE = HEADER + textwrap.dedent(
 def _rehire_panel(tmp_path):
     """Hires summed in first-appearance order (21 + 13 + 33 h) and in row order differ in bits."""
     cfg = small_cfg()
-    return parse_records(write(tmp_path, "r.csv", REHIRE), cfg), cfg
+    return parse_records(write(tmp_path, "r.csv", REHIRE), cfg), SMALL_CENSUS, cfg
 
 
 def _clamped_hire_panel(tmp_path):
     cfg = small_cfg()
-    return parse_records(write(tmp_path, "r.csv", CLAMPED_HIRE), cfg), cfg
+    return parse_records(write(tmp_path, "r.csv", CLAMPED_HIRE), cfg), SMALL_CENSUS, cfg
 
 
 def _half(panel, split_year, k):
+    """The months before `split_year` (k 0) or the rest (k 1); a part need not hold a q-year."""
     def make(tmp_path):
-        records, cfg = panel(tmp_path)
-        return split_records(records, split_year)[k], cfg
+        records, census, cfg = panel(tmp_path)
+        at = int(np.searchsorted(records.month, split_year * 12))
+        return records.take(slice(0, at) if k == 0 else slice(at, None)), census, cfg
 
     return make
 
@@ -572,15 +619,17 @@ def _half(panel, split_year, k):
          "demo-held-out-half", "mini-fit-half", "mini-held-out-half"],
 )
 def test_build_counts_matches_the_sort_based_reference_bit_for_bit(panel, tmp_path):
-    records, cfg = panel(tmp_path)
-    _assert_same_cube(build_counts(records, cfg), build_counts_by_sort(records, cfg))
+    records, census, cfg = panel(tmp_path)
+    _assert_same_cube(
+        build_counts(records, census, cfg), build_counts_by_sort(records, census, cfg)
+    )
 
 
 def test_renamed_ids_move_no_bit_of_the_cube_or_the_observed_totals(tmp_path):
     # only rows that weigh and price alike keep an order that the ids set
-    (records, cfg), (renamed, _) = _mini_panel(tmp_path), _renamed_panel(tmp_path)
+    (records, census, cfg), (renamed, *_) = _mini_panel(tmp_path), _renamed_panel(tmp_path)
     assert renamed.person_ids != records.person_ids
-    _assert_same_cube(build_counts(renamed, cfg), build_counts(records, cfg))
+    _assert_same_cube(build_counts(renamed, census, cfg), build_counts(records, census, cfg))
     schedule, profiles = parse_finance_config(cfg.finance_raw, cfg.characteristics)
     scale = {cfg.space.categories.index(c): v for c, v in panelgen.MINI_SALARY_SCALE.items()}
     got, want = (observed_totals(split_records(r, 2016)[1], cfg, scale, profiles, schedule)
@@ -615,7 +664,7 @@ def _costed_inputs(tmp_path):
 def test_any_run_of_months_of_a_panel_fits_like_a_file_of_only_its_rows(inputs, view, tmp_path):
     paths = inputs(tmp_path)
     cfg = load_run_config(paths["config"])
-    reserve = load_reserve_csv(paths["reserve"], cfg.space)
+    census = load_reserve_csv(paths["reserve"], cfg.space)
     part = view(parse_records(paths["records"], cfg))
     stamps = {f"{m // 12:04d}-{m % 12 + 1:02d}" for m in part.month.tolist()}
     header, *rows = paths["records"].read_text().splitlines(keepends=True)
@@ -624,45 +673,36 @@ def test_any_run_of_months_of_a_panel_fits_like_a_file_of_only_its_rows(inputs, 
     assert len(alone) == len(part) < len(rows)
 
     def fit(records):
-        return fit_model(build_counts(records, cfg), reserve, cfg).to_json()
+        return fit_model(build_counts(records, census, cfg), cfg).to_json()
 
     assert fit(part) == fit(alone)
 
 
-def _demo_reserve(cfg):
-    return load_reserve_csv(DEMO / "reserve.csv", cfg.space)
-
-
-def _mini_reserve(cfg):
-    panel = panelgen.generate(panelgen.make_mini_world(), start_year=2014, n_years=3, seed=3)
-    return panel.reserve_spec()
-
-
 @pytest.mark.parametrize(
-    "panel, reserve",
-    [(_demo_panel, _demo_reserve), (_mini_panel, _mini_reserve),
-     (_half(_demo_panel, 2016, 0), _demo_reserve), (_half(_demo_panel, 2016, 1), _demo_reserve),
-     (_half(_mini_panel, 2015, 0), _mini_reserve), (_half(_mini_panel, 2015, 1), _mini_reserve)],
+    "panel",
+    [_demo_panel, _mini_panel, _half(_demo_panel, 2016, 0), _half(_demo_panel, 2016, 1),
+     _half(_mini_panel, 2015, 0), _half(_mini_panel, 2015, 1)],
     ids=["demo", "mini-cycled-workloads", "demo-fit-half", "demo-held-out-half",
          "mini-fit-half", "mini-held-out-half"],
 )
-def test_build_reserve_matches_the_indexed_reference_bit_for_bit(panel, reserve, tmp_path):
-    records, cfg = panel(tmp_path)
-    cube = build_counts(records, cfg)
-    _assert_same_cube(
-        build_reserve(cube, reserve(cfg), cfg), build_reserve_by_index(cube, reserve(cfg), cfg)
-    )
+def test_build_reserve_matches_the_indexed_reference_bit_for_bit(panel, tmp_path):
+    records, census, cfg = panel(tmp_path)
+    counts = panel_counts_by_sort(records, cfg)
+    args = (counts["in_system"], census, counts["months"], counts["calendar"], cfg.space)
+    for got, want in zip(build_reserve(*args), build_reserve_by_index(*args), strict=True):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_build_counts_allocates_at_most_72_bytes_a_row():
     spec = panelgen.make_costed_world()
-    records = panelgen.generate(spec, start_year=2010, n_years=4, seed=1).to_records()
-    cfg = spec.run_config()
+    panel = panelgen.generate(spec, start_year=2010, n_years=4, seed=1)
+    records, census, cfg = panel.to_records(), panel.census(), spec.run_config()
     assert len(records) >= 50_000
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        build_counts(records, cfg)
+        build_counts(records, census, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -674,26 +714,25 @@ def test_build_reserve_allocates_at_most_twice_its_result():
     spec = panelgen.make_costed_world()
     panel = panelgen.generate(spec, start_year=2006, n_years=12, seed=1)
     cfg = spec.run_config()
-    cube, reserve = build_counts(panel.to_records(), cfg), panel.reserve_spec()
-    assert len(cube.months) == 144
+    counts = panel_counts_by_sort(panel.to_records(), cfg)
+    args = (counts["in_system"], panel.census(), counts["months"], counts["calendar"], cfg.space)
+    assert len(args[2]) == 144
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        result = build_reserve(cube, reserve, cfg)
+        result = build_reserve(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the result's own copies of group_totals and latest are counted in the peak
-    own = result.group_totals.nbytes + result.latest.nbytes
+    # the result's category-0 group totals and latest cells are counted in the peak
+    own = sum(a.nbytes for a in result)
     assert peak <= 2 * own, f"{peak / own:.2f} times its result"
 
 
 def test_build_reserve_splits_equally_over_feasible_seniorities(tmp_path):
     cfg = small_cfg()
     records = parse_records(write(tmp_path, "r.csv", PANEL), cfg)
-    reserve = ReserveSpec({16: 3.0, 17: 2.0, 18: 2.0, 19: 2.5})
-    cube = build_reserve(build_counts(records, cfg), reserve, cfg)
-    assert cube.has_reserve
+    cube = build_counts(records, SMALL_CENSUS, cfg)
 
     # the latest 12 months [month + 11, category, age - 16, seniority]
     # January: p1 absent at 18, p3 holds weight 1 at age 19
@@ -716,6 +755,6 @@ def test_build_reserve_splits_equally_over_feasible_seniorities(tmp_path):
 def test_build_reserve_rejects_census_deficit(tmp_path):
     cfg = small_cfg()
     records = parse_records(write(tmp_path, "r.csv", PANEL), cfg)
-    reserve = ReserveSpec({16: 3.0, 17: 2.0, 18: 0.5, 19: 2.5})
+    census = np.array([3.0, 2.0, 0.5, 2.5])
     with pytest.raises(DataError, match="age 18, month 2020-11"):
-        build_reserve(build_counts(records, cfg), reserve, cfg)
+        build_counts(records, census, cfg)

@@ -19,7 +19,6 @@ from markovpop.project import (
     group_probabilities,
     projection,
     propagate_distribution,
-    trajectory,
 )
 
 from conftest import make_random_model, make_toy_space, make_wide_space
@@ -73,13 +72,10 @@ def test_one_step_law_cases():
 
 def test_propagation_conserves_mass_under_absorb():
     model = make_random_model(make_toy_space(), seed=21)
-    dists = trajectory(model.pi, model, 5, policy="absorb")
-    assert len(dists) == 6
-    for k, d in enumerate(dists):
+    for k in range(6):
+        d = distribution_at_year(model.pi, model, k, policy="absorb")
         assert d.year == k
         assert d.values.sum() == pytest.approx(1.0, abs=1e-12)
-    last = distribution_at_year(model.pi, model, 5, policy="absorb")
-    np.testing.assert_array_equal(last.values, dists[-1].values)
 
 
 def test_strict_policy_rejects_age_overflow():
@@ -98,12 +94,12 @@ def test_strict_policy_rejects_age_overflow():
     pi = np.zeros_like(model.pi)
     pi[1, 2, 1] = 1.0
     with pytest.raises(HorizonError) as err:
-        trajectory(pi, model, 2)
+        distribution_at_year(pi, model, 2)
     assert str(err.value) == (
         "age overflow: initial mass at age 2 cannot be projected 2 years within [0,4); "
         "shorten the horizon or set overflow_policy: absorb"
     )
-    assert len(trajectory(pi, model, 1)) == 2
+    assert distribution_at_year(pi, model, 1).year == 1
 
 
 def test_strict_policy_rejects_seniority_overflow():
@@ -163,7 +159,7 @@ def test_the_in_place_step_matches_the_allocating_step_bit_for_bit(policy):
         model.pi[:, :, -11:] = 0.0
     pi = model.pi.copy()
     labels, tables = projection(model, 10, policy)
-    years = trajectory(model.pi, model, 10, policy)
+    years = [distribution_at_year(model.pi, model, n, policy) for n in range(11)]
     assert model.pi.tobytes() == pi.tobytes()
     for a, b in itertools.combinations(years, 2):
         assert not np.shares_memory(a.values, b.values), (a.year, b.year)
@@ -193,7 +189,7 @@ def test_projection_holds_one_year_at_a_time():
 def test_negative_horizon_rejected():
     model = make_random_model(make_toy_space(), seed=25)
     with pytest.raises(HorizonError, match=">= 0"):
-        trajectory(model.pi, model, -1)
+        distribution_at_year(model.pi, model, -1)
 
 
 def test_group_probabilities_aggregate_and_split():

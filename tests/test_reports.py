@@ -239,8 +239,8 @@ def test_cost_report_and_backtest_price_a_cell_alike(tmp_path):
     paths = write_world_inputs(spec, panel, tmp_path, scale=panelgen.MINI_SALARY_SCALE)
     cfg = load_run_config(paths["config"])
     fit_records, holdout = split_records(parse_records(paths["records"], cfg), 2017)
-    reserve = load_reserve_csv(paths["reserve"], cfg.space)
-    model = fit_model(build_counts(fit_records, cfg), reserve, cfg)
+    census = load_reserve_csv(paths["reserve"], cfg.space)
+    model = fit_model(build_counts(fit_records, census, cfg), cfg)
     labels, tables = projection(model, int(holdout.month[-1]) // 12 - model.base_year, "absorb")
     probs = {model.base_year + t.year: t.probs for t in tables[1:]}
     schedule, profiles = parse_finance_config(cfg.finance_raw, cfg.characteristics)

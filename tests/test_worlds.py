@@ -167,7 +167,8 @@ def test_random_small_worlds_keep_every_report_invariant(tmp_path_factory, world
             rc = main([command, *argv, "--out", str(out[command])])
         err = stderr.getvalue()
         if command == "backtest" and n_years == 2:  # one fit year holds no year boundary
-            assert rc == 2 and "need at least one year boundary" in err, err
+            assert rc == 2, err
+            assert f"no year boundary before the split year {START_YEAR + 1}" in err, err
             continue
         # only a strict projection that ages mass past the top may fail, and only so
         if rc != 0:

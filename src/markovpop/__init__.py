@@ -13,12 +13,7 @@ from .errors import ConfigError, DataError, HorizonError, MarkovPopError
 from .estimate import fit_model
 from .ingest import build_counts, build_reserve, load_reserve_csv, parse_records
 from .model import FittedModel
-from .project import (
-    distribution_at_year,
-    expected_populations,
-    group_probabilities,
-    propagate_distribution,
-)
+from .project import distribution_at_year, group_probabilities, propagate_distribution
 
 __all__ = [
     "ConfigError",
@@ -31,7 +26,6 @@ __all__ = [
     "build_counts",
     "build_reserve",
     "distribution_at_year",
-    "expected_populations",
     "fit_model",
     "group_probabilities",
     "load_reserve_csv",

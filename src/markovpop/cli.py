@@ -79,7 +79,7 @@ def _counts(records, census, cfg: RunConfig) -> CountsCube:
 
 def _simulation(model: FittedModel, args, iterations, labels, tables, reduce):
     """The (year, reduce(year, blocks)) list of `tables[1:]`."""
-    probs = {model.base_year + t.year: t.probs for t in tables[1:]}
+    probs = {t.year: t.probs for t in tables[1:]}
     return simulate_projection(
         probs, model.i0, iterations, args.seed, args.workers, bounds=labels.bounds, reduce=reduce
     )
@@ -133,7 +133,7 @@ def cmd_simulate(args) -> int:
     labels, tables = projection(model, args.years, cfg.overflow_policy)
     params = _sim_params(args, cfg, {"years": args.years})
     manifest = _manifest("simulate", args, ("config", "model"), params)
-    years, n_labels = [model.base_year + t.year for t in tables[1:]], len(labels.cell_id)
+    years, n_labels = [t.year for t in tables[1:]], len(labels.cell_id)
     reduce = partial(summaries, labels.bounds)
     with atomic(args.dump_draws) if args.dump_draws else nullcontext() as dump:
         if dump:

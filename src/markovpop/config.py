@@ -83,6 +83,8 @@ def load_run_config(path) -> RunConfig:
     except yaml.YAMLError as exc:
         # yaml errors carry the offending line/column in their message
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
+    except (RecursionError, ValueError) as exc:  # nested too deep, or an integer too long
+        raise ConfigError(f"config file {path} cannot be decoded: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path}: top level must be a mapping")
     return build_run_config(raw)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import DataError
-from .ingest import CountsCube
+from .ingest import CountsCube, month_name
 from .model import FittedModel
 
 log = logging.getLogger(__name__)
@@ -48,11 +48,12 @@ def _mean_ratio(num: np.ndarray, den: np.ndarray, fallback):
 
 def estimate_initial_distribution(cube: CountsCube, cfg: RunConfig) -> np.ndarray:
     """Average the latest 12 months of counts, reserve included, and normalize by the census."""
-    missing = [m for m in range(-11, 1) if m not in cube.calendar]
+    last = cube.months[-1]
+    missing = sorted(set(range(last - 11, last + 1)) - set(cube.months))
     if missing:
         raise DataError(
             "initial distribution needs the 12 latest months; "
-            f"missing normalized months: {sorted(missing)}"
+            f"missing months: {', '.join(map(month_name, missing))}"
         )
     with np.errstate(over="ignore"):
         sums = _ordered_sum(cube.latest)
@@ -164,8 +165,7 @@ def estimate_entry_probabilities(cube: CountsCube, cfg: RunConfig):
             "entry probabilities need at least one year boundary "
             "(previous December observed plus a month of the next year)"
         )
-    norm_of = {cal: m for m, cal in cube.calendar.items()}
-    decembers = [norm_of[(y - 1, 12)] for y in cube.q_years]
+    decembers = [12 * y - 1 for y in cube.q_years]
     reserve_mass = cube.group_totals[np.searchsorted(cube.months, decembers)][..., 0]
     num, den = cube.stay_exit[..., 0].copy(), cube.stay_exit.sum(axis=-1)
     num[..., 0] = cube.hires

@@ -1,11 +1,11 @@
 """Payroll cost formulas, employer rate schedules and full-time cost tables.
 
-The projected gross salary cost anchors on a December 2015 base salary
-scale and inflates it at a fixed yearly rate; the employer total adds
-the school-board levy, the pension contribution for the person's regime,
-social security, severance accrual, the year-end bonus month and the
-occupational insurance premium.  Rate schedules are piecewise constant
-in the calendar year.
+The projected gross salary cost anchors on the base salary scale of
+December of `SCALE_YEAR` and inflates it at a fixed yearly rate; the
+employer total adds the school-board levy, the pension contribution for
+the person's regime, social security, severance accrual, the year-end
+bonus month and the occupational insurance premium.  Rate schedules are
+piecewise constant in the calendar year.
 
 Characteristic bindings resolve to profile fields once per tuple code,
 and :func:`full_time_costs` prices one full-time worker per (category,
@@ -28,7 +28,7 @@ from .errors import ConfigError, DataError
 from .ingest import csv_rows, finite_float
 from .states import CharacteristicSpace
 
-BASE_YEAR = 2016  # first projectable calendar year; the scale is Dec 2015
+SCALE_YEAR = 2015  # the salary scale is December's; the next year is the first priced
 
 
 class PensionRegime(str, enum.Enum):
@@ -211,7 +211,7 @@ def full_time_costs(
 ) -> np.ndarray:
     """Yearly employer cost of one full-time worker per (category, tuple code).
 
-    The gross salary is two six-month blocks of the December 2015 base,
+    The gross salary is two six-month blocks of the December `SCALE_YEAR` base,
     at mid-year and at full next-year inflation depth, times the
     supplements over the coverage of the scale; the employer charges of
     the module docstring multiply it.  `profiles` holds the bound profile
@@ -219,17 +219,17 @@ def full_time_costs(
     out-of-system category, is zero.  Counts are full-time equivalents,
     so a count times its entry here is its cost; see README.
     """
-    if year < BASE_YEAR:
+    if year <= SCALE_YEAR:
         raise ConfigError(
-            f"salary cost is anchored at the December 2015 scale; "
-            f"year {year} is before {BASE_YEAR}"
+            f"salary cost is anchored at the December {SCALE_YEAR} scale; "
+            f"year {year} is before {SCALE_YEAR + 1}"
         )
     missing = [c for c in range(1, n_categories) if c not in scale]
     if missing:
         raise ConfigError(f"category index {missing[0]} has no salary scale entry")
     rise = 1.0 + schedule.inflation
     try:
-        growth = rise ** (year - 2016 + 0.5) + rise ** (year - 2015)
+        growth = rise ** (year - SCALE_YEAR - 0.5) + rise ** (year - SCALE_YEAR)
     except OverflowError:  # float ** raises instead of returning inf
         growth = np.inf
     base = np.array([scale[c] for c in range(1, n_categories)])[:, None]

@@ -8,9 +8,9 @@ and the year-boundary events (stay/exit and hires) the entry estimators
 use.  Its out-of-system category holds the reserve that
 :func:`build_reserve` derives from the census totals per age.
 
-A record's month is the absolute month ``year * 12 + month - 1``, so any
-run of months of a parsed panel is itself a panel.  Only
-:func:`build_counts` normalizes months, to the latest month of its input.
+A month is the absolute month ``year * 12 + month - 1`` from the parse
+to the fit, so any run of months of a parsed panel is itself a panel, and
+:func:`month_name` writes one as YYYY-MM.
 """
 
 from __future__ import annotations
@@ -232,6 +232,17 @@ def _abs_month(text):
     return None
 
 
+def month_name(month: int) -> str:
+    """The YYYY-MM of an absolute month."""
+    return "%04d-%02d" % (month // 12, month % 12 + 1)
+
+
+def boundary_years(months) -> tuple[int, ...]:
+    """The years with a month and the previous December among the distinct `months`."""
+    months = np.asarray(months).tolist()  # sets: np.intersect1d's code adds 0.4 MB to fit's peak
+    return tuple(sorted({m // 12 for m in months} & {m // 12 + 1 for m in months if m % 12 == 11}))
+
+
 def _clipped(text) -> int:
     """``int(text)``, clipped to the state bound, past which it lies outside every range."""
     return max(-STATE_BOUND, min(int(text), STATE_BOUND))
@@ -362,11 +373,8 @@ def split_records(records: Records, split_year: int) -> tuple[Records, Records]:
         raise DataError(f"no records before the split year {split_year}")
     if k == len(records):
         raise DataError(f"no held-out records at or after the split year {split_year}")
-    # a year boundary, as in build_counts' q_years: a December, then a month of the next year
     fit = records.month[:k]
-    december = np.arange(fit[0] // 12 * 12 + 11, fit[-1], 12, dtype=fit.dtype)
-    start, january, end = np.searchsorted(fit, [december, december + 1, december + 13])
-    if not ((start < january) & (january < end)).any():
+    if not boundary_years(fit[np.r_[True, fit[1:] != fit[:-1]]]):  # rows run by month
         raise DataError(f"no year boundary before the split year {split_year}: the fit needs "
                         "a December and a month of the year after it")
     return records.take(slice(0, k)), records.take(slice(k, None))
@@ -405,9 +413,9 @@ def load_reserve_csv(path, space: StateSpaceConfig) -> np.ndarray:
 class CountsCube:
     """Workload-weighted counts, flows and year events of a panel, as dense arrays.
 
-    Axis m runs over `months`, f over `flow_months` (months whose next
-    month is observed) and y over `q_years` (years whose previous December
-    and at least one month are observed); eg/sg are age/seniority groups,
+    Axis m runs over the absolute `months`, f over `flow_months` (months
+    whose next month is observed) and y over `q_years` (the
+    :func:`boundary_years` of `months`); eg/sg are age/seniority groups,
     c categories, e ages from ``age_min``, a seniorities, k tuple codes.
 
     group_totals[m, eg, sg, c]: category 0 is the reserve.
@@ -418,12 +426,11 @@ class CountsCube:
     December, at their December cell.
     hires[y, eg, sg], entry_cats[y, eg, sg, c]: entries at the virtual
     source cell (age - 1, max(0, seniority - 1) at the year's first row).
-    latest[12, c, e, a]: cells of normalized months -11..0, the reserve in c 0.
+    latest[12, c, e, a]: cells of the 12 months up to ``months[-1]``, the reserve in c 0.
     i0: the census total, added in age order.
     """
 
     months: tuple[int, ...]
-    calendar: dict[int, tuple[int, int]]
     flow_months: tuple[int, ...]
     q_years: tuple[int, ...]
     group_totals: np.ndarray
@@ -438,8 +445,8 @@ class CountsCube:
 
     @property
     def base_calendar_year(self) -> int:
-        """Calendar year of the latest observed month (normalized 0)."""
-        return self.calendar[0][0]
+        """Calendar year of the latest observed month."""
+        return self.months[-1] // 12
 
 
 def _count(index, weights, shape) -> np.ndarray:
@@ -454,15 +461,12 @@ def build_counts(records: Records, census: np.ndarray, cfg: RunConfig) -> Counts
     Flows are only counted across consecutive observed months; a person
     present at m and absent at the observed month m+1 is an exit flow to
     category 0, weighted like the month-m record.  Year events need the
-    previous December observed plus at least one month of the year.
-    Months are normalized to the latest month of `records`.  Sums add in
-    row order; per-row temporaries are narrow and short-lived.  Category 0
-    of `group_totals` and `latest` holds the reserve (:func:`build_reserve`).
+    previous December observed plus at least one month of the year.  Sums
+    add in row order; per-row temporaries are narrow and short-lived.
+    Category 0 of `group_totals` and `latest` holds the reserve (:func:`build_reserve`).
     """
     fields = _panel_counts(records, cfg)  # the per-row temporaries are freed by now
-    reserve = build_reserve(
-        fields.pop("in_system"), census, fields["months"], fields["calendar"], cfg.space
-    )
+    reserve = build_reserve(fields.pop("in_system"), census, fields["months"], cfg.space)
     fields["group_totals"][..., 0], fields["latest"][:, 0] = reserve
     return CountsCube(**fields, i0=sum(census.tolist()))
 
@@ -473,11 +477,8 @@ def _panel_counts(records: Records, cfg: RunConfig) -> dict:
     month, cat, sen = rec.month, rec.category, rec.seniority
     eg, sg = space.locate_groups(rec.age, sen)
     first_row = np.flatnonzero(np.r_[True, month[1:] != month[:-1]])  # rows run by month
-    latest = int(month[-1])
-    months = month[first_row] - latest
-    calendar = {int(k) - latest: (int(k) // 12, int(k) % 12 + 1) for k in month[first_row]}
-    cal = set(calendar.values())
-    q_years = tuple(sorted({y for y, _ in cal if (y - 1, 12) in cal}))
+    months, latest = month[first_row], int(month[-1])
+    q_years = boundary_years(months)
     is_flow = np.isin(months + 1, months)
     nm, nf, ny, nc = len(months), int(is_flow.sum()), len(q_years), space.n_categories
     g = (space.n_age_groups, space.n_seniority_groups)
@@ -523,11 +524,10 @@ def _panel_counts(records: Records, cfg: RunConfig) -> dict:
     flows = _count((flow_of[m], eg, sg, cat, to), w, (nf + 1, *g, nc, nc))[:nf]
     del to
     age = rec.age - space.age_min
-    window = slice(int(np.searchsorted(month, latest - 11)), None)  # normalized months -11..0
+    window = slice(int(np.searchsorted(month, latest - 11)), None)  # the latest 12 months
     n_codes = len(cfg.characteristics.tuples())
     return dict(
         months=tuple(months.tolist()),
-        calendar=calendar,
         flow_months=tuple(months[is_flow].tolist()),
         q_years=q_years,
         group_totals=_count((m, eg, sg, cat), w, (nm, *g, nc)),
@@ -550,7 +550,7 @@ def _panel_counts(records: Records, cfg: RunConfig) -> dict:
     )
 
 
-def build_reserve(in_system, census, months, calendar, space: StateSpaceConfig):
+def build_reserve(in_system, census, months, space: StateSpaceConfig):
     """The reserve (category 0) as group totals [m, eg, sg] and latest cells [12, e, a].
 
     Per month and age, the reserve mass is the census total minus the
@@ -564,7 +564,7 @@ def build_reserve(in_system, census, months, calendar, space: StateSpaceConfig):
     scale = np.where(census > 1.0, census, 1.0)
     share = census - in_system
     problems = [
-        f"age {ages[e]}, month {'%d-%02d' % calendar[months[m]]}: in-system weight "
+        f"age {ages[e]}, month {month_name(months[m])}: in-system weight "
         f"{in_system[m, e]:.6g} exceeds the census total {census[e]:.6g}"
         for m, e in np.argwhere(share < -1e-9 * scale)
     ]
@@ -582,6 +582,6 @@ def build_reserve(in_system, census, months, calendar, space: StateSpaceConfig):
     for m, month in enumerate(months):
         by_pair = share[m, pe]
         group_totals[m] = np.bincount(cell, by_pair, math.prod(g)).reshape(g)
-        if month >= -11:  # normalized months -11..0
-            latest[month + 11, pe, pa] = by_pair
+        if month > months[-1] - 12:
+            latest[month - months[-1] + 11, pe, pa] = by_pair
     return group_totals, latest

@@ -372,7 +372,8 @@ class FittedModel:
                 try:
                     if fh.seekable():  # pi is read again once the space is known
                         return cls.from_json_dict(_decode_stream(fh))
-                except (DataError, TypeError, ValueError, OverflowError, StopIteration):
+                except (DataError, TypeError, ValueError, OverflowError, StopIteration,
+                        RecursionError):
                     fh.seek(0)  # decode the whole document, the only path for any other file
                 text = fh.read()
         except FileNotFoundError:
@@ -383,6 +384,8 @@ class FittedModel:
             doc = json.loads(text, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise DataError(f"model file {path} is not valid JSON: {exc}") from None
+        except (RecursionError, ValueError) as exc:  # nested too deep, or an integer too long
+            raise DataError(f"model file {path} cannot be decoded: {exc}") from None
         return cls.from_json_dict(doc)
 
     def check_against(

@@ -110,8 +110,8 @@ def simulate_projection(
 ):
     """Draw the yearly multinomial ensembles: a list of (year, reduce(year, blocks)).
 
-    `v_by_year` maps a year to its label probabilities (the `probs` of
-    :func:`markovpop.project.group_probabilities`), and `blocks` are its
+    `v_by_year` maps a year to its label probabilities (the `probs` of a
+    :func:`markovpop.project.projection` table), and `blocks` are its
     `draw_blocks` over `bounds`.  Every input is checked before the first
     draw; the years are then drawn and reduced at the call, and listed in
     ascending order.  Up to `workers` processes (at most one per year and

@@ -8,7 +8,9 @@ year, and members gain one year of seniority while non-members keep it.
 Age or seniority that would leave the configured ranges is an error
 under the default "strict" policy; "absorb" clamps into the top value.
 
-A projection steps one working copy of the initial distribution in place.
+A distribution is an array over (category, age, seniority), and a year
+a calendar year.  A projection steps one working copy of the initial
+distribution in place, from the model's base year.
 """
 
 from __future__ import annotations
@@ -23,18 +25,8 @@ from .model import FittedModel
 _ADVICE = "shorten the horizon or set overflow_policy: absorb"
 
 
-@dataclass(frozen=True)
-class TripleDistribution:
-    """Distribution over (category, age, seniority) at a given year."""
-
-    values: np.ndarray  # (n_categories, n_ages, seniority_max)
-    year: int
-
-
-def propagate_distribution(
-    dist: TripleDistribution, model: FittedModel, policy: str = "strict"
-) -> TripleDistribution:
-    """Apply one yearly step to the whole distribution, overwriting ``dist.values``.
+def propagate_distribution(d: np.ndarray, model: FittedModel, year: int, policy: str = "strict"):
+    """Step the distribution `d` from calendar `year` to the next, in place.
 
     Each cell's law splits the mass of its (age, seniority) states over
     next year's categories, in the cell's own block (cells partition the
@@ -44,12 +36,11 @@ def propagate_distribution(
     seniority, so repeated runs are bit-identical.
     """
     space = model.space
-    d = dist.values
     n_sen = d.shape[2]
     if policy == "strict" and d[:, -1].sum() > 0.0:
         raise HorizonError(
             f"age overflow: mass {d[:, -1].sum():.3g} at the top age {space.age_max - 1} "
-            f"cannot age further (year {dist.year}); {_ADVICE}"
+            f"cannot age further (year {year}); {_ADVICE}"
         )
 
     for ei, ai in space.cells():  # d[k, e, a] becomes the mass of (e, a) in k next year
@@ -70,11 +61,10 @@ def propagate_distribution(
         ei, ai = space.locate_groups(space.age_min + int(overflow[0]), n_sen - 1)
         raise HorizonError(
             f"seniority overflow: in-system mass at the top seniority {n_sen - 1} "
-            f"(cell {ei},{ai}, year {dist.year}); {_ADVICE}"
+            f"(cell {ei},{ai}, year {year}); {_ADVICE}"
         )
     # under strict the checks above leave the clamped targets only zero mass
     _age(d)
-    return TripleDistribution(values=d, year=dist.year + 1)
 
 
 def _age(d: np.ndarray) -> None:
@@ -101,15 +91,15 @@ def _add_older(src: np.ndarray, out: np.ndarray) -> None:
 
 def distribution_at_year(
     pi: np.ndarray, model: FittedModel, n: int, policy: str = "strict"
-) -> TripleDistribution:
+) -> np.ndarray:
     """Propagate the initial distribution n years forward, in one array of its own."""
-    for dist in _years(pi, model, n, policy):
+    for _, d in _years(pi, model, n, policy):
         pass
-    return dist  # the exhausted generator's working copy of `pi`
+    return d  # the exhausted generator's working copy of `pi`
 
 
 def _years(pi: np.ndarray, model: FittedModel, n: int, policy: str):
-    """Yield years 0..n in one working copy of `pi`, each overwritten when the next is asked for."""
+    """Yield (year, d) for the base year and n more; each step overwrites `d`, a copy of `pi`."""
     if n < 0:
         raise HorizonError(f"projection horizon must be >= 0 (got {n})")
     space = model.space
@@ -119,11 +109,11 @@ def _years(pi: np.ndarray, model: FittedModel, n: int, policy: str):
             f"age overflow: initial mass at age {ages[-1]} cannot be projected "
             f"{n} years within [{space.age_min},{space.age_max}); {_ADVICE}"
         )
-    dist = TripleDistribution(values=np.array(pi, dtype=float), year=0)
-    yield dist
-    for _ in range(n):
-        dist = propagate_distribution(dist, model, policy)
-        yield dist
+    d = np.array(pi, dtype=float)
+    yield model.base_year, d
+    for year in range(model.base_year, model.base_year + n):
+        propagate_distribution(d, model, year, policy)
+        yield year + 1, d
 
 
 @dataclass(frozen=True)
@@ -192,39 +182,31 @@ def cell_sums(values: np.ndarray, bounds: np.ndarray, prices=None) -> np.ndarray
 
 @dataclass(frozen=True)
 class GroupProbabilityTable:
-    """Cell-level probabilities and their label split for one year."""
+    """Cell-level probabilities and their label split for one calendar year."""
 
     year: int
     p: np.ndarray  # (n_categories, n_age_groups, n_seniority_groups)
     probs: np.ndarray  # per label of the model's LabelIndex
 
 
-def group_probabilities(
-    dist: TripleDistribution, model: FittedModel, labels: LabelIndex | None = None
-) -> GroupProbabilityTable:
-    """Aggregate a triple distribution to cells and split it over labels."""
+def group_probabilities(d: np.ndarray, model: FittedModel) -> np.ndarray:
+    """Aggregate a distribution to cells: (n_categories, n_age_groups, n_seniority_groups)."""
     space = model.space
     p = np.zeros((space.n_categories, space.n_age_groups, space.n_seniority_groups))
     for ei, ai in space.cells():
         elo, ehi = space.age_groups[ei]
         alo, ahi = space.seniority_groups[ai]
-        p[:, ei, ai] = dist.values[
-            :, elo - space.age_min : ehi - space.age_min, alo:ahi
-        ].sum(axis=(1, 2))
-    labels = labels if labels is not None else LabelIndex.build(model)
-    return GroupProbabilityTable(year=dist.year, p=p, probs=labels.split(p))
-
-
-def expected_populations(table: GroupProbabilityTable, i0: float):
-    """Expected head counts per cell and per label: the table scaled by i0."""
-    return table.p * i0, table.probs * i0
+        p[:, ei, ai] = d[:, elo - space.age_min : ehi - space.age_min, alo:ahi].sum(axis=(1, 2))
+    return p
 
 
 def projection(model: FittedModel, years: int, policy: str = "strict"):
-    """The model's label index and its group tables for years 0..years.
+    """The model's label index and its group tables for the base year and `years` more.
 
     One working distribution is stepped in place while the tables are built.
     """
-    labels = LabelIndex.build(model)
-    dists = _years(model.pi, model, years, policy)
-    return labels, [group_probabilities(d, model, labels) for d in dists]
+    labels, tables = LabelIndex.build(model), []
+    for year, d in _years(model.pi, model, years, policy):
+        p = group_probabilities(d, model)
+        tables.append(GroupProbabilityTable(year, p, labels.split(p)))
+    return labels, tables

@@ -28,7 +28,7 @@ from . import __version__
 from .errors import ConfigError, DataError, atomic
 from .finance import full_time_costs
 from .montecarlo import summarize
-from .project import cell_sums, expected_populations
+from .project import cell_sums
 
 
 def _sha256(path) -> str:
@@ -151,16 +151,16 @@ def write_projection_csv(path, manifest, model, labels, tables) -> None:
 
     `tables` holds one GroupProbabilityTable per year over `labels`.  Each
     populated cell gets a '*' aggregate row followed by its characteristic
-    tuple rows; never-populated cells are omitted.
+    tuple rows; never-populated cells are omitted.  An expected count is
+    its probability times i0.
     """
 
     def years():
         for table in tables:
-            counts, label_counts = expected_populations(table, model.i0)
             p = table.p.ravel()
-            shown = np.append(p != 0.0, np.ones(len(label_counts), dtype=bool))
-            values = np.append(p, table.probs), np.append(counts, label_counts)
-            yield model.base_year + table.year, shown, values
+            shown = np.append(p != 0.0, np.ones(len(table.probs), dtype=bool))
+            probs = np.append(p, table.probs)
+            yield table.year, shown, (probs, probs * model.i0)
 
     columns = ["probability", "expected_count"]
     _write_label_rows(path, manifest, model, labels, columns, years())
@@ -201,12 +201,11 @@ def cell_costs(model, labels, tables, scale, profiles, schedule):
     """
     priced = {}
     for table in tables[1:]:
-        year = model.base_year + table.year
-        full_time = full_time_costs(year, model.space.n_categories, scale, profiles, schedule)
+        full_time = full_time_costs(table.year, model.space.n_categories, scale, profiles, schedule)
         prices = full_time[labels.category, labels.tuple_code]
-        label_counts = expected_populations(table, model.i0)[1]
+        label_counts = table.probs * model.i0
         shown = labels.in_system_cells & (np.bincount(labels.cell_id, label_counts != 0.0) > 0)
-        priced[year] = prices, np.bincount(labels.cell_id, label_counts * prices), shown
+        priced[table.year] = prices, np.bincount(labels.cell_id, label_counts * prices), shown
     return partial(_cell_costs, labels.bounds, priced)
 
 
@@ -310,9 +309,9 @@ def write_backtest_csv(path, manifest, model, labels, tables, years, observed):
             if year not in observed:
                 continue
             obs_pop, obs_cost = observed[year]
-            exp_pop = expected_populations(table, model.i0)[0].ravel()
-            columns = obs_pop, exp_pop, sim_pop, obs_cost, *costs[:-1, :2].T  # expected, mean
-            seen = (obs_pop > 0.0) | (table.p.ravel() > 0.0)  # observed or projected
+            p = table.p.ravel()
+            columns = obs_pop, p * model.i0, sim_pop, obs_cost, *costs[:-1, :2].T  # expected, mean
+            seen = (obs_pop > 0.0) | (p > 0.0)  # observed or projected
             kept = np.flatnonzero(labels.in_system_cells & seen)
             values = np.column_stack(columns)[kept]
             yield year, kept, np.vstack([values, values.sum(axis=0)])

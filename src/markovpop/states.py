@@ -216,11 +216,6 @@ class StateSpaceConfig:
         """
         return seniority <= np.maximum(0, age - self.working_age_min)
 
-    def feasible_seniorities(self, age: int) -> range:
-        """All in-range seniorities attainable at `age`."""
-        top = min(max(0, age - self.working_age_min), self.seniority_max - 1)
-        return range(0, top + 1)
-
     def cells(self):
         """All (age group, seniority group) pairs in canonical order."""
         return itertools.product(range(self.n_age_groups), range(self.n_seniority_groups))

@@ -30,6 +30,12 @@ from markovpop.config import RunConfig, build_run_config
 from markovpop.ingest import Records
 
 
+def feasible_seniorities(space, age: int) -> range:
+    """All in-range seniorities attainable at `age`: 0 up to the years since working age."""
+    top = min(max(0, age - space.working_age_min), space.seniority_max - 1)
+    return range(0, top + 1)
+
+
 @dataclass(frozen=True)
 class WorldSpec:
     """Generating parameters: a config dict plus per-cell dynamics."""
@@ -175,7 +181,7 @@ def generate(spec: WorldSpec, start_year: int, n_years: int, seed: int) -> Panel
         rest = spec.census.get(e, 0) - start[1:, e - space.age_min, :].sum()
         assert rest >= 0
         if rest > 0:
-            feas = space.feasible_seniorities(e)
+            feas = feasible_seniorities(space, e)
             start[0, e - space.age_min, list(feas)] += rest / len(feas)
     i0 = float(sum(spec.census.values()))
     start_pi = start / i0
@@ -208,7 +214,7 @@ def generate(spec: WorldSpec, start_year: int, n_years: int, seed: int) -> Panel
                 assert pool >= 0, f"census exceeded at age {e}, year {y}"
                 if pool == 0 or not (lo_h <= e <= hi_h) or e == top_world_age:
                     continue
-                feas = space.feasible_seniorities(e)
+                feas = feasible_seniorities(space, e)
                 lat = rng.integers(0, len(feas), size=pool)
                 p = spec.p_hire[eg[e - space.age_min], sg[lat]]
                 hired = rng.random(pool) < p

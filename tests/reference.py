@@ -38,8 +38,9 @@ from markovpop.finance import full_time_costs
 from markovpop.ingest import CountsCube, Records, finite_float
 from markovpop.model import FittedModel
 from markovpop.montecarlo import derive_generator, summarize
-from markovpop.project import cell_sums, expected_populations
+from markovpop.project import cell_sums
 from markovpop.reports import _CELL_COLUMNS, _cell_names, _report, _units, _write_cell_rows
+from panelgen import feasible_seniorities
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
@@ -297,9 +298,7 @@ def build_counts_by_sort(records: Records, census: np.ndarray, cfg) -> CountsCub
     """Aggregate validated records and the census into the counts cube, reserve included."""
     counts = panel_counts_by_sort(records, cfg)
     in_system = counts.pop("in_system")
-    group_totals, latest = build_reserve_by_index(
-        in_system, census, counts["months"], counts["calendar"], cfg.space
-    )
+    group_totals, latest = build_reserve_by_index(in_system, census, counts["months"], cfg.space)
     counts["group_totals"][..., 0] = group_totals
     counts["latest"][:, 0] = latest
     return CountsCube(**counts, i0=sum(census.tolist()))
@@ -313,19 +312,15 @@ def panel_counts_by_sort(records: Records, cfg) -> dict:
     category 0, weighted like the month-m record.  Year events need the
     previous December observed plus at least one month of the year.
     """
-    # the normalized month and the calendar columns this reference was written against
+    # the calendar year and month columns this reference was written against
     absm = records.month
-    records = SimpleNamespace(**{**vars(records), "month": absm - absm[-1]},
-                              cal_year=absm // 12, cal_month=absm % 12 + 1)
+    records = SimpleNamespace(**vars(records), cal_year=absm // 12, cal_month=absm % 12 + 1)
     space, rec = cfg.space, records
     w = rec.workload / cfg.full_time_hours
     eg, sg = space.locate_groups(rec.age, rec.seniority)
     cat, age, sen = rec.category, rec.age - space.age_min, rec.seniority
     months, first_row, m = np.unique(rec.month, return_index=True, return_inverse=True)
-    calendar = {
-        int(k): (int(rec.cal_year[i]), int(rec.cal_month[i])) for k, i in zip(months, first_row)
-    }
-    cal = set(calendar.values())
+    cal = {(int(rec.cal_year[i]), int(rec.cal_month[i])) for i in first_row}
     q_years = tuple(sorted({y for y, _ in cal if (y - 1, 12) in cal}))
     is_flow = np.isin(months + 1, months)
     nm, ny, nc = len(months), len(q_years), space.n_categories
@@ -360,10 +355,9 @@ def panel_counts_by_sort(records: Records, cfg) -> dict:
     src = space.locate_groups(np.maximum(src_age, space.age_min), np.maximum(sen[hire] - 1, 0))
     hires = (np.searchsorted(q_years, rec.cal_year[hire]), *src)
     n_codes = len(cfg.characteristics.tuples())
-    window = rec.month >= -11
+    window = rec.month > months[-1] - 12
     return dict(
         months=tuple(months.tolist()),
-        calendar=calendar,
         flow_months=tuple(months[is_flow].tolist()),
         q_years=q_years,
         group_totals=_count((m, eg, sg, cat), w, (nm, *g, nc)),
@@ -374,7 +368,7 @@ def panel_counts_by_sort(records: Records, cfg) -> dict:
         entry_cats=_count((*hires, cat[hire]), w[hire], (ny, *g, nc)),
         in_system=_count((m, age), w, (nm, space.n_ages)),
         latest=_count(
-            (rec.month[window] + 11, cat[window], age[window], sen[window]),
+            (rec.month[window] - (months[-1] - 11), cat[window], age[window], sen[window]),
             w[window],
             (12, nc, space.n_ages, space.seniority_max),
         ),
@@ -386,7 +380,7 @@ def panel_counts_by_sort(records: Records, cfg) -> dict:
     )
 
 
-def build_reserve_by_index(in_system, census, months, calendar, space):
+def build_reserve_by_index(in_system, census, months, space):
     """Out-of-system (category 0) group totals [m, eg, sg] and latest cells [12, e, a].
 
     Per month and age, the reserve mass is the census total minus the
@@ -397,16 +391,16 @@ def build_reserve_by_index(in_system, census, months, calendar, space):
     ages = range(space.age_min, space.age_max)
     rest = census - in_system
     problems = [
-        f"age {ages[e]}, month {'%d-%02d' % calendar[months[m]]}: in-system weight "
+        f"age {ages[e]}, month {months[m] // 12:04d}-{months[m] % 12 + 1:02d}: in-system weight "
         f"{in_system[m, e]:.6g} exceeds the census total {census[e]:.6g}"
         for m, e in np.argwhere(rest < -1e-9 * np.maximum(1.0, census))
     ]
     if problems:
         raise DataError("reserve construction failed", problems)
-    share = np.maximum(rest, 0.0) / [len(space.feasible_seniorities(e)) for e in ages]
+    share = np.maximum(rest, 0.0) / [len(feasible_seniorities(space, e)) for e in ages]
 
     # each share is added once per feasible seniority, in (age, seniority) order
-    pairs = np.array([(e, a) for e in ages for a in space.feasible_seniorities(e)])
+    pairs = np.array([(e, a) for e in ages for a in feasible_seniorities(space, e)])
     n = len(months)
     groups = (np.tile(g, n) for g in space.locate_groups(*pairs.T))
     pe, pa = pairs[:, 0] - space.age_min, pairs[:, 1]
@@ -414,7 +408,7 @@ def build_reserve_by_index(in_system, census, months, calendar, space):
         (np.repeat(np.arange(n), len(pairs)), *groups), share[:, pe].ravel(),
         (n, space.n_age_groups, space.n_seniority_groups),
     )
-    window = np.arange(-11, 1)
+    window = np.arange(months[-1] - 11, months[-1] + 1)
     k = np.flatnonzero(np.isin(window, months))
     latest = np.zeros((12, space.n_ages, space.seniority_max))
     latest[k[:, None], pe, pa] = share[np.searchsorted(months, window[k])][:, pe]
@@ -438,9 +432,9 @@ def write_projection_csv_by_row(path, manifest, model, labels, tables) -> None:
 
     def rows():
         for table in tables:
-            year = model.base_year + table.year
-            counts, label_counts = expected_populations(table, model.i0)
-            p, counts = table.p.ravel(), counts.ravel()
+            year = table.year
+            p, label_counts = table.p.ravel(), table.probs * model.i0
+            counts = p * model.i0
             for cell in np.flatnonzero(p):
                 base = [year, *names[cell]]
                 yield base + ["*", _fstr(p[cell]), _fstr(counts[cell])]
@@ -488,10 +482,10 @@ def cost_rows_by_matrix(model, labels, tables, pricing, iterations, seed):
     each stacked row is summarized along its iterations.
     """
     for table in tables[1:]:
-        year = model.base_year + table.year
+        year = table.year
         full_time = full_time_costs(year, model.space.n_categories, *pricing)
         prices = full_time[labels.category, labels.tuple_code]
-        label_counts = expected_populations(table, model.i0)[1]
+        label_counts = table.probs * model.i0
         gen = derive_generator(seed, year)
         draws = draw_year(int(round(model.i0)), table.probs, iterations, gen)
         costs = np.empty((len(labels.bounds) - 1, 1 + iterations))

@@ -75,7 +75,7 @@ def test_01_exact_yearly_propagation():
     worst = 0.0
     for n in (1, 2, 3):
         want = pi_flat @ np.linalg.matrix_power(m, n)
-        got = distribution_at_year(model.pi, model, n, policy="absorb").values.reshape(-1)
+        got = distribution_at_year(model.pi, model, n, policy="absorb").reshape(-1)
         worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst <= 1e-12, f"propagation deviates from the path-sum oracle by {worst}"
 
@@ -218,8 +218,8 @@ def test_04_simulation_calibration():
     i0 = 1000.0
     model = make_random_model(make_toy_space(), seed=404, i0=i0)
     dist = distribution_at_year(model.pi, model, 1, policy="absorb")
-    probs = group_probabilities(dist, model).probs
-    bounds = LabelIndex.build(model).bounds
+    labels = LabelIndex.build(model)
+    probs, bounds = labels.split(group_probabilities(dist, model)), labels.bounds
     [(_, draws)] = simulate_projection(
         {1: probs}, i0, 10_000, seed=2024, bounds=bounds, reduce=stacked
     )

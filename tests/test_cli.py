@@ -316,6 +316,20 @@ def _csv_with(role, row, column, value):
     return make
 
 
+def _config_text(pattern, replacement):
+    """Copy of the config file with `pattern` substituted once in its text.
+
+    For documents yaml.safe_dump cannot write, such as 2 000 nested lists.
+    """
+
+    def make(paths, tmp_path):
+        bad = tmp_path / "config.yaml"
+        bad.write_text(re.sub(pattern, replacement, paths["config"].read_text(), count=1))
+        return {"config": bad}
+
+    return make
+
+
 def _config_with(edit):
     def make(paths, tmp_path):
         raw = yaml.safe_load(open(paths["config"]))
@@ -399,6 +413,9 @@ def _argv(command, paths, out):
 
 
 NAN = float("nan")
+DEEP = "[" * 2000 + "]" * 2000  # nested past the interpreter's recursion limit
+LONG = "1" * 5001  # an integer past the digit limit of int(str), where there is one
+DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
 
 
 @pytest.mark.parametrize(
@@ -501,6 +518,20 @@ NAN = float("nan")
          "model file: full_time_hours must be a number > 0 (got '40')"),
         (_model_with(_set(["full_time_hours"], True)), "project", 2,
          "model file: full_time_hours must be a number > 0 (got True)"),
+        # documents nested too deep, or with an integer too long, for the decoders
+        (_model_text(r'"diagnostics": \{', '"diagnostics": {"deep": ' + DEEP + ", "), "project",
+         2, "cannot be decoded: maximum recursion depth exceeded"),
+        (_model_text(r'"i0": [^,}]+', '"i0": ' + LONG), "project", 2,
+         "cannot be decoded: Exceeds the limit" if DIGIT_LIMIT
+         else "model file: malformed field: int too large to convert to float"),
+        (_config_text(r"\Z", "deep: " + DEEP + "\n"), "fit", 1,
+         "cannot be decoded: maximum recursion depth exceeded"),
+        (_config_text(r"age_max: \d+", "age_max: " + LONG), "fit", 1,
+         "cannot be decoded: Exceeds the limit" if DIGIT_LIMIT
+         else "invalid state space configuration"),
+        # YAML reads this as a date, and the date constructor raises ValueError
+        (_config_text(r"\Z", "note: 2020-13-45\n"), "fit", 1,
+         "cannot be decoded: month must be in 1..12"),
     ],
     ids=["model-missing-annual", "overrides-list", "levels-list", "reserve-marker-int",
          "finance-full-time-hours", "reserve-nan", "workload-nan", "salary-nan",
@@ -516,7 +547,9 @@ NAN = float("nan")
          "split-after-last-year", "split-one-fit-year", "split-year-huge",
          "split-year-very-negative",
          "model-i0-bool", "model-i0-string", "model-base-year-fraction", "model-base-year-bool",
-         "model-full-time-hours-string", "model-full-time-hours-bool"],
+         "model-full-time-hours-string", "model-full-time-hours-bool", "model-nested-deep",
+         "model-integer-long", "config-nested-deep", "config-integer-long",
+         "config-date-invalid"],
 )
 def test_malformed_inputs_are_classified(
     mini_pipeline, tmp_path, damage, command, code, message
@@ -532,6 +565,7 @@ def test_malformed_inputs_are_classified(
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert message in proc.stderr
+    assert proc.stderr.count("error:") == 1, proc.stderr
     # a failed run writes no report
     assert not pathlib.Path(argv[argv.index("--out") + 1]).exists()
 
@@ -691,14 +725,21 @@ def test_a_killed_simulation_leaves_no_file_under_a_final_name(mini_pipeline, tm
 
 
 def test_a_failed_report_keeps_the_earlier_out(monkeypatch, mini_pipeline, tmp_path):
-    expected_populations = reports.expected_populations
+    projection = cli.projection
 
-    def failing_in_year_3(table, i0):
-        if table.year == 3:
+    class Failing:
+        """A year's table that fails once the writer reads it."""
+
+        @property
+        def p(self):
             raise DataError("the report failed")
-        return expected_populations(table, i0)
 
-    monkeypatch.setattr(reports, "expected_populations", failing_in_year_3)
+    def failing_in_its_fourth_year(*args):
+        labels, tables = projection(*args)
+        tables[3] = Failing()  # after three years of rows are written
+        return labels, tables
+
+    monkeypatch.setattr(cli, "projection", failing_in_its_fourth_year)
     out = tmp_path / "project.csv"
     out.write_bytes(b"an earlier report\r\n")
     argv = _argv("project", mini_pipeline, out)

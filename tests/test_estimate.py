@@ -35,14 +35,13 @@ def small_cfg():
 
 
 def empty_cube(calendar, q_years=(), i0=0.0):
-    """A zero cube of small_cfg's shape; index months by position in `calendar`."""
-    months = tuple(sorted(calendar))
-    flow_months = tuple(m for m in months if m + 1 in calendar)
+    """A zero cube of small_cfg's shape over the ascending (year, month) pairs `calendar`."""
+    months = tuple(y * 12 + mm - 1 for y, mm in calendar)
+    flow_months = tuple(m for m in months if m + 1 in months)
     m, f, y = len(months), len(flow_months), len(q_years)
     cells = (2, 1)  # age groups, seniority groups
     return CountsCube(
         months=months,
-        calendar=dict(calendar),
         flow_months=flow_months,
         q_years=tuple(q_years),
         group_totals=np.zeros((m, *cells, 3)),
@@ -58,7 +57,7 @@ def empty_cube(calendar, q_years=(), i0=0.0):
 
 def test_monthly_transitions_average_per_month_ratios():
     cfg = small_cfg()
-    cube = empty_cube({-2: (2020, 11), -1: (2020, 12), 0: (2021, 1)})
+    cube = empty_cube([(2020, 11), (2020, 12), (2021, 1)])
     # cell (1, 0), category A over two month pairs (month indices 0 and 1):
     #   month -2: 10 at risk, 2 exits -> denom 8, flows A->A 4, A->B 4
     #   month -1: 20 at risk, 0 exits, flows A->A 15, A->B 5
@@ -89,7 +88,7 @@ def test_monthly_transitions_average_per_month_ratios():
 
 def test_monthly_transitions_renormalize_leaky_rows():
     cfg = small_cfg()
-    cube = empty_cube({-1: (2020, 12), 0: (2021, 1)})
+    cube = empty_cube([(2020, 12), (2021, 1)])
     # 10 at risk but only 5 accounted for: the row leaks half its mass
     cube.group_totals[0, 1, 0, 1] = 10.0
     cube.flows[0, 1, 0, 1, 1] = 5.0
@@ -101,7 +100,7 @@ def test_monthly_transitions_renormalize_leaky_rows():
 
 def test_monthly_transitions_need_consecutive_months():
     cfg = small_cfg()
-    cube = empty_cube({-2: (2020, 11), 0: (2021, 1)})
+    cube = empty_cube([(2020, 11), (2021, 1)])
     with pytest.raises(DataError, match="consecutive"):
         estimate_monthly_transitions(cube, cfg)
 
@@ -146,7 +145,7 @@ def test_annualize_rejects_short_pmf():
 def test_entry_probabilities_average_yearly_ratios():
     cfg = small_cfg()
     cube = empty_cube(
-        {-13: (2020, 12), -1: (2021, 12), 0: (2022, 1)},
+        [(2020, 12), (2021, 12), (2022, 1)],
         q_years=(2021, 2022),
     )
     # in-system: stay 3 / exit 1 in 2021, then 1 / 1 in 2022
@@ -170,14 +169,14 @@ def test_entry_probabilities_average_yearly_ratios():
 
 def test_entry_probabilities_preconditions():
     cfg = small_cfg()
-    cube = empty_cube({0: (2022, 1)}, q_years=())
+    cube = empty_cube([(2022, 1)], q_years=())
     with pytest.raises(DataError, match="year boundary"):
         estimate_entry_probabilities(cube, cfg)
 
 
 def test_entry_categories_average_normalized_years():
     cfg = small_cfg()
-    cube = empty_cube({0: (2022, 1)}, q_years=(2021, 2022))
+    cube = empty_cube([(2022, 1)], q_years=(2021, 2022))
     cube.entry_cats[0, 1, 0, 1] = 3.0
     cube.entry_cats[0, 1, 0, 2] = 1.0
     cube.entry_cats[1, 1, 0, 1] = 1.0
@@ -189,7 +188,7 @@ def test_entry_categories_average_normalized_years():
 
 def test_characteristic_distribution_averages_monthly_shares():
     cfg = small_cfg()
-    cube = empty_cube({-1: (2021, 12), 0: (2022, 1)})
+    cube = empty_cube([(2021, 12), (2022, 1)])
     x, y = cfg.characteristics.code((0,)), cfg.characteristics.code((1,))
     cube.char_counts[0, 1, 1, 0, x] = 3.0
     cube.char_counts[0, 1, 1, 0, y] = 1.0
@@ -206,7 +205,7 @@ def test_characteristic_distribution_averages_monthly_shares():
 
 def test_initial_distribution_needs_a_full_year():
     cfg = small_cfg()
-    calendar = {m: (2021, 12 + m) for m in range(-11, 1)}
+    calendar = [(2021, mm) for mm in range(1, 13)]
     cube = empty_cube(calendar, i0=12.0)
     cube.latest[:, 1, 18 - 16, 0] = 6.0
     cube.latest[:, 0, 16 - 16, 0] = 6.0
@@ -217,8 +216,9 @@ def test_initial_distribution_needs_a_full_year():
 
     with pytest.raises(DataError, match="census totals and panel disagree"):
         estimate_initial_distribution(replace(cube, i0=13.0), cfg)
-    short = empty_cube({m: c for m, c in calendar.items() if m > -6}, i0=12.0)
-    with pytest.raises(DataError, match="missing normalized months"):
+    short = empty_cube(calendar[6:], i0=12.0)
+    missing = "missing months: 2021-01, 2021-02, 2021-03, 2021-04, 2021-05, 2021-06$"
+    with pytest.raises(DataError, match=missing):
         estimate_initial_distribution(short, cfg)
 
 

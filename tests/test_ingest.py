@@ -471,13 +471,14 @@ def test_build_counts_flows_and_events(tmp_path):
     records = parse_records(write(tmp_path, "r.csv", PANEL), cfg)
     cube = build_counts(records, SMALL_CENSUS, cfg)
 
-    assert cube.months == (-2, -1, 0)
-    assert cube.flow_months == (-2, -1)
+    # absolute months: November 2020, December 2020, January 2021
+    assert cube.months == (2020 * 12 + 10, 2020 * 12 + 11, 2021 * 12)
+    assert cube.flow_months == (2020 * 12 + 10, 2020 * 12 + 11)
     assert cube.base_calendar_year == 2021
     assert cube.q_years == (2021,)
 
     # workload-weighted group totals [month, age group, seniority group,
-    # category]; month index 0 is month -2; p2 works half time
+    # category]; month index 0 is November 2020; p2 works half time
     assert cube.group_totals[0, 1, 0, 1] == 1.0
     assert cube.group_totals[0, 1, 0, 2] == 0.5
     assert cube.group_totals[..., 1:].sum() == 5.0
@@ -688,7 +689,7 @@ def test_any_run_of_months_of_a_panel_fits_like_a_file_of_only_its_rows(inputs, 
 def test_build_reserve_matches_the_indexed_reference_bit_for_bit(panel, tmp_path):
     records, census, cfg = panel(tmp_path)
     counts = panel_counts_by_sort(records, cfg)
-    args = (counts["in_system"], census, counts["months"], counts["calendar"], cfg.space)
+    args = (counts["in_system"], census, counts["months"], cfg.space)
     for got, want in zip(build_reserve(*args), build_reserve_by_index(*args), strict=True):
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
@@ -715,7 +716,7 @@ def test_build_reserve_allocates_at_most_twice_its_result():
     panel = panelgen.generate(spec, start_year=2006, n_years=12, seed=1)
     cfg = spec.run_config()
     counts = panel_counts_by_sort(panel.to_records(), cfg)
-    args = (counts["in_system"], panel.census(), counts["months"], counts["calendar"], cfg.space)
+    args = (counts["in_system"], panel.census(), counts["months"], cfg.space)
     assert len(args[2]) == 144
     tracemalloc.start()
     try:
@@ -734,7 +735,7 @@ def test_build_reserve_splits_equally_over_feasible_seniorities(tmp_path):
     records = parse_records(write(tmp_path, "r.csv", PANEL), cfg)
     cube = build_counts(records, SMALL_CENSUS, cfg)
 
-    # the latest 12 months [month + 11, category, age - 16, seniority]
+    # the latest 12 months [month - latest month + 11, category, age - 16, seniority]
     # January: p1 absent at 18, p3 holds weight 1 at age 19
     january, december = cube.latest[11, 0], cube.latest[10, 0]
     assert january[0, 0] == 3.0  # below working age: seniority 0 only

@@ -5,8 +5,10 @@ it on `demo/` and on a small generated world; neither needs a stored output.
 """
 
 import csv
+import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +46,47 @@ def test_shuffling_the_records_rows_leaves_the_model_byte_identical(world, tmp_p
     assert _fit(paths, shuffled, tmp_path / "b.json") == _fit(
         paths, paths["records"], tmp_path / "a.json"
     )
+
+
+def _shifted_by_years(records, out, k):
+    """Write `records` to `out` with every month moved on by 12 k months."""
+    header, *rows = records.read_text().splitlines()
+    at = header.split(",").index("month")
+    for i, row in enumerate(rows):
+        fields = row.split(",")
+        year, month = fields[at].split("-")
+        fields[at] = f"{int(year) + k:04d}-{month}"
+        rows[i] = ",".join(fields)
+    out.write_text("\n".join([header, *rows]) + "\n")
+
+
+@pytest.mark.parametrize("world", WORLDS, ids=["demo", "mini-cycled-workloads"])
+def test_shifting_the_panel_by_whole_years_only_relabels_years(world, tmp_path):
+    # nothing in the fit or the projection may depend on where the months sit
+    k = 3
+    paths = world(tmp_path)
+    _shifted_by_years(paths["records"], tmp_path / "shifted.csv", k)
+    docs, bodies = [], []
+    for side, records in (("a", paths["records"]), ("b", tmp_path / "shifted.csv")):
+        model, out = tmp_path / f"{side}.json", tmp_path / f"{side}.csv"
+        docs.append(json.loads(_fit(paths, records, model)))
+        assert main(["project", "--config", str(paths["config"]), "--model", str(model),
+                     "--years", "3", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        bodies.append([line.split(",", 1) for line in lines if not line.startswith("#")])
+    plain, shifted = docs
+    assert shifted["base_year"] == plain["base_year"] + k
+    # the year-valued diagnostics move with the panel
+    diag = shifted["diagnostics"]
+    for entry in diag["hires_exceeding_reserve"]:
+        entry[0] -= k
+    diag["warnings"] = [re.sub(r" in (\d+):", lambda m: f" in {int(m[1]) - k}:", w)
+                        for w in diag["warnings"]]
+    assert {**shifted, "base_year": plain["base_year"]} == plain
+    # the projection's year column moves by k, and nothing else
+    (head, *rows), shifted_rows = bodies
+    assert shifted_rows[0] == head and len(rows) > 10
+    assert [[str(int(year) + k), rest] for year, rest in rows] == shifted_rows[1:]
 
 
 def _fractional_reserve(reserve, out, reverse=False):
@@ -294,7 +337,7 @@ def _check_standard_errors(tmp_path, world):
     z = norm.isf(alpha / (2 * len(costs)))
     checked = 0
     for table in tables[1:]:
-        year = fitted.base_year + table.year
+        year = table.year
         g = full_time_costs(year, fitted.space.n_categories, scale, profiles, schedule)
         g = g[labels.category, labels.tuple_code]
         # each shown cell's labels, then the '*' row's: those of every shown cell

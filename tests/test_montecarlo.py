@@ -433,7 +433,7 @@ def test_second_moments_match_the_multinomial_oracle():
     chars = CharacteristicSpace(("grade",), (("g1", "g2"),))
     model = make_random_model(make_toy_space(), chars, seed=404, i0=i0, with_r=True)
     labels = LabelIndex.build(model)
-    p = group_probabilities(distribution_at_year(model.pi, model, 1, "absorb"), model, labels).probs
+    p = labels.split(group_probabilities(distribution_at_year(model.pi, model, 1, "absorb"), model))
     assert p.min() > 0.0 and len(p) > len(labels.bounds) - 1  # split cells, no empty label
     [(_, draws)] = simulate({1: p}, i0, n, seed=2024, bounds=labels.bounds)
     price = np.where(labels.category > 0, np.linspace(1.0, 3.0, len(p)), 0.0)

@@ -1,8 +1,10 @@
 """Yearly propagation: the one-step law, overflow policies, aggregation."""
 
+import csv
 import itertools
 import pathlib
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,15 +13,14 @@ from markovpop.config import load_run_config
 from markovpop.errors import HorizonError
 from markovpop.project import (
     LabelIndex,
-    TripleDistribution,
     _age,
     cell_sums,
     distribution_at_year,
-    expected_populations,
     group_probabilities,
     projection,
     propagate_distribution,
 )
+from markovpop.reports import RunManifest, write_projection_csv
 
 from conftest import make_random_model, make_toy_space, make_wide_space
 from reference import (
@@ -72,10 +73,11 @@ def test_one_step_law_cases():
 
 def test_propagation_conserves_mass_under_absorb():
     model = make_random_model(make_toy_space(), seed=21)
+    _, tables = projection(model, 5, policy="absorb")
     for k in range(6):
         d = distribution_at_year(model.pi, model, k, policy="absorb")
-        assert d.year == k
-        assert d.values.sum() == pytest.approx(1.0, abs=1e-12)
+        assert tables[k].year == model.base_year + k
+        assert d.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_strict_policy_rejects_age_overflow():
@@ -84,9 +86,9 @@ def test_strict_policy_rejects_age_overflow():
     pi[1, 3, 1] = 0.25  # mass at the top age
     pi[2, 3, 0] = 0.5
     with pytest.raises(HorizonError) as err:
-        propagate_distribution(TripleDistribution(pi, 7), model)
+        propagate_distribution(pi, model, 2023)
     assert str(err.value) == (
-        "age overflow: mass 0.75 at the top age 3 cannot age further (year 7); "
+        "age overflow: mass 0.75 at the top age 3 cannot age further (year 2023); "
         "shorten the horizon or set overflow_policy: absorb"
     )
 
@@ -99,7 +101,7 @@ def test_strict_policy_rejects_age_overflow():
         "age overflow: initial mass at age 2 cannot be projected 2 years within [0,4); "
         "shorten the horizon or set overflow_policy: absorb"
     )
-    assert distribution_at_year(pi, model, 1).year == 1
+    assert distribution_at_year(pi, model, 1).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_strict_policy_rejects_seniority_overflow():
@@ -107,16 +109,16 @@ def test_strict_policy_rejects_seniority_overflow():
     pi = np.zeros_like(model.pi)
     pi[1, 0, 2] = 1.0  # top seniority; entering next year would overflow
     with pytest.raises(HorizonError, match="seniority overflow"):
-        propagate_distribution(TripleDistribution(pi, 0), model)
+        propagate_distribution(pi, model, 2016)
 
     # the message names the cell of the youngest age with such mass
     pi = np.zeros_like(model.pi)
     pi[1, 2, 2] = 0.5  # age group 1
     pi[0, 1, 2] = 0.5  # age group 0: an out-of-system person hired next year
     with pytest.raises(HorizonError) as err:
-        propagate_distribution(TripleDistribution(pi, 4), model)
+        propagate_distribution(pi, model, 2020)
     assert str(err.value) == (
-        "seniority overflow: in-system mass at the top seniority 2 (cell 0,1, year 4); "
+        "seniority overflow: in-system mass at the top seniority 2 (cell 0,1, year 2020); "
         "shorten the horizon or set overflow_policy: absorb"
     )
 
@@ -125,13 +127,13 @@ def test_absorb_clamps_top_cell():
     model = make_random_model(make_toy_space(), seed=24)
     pi = np.zeros_like(model.pi)
     pi[1, 3, 2] = 1.0  # top age and top seniority at once
-    out = propagate_distribution(TripleDistribution(pi, 0), model, policy="absorb")
+    propagate_distribution(pi, model, 2016, policy="absorb")  # in place
     q = model.q1[(1, 1)][1]
     t = model.transition_operator(1, 1)
-    assert out.values[0, 3, 2] == pytest.approx(1.0 - q)
+    assert pi[0, 3, 2] == pytest.approx(1.0 - q)
     for c in (1, 2):
-        assert out.values[c, 3, 2] == pytest.approx(q * t[1, c])
-    assert out.values.sum() == pytest.approx(1.0, abs=1e-15)
+        assert pi[c, 3, 2] == pytest.approx(q * t[1, c])
+    assert pi.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("policy", ["strict", "absorb"])
@@ -161,15 +163,15 @@ def test_the_in_place_step_matches_the_allocating_step_bit_for_bit(policy):
     labels, tables = projection(model, 10, policy)
     years = [distribution_at_year(model.pi, model, n, policy) for n in range(11)]
     assert model.pi.tobytes() == pi.tobytes()
-    for a, b in itertools.combinations(years, 2):
-        assert not np.shares_memory(a.values, b.values), (a.year, b.year)
+    for (i, a), (j, b) in itertools.combinations(enumerate(years), 2):
+        assert not np.shares_memory(a, b), (i, j)
     expected = pi
     for year, (dist, table) in enumerate(zip(years, tables, strict=True)):
-        assert (dist.year, table.year) == (year, year)
-        assert dist.values.tobytes() == expected.tobytes(), year
-        table_expected = group_probabilities(TripleDistribution(expected, year), model, labels)
-        assert table.p.tobytes() == table_expected.p.tobytes(), year
-        assert table.probs.tobytes() == table_expected.probs.tobytes(), year
+        assert table.year == model.base_year + year
+        assert dist.tobytes() == expected.tobytes(), year
+        p = group_probabilities(expected, model)
+        assert table.p.tobytes() == p.tobytes(), year
+        assert table.probs.tobytes() == labels.split(p).tobytes(), year
         expected = propagate_by_allocation(expected, model)
 
 
@@ -195,9 +197,9 @@ def test_negative_horizon_rejected():
 def test_group_probabilities_aggregate_and_split():
     space = make_toy_space()
     model = make_random_model(space, make_chars(), seed=26, with_r=True)
-    dist = TripleDistribution(model.pi, 0)
-    table = group_probabilities(dist, model)
     labels = LabelIndex.build(model)
+    p = group_probabilities(model.pi, model)
+    table = SimpleNamespace(p=p, probs=labels.split(p))
 
     # block sums match direct aggregation
     assert table.p[1, 0, 0] == pytest.approx(model.pi[1, 0:2, 0:2].sum())
@@ -222,8 +224,9 @@ def test_group_probabilities_aggregate_and_split():
 
 def test_group_probabilities_flag_unsplit_cells():
     model = make_random_model(make_toy_space(), seed=27)  # no r fitted at all
-    table = group_probabilities(TripleDistribution(model.pi, 0), model)
     labels = LabelIndex.build(model)
+    p = group_probabilities(model.pi, model)
+    table = SimpleNamespace(p=p, probs=labels.split(p))
     # one aggregate label (tuple code 0) per cell, carrying the whole mass
     np.testing.assert_array_equal(labels.tuple_code, 0)
     np.testing.assert_array_equal(labels.cell_id, np.arange(table.p.size))
@@ -250,7 +253,7 @@ def test_label_order_is_year_invariant():
         assert table.probs.shape == labels.cell_id.shape
         assert table.probs.sum() == pytest.approx(1.0, abs=1e-12)
     d2 = distribution_at_year(model.pi, model, 2, policy="absorb")
-    np.testing.assert_array_equal(group_probabilities(d2, model).probs, tables[2].probs)
+    np.testing.assert_array_equal(labels.split(group_probabilities(d2, model)), tables[2].probs)
 
 
 def test_cell_sums_add_label_columns_per_cell():
@@ -284,12 +287,17 @@ def test_integer_cell_sums_match_the_column_loop_bit_for_bit(shape, first, seed)
     np.testing.assert_array_equal(got, want)
 
 
-def test_expected_populations_scale_by_i0():
-    model = make_random_model(make_toy_space(), make_chars(), seed=29, with_r=True)
-    table = group_probabilities(TripleDistribution(model.pi, 3), model)
-    assert table.year == 3
-    counts, label_counts = expected_populations(table, 500.0)
-    np.testing.assert_allclose(counts, table.p * 500.0)
-    assert counts.sum() == pytest.approx(500.0, abs=1e-9)
-    np.testing.assert_allclose(label_counts, table.probs * 500.0)
-    assert label_counts.sum() == pytest.approx(500.0, abs=1e-9)
+def test_expected_populations_scale_by_i0(tmp_path):
+    model = make_random_model(make_toy_space(), make_chars(), seed=29, i0=437.3, with_r=True)
+    labels, tables = projection(model, 3, policy="absorb")
+    path = tmp_path / "project.csv"
+    write_projection_csv(path, RunManifest.collect("test", {}, {}), model, labels, tables)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert {row["year"] for row in rows} == {"2016", "2017", "2018", "2019"}
+    for row in rows:  # each count is its probability times i0, bit for bit
+        assert float(row["expected_count"]) == float(row["probability"]) * model.i0, row
+    for year in ("2016", "2019"):
+        counts = [float(r["expected_count"]) for r in rows
+                  if r["year"] == year and r["characteristic_tuple"] == "*"]
+        assert sum(counts) == pytest.approx(model.i0, abs=1e-9)

@@ -92,7 +92,7 @@ def _quoted_model():
 def test_bulk_writers_match_the_row_by_row_writers(tmp_path, monkeypatch, which):
     model = _demo_model(tmp_path) if which == "demo" else _quoted_model()
     labels, tables = projection(model, 4, "absorb")
-    probs = {model.base_year + t.year: t.probs for t in tables[1:]}
+    probs = {t.year: t.probs for t in tables[1:]}
 
     def simulate(reduce):
         return list(simulate_projection(
@@ -171,7 +171,7 @@ def _pricing(which, model):
 def test_cost_report_matches_the_whole_matrix_algorithm(tmp_path, monkeypatch, which):
     model = _demo_model(tmp_path) if which == "demo" else _quoted_model()
     labels, tables = projection(model, 4, "absorb")
-    probs = {model.base_year + t.year: t.probs for t in tables[1:]}
+    probs = {t.year: t.probs for t in tables[1:]}
     pricing = _pricing(which, model)
     manifest = RunManifest.collect("test", {}, {"years": 4})
     # over one iteration a reduction of the cells is one column, which numpy sums pairwise
@@ -242,7 +242,7 @@ def test_cost_report_and_backtest_price_a_cell_alike(tmp_path):
     census = load_reserve_csv(paths["reserve"], cfg.space)
     model = fit_model(build_counts(fit_records, census, cfg), cfg)
     labels, tables = projection(model, int(holdout.month[-1]) // 12 - model.base_year, "absorb")
-    probs = {model.base_year + t.year: t.probs for t in tables[1:]}
+    probs = {t.year: t.probs for t in tables[1:]}
     schedule, profiles = parse_finance_config(cfg.finance_raw, cfg.characteristics)
     pricing = load_salary_scale(paths["scale"], cfg.space), profiles, schedule
     manifest = RunManifest.collect("test", {}, {})

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from markovpop.errors import ConfigError
 from markovpop.states import CharacteristicSpace, StateSpaceConfig, validate_config
 
+from panelgen import feasible_seniorities
+
 
 def space_from(**overrides):
     base = dict(
@@ -123,10 +125,10 @@ def test_feasibility_cap():
     # from working age on, one seniority year per year of age
     assert sp.feasible(16, 2)
     assert not sp.feasible(16, 3)
-    assert list(sp.feasible_seniorities(13)) == [0]
-    assert list(sp.feasible_seniorities(16)) == [0, 1, 2]
+    assert list(feasible_seniorities(sp, 13)) == [0]
+    assert list(feasible_seniorities(sp, 16)) == [0, 1, 2]
     # the cap also respects the configured seniority range
-    assert list(sp.feasible_seniorities(25)) == list(range(6))
+    assert list(feasible_seniorities(sp, 25)) == list(range(6))
 
 
 @given(

@@ -19,8 +19,8 @@ from . import __version__
 from .config import RunConfig, load_run_config
 from .errors import ConfigError, MarkovPopError, atomic
 from .estimate import fit_model
-from .finance import load_salary_scale, parse_finance_config
-from .ingest import CountsCube, build_counts, load_reserve_csv, parse_records, split_records
+from .ingest import CountsCube, build_counts, load_reserve_csv, load_salary_scale
+from .ingest import parse_records, split_records
 from .model import FittedModel
 from .montecarlo import STREAM_VERSION, dump_draws, dumped, simulate_projection
 from .project import projection
@@ -65,9 +65,9 @@ def _load_model(args, cfg: RunConfig) -> FittedModel:
 
 def _pricing(args, cfg: RunConfig):
     """(salary scale, profile fields per tuple code, rate schedule) for a pricing command."""
-    if not cfg.finance_raw:
+    if cfg.finance is None:
         raise ConfigError("this command needs a 'finance' section in the config file")
-    schedule, profiles = parse_finance_config(cfg.finance_raw, cfg.characteristics)
+    schedule, profiles = cfg.finance
     return load_salary_scale(args.salary_scale, cfg.space), profiles, schedule
 
 

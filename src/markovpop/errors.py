@@ -5,35 +5,13 @@ validation problems (exit code 1) and input-data problems (exit code 2).
 """
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 
 class MarkovPopError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; `problems` are listed below the message."""
 
     exit_code = 1
-
-
-class ConfigError(MarkovPopError):
-    """Invalid configuration, flags, or model/horizon validation failure."""
-
-    exit_code = 1
-
-    def __init__(self, message, problems=None):
-        if problems:
-            message = message + "\n" + "\n".join("  - " + p for p in problems)
-        super().__init__(message)
-        self.problems = list(problems) if problems else []
-
-
-class HorizonError(ConfigError):
-    """Projection horizon does not fit the configured age range."""
-
-
-class DataError(MarkovPopError):
-    """Malformed or inconsistent input data (records, reserve, salary scale)."""
-
-    exit_code = 2
 
     def __init__(self, message, problems=None):
         if problems:
@@ -45,6 +23,20 @@ class DataError(MarkovPopError):
         self.problems = list(problems) if problems else []
 
 
+class ConfigError(MarkovPopError):
+    """Invalid configuration, flags, or model/horizon validation failure (exit code 1)."""
+
+
+class HorizonError(ConfigError):
+    """Projection horizon does not fit the configured age range."""
+
+
+class DataError(MarkovPopError):
+    """Malformed or inconsistent input data (records, reserve, salary scale)."""
+
+    exit_code = 2
+
+
 @contextmanager
 def atomic(path):
     """A hidden temporary beside `path`, renamed onto it when the block completes, else removed."""
@@ -52,7 +44,17 @@ def atomic(path):
     if os.path.exists(target) and not os.path.isfile(target):  # a FIFO or device: in place
         yield target
         return
-    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    folder, prefix = os.path.dirname(target), f".{os.path.basename(target)}."
+    with suppress(OSError):  # a folder that cannot be listed is not swept
+        for name in os.listdir(folder):  # temporaries of killed runs, whose process is gone
+            pid = name[len(prefix):-len(".tmp")]
+            if name.startswith(prefix) and name.endswith(".tmp") and pid.isdecimal():
+                with suppress(PermissionError, OverflowError, FileNotFoundError):  # live or swept
+                    try:
+                        os.kill(int(pid), 0)
+                    except ProcessLookupError:
+                        os.remove(os.path.join(folder, name))
+    tmp = os.path.join(folder, f"{prefix}{os.getpid()}.tmp")
     try:
         yield tmp
         os.replace(tmp, target)

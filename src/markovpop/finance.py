@@ -23,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import is_number
 from .errors import ConfigError, DataError
-from .ingest import csv_rows, finite_float
 from .states import CharacteristicSpace
 
 SCALE_YEAR = 2015  # the salary scale is December's; the next year is the first priced
@@ -89,7 +87,7 @@ class RateSchedule:
 
 # -- mapping characteristic tuples to profiles -------------------------
 
-_PCT_FIELDS = (
+PCT_FIELDS = (
     "annuity_pct",
     "exclusive_dedication_pct",
     "prohibition_pct",
@@ -97,108 +95,29 @@ _PCT_FIELDS = (
 )
 
 
-def parse_finance_config(raw: dict, chars: CharacteristicSpace):
-    """Parse the finance section into (schedule, profiles).
+def bind_profiles(bindings: dict, chars: CharacteristicSpace) -> list[dict]:
+    """The bound profile fields of each tuple code, from the checked ``finance.bindings``.
 
-    Each binding maps the levels of one characteristic to the values of a
-    percentage field or the pension regime.  `profiles[k]` holds the bound
-    fields of tuple code k; code 0, an unsplit cell, binds none and keeps
-    the defaults (percentages 0, regime IVM).  Full-time hours are not a
-    finance key: finance prices one full-time worker.
+    `profiles[k]` holds them for tuple code k; code 0, an unsplit cell,
+    binds none and keeps the defaults (percentages 0, regime IVM).
     """
-    if "full_time_hours" in raw:
-        raise ConfigError(
-            "finance.full_time_hours is not a finance key; set the top-level "
-            "full_time_hours instead"
-        )
-    inflation = raw.get("inflation", RateSchedule.inflation)
-    if not is_number(inflation):
-        raise ConfigError(f"finance.inflation must be a number (got {inflation!r})")
-    if inflation <= -1:
-        raise ConfigError(f"finance.inflation must be greater than -1 (got {inflation!r})")
-    schedule = RateSchedule(inflation=float(inflation))
-
-    bindings_raw = raw.get("bindings") or {}
-    if not isinstance(bindings_raw, dict):
-        raise ConfigError("finance.bindings must be a mapping")
     bound = {}
-    for fld, spec in bindings_raw.items():
-        if fld == "workload_hours":
-            raise ConfigError(
-                "finance.bindings.workload_hours: counts are full-time equivalents (FTE); "
-                "workload comes from the records, and every label is priced at full time"
-            )
-        if fld not in _PCT_FIELDS and fld != "pension_regime":
-            raise ConfigError(f"finance.bindings: unknown profile field {fld!r}")
-        if not isinstance(spec, dict) or "characteristic" not in spec or "levels" not in spec:
-            raise ConfigError(
-                f"finance.bindings.{fld}: need 'characteristic' and 'levels'"
-            )
-        if not isinstance(spec["levels"], dict):
-            raise ConfigError(f"finance.bindings.{fld}.levels must map level names to values")
-        ci = chars.index_of(spec["characteristic"])
+    for fld, spec in (bindings or {}).items():
+        if spec is None:
+            continue
+        name, values = spec["characteristic"], spec["levels"]
+        ci = chars.index_of(name)
         levels = chars.levels[ci]
-        mapped = {}
-        for level_name, value in spec["levels"].items():
-            if level_name not in levels:
-                raise ConfigError(
-                    f"finance.bindings.{fld}: {spec['characteristic']!r} has no "
-                    f"level {level_name!r}"
-                )
-            if fld != "pension_regime" and not is_number(value):
-                msg = f"level {level_name!r} must be a finite number"
-                raise ConfigError(f"finance.bindings.{fld}: {msg}")
-            mapped[levels.index(level_name)] = value
-        missing = [lv for i, lv in enumerate(levels) if i not in mapped]
+        for level in values:
+            if level not in levels:
+                raise ConfigError(f"finance.bindings.{fld}: {name!r} has no level {level!r}")
+        missing = [lv for lv in levels if lv not in values]
         if missing:
-            raise ConfigError(
-                f"finance.bindings.{fld}: unmapped levels {missing} of "
-                f"{spec['characteristic']!r}"
-            )
-        convert = float if fld in _PCT_FIELDS else PensionRegime
-        try:
-            bound[fld] = (ci, {i: convert(v) for i, v in mapped.items()})
-        except ValueError as exc:
-            raise ConfigError(f"finance.bindings.{fld}: {exc}") from None
-    profiles = [{}] + [
+            raise ConfigError(f"finance.bindings.{fld}: unmapped levels {missing} of {name!r}")
+        bound[fld] = (ci, [values[lv] for lv in levels])
+    return [{}] + [
         {fld: values[t[ci]] for fld, (ci, values) in bound.items()} for t in chars.all_tuples()
     ]
-    return schedule, profiles
-
-
-def load_salary_scale(path, space) -> dict[int, float]:
-    """Load the per-category base salary scale (header: category,base_salary)."""
-    problems = []
-    scale: dict[int, float] = {}
-    for i, row in csv_rows(path, "salary scale", ("category", "base_salary"), problems):
-        code = (row["category"] or "").strip()
-        if code not in space.categories:
-            problems.append(f"row {i}: unknown category code {code!r}")
-            continue
-        idx = space.categories.index(code)
-        if idx == 0:
-            problems.append(f"row {i}: the out-of-system category has no salary")
-            continue
-        try:
-            w = finite_float(row["base_salary"])
-        except (TypeError, ValueError):
-            problems.append(
-                f"row {i}: non-numeric base_salary {row['base_salary']!r} (need a finite number)"
-            )
-            continue
-        if w < 0:
-            problems.append(f"row {i}: negative base_salary at {code!r}")
-            continue
-        if idx in scale:
-            problems.append(f"row {i}: duplicate category {code!r}")
-            continue
-        scale[idx] = w
-    missing = [code for i, code in enumerate(space.categories) if i and i not in scale]
-    if missing:
-        problems.append(f"missing categories: {', '.join(missing)}")
-    if problems:
-        raise DataError(f"salary scale {path} is invalid", problems)
-    return scale
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported below
@@ -215,7 +134,7 @@ def full_time_costs(
     at mid-year and at full next-year inflation depth, times the
     supplements over the coverage of the scale; the employer charges of
     the module docstring multiply it.  `profiles` holds the bound profile
-    fields per tuple code (see :func:`parse_finance_config`).  Row 0, the
+    fields per tuple code (see :func:`bind_profiles`).  Row 0, the
     out-of-system category, is zero.  Counts are full-time equivalents,
     so a count times its entry here is its cost; see README.
     """
@@ -233,7 +152,7 @@ def full_time_costs(
     except OverflowError:  # float ** raises instead of returning inf
         growth = np.inf
     base = np.array([scale[c] for c in range(1, n_categories)])[:, None]
-    pct = {f: np.array([p.get(f, 0.0) for p in profiles]) for f in _PCT_FIELDS}
+    pct = {f: np.array([p.get(f, 0.0) for p in profiles]) for f in PCT_FIELDS}
     supplements = 1.0 + pct["annuity_pct"] + pct["exclusive_dedication_pct"] + (
         pct["prohibition_pct"] + pct["availability_pct"]
     )

@@ -1,4 +1,4 @@
-"""Monthly panel ingestion: record columns, the census and the counts cube.
+"""Input files and the counts cube: panel records, the census and the salary scale.
 
 The monthly panel of in-system persons is parsed into :class:`Records`,
 one numpy column per field.  :func:`build_counts` sums the columns with
@@ -407,6 +407,41 @@ def load_reserve_csv(path, space: StateSpaceConfig) -> np.ndarray:
     if problems:
         raise DataError(f"reserve file {path} is invalid", problems)
     return np.array([totals[e] for e in range(space.age_min, space.age_max)])
+
+
+def load_salary_scale(path, space) -> dict[int, float]:
+    """Load the per-category base salary scale (header: category,base_salary)."""
+    problems = []
+    scale: dict[int, float] = {}
+    for i, row in csv_rows(path, "salary scale", ("category", "base_salary"), problems):
+        code = (row["category"] or "").strip()
+        if code not in space.categories:
+            problems.append(f"row {i}: unknown category code {code!r}")
+            continue
+        idx = space.categories.index(code)
+        if idx == 0:
+            problems.append(f"row {i}: the out-of-system category has no salary")
+            continue
+        try:
+            w = finite_float(row["base_salary"])
+        except (TypeError, ValueError):
+            problems.append(
+                f"row {i}: non-numeric base_salary {row['base_salary']!r} (need a finite number)"
+            )
+            continue
+        if w < 0:
+            problems.append(f"row {i}: negative base_salary at {code!r}")
+            continue
+        if idx in scale:
+            problems.append(f"row {i}: duplicate category {code!r}")
+            continue
+        scale[idx] = w
+    missing = [code for i, code in enumerate(space.categories) if i and i not in scale]
+    if missing:
+        problems.append(f"missing categories: {', '.join(missing)}")
+    if problems:
+        raise DataError(f"salary scale {path} is invalid", problems)
+    return scale
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import is_number
+from .config import SPACE, is_number, parse_space
 from .errors import ConfigError, DataError, atomic
-from .states import CharacteristicSpace, StateSpaceConfig, validate_config
+from .states import CharacteristicSpace, StateSpaceConfig
 
 FORMAT_NAME = "markovpop-model"
 FORMAT_VERSION = 1
@@ -234,15 +234,7 @@ class FittedModel:
         return {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
-            "space": {
-                "categories": list(sp.categories),
-                "age_min": sp.age_min,
-                "age_max": sp.age_max,
-                "age_groups": [list(g) for g in sp.age_groups],
-                "seniority_max": sp.seniority_max,
-                "seniority_groups": [list(g) for g in sp.seniority_groups],
-                "working_age_min": sp.working_age_min,
-            },
+            "space": {key: getattr(sp, key) for key, _, _ in SPACE},  # tuples write as lists
             "characteristics": {
                 "names": list(self.characteristics.names),
                 "levels": [list(lv) for lv in self.characteristics.levels],
@@ -301,7 +293,7 @@ class FittedModel:
 
     @classmethod
     def _from_doc(cls, doc: dict) -> "FittedModel":
-        space = validate_config(doc["space"])
+        space = parse_space(doc["space"])
         chars = CharacteristicSpace(
             names=tuple(doc["characteristics"]["names"]),
             levels=tuple(tuple(lv) for lv in doc["characteristics"]["levels"]),

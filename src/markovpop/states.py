@@ -224,62 +224,3 @@ class StateSpaceConfig:
         lo, hi = (self.age_groups if kind == "age" else self.seniority_groups)[index]
         return f"{lo}..{hi}"
 
-
-def validate_config(raw: dict) -> StateSpaceConfig:
-    """Build a StateSpaceConfig from parsed config data.
-
-    Collects every violation before failing so a bad file is reported in
-    one shot rather than one field at a time.
-    """
-    problems = []
-    required = [
-        "categories",
-        "age_min",
-        "age_max",
-        "age_groups",
-        "seniority_max",
-        "seniority_groups",
-        "working_age_min",
-    ]
-    for key in required:
-        if key not in raw:
-            problems.append(f"missing required key {key!r}")
-    if problems:
-        raise ConfigError("invalid state space configuration", problems)
-
-    cats = raw["categories"]
-    if not isinstance(cats, (list, tuple)) or not all(isinstance(c, str) for c in cats):
-        problems.append("categories must be a list of strings")
-    for key in ("age_min", "age_max", "seniority_max", "working_age_min"):
-        if not isinstance(raw[key], int) or isinstance(raw[key], bool):
-            problems.append(f"{key} must be an integer (got {raw[key]!r})")
-    for key in ("age_groups", "seniority_groups"):
-        v = raw[key]
-        pairs = isinstance(v, (list, tuple)) and all(isinstance(g, (list, tuple)) for g in v)
-        if not pairs:
-            problems.append(f"{key} must be a list of [lo, hi) pairs")
-    if problems:
-        raise ConfigError("invalid state space configuration", problems)
-
-    marker = raw.get("reserve_age_group")
-    first = raw["age_groups"][0] if raw["age_groups"] else None
-    if marker is not None and not (
-        isinstance(marker, (list, tuple))
-        and isinstance(first, (list, tuple))
-        and list(marker) == list(first)
-    ):
-        problems.append(
-            f"reserve_age_group {marker!r} must equal the first age group {first!r}"
-        )
-    if problems:
-        raise ConfigError("invalid state space configuration", problems)
-
-    return StateSpaceConfig(
-        categories=tuple(cats),
-        age_min=raw["age_min"],
-        age_max=raw["age_max"],
-        age_groups=tuple(tuple(g) for g in raw["age_groups"]),
-        seniority_max=raw["seniority_max"],
-        seniority_groups=tuple(tuple(g) for g in raw["seniority_groups"]),
-        working_age_min=raw["working_age_min"],
-    )

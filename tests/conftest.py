@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from markovpop.config import build_run_config
 from markovpop.model import FittedModel
 from markovpop.states import CharacteristicSpace, StateSpaceConfig
 
@@ -36,6 +37,17 @@ def make_wide_space() -> StateSpaceConfig:
         seniority_groups=((0, 30), (30, 60)),
         working_age_min=0,
     )
+
+
+def finance_of(section: dict, chars: CharacteristicSpace):
+    """The parsed `finance` of a config holding `section` there and declaring `chars`."""
+    entries = [{"name": n, "levels": list(lv)} for n, lv in zip(chars.names, chars.levels)]
+    raw = {
+        "categories": ["out", "X"], "age_min": 0, "age_max": 1, "age_groups": [[0, 1]],
+        "seniority_max": 1, "seniority_groups": [[0, 1]], "working_age_min": 0,
+        "characteristics": entries, "finance": section,
+    }
+    return build_run_config(raw).finance
 
 
 def make_random_model(

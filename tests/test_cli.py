@@ -352,6 +352,16 @@ def _set(path, value):
     return edit
 
 
+def _rename(path, new):
+    def edit(raw):
+        *parents, key = path
+        for p in parents:
+            raw = raw[p]
+        raw[new] = raw.pop(key)
+
+    return edit
+
+
 def _binary(role):
     """The input named by `role` replaced by bytes that are not UTF-8 text."""
 
@@ -427,7 +437,8 @@ DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
          "stopping_time_pmf_overrides must map"),
         (_config_with(_set(["finance", "bindings", "annuity_pct", "levels"], [0.0, 0.12])),
          "cost-report", 1, "levels must map level names"),
-        (_config_with(_set(["reserve_age_group"], 5)), "cost-report", 1, "reserve_age_group 5"),
+        (_config_with(_set(["reserve_age_group"], 5)), "cost-report", 1,
+         "unknown key 'reserve_age_group'"),
         (_config_with(_set(["finance", "full_time_hours"], "x")), "cost-report", 1,
          "top-level full_time_hours"),
         # non-finite numbers, one per input boundary
@@ -438,9 +449,9 @@ DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
         (_csv_with("scale", 1, 1, "inf"), "cost-report", 2,
          "row 1: non-numeric base_salary 'inf'"),
         (_config_with(_set(["finance", "inflation"], NAN)), "cost-report", 1,
-         "finance.inflation must be a number (got nan)"),
+         "finance.inflation must be a number greater than -1 (got nan)"),
         (_config_with(_set(["finance", "bindings", "annuity_pct", "levels", "b1"], NAN)),
-         "cost-report", 1, "finance.bindings.annuity_pct: level 'b1' must be a finite number"),
+         "cost-report", 1, "finance.bindings.annuity_pct.levels[b1] must be a finite number"),
         (_config_with(_set(["full_time_hours"], NAN)), "fit", 1,
          "full_time_hours must be a positive number (got nan)"),
         (_config_with(_set(["stopping_time_pmf"], [NAN] + [1 / 11] * 11)), "fit", 1,
@@ -462,7 +473,7 @@ DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
         (_config_with(_set(["finance", "inflation"], 1.0e308)), "cost-report", 2,
          "employer costs for year 2017 are not finite"),
         (_config_with(_set(["finance", "inflation"], -2)), "cost-report", 1,
-         "finance.inflation must be greater than -1 (got -2)"),
+         "finance.inflation must be a number greater than -1 (got -2)"),
         # an observed cost beyond the float range: a held-out record at 200 times full time
         (_in_turn(_csv_with("records", -1, 5, "8000"), _csv_with("scale", 1, 1, "6e306"),
                   _csv_with("scale", 2, 1, "6e306")),
@@ -528,10 +539,17 @@ DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
          "cannot be decoded: maximum recursion depth exceeded"),
         (_config_text(r"age_max: \d+", "age_max: " + LONG), "fit", 1,
          "cannot be decoded: Exceeds the limit" if DIGIT_LIMIT
-         else "invalid state space configuration"),
+         else "ages and seniorities must lie within"),
         # YAML reads this as a date, and the date constructor raises ValueError
         (_config_text(r"\Z", "note: 2020-13-45\n"), "fit", 1,
          "cannot be decoded: month must be in 1..12"),
+        # misspelled keys, at the top level and in a section: an error, not a default
+        (_config_with(_set(["full_time_hour"], 30)), "fit", 1,
+         "unknown key 'full_time_hour' (did you mean 'full_time_hours'?)"),
+        (_config_with(_set(["overflow_polcy"], "absorb")), "fit", 1,
+         "unknown key 'overflow_polcy' (did you mean 'overflow_policy'?)"),
+        (_config_with(_rename(["finance", "inflation"], "inflaton")), "fit", 1,
+         "unknown key 'finance.inflaton' (did you mean 'finance.inflation'?)"),
     ],
     ids=["model-missing-annual", "overrides-list", "levels-list", "reserve-marker-int",
          "finance-full-time-hours", "reserve-nan", "workload-nan", "salary-nan",
@@ -549,7 +567,8 @@ DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
          "model-i0-bool", "model-i0-string", "model-base-year-fraction", "model-base-year-bool",
          "model-full-time-hours-string", "model-full-time-hours-bool", "model-nested-deep",
          "model-integer-long", "config-nested-deep", "config-integer-long",
-         "config-date-invalid"],
+         "config-date-invalid", "top-key-misspelled", "policy-key-misspelled",
+         "finance-key-misspelled"],
 )
 def test_malformed_inputs_are_classified(
     mini_pipeline, tmp_path, damage, command, code, message
@@ -566,6 +585,9 @@ def test_malformed_inputs_are_classified(
     assert "RuntimeWarning" not in proc.stderr
     assert message in proc.stderr
     assert proc.stderr.count("error:") == 1, proc.stderr
+    if message.startswith("model file: invalid state space"):
+        # the empty age range is the only problem: no partition check runs on it
+        assert "overlap" not in proc.stderr
     # a failed run writes no report
     assert not pathlib.Path(argv[argv.index("--out") + 1]).exists()
 
@@ -614,6 +636,27 @@ def test_a_write_error_names_the_output_as_given(
     assert sorted(os.listdir(tmp_path)) == []  # neither a report nor a hidden temporary
 
 
+def test_a_write_sweeps_the_temporaries_of_runs_whose_process_is_gone(tmp_path):
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                           capture_output=True, text=True, check=True)
+    gone = int(child.stdout)  # run() has reaped it: no process holds this pid
+    stale = tmp_path / f".draws.bin.{gone}.tmp"
+    kept = [
+        tmp_path / f".draws.bin.{os.getpid()}.tmp",  # this test's process is alive
+        tmp_path / f".report.csv.{gone}.tmp",  # a temporary of another output
+        tmp_path / ".draws.bin.x1.tmp",  # no pid
+    ]
+    for file in (stale, *kept):
+        file.write_text("left behind")
+    write = ("import sys\nfrom markovpop.errors import atomic\n"
+             "with atomic(sys.argv[1]) as tmp, open(tmp, 'w') as fh: fh.write('draws')\n")
+    subprocess.run([sys.executable, "-c", write, str(tmp_path / "draws.bin")], env=env, check=True)
+    assert (tmp_path / "draws.bin").read_text() == "draws"
+    assert sorted(tmp_path.iterdir()) == sorted([tmp_path / "draws.bin", *kept])
+
+
 def test_importing_the_cli_loads_neither_openssl_nor_the_process_pool():
     # measured on top of the dependencies, which may load some of these themselves
     probe = (
@@ -627,7 +670,8 @@ def test_importing_the_cli_loads_neither_openssl_nor_the_process_pool():
     )
     added = set(proc.stdout.split())
     assert "markovpop.cli" in added
-    assert not added & {"multiprocessing", "concurrent.futures", "hashlib", "_hashlib"}
+    # difflib only names the nearest key of a misspelled one
+    assert not added & {"multiprocessing", "concurrent.futures", "hashlib", "_hashlib", "difflib"}
 
 
 @pytest.mark.parametrize("world", ["demo", "cycled"])

@@ -9,6 +9,7 @@ import yaml
 
 from markovpop.cli import main
 from markovpop.config import load_run_config
+from markovpop.finance import PensionRegime
 
 DEMO = pathlib.Path(__file__).resolve().parent.parent / "demo"
 
@@ -121,4 +122,6 @@ def test_institution_template_validates():
     assert cfg.space.n_categories == 38
     assert cfg.space.age_min == -7
     assert cfg.space.n_age_groups == 5
-    assert cfg.finance_raw["bindings"]["pension_regime"]["levels"]["ivm"] == "IVM"
+    _, profiles = cfg.finance
+    code = cfg.characteristics.code(cfg.characteristics.encode(["a10", "ivm"]))
+    assert profiles[code] == {"annuity_pct": 0.23, "pension_regime": PensionRegime.IVM}

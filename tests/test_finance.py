@@ -4,16 +4,11 @@ import mpmath as mp
 import pytest
 
 from markovpop.errors import ConfigError, DataError
-from markovpop.finance import (
-    PensionRegime,
-    RateSchedule,
-    full_time_costs,
-    load_salary_scale,
-    parse_finance_config,
-)
+from markovpop.finance import PensionRegime, RateSchedule, full_time_costs
+from markovpop.ingest import load_salary_scale
 from markovpop.states import CharacteristicSpace
 
-from conftest import make_toy_space
+from conftest import finance_of, make_toy_space
 
 
 def test_school_board_levy_schedule():
@@ -78,7 +73,7 @@ def test_salary_cost_matches_high_precision_oracle():
             "prohibition_pct": {"characteristic": "band", "levels": {"b0": 0.05, "b1": 0.0}},
         },
     }
-    schedule, profiles = parse_finance_config(raw, chars)
+    schedule, profiles = finance_of(raw, chars)
     k = chars.code((0,))
     assert 1.0 + profiles[k]["annuity_pct"] + profiles[k]["prohibition_pct"] == pytest.approx(1.25)
     for year in (2016, 2018, 2031):
@@ -107,7 +102,7 @@ def test_total_cost_applies_all_employer_charges():
             },
         },
     }
-    schedule, profiles = parse_finance_config(raw, chars)
+    schedule, profiles = finance_of(raw, chars)
     year = 2017
     g = full_time_costs(year, 2, {1: 650000.0}, profiles, schedule)
     salary = 6.0 * 650000.0 * (1.04 ** 1.5 + 1.04 ** 2) / 0.90
@@ -139,7 +134,7 @@ def finance_raw():
 
 def test_parse_finance_config_happy_path():
     chars = make_chars()
-    schedule, profiles = parse_finance_config(finance_raw(), chars)
+    schedule, profiles = finance_of(finance_raw(), chars)
     assert schedule == RateSchedule(inflation=0.05)  # finance holds no hours
     # one entry per tuple code; code 0 (an unsplit cell) binds nothing
     assert len(profiles) == len(chars.tuples()) == 5
@@ -154,48 +149,48 @@ def test_parse_finance_config_happy_path():
 
 def test_parse_finance_config_errors():
     chars = make_chars()
-    with pytest.raises(ConfigError, match="inflation must be a number"):
-        parse_finance_config({"inflation": "high"}, chars)
-    with pytest.raises(ConfigError, match="inflation must be greater than -1"):
-        parse_finance_config({"inflation": -1}, chars)
+    with pytest.raises(ConfigError, match="inflation must be a number greater than -1 .got 'high'"):
+        finance_of({"inflation": "high"}, chars)
+    with pytest.raises(ConfigError, match="inflation must be a number greater than -1 .got -1"):
+        finance_of({"inflation": -1}, chars)
     with pytest.raises(ConfigError, match="bindings must be a mapping"):
-        parse_finance_config({"bindings": [1]}, chars)
-    with pytest.raises(ConfigError, match="need 'characteristic' and 'levels'"):
-        parse_finance_config({"bindings": {"annuity_pct": {"levels": {}}}}, chars)
+        finance_of({"bindings": [1]}, chars)
+    with pytest.raises(ConfigError, match="missing required key 'finance.bindings.annuity_pct.char"):
+        finance_of({"bindings": {"annuity_pct": {"levels": {}}}}, chars)
     # full-time hours have one source: the top-level key
     with pytest.raises(ConfigError, match="top-level full_time_hours"):
-        parse_finance_config({"full_time_hours": 40}, chars)
+        finance_of({"full_time_hours": 40}, chars)
 
     raw = finance_raw()
     raw["bindings"]["annuity_pct"]["levels"] = [0.0, 0.30]
     with pytest.raises(ConfigError, match="levels must map level names"):
-        parse_finance_config(raw, chars)
+        finance_of(raw, chars)
 
     raw = finance_raw()
     raw["bindings"]["annuity_pct"]["levels"] = {"b0": 0.0, "nope": 0.1}
     with pytest.raises(ConfigError, match="no level 'nope'"):
-        parse_finance_config(raw, chars)
+        finance_of(raw, chars)
 
     raw = finance_raw()
     raw["bindings"]["annuity_pct"]["levels"] = {"b0": 0.0}
     with pytest.raises(ConfigError, match="unmapped levels"):
-        parse_finance_config(raw, chars)
+        finance_of(raw, chars)
 
     raw = finance_raw()
     raw["bindings"]["pension_regime"]["levels"]["jc"] = "NO_SUCH_REGIME"
     with pytest.raises(ConfigError, match="pension_regime"):
-        parse_finance_config(raw, chars)
+        finance_of(raw, chars)
 
     raw = finance_raw()
     raw["bindings"]["hat_size"] = {"characteristic": "band", "levels": {"b0": 1, "b1": 2}}
-    with pytest.raises(ConfigError, match="unknown profile field"):
-        parse_finance_config(raw, chars)
+    with pytest.raises(ConfigError, match="unknown key 'finance.bindings.hat_size'"):
+        finance_of(raw, chars)
 
     # counts are full-time equivalents: no binding sets the workload
     raw = finance_raw()
     raw["bindings"]["workload_hours"] = {"characteristic": "band", "levels": {"b0": 20, "b1": 40}}
     with pytest.raises(ConfigError, match=r"workload_hours: counts are full-time equivalents"):
-        parse_finance_config(raw, chars)
+        finance_of(raw, chars)
 
 
 def test_load_salary_scale(tmp_path):
@@ -233,7 +228,7 @@ def test_load_salary_scale(tmp_path):
 
 def test_full_time_costs_price_every_category_and_tuple():
     chars = make_chars()
-    schedule, profiles = parse_finance_config(finance_raw(), chars)
+    schedule, profiles = finance_of(finance_raw(), chars)
     scale = {1: 400000.0, 2: 900000.0}
     g = full_time_costs(2018, 3, scale, profiles, schedule)
     assert g.shape == (3, 5)
@@ -252,6 +247,6 @@ def test_full_time_costs_price_every_category_and_tuple():
     # a cost beyond the float range is a data error naming the year
     with pytest.raises(DataError, match="year 2018 are not finite"):
         full_time_costs(2018, 3, {1: 400000.0, 2: 1e308}, profiles, schedule)
-    huge, _ = parse_finance_config({"inflation": 1e308}, chars)
+    huge, _ = finance_of({"inflation": 1e308}, chars)
     with pytest.raises(DataError, match="year 2018 are not finite"):
         full_time_costs(2018, 3, scale, profiles, huge)

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 from markovpop.config import build_run_config, load_run_config
 from markovpop.errors import DataError
 from markovpop.estimate import fit_model
-from markovpop.finance import load_salary_scale, parse_finance_config
 from markovpop.ingest import (
     Records,
     build_counts,
     build_reserve,
     load_reserve_csv,
+    load_salary_scale,
     parse_records,
     split_records,
 )
@@ -631,7 +631,7 @@ def test_renamed_ids_move_no_bit_of_the_cube_or_the_observed_totals(tmp_path):
     (records, census, cfg), (renamed, *_) = _mini_panel(tmp_path), _renamed_panel(tmp_path)
     assert renamed.person_ids != records.person_ids
     _assert_same_cube(build_counts(renamed, census, cfg), build_counts(records, census, cfg))
-    schedule, profiles = parse_finance_config(cfg.finance_raw, cfg.characteristics)
+    schedule, profiles = cfg.finance
     scale = {cfg.space.categories.index(c): v for c, v in panelgen.MINI_SALARY_SCALE.items()}
     got, want = (observed_totals(split_records(r, 2016)[1], cfg, scale, profiles, schedule)
                  for r in (renamed, records))

@@ -17,7 +17,8 @@ import yaml
 from markovpop import montecarlo
 from markovpop.cli import main
 from markovpop.config import load_run_config
-from markovpop.finance import full_time_costs, load_salary_scale, parse_finance_config
+from markovpop.finance import full_time_costs
+from markovpop.ingest import load_salary_scale
 from markovpop.model import FittedModel
 from markovpop.project import LabelIndex, projection
 from markovpop.reports import _cell_names
@@ -327,7 +328,7 @@ def _check_standard_errors(tmp_path, world):
         assert abs(sd.get(key, 0.0) ** 2 - (n - 1) / n * s) <= z * se, (key, pk, sd.get(key))
 
     cfg = load_run_config(paths["config"])
-    schedule, profiles = parse_finance_config(cfg.finance_raw, cfg.characteristics)
+    schedule, profiles = cfg.finance
     scale = load_salary_scale(paths["scale"], cfg.space)
     labels, tables = projection(fitted, years, cfg.overflow_policy)
     lines = [r for r in (tmp_path / "cost.csv").read_text().splitlines() if not r.startswith("#")]

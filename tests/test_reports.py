@@ -14,8 +14,13 @@ import pytest
 from markovpop.cli import main
 from markovpop.config import load_run_config
 from markovpop.estimate import fit_model
-from markovpop.finance import load_salary_scale, parse_finance_config
-from markovpop.ingest import build_counts, load_reserve_csv, parse_records, split_records
+from markovpop.ingest import (
+    build_counts,
+    load_reserve_csv,
+    load_salary_scale,
+    parse_records,
+    split_records,
+)
 from markovpop import montecarlo, reports
 from markovpop.model import FittedModel
 from markovpop.montecarlo import simulate_projection
@@ -34,7 +39,7 @@ from markovpop.reports import (
 from markovpop.states import CharacteristicSpace, StateSpaceConfig
 
 import panelgen
-from conftest import make_random_model, write_world_inputs
+from conftest import finance_of, make_random_model, write_world_inputs
 from reference import (
     cost_rows_by_matrix,
     stacked,
@@ -160,10 +165,10 @@ def _pricing(which, model):
     """(salary scale, profiles, schedule) for `demo/` or for `_quoted_model`."""
     if which == "demo":
         cfg = load_run_config(DEMO / "config.yaml")
-        schedule, profiles = parse_finance_config(cfg.finance_raw, cfg.characteristics)
+        schedule, profiles = cfg.finance
         return load_salary_scale(DEMO / "salary_scale.csv", cfg.space), profiles, schedule
     bindings = {"annuity_pct": {"characteristic": "band", "levels": {"x,y": 0.0, '"q"': 0.12}}}
-    schedule, profiles = parse_finance_config({"bindings": bindings}, model.characteristics)
+    schedule, profiles = finance_of({"bindings": bindings}, model.characteristics)
     return {1: 400000.0, 2: 650000.0, 3: 512345.5, 4: 333333.0}, profiles, schedule
 
 
@@ -243,7 +248,7 @@ def test_cost_report_and_backtest_price_a_cell_alike(tmp_path):
     model = fit_model(build_counts(fit_records, census, cfg), cfg)
     labels, tables = projection(model, int(holdout.month[-1]) // 12 - model.base_year, "absorb")
     probs = {t.year: t.probs for t in tables[1:]}
-    schedule, profiles = parse_finance_config(cfg.finance_raw, cfg.characteristics)
+    schedule, profiles = cfg.finance
     pricing = load_salary_scale(paths["scale"], cfg.space), profiles, schedule
     manifest = RunManifest.collect("test", {}, {})
     reports = model, labels, tables

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from markovpop.config import build_run_config, parse_space
 from markovpop.errors import ConfigError
-from markovpop.states import CharacteristicSpace, StateSpaceConfig, validate_config
+from markovpop.states import CharacteristicSpace, StateSpaceConfig
 
 from panelgen import feasible_seniorities
 
@@ -183,8 +184,8 @@ def test_validate_config_collects_problems():
         "seniority_groups": [[0, 2]],
         "working_age_min": 0,
     }
-    sp = validate_config(raw)
-    assert sp == StateSpaceConfig(
+    sp = build_run_config(raw).space
+    assert sp == parse_space(raw) == StateSpaceConfig(
         categories=("out", "A"),
         age_min=0,
         age_max=4,
@@ -198,9 +199,14 @@ def test_validate_config_collects_problems():
     del bad["age_max"]
     del bad["seniority_max"]
     with pytest.raises(ConfigError) as err:
-        validate_config(bad)
-    msg = str(err.value)
-    assert "age_max" in msg and "seniority_max" in msg
+        build_run_config(bad)
+    assert err.value.problems == ["missing required key 'age_max'",
+                                  "missing required key 'seniority_max'"]
+    # a model file's space names its keys below `space`
+    with pytest.raises(ConfigError, match="invalid state space configuration") as err:
+        parse_space(bad)
+    assert err.value.problems == ["missing required key 'space.age_max'",
+                                  "missing required key 'space.seniority_max'"]
 
 
 def test_validate_config_reserve_marker():
@@ -212,12 +218,10 @@ def test_validate_config_reserve_marker():
         "seniority_max": 2,
         "seniority_groups": [[0, 2]],
         "working_age_min": 0,
-        "reserve_age_group": [0, 2],
     }
-    validate_config(raw)
-    raw["reserve_age_group"] = [0, 3]
-    with pytest.raises(ConfigError, match="reserve_age_group"):
-        validate_config(raw)
-    raw["reserve_age_group"] = 5
-    with pytest.raises(ConfigError, match="reserve_age_group 5"):
-        validate_config(raw)
+    # the reserve group is the first age group: no key names it, not even with that value
+    assert build_run_config(raw).space.age_groups[0] == (0, 2)
+    for marker in ([0, 2], [0, 3], 5):
+        with pytest.raises(ConfigError) as err:
+            build_run_config({**raw, "reserve_age_group": marker})
+        assert err.value.problems[0].startswith("unknown key 'reserve_age_group'")

@@ -219,7 +219,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("simulate", help="Monte Carlo around the projection")
     common(sp, cmd_simulate, model=True, sim=True, years=1)
     sp.add_argument("--dump-draws", dest="dump_draws",
-                    help="optional raw draw dump (int64 little-endian)")
+                    help="optional raw draw dump (int32 little-endian)")
 
     sp = sub.add_parser("cost-report", help="price the projected population")
     common(sp, cmd_cost_report, model=True, sim=True, scale=True, years=1)

@@ -8,8 +8,8 @@ at once, where `tail_i` sums the probabilities of label i and the labels
 after it, and the last non-zero label takes what remains.
 Zero-probability labels are skipped without consuming randomness, which
 keeps streams aligned when a config edit adds empty cells.  The chain
-is drawn in blocks of whole cells, each reduced as it is drawn, so no
-year's (iterations x labels) matrix is ever held.
+is drawn in blocks of whole cells, each reduced, and dumped if asked, as it
+is drawn, so no year's (iterations x labels) matrix is ever held.
 
 Randomness comes from numpy's counter-based Philox generator.  The
 stream of one year is keyed by (master seed, year), and worker
@@ -158,29 +158,29 @@ def _reduced(reduce, year, trials, probs, iterations, gen, bounds):
 
 
 def dump_draws(path, years, iterations: int, n_labels: int) -> None:
-    """Make the draw dump `path` whole, at its full size and with its header, for `dumped` to fill.
+    """Write the header of the draw dump `path`; `dumped` writes each year in its place.
 
-    Layout: 5 uint64 header fields (magic 0x4d504f50, layout version 1,
+    Layout: 5 uint64 header fields (magic 0x4d504f50, layout version 2,
     number of years, iterations, labels per year), then per year of
-    `years` one uint64 (the year) followed by iterations x labels int64
-    values, iteration-major.  All integers little-endian.
+    `years` one uint64 (the year) followed by labels x iterations int32
+    values, label-major, so year k starts at byte
+    40 + k * (8 + 4 * iterations * labels).  All integers little-endian.
     """
-    size = iterations * n_labels
-    words = np.memmap(path, "<u8", "w+", shape=(5 + len(years) * (1 + size),))
-    words[:5] = [0x4D504F50, 1, len(years), iterations, n_labels]
-    words[5 :: 1 + size] = years
+    np.array([0x4D504F50, 2, len(years), iterations, n_labels], "<u8").tofile(path)
 
 
 def dumped(reduce, path, years, n_labels, year, blocks):
     """`reduce(year, blocks)`, each block first written to its place in the `dump_draws` file."""
 
-    def written(k=years.index(year)):
+    def written(fh, k=years.index(year)):
         for lo, hi, block in blocks:
-            iterations = len(block)
-            offset = 8 * (6 + k * (1 + iterations * n_labels))  # past year k's marker
-            region = np.memmap(path, "<i8", "r+", offset, (iterations, n_labels))
-            region[:, lo:hi] = block
-            del region  # unmapped: its pages leave this process's resident set
+            start = 40 + k * (8 + 4 * len(block) * n_labels)  # year k's marker
+            if lo == 0:
+                fh.seek(start)
+                fh.write(year.to_bytes(8, "little"))
+            fh.seek(start + 8 + 4 * len(block) * lo)
+            fh.write(np.ascontiguousarray(block.T, "<i4"))
             yield lo, hi, block
 
-    return reduce(year, written())
+    with open(path, "r+b") as fh:
+        return reduce(year, written(fh))

@@ -126,6 +126,24 @@ def demo_inputs(base):
             "reserve": demo / "reserve.csv", "scale": demo / "salary_scale.csv"}
 
 
+def read_dump(path):
+    """The header and the draws of a `simulate --dump-draws` file in layout version 2.
+
+    Returns the five header fields and {year: (iterations, labels) array}.
+    """
+    raw = Path(path).read_bytes()
+    header = np.frombuffer(raw, "<u8", 5).tolist()
+    n_years, iterations, labels = header[2:]
+    size = 8 + 4 * iterations * labels  # a year: its marker, then its draws label by label
+    assert len(raw) == 40 + n_years * size, (len(raw), header)
+    draws = {}
+    for start in range(40, len(raw), size):
+        year = int(np.frombuffer(raw, "<u8", 1, start)[0])
+        draws[year] = np.frombuffer(raw, "<i4", labels * iterations, start + 8).reshape(
+            labels, iterations).T
+    return header, draws
+
+
 # unequal workloads, so the order of a month's weighted sums shows in the bits
 CYCLED_WORKLOADS = ("13", "21", "33", "37", "40")
 

@@ -18,7 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import write_cycled_mini_world
+from conftest import read_dump, write_cycled_mini_world
 from markovpop import cli, montecarlo, reports
 from markovpop.cli import main
 from markovpop.config import load_run_config
@@ -164,15 +164,11 @@ def test_simulate_report_and_draw_dump(mini_pipeline):
                           "characteristic_tuple"]
     assert {int(r["year"]) for r in rows} == {2017}
 
-    raw = dump.read_bytes()
-    head = np.frombuffer(raw[:40], dtype="<u8").tolist()
-    assert head[0] == 0x4D504F50 and head[1] == 1
-    n_years, iters, cells = head[2:]
-    assert (n_years, iters) == (1, 40)
-    year = np.frombuffer(raw[40:48], dtype="<u8")[0]
-    assert year == 2017
-    draws = np.frombuffer(raw[48:], dtype="<i8").reshape(40, cells)
-    assert np.all(draws.sum(axis=1) == 150)
+    head, draws = read_dump(dump)
+    assert head[0] == 0x4D504F50 and head[1] == 2
+    assert head[2:4] == [1, 40]
+    assert list(draws) == [2017] and draws[2017].shape == (40, head[4])
+    assert np.all(draws[2017].sum(axis=1) == 150)
 
 
 def test_a_space_without_characteristics_prints_no_empty_tuple_row(tmp_path):
@@ -196,7 +192,7 @@ def test_a_space_without_characteristics_prints_no_empty_tuple_row(tmp_path):
         assert {int(r["year"]) for r in rows} >= {2017, 2018}, command
         assert {r["characteristic_tuple"] for r in rows} == {"*"}, command
     # one label per cell: 3 categories x 3 age groups x 1 seniority group
-    assert np.frombuffer(dump.read_bytes()[:40], dtype="<u8")[4] == 9
+    assert read_dump(dump)[0][4] == 9
 
 
 def test_simulate_same_seed_same_bytes(mini_pipeline):

@@ -23,7 +23,7 @@ from markovpop.model import FittedModel
 from markovpop.project import LabelIndex, projection
 from markovpop.reports import _cell_names
 
-from conftest import demo_inputs, write_cycled_demo, write_cycled_mini_world
+from conftest import demo_inputs, read_dump, write_cycled_demo, write_cycled_mini_world
 
 WORLDS = (demo_inputs, write_cycled_mini_world)
 
@@ -267,12 +267,13 @@ def _check_binomial_laws(tmp_path, world):
     trials, labels = round(fitted.i0), LabelIndex.build(fitted)
     assert fitted.i0 == trials
     p = _column(tmp_path / "project.csv", "probability")  # leaves out cells with p = 0
-    raw = np.frombuffer(dump.read_bytes(), dtype="<i8")[5:].reshape(years, -1)
+    head, draws = read_dump(dump)
+    assert head[2:] == [years, iterations, len(labels.cell_id)]
+    assert list(draws) == [fitted.base_year + t for t in range(1, years + 1)]
     support = np.arange(trials + 1)
     for t in range(1, years + 1):
         year = str(fitted.base_year + t)
-        assert raw[t - 1, 0] == fitted.base_year + t
-        cells = np.add.reduceat(raw[t - 1, 1:].reshape(iterations, -1), labels.bounds[:-1], 1)
+        cells = np.add.reduceat(draws[fitted.base_year + t], labels.bounds[:-1], 1)
         cell_p = np.array([p.get((year, *name, "*"), 0.0) for name in _cell_names(fitted.space)])
         inside = labels.in_system_cells
         counts = [*cells.T, cells[:, inside].sum(axis=1)]

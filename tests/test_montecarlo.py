@@ -364,27 +364,28 @@ def test_simulate_projection_validation():
 
 
 def test_dump_draws_layout(tmp_path, monkeypatch):
-    monkeypatch.setattr(montecarlo, "BLOCK_LABELS", 2)  # two blocks a year, each mapped alone
+    monkeypatch.setattr(montecarlo, "BLOCK_LABELS", 2)  # two blocks a year, each written alone
     path = tmp_path / "draws.bin"
     reduce = partial(dumped, stacked, path, [1, 2], 4)
     dump_draws(path, [1, 2], 6, 4)
-    assert path.stat().st_size == 40 + 2 * (8 + 6 * 4 * 8)  # made whole before the draws
+    assert path.stat().st_size == 40  # the header alone: each block sizes the file as it lands
     passed = dict(simulate(small_v(), i0=20, iterations=6, seed=9, reduce=reduce))
     want = dict(simulate(small_v(), i0=20, iterations=6, seed=9))
     raw = path.read_bytes()
     header = np.frombuffer(raw[:40], dtype="<u8")
-    assert header.tolist() == [0x4D504F50, 1, 2, 6, 4]
+    assert header.tolist() == [0x4D504F50, 2, 2, 6, 4]
     offset = 40
     for year in (1, 2):
         marker = np.frombuffer(raw[offset : offset + 8], dtype="<u8")[0]
         assert marker == year
         offset += 8
-        block = np.frombuffer(raw[offset : offset + 6 * 4 * 8], dtype="<i8")
-        np.testing.assert_array_equal(block.reshape(6, 4), passed[year])
+        for label in range(4):  # label-major: a label's 6 iterations are contiguous
+            run = np.frombuffer(raw[offset : offset + 6 * 4], dtype="<i4")
+            np.testing.assert_array_equal(run, passed[year][:, label])
+            offset += 6 * 4
         np.testing.assert_array_equal(passed[year], want[year])  # passed through unchanged
-        offset += 6 * 4 * 8
-    assert offset == len(raw)
-    assert passed[1].dtype == np.int32  # widened to int64 in the file
+    assert offset == len(raw) == 40 + 2 * (8 + 6 * 4 * 4)  # whole once the draws are done
+    assert passed[1].dtype == np.int32
 
 
 def test_a_dump_is_removed_on_any_error(tmp_path):

@@ -47,7 +47,7 @@ GOLDEN = {
     "model.json": "735ca2dd2e0c8bf145930a3de5fe2d479e68bd0222401c1d8ff166fa6566beca",
     "projection.csv": "f7515c8992273d9f85b0ddaadcd2f1b112b7e0c1bfe6ce3eb519740747c3c0b6",
     "simulation.csv": "7e75d360605411386317bdd6bc41aebd00545115d71a33d44c3efc7af712a8b4",
-    "draws.bin": "82954238f43f1ff9e92aa58461e235679e89b24daab7a8c6737f32adc557151e",
+    "draws.bin": "63ce3473d071d818d6e4abd3fc959bb2c255592d0a67427811dc1e6cdade61d9",
     "cost.csv": "b3c340819dd4c84c1ca0810b767f6ac6b6cacc45c6dcc7efa53d9e23daced3ef",
     "backtest.csv": "41ba41def3cc7b5d3dcf759cdd170eca5db9d9f5f23abb549ef0ed3bd8e0317c",
 }

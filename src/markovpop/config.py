@@ -234,17 +234,27 @@ def build_run_config(raw) -> RunConfig:
     )
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """YAML's safe loader, but a key its mapping already has is an error, not an override."""
+
+    def compose_mapping_node(self, anchor):  # the keys as written: a `<<` merge may be overridden
+        node, seen = super().compose_mapping_node(anchor), {}
+        for k in (key for key, _ in node.value if isinstance(key, yaml.ScalarNode)):
+            if seen.setdefault((k.tag, k.value), k) is not k:
+                raise yaml.MarkedYAMLError(None, None, f"repeated key {k.value!r}", k.start_mark)
+        return node
+
+
 def load_run_config(path) -> RunConfig:
     """Load and validate a YAML run configuration file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, _UniqueKeyLoader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} cannot be read: {exc}") from None
-    except yaml.YAMLError as exc:
-        # yaml errors carry the offending line/column in their message
+    except yaml.YAMLError as exc:  # its message names the offending line and column
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
     except (RecursionError, ValueError) as exc:  # nested too deep, or an integer too long
         raise ConfigError(f"config file {path} cannot be decoded: {exc}") from None

@@ -224,7 +224,7 @@ def _cell_costs(bounds, priced, year, blocks):
         if lo == 0:  # the first block gives the number of iterations
             total = np.zeros(len(block))
         c0, c1 = np.searchsorted(bounds, [lo, hi]).tolist()  # the block's cells
-        pops[c0:c1] = cell_sums(block, bounds[c0 : c1 + 1]).mean(axis=0)
+        pops[c0:c1] = cell_sums(block.sum(axis=0), bounds[c0 : c1 + 1]) / len(block)  # exact
         # a C-order row of iterations per cell, so its mean adds along the row
         costs = cell_sums(block, bounds[c0 : c1 + 1], prices[lo:hi]).T.copy()
         total = sum(costs[shown[c0:c1]], total)  # row by row: numpy sums one column pairwise

@@ -1,6 +1,7 @@
 """End-to-end command-line runs on a small generated world."""
 
 import csv
+import errno
 import json
 import os
 import pathlib
@@ -546,6 +547,11 @@ DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
          "unknown key 'overflow_polcy' (did you mean 'overflow_policy'?)"),
         (_config_with(_rename(["finance", "inflation"], "inflaton")), "fit", 1,
          "unknown key 'finance.inflaton' (did you mean 'finance.inflation'?)"),
+        # a repeated key, which YAML alone would let override the first
+        (_config_text(r"\Z", "overflow_policy: strict\n"), "fit", 1,
+         "is not valid YAML: repeated key 'overflow_policy'\n  in "),
+        (_config_text(r"\n  inflation: [^\n]*", r"\g<0>\g<0>"), "cost-report", 1,
+         "is not valid YAML: repeated key 'inflation'\n  in "),
     ],
     ids=["model-missing-annual", "overrides-list", "levels-list", "reserve-marker-int",
          "finance-full-time-hours", "reserve-nan", "workload-nan", "salary-nan",
@@ -564,7 +570,7 @@ DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
          "model-full-time-hours-string", "model-full-time-hours-bool", "model-nested-deep",
          "model-integer-long", "config-nested-deep", "config-integer-long",
          "config-date-invalid", "top-key-misspelled", "policy-key-misspelled",
-         "finance-key-misspelled"],
+         "finance-key-misspelled", "top-key-repeated", "finance-key-repeated"],
 )
 def test_malformed_inputs_are_classified(
     mini_pipeline, tmp_path, damage, command, code, message
@@ -726,6 +732,40 @@ def test_a_failed_draw_leaves_neither_dump_nor_report(
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: the draw failed\n"
     assert len(years) == 2 and list(tmp_path.iterdir()) == []  # no temporary either
+
+    # the disk fills in the second year, after its marker and first block are written
+    monkeypatch.setattr(montecarlo, "draw_blocks", draw_blocks)
+    files = []
+
+    def filling(path, mode):
+        files.append(_FillingFile(open(path, mode), room=2 if files else None))
+        return files[-1]
+
+    monkeypatch.setattr(montecarlo, "open", filling, raising=False)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert [f.room for f in files] == [None, -1] and all(f.fh.closed for f in files)
+    assert list(tmp_path.iterdir()) == []
+
+
+class _FillingFile:
+    """An open file whose writes fail with ENOSPC once `room` of them (None: no limit) are spent."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room, self.seek = fh, room, fh.seek
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if self.room is not None:
+            self.room -= 1
+            if self.room < 0:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(data)
 
 
 _KILLED_IN_YEAR_2 = """

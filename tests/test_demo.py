@@ -87,6 +87,33 @@ def test_demo_outputs_match_golden_digests(tmp_path):
     assert demo_outputs(tmp_path) == GOLDEN
 
 
+def test_the_reports_and_the_dump_keep_their_bytes_for_any_number_of_workers(tmp_path):
+    # each summarizes or writes whole years, whichever process draws them
+    cfg = ["--config", str(DEMO / "config.yaml")]
+    panel = ["--records", str(DEMO / "records.csv"), "--reserve", str(DEMO / "reserve.csv")]
+    scale = ["--salary-scale", str(DEMO / "salary_scale.csv")]
+    model = tmp_path / "model.json"
+    assert main(["fit", *cfg, *panel, "--out", str(model)]) == 0
+    outputs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers-{workers}"
+        out.mkdir()
+        sim = ["--iterations", "200", "--seed", "7", "--workers", workers]
+        runs = [
+            ["simulate", *cfg, "--model", str(model), "--years", "3", *sim,
+             "--out", str(out / "simulation.csv"), "--dump-draws", str(out / "draws.bin")],
+            ["cost-report", *cfg, "--model", str(model), *scale, "--years", "3", *sim,
+             "--out", str(out / "cost.csv")],
+            ["backtest", *cfg, *panel, *scale, "--split-year", "2016", *sim,
+             "--out", str(out / "backtest.csv")],
+        ]
+        for argv in runs:
+            assert main(argv) == 0, argv[0]
+        outputs[workers] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(outputs["1"]) == 4
+    assert outputs["1"] == outputs["2"]
+
+
 def _backtest_totals(tmp_path, full_time_hours):
     raw = yaml.safe_load((DEMO / "config.yaml").read_text())
     raw["full_time_hours"] = full_time_hours

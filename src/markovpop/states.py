@@ -84,10 +84,8 @@ class CharacteristicSpace:
         except ValueError:
             raise ConfigError(f"unknown characteristic {name!r}") from None
 
-    def encode(self, values: dict[str, str] | list[str]) -> tuple[int, ...]:
-        """Map level names (by characteristic) to a level-index tuple."""
-        if isinstance(values, dict):
-            values = [values[n] for n in self.names]
+    def encode(self, values: list[str]) -> tuple[int, ...]:
+        """Map level names, one per characteristic in declaration order, to a level-index tuple."""
         if len(values) != len(self.names):
             raise ConfigError("characteristic value count does not match declaration")
         out = []
@@ -101,11 +99,9 @@ class CharacteristicSpace:
     def decode(self, t: tuple[int, ...]) -> tuple[str, ...]:
         return tuple(self.levels[i][j] for i, j in enumerate(t))
 
-    def label(self, t, sep: str = "/") -> str:
-        """Human-readable tuple label; the aggregate pseudo-tuple is '*'."""
-        if t is None:
-            return "*"
-        return sep.join(self.decode(t))
+    def label(self, t) -> str:
+        """Human-readable tuple label, levels joined by '/'; the aggregate pseudo-tuple is '*'."""
+        return "*" if t is None else "/".join(self.decode(t))
 
     def all_tuples(self):
         return itertools.product(*(range(len(lv)) for lv in self.levels))

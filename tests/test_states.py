@@ -146,7 +146,7 @@ def test_feasibility_is_downward_closed(age, sen):
 
 def test_characteristics_encode_decode():
     cs = CharacteristicSpace(("grade", "shift"), (("g1", "g2"), ("day", "night")))
-    t = cs.encode({"shift": "night", "grade": "g1"})
+    t = cs.encode(["g1", "night"])
     assert t == (0, 1)
     assert cs.decode(t) == ("g1", "night")
     assert cs.label(t) == "g1/night"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from contextlib import nullcontext
 from functools import partial
@@ -128,6 +129,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.dump_draws and os.path.realpath(args.dump_draws) == os.path.realpath(args.out):
+        raise ConfigError("markovpop simulate: --dump-draws and --out must name different files")
     cfg = load_run_config(args.config)
     model = _load_model(args, cfg)
     labels, tables = projection(model, args.years, cfg.overflow_policy)

@@ -1,5 +1,8 @@
 """Shared fixtures: toy spaces, randomized models, a generated CLI world."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,8 @@ from markovpop.model import FittedModel
 from markovpop.states import CharacteristicSpace, StateSpaceConfig
 
 import panelgen
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def make_toy_space() -> StateSpaceConfig:
@@ -116,12 +121,23 @@ def write_world_inputs(spec, panel, base, scale=None):
     return paths
 
 
+def run_python(*args, env=None, **kwargs):
+    """`python *args` in a subprocess that imports markovpop from `src/`, through subprocess.run.
+
+    `env` holds variables set on top of this process's environment; the
+    CLI is `run_python("-m", "markovpop.cli", *argv)`.
+    """
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
 def demo_inputs(base):
     """The input files of `demo/` by role, as :func:`write_world_inputs` returns them.
 
     `base` is not used: it is there so that `demo/` takes a world's arguments.
     """
-    demo = Path(__file__).resolve().parent.parent / "demo"
+    demo = SRC.parent / "demo"
     return {"config": demo / "config.yaml", "records": demo / "records.csv",
             "reserve": demo / "reserve.csv", "scale": demo / "salary_scale.csv"}
 

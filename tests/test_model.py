@@ -2,10 +2,7 @@
 
 import json
 import os
-import pathlib
 import re
-import subprocess
-import sys
 import tracemalloc
 from unittest import mock
 
@@ -19,10 +16,8 @@ from markovpop.errors import ConfigError, DataError
 from markovpop.model import FittedModel
 from markovpop.states import CharacteristicSpace, StateSpaceConfig
 
-from conftest import make_random_model, make_toy_space, make_wide_space
+from conftest import make_random_model, make_toy_space, make_wide_space, run_python
 from reference import load_model_whole
-
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def make_chars():
@@ -230,10 +225,8 @@ def test_load_raises_the_resident_peak_by_at_most_one_and_a_quarter_times_the_fi
     path = tmp_path / "model.json"
     make_random_model(make_wide_space(), seed=14).save(path)
     size = os.path.getsize(path)
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", _HWM_PROBE, str(path)],
-                          capture_output=True, text=True, env=env, check=True)
+    proc = run_python("-c", _HWM_PROBE, str(path), env={"OPENBLAS_NUM_THREADS": "1"},
+                      capture_output=True, text=True, check=True)
     growth = int(proc.stdout) * 1024
     assert growth <= 1.25 * size, f"{growth / size:.2f} times the file"
 

@@ -19,14 +19,13 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import read_dump, write_cycled_mini_world
+from conftest import SRC, read_dump, run_python, write_cycled_mini_world
 from markovpop import cli, montecarlo, reports
 from markovpop.cli import main
 from markovpop.config import load_run_config
 from markovpop.errors import DataError
 from markovpop.model import FittedModel
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 DEMO = SRC.parent / "demo"
 
 
@@ -401,6 +400,17 @@ def _demo_split(year):
     }
 
 
+def _demo_records(edit):
+    """The inputs of `demo/`, with the records file's bytes passed through `edit`."""
+
+    def make(paths, tmp_path):
+        bad = tmp_path / "records.csv"
+        bad.write_bytes(edit((DEMO / "records.csv").read_bytes()))
+        return {**_demo_split(2016)(paths, tmp_path), "records": bad}
+
+    return make
+
+
 def _argv(command, paths, out):
     """Command line of one CLI command on the input files in `paths`."""
     argv = [command, "--config", str(paths["config"]), "--out", str(paths.get("out", out))]
@@ -484,7 +494,8 @@ DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
          "i0 must be a finite number >= 0 (got -5.0)"),
         # inputs that are not readable text, and outputs that cannot be written
         (_binary("config"), "fit", 1, "cannot be read: 'utf-8' codec can't decode"),
-        (_binary("records"), "fit", 2, "cannot be read: 'utf-8' codec can't decode"),
+        (_binary("records"), "fit", 2, "cannot be read: 'utf-8' codec can't decode byte 0x80 "
+         "in position 136: invalid start byte (line 2)"),
         (_binary("model"), "project", 2, "cannot be read: 'utf-8' codec can't decode"),
         (_directory("config"), "fit", 1, "cannot be read: [Errno 21] Is a directory"),
         (_directory("records"), "fit", 2, "cannot be read: [Errno 21] Is a directory"),
@@ -552,6 +563,12 @@ DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
          "is not valid YAML: repeated key 'overflow_policy'\n  in "),
         (_config_text(r"\n  inflation: [^\n]*", r"\g<0>\g<0>"), "cost-report", 1,
          "is not valid YAML: repeated key 'inflation'\n  in "),
+        # a byte that is not UTF-8 past the decoder's first chunk: its offset in the whole file
+        (_demo_records(lambda text: text + b"\xff\xfe"), "fit", 2,
+         "can't decode byte 0xff in position 33534: invalid start byte (line 1118)"),
+        # a panel without one of its latest 12 months names that month
+        (_demo_records(lambda text: re.sub(rb"(?m)^2016-06,.*\n", b"", text)), "fit", 2,
+         "error: initial distribution needs the 12 latest months; missing months: 2016-06\n"),
     ],
     ids=["model-missing-annual", "overrides-list", "levels-list", "reserve-marker-int",
          "finance-full-time-hours", "reserve-nan", "workload-nan", "salary-nan",
@@ -570,18 +587,15 @@ DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
          "model-full-time-hours-string", "model-full-time-hours-bool", "model-nested-deep",
          "model-integer-long", "config-nested-deep", "config-integer-long",
          "config-date-invalid", "top-key-misspelled", "policy-key-misspelled",
-         "finance-key-misspelled", "top-key-repeated", "finance-key-repeated"],
+         "finance-key-misspelled", "top-key-repeated", "finance-key-repeated",
+         "records-not-utf8-late", "records-month-missing"],
 )
 def test_malformed_inputs_are_classified(
     mini_pipeline, tmp_path, damage, command, code, message
 ):
     paths = {**mini_pipeline, **damage(mini_pipeline, tmp_path)}
     argv = _argv(command, paths, tmp_path / "out")
-    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-m", "markovpop.cli", *argv], capture_output=True, text=True, env=env
-    )
+    proc = run_python("-m", "markovpop.cli", *argv, capture_output=True, text=True)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
@@ -590,24 +604,24 @@ def test_malformed_inputs_are_classified(
     if message.startswith("model file: invalid state space"):
         # the empty age range is the only problem: no partition check runs on it
         assert "overlap" not in proc.stderr
-    # a failed run writes no report
-    assert not pathlib.Path(argv[argv.index("--out") + 1]).exists()
+    # a failed run writes no output, nor a hidden temporary of one
+    for flag in {"--out", "--dump-draws"} & set(argv):
+        out = pathlib.Path(argv[argv.index(flag) + 1])
+        assert not out.exists()
+        assert not out.parent.is_dir() or not list(out.parent.glob(f".{out.name}.*.tmp"))
 
 
 def test_a_model_piped_through_stdin_reports_no_digest_of_input_it_did_not_read(
     mini_pipeline, tmp_path
 ):
-    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
     piped = pathlib.Path(mini_pipeline["model"]).read_bytes()
     bodies = []
     for name, model in (("piped", "/dev/stdin"), ("file", str(mini_pipeline["model"]))):
         out = tmp_path / f"{name}.csv"
         stdin = {"input": piped} if name == "piped" else {"stdin": subprocess.DEVNULL}
-        proc = subprocess.run(
-            [sys.executable, "-m", "markovpop.cli", "project", "--config",
-             str(mini_pipeline["config"]), "--model", model, "--years", "2", "--out", str(out)],
-            capture_output=True, env=env, **stdin,
+        proc = run_python(
+            "-m", "markovpop.cli", "project", "--config", str(mini_pipeline["config"]),
+            "--model", model, "--years", "2", "--out", str(out), capture_output=True, **stdin,
         )
         assert proc.returncode == 0, proc.stderr
         lines = out.read_text().splitlines(keepends=True)
@@ -639,8 +653,6 @@ def test_a_write_error_names_the_output_as_given(
 
 
 def test_a_write_sweeps_the_temporaries_of_runs_whose_process_is_gone(tmp_path):
-    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
     child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
                            capture_output=True, text=True, check=True)
     gone = int(child.stdout)  # run() has reaped it: no process holds this pid
@@ -654,7 +666,7 @@ def test_a_write_sweeps_the_temporaries_of_runs_whose_process_is_gone(tmp_path):
         file.write_text("left behind")
     write = ("import sys\nfrom markovpop.errors import atomic\n"
              "with atomic(sys.argv[1]) as tmp, open(tmp, 'w') as fh: fh.write('draws')\n")
-    subprocess.run([sys.executable, "-c", write, str(tmp_path / "draws.bin")], env=env, check=True)
+    run_python("-c", write, str(tmp_path / "draws.bin"), check=True)
     assert (tmp_path / "draws.bin").read_text() == "draws"
     assert sorted(tmp_path.iterdir()) == sorted([tmp_path / "draws.bin", *kept])
 
@@ -665,11 +677,7 @@ def test_importing_the_cli_loads_neither_openssl_nor_the_process_pool():
         "import sys, numpy, yaml; before = set(sys.modules); import markovpop.cli; "
         "print(*sorted(set(sys.modules) - before))"
     )
-    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
-    )
+    proc = run_python("-c", probe, capture_output=True, text=True, check=True)
     added = set(proc.stdout.split())
     assert "markovpop.cli" in added
     # difflib only names the nearest key of a misspelled one
@@ -794,9 +802,7 @@ def test_a_killed_simulation_leaves_no_file_under_a_final_name(mini_pipeline, tm
         out.write_bytes(earlier)
     argv = _argv("simulate", {**mini_pipeline, "dump_draws": dump}, out)
     argv[argv.index("--years") + 1] = "3"
-    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-c", _KILLED_IN_YEAR_2, *argv],
-                          capture_output=True, env={**os.environ, "PYTHONPATH": path})
+    proc = run_python("-c", _KILLED_IN_YEAR_2, *argv, capture_output=True)
     assert proc.returncode == -signal.SIGKILL, proc.stderr
     assert not dump.exists()
     assert (out.read_bytes() if out.exists() else None) == earlier
@@ -874,12 +880,10 @@ def test_running_out_of_memory_is_an_error_line_not_a_traceback(tmp_path):
     def cap():  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "markovpop.cli", "simulate", "--config", str(DEMO / "config.yaml"),
-         "--model", str(model), "--years", "1", "--iterations", "1000000000", "--out", str(out)],
-        capture_output=True, text=True, env=env, preexec_fn=cap,
+    proc = run_python(
+        "-m", "markovpop.cli", "simulate", "--config", str(DEMO / "config.yaml"),
+        "--model", str(model), "--years", "1", "--iterations", "1000000000", "--out", str(out),
+        env={"OPENBLAS_NUM_THREADS": "1"}, capture_output=True, text=True, preexec_fn=cap,
     )
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -896,9 +900,9 @@ def test_zero_iterations_is_rejected_not_replaced(capsys, mini_pipeline, tmp_pat
 
 
 def _usage_errors():
-    """(command, flag, value, message) for each command line the parser must reject.
+    """(command, flag, value, message) for each command line that must fail as a usage error.
 
-    A `value` of None leaves the flag out.
+    A `value` of None leaves the flag out; `message` is the whole error after the command.
     """
     required = {
         "fit": ["config", "out", "records", "reserve"],
@@ -910,34 +914,39 @@ def _usage_errors():
     for command, flags in required.items():
         if command in ("simulate", "cost-report", "backtest"):
             for flag in ("iterations", "workers"):
-                yield pytest.param(command, flag, "0", "must be >= 1 (got 0)",
+                yield pytest.param(command, flag, "0", f"argument --{flag}: must be >= 1 (got 0)",
                                    id=f"{flag}-{command}")
         for flag in flags:
-            yield pytest.param(command, flag, None, "the following arguments are required",
+            yield pytest.param(command, flag, None,
+                               f"the following arguments are required: --{flag}",
                                id=f"no-{flag}-{command}")
         if "years" in flags:
             least = 0 if command == "project" else 1
             yield pytest.param(command, "years", str(least - 1),
-                               f"must be >= {least} (got {least - 1})", id=f"years-low-{command}")
-            yield pytest.param(command, "years", "soon", "invalid int value: 'soon'",
+                               f"argument --years: must be >= {least} (got {least - 1})",
+                               id=f"years-low-{command}")
+            yield pytest.param(command, "years", "soon",
+                               "argument --years: invalid int value: 'soon'",
                                id=f"years-soon-{command}")
+    # the dump and the report, one file spelled two ways: each would be renamed onto it
+    yield pytest.param("simulate", "dump-draws", os.path.join("missing", ".", "out"),
+                       "--dump-draws and --out must name different files", id="dump-draws-is-out")
 
 
 @pytest.mark.parametrize("command, flag, value, message", _usage_errors())
 def test_simulation_flags_are_checked_before_any_input_is_read(
-    capsys, tmp_path, command, flag, value, message
+    capsys, monkeypatch, tmp_path, command, flag, value, message
 ):
     # every input path is missing: a usage error must be found before any is opened
+    monkeypatch.chdir(tmp_path)
     missing = tmp_path / "missing"
     paths = {role: missing / role for role in ("config", "model", "records", "reserve", "scale")}
     argv = _argv(command, paths, missing / "out")
     i = argv.index(f"--{flag}") if f"--{flag}" in argv else len(argv)
     argv[i:i + 2] = [] if value is None else [f"--{flag}", value]
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: markovpop {command}: ") and err.count("\n") == 1, err
-    assert f"--{flag}" in err and message in err, err
-    assert "not found" not in err
+    assert capsys.readouterr().err == f"error: markovpop {command}: {message}\n"
+    assert not missing.exists()
 
 
 def test_a_salary_scale_without_an_in_system_category_fails_before_the_panel_is_read(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, reading
 from .finance import PCT_FIELDS, PensionRegime, RateSchedule, bind_profiles
 from .states import CharacteristicSpace, StateSpaceConfig
 
@@ -248,12 +248,8 @@ class _UniqueKeyLoader(yaml.SafeLoader):
 def load_run_config(path) -> RunConfig:
     """Load and validate a YAML run configuration file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with reading(path, "config file", ConfigError), open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, _UniqueKeyLoader)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config file {path} cannot be read: {exc}") from None
     except yaml.YAMLError as exc:  # its message names the offending line and column
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
     except (RecursionError, ValueError) as exc:  # nested too deep, or an integer too long

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and what a failed command leaves on disk.
+"""The package's exceptions, how a failed read is reported, what a failed command leaves on disk.
 
 Two error families map onto the CLI exit codes: configuration /
 validation problems (exit code 1) and input-data problems (exit code 2).
@@ -35,6 +35,39 @@ class DataError(MarkovPopError):
     """Malformed or inconsistent input data (records, reserve, salary scale)."""
 
     exit_code = 2
+
+
+@contextmanager
+def reading(path, what: str, error=DataError):
+    """Reads of the input `path` inside the block; a failed one raises `error` naming `what`.
+
+    A byte that is not UTF-8 is reported by its offset in the file and its line.
+    """
+    try:
+        yield
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} cannot be read: {_decode_error(path, exc)}") from None
+    except OSError as exc:
+        raise error(f"{what} {path} cannot be read: {exc}") from None
+
+
+def _decode_error(path, exc: UnicodeDecodeError) -> str:
+    """`exc` restated at its offset in the whole file, with the line it is on.
+
+    A streaming decoder counts offsets from the start of its current chunk.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        line = data.count(b"\n", 0, whole.start) + 1
+        return f"{whole} (line {line})"
+    except OSError:
+        pass
+    return str(exc)
 
 
 @contextmanager

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reading
 from .states import STATE_BOUND, StateSpaceConfig
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
@@ -102,15 +102,15 @@ def _csv_blocks(path, what: str, header):
 
     The header must hold `header`, each column once.  Blank lines are not
     rows, as in :class:`csv.DictReader`, and a leading UTF-8 byte-order
-    mark is not text.  A byte that is not UTF-8 is reported by its offset
-    in the file and its line, and a line the csv module refuses (a field
-    beyond :func:`csv.field_size_limit`, or before Python 3.11 a NUL
-    character) by its line.
+    mark is not text.  A failed read is reported as
+    :func:`~markovpop.errors.reading` says, and a line the csv module
+    refuses (a field beyond :func:`csv.field_size_limit`, or before Python
+    3.11 a NUL character) by its line.
     """
-    # the guard spans the row loop: the file is decoded as it is read
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
+    # the guards span the row loop: the file is decoded as it is read
+    with reading(path, what), open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
             names = next(reader, [])
             got, want = set(names), set(header)
             # a column named twice would be read once
@@ -127,47 +127,9 @@ def _csv_blocks(path, what: str, header):
             rows = filter(None, reader)
             while block := list(itertools.islice(rows, _BLOCK_ROWS)):
                 yield block
-    except FileNotFoundError:
-        raise DataError(f"{what} not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{what} {path} cannot be read: {_decode_error(path, exc)}") from None
-    except csv.Error as exc:
-        raise DataError(f"{what} {path} cannot be read: {exc} (line {reader.line_num})") from None
-    except OSError as exc:
-        raise DataError(f"{what} {path} cannot be read: {exc}") from None
-
-
-def _decode_error(path, exc: UnicodeDecodeError) -> str:
-    """`exc` restated at its offset in the whole file, with the line it is on.
-
-    The streaming decoder counts offsets from the start of its current chunk.
-    """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        data.decode("utf-8")
-    except UnicodeDecodeError as whole:
-        line = data.count(b"\n", 0, whole.start) + 1
-        return f"{whole} (line {line})"
-    except OSError:
-        pass
-    return str(exc)
-
-
-def csv_rows(path, what: str, header, problems: list):
-    """Yield (row number, row) of a CSV file whose header holds `header`, each column once.
-
-    A row maps each column to its field, or to None when the row is
-    short.  Rows with more fields than the header are reported in
-    `problems`.
-    """
-    blocks = _csv_blocks(path, what, header)
-    names = next(blocks)
-    for i, row in enumerate(itertools.chain.from_iterable(blocks), start=1):
-        if len(row) > len(names):
-            problems.append(f"row {i}: {len(row) - len(names)} field(s) beyond the header")
-        else:
-            yield i, dict(itertools.zip_longest(names, row))
+        except csv.Error as exc:
+            line = reader.line_num
+            raise DataError(f"{what} {path} cannot be read: {exc} (line {line})") from None
 
 
 def _encode_columns(path, header):
@@ -207,6 +169,14 @@ def _encode_columns(path, header):
     return [(list(seen), out) for seen, out in zip(index, codes)], long
 
 
+def _parsed(parse, field):
+    """``parse(field)``, or None where it raises TypeError or ValueError."""
+    try:
+        return parse(field)
+    except (TypeError, ValueError):
+        return None
+
+
 def _each(check, values, codes, dtype):
     """`check` run once on each distinct field of a column, broadcast to its rows.
 
@@ -214,12 +184,7 @@ def _each(check, values, codes, dtype):
     field `check` rejects, by returning None or raising TypeError or
     ValueError; a rejected field reads 0.
     """
-    results = []
-    for value in values:
-        try:
-            results.append(check(value))
-        except (TypeError, ValueError):
-            results.append(None)
+    results = [_parsed(check, value) for value in values]
     failed = np.array([r is None for r in results], bool)
     return np.array([0 if r is None else r for r in results], dtype)[codes], failed[codes]
 
@@ -380,68 +345,51 @@ def split_records(records: Records, split_year: int) -> tuple[Records, Records]:
     return records.take(slice(0, k)), records.take(slice(k, None))
 
 
+def _keyed_table(path, what: str, header, keys, key, allowed: str) -> dict:
+    """The number of each of `keys` in a CSV whose header is `header`, a key and a value column.
+
+    `key` reads a key field, and `allowed` says which of them `keys`
+    holds.  Each of `keys` must have exactly one row, with a finite
+    number >= 0.  Every problem is collected with its row number.
+    """
+    blocks = _csv_blocks(path, what, header)
+    at = list(map(next(blocks).index, header))
+    problems, table = [], {}
+    for i, row in enumerate(itertools.chain.from_iterable(blocks), start=1):
+        if len(row) > 2:
+            problems.append(f"row {i}: {len(row) - 2} field(s) beyond the header")
+            continue
+        field, text = ((row + [None, None])[j] for j in at)  # a short row's fields are None
+        k, number = _parsed(key, field), _parsed(finite_float, text)
+        if k not in keys:
+            problems.append(f"row {i}: {header[0]} {field!r} is not {allowed}")
+        elif number is None or number < 0:
+            problems.append(f"row {i}: {header[1]} {text!r} must be a finite number >= 0")
+        elif k in table:
+            problems.append(f"row {i}: duplicate {header[0]} {k!r}")
+        else:
+            table[k] = number
+    if missing := [str(k) for k in keys if k not in table]:
+        problems.append(f"no row for {header[0]} {', '.join(missing)}")
+    if problems:
+        raise DataError(f"{what} {path} is invalid", problems)
+    return table
+
+
 def load_reserve_csv(path, space: StateSpaceConfig) -> np.ndarray:
     """Load per-age census totals (header: age,total), as float64 by age from ``age_min``."""
-    problems = []
-    totals: dict[int, float] = {}
-    for i, row in csv_rows(path, "reserve file", ("age", "total"), problems):
-        try:
-            age = int(row["age"])
-            total = finite_float(row["total"])
-        except (TypeError, ValueError):
-            problems.append(f"row {i}: non-numeric entry {row!r} (need finite numbers)")
-            continue
-        if not (space.age_min <= age < space.age_max):
-            problems.append(f"row {i}: age {age} outside [{space.age_min},{space.age_max})")
-            continue
-        if total < 0:
-            problems.append(f"row {i}: negative total {total} at age {age}")
-            continue
-        if age in totals:
-            problems.append(f"row {i}: duplicate age {age}")
-            continue
-        totals[age] = total
-    missing = [e for e in range(space.age_min, space.age_max) if e not in totals]
-    if missing:
-        problems.append(f"missing ages: {', '.join(str(e) for e in missing)}")
-    if problems:
-        raise DataError(f"reserve file {path} is invalid", problems)
-    return np.array([totals[e] for e in range(space.age_min, space.age_max)])
+    ages = range(space.age_min, space.age_max)
+    totals = _keyed_table(path, "reserve file", ("age", "total"), ages, _clipped,
+                          f"an integer in [{space.age_min},{space.age_max})")
+    return np.array([totals[age] for age in ages])
 
 
 def load_salary_scale(path, space) -> dict[int, float]:
     """Load the per-category base salary scale (header: category,base_salary)."""
-    problems = []
-    scale: dict[int, float] = {}
-    for i, row in csv_rows(path, "salary scale", ("category", "base_salary"), problems):
-        code = (row["category"] or "").strip()
-        if code not in space.categories:
-            problems.append(f"row {i}: unknown category code {code!r}")
-            continue
-        idx = space.categories.index(code)
-        if idx == 0:
-            problems.append(f"row {i}: the out-of-system category has no salary")
-            continue
-        try:
-            w = finite_float(row["base_salary"])
-        except (TypeError, ValueError):
-            problems.append(
-                f"row {i}: non-numeric base_salary {row['base_salary']!r} (need a finite number)"
-            )
-            continue
-        if w < 0:
-            problems.append(f"row {i}: negative base_salary at {code!r}")
-            continue
-        if idx in scale:
-            problems.append(f"row {i}: duplicate category {code!r}")
-            continue
-        scale[idx] = w
-    missing = [code for i, code in enumerate(space.categories) if i and i not in scale]
-    if missing:
-        problems.append(f"missing categories: {', '.join(missing)}")
-    if problems:
-        raise DataError(f"salary scale {path} is invalid", problems)
-    return scale
+    codes = space.categories[1:]
+    scale = _keyed_table(path, "salary scale", ("category", "base_salary"), codes, str.strip,
+                         "an in-system category code")
+    return {space.categories.index(code): salary for code, salary in scale.items()}
 
 
 @dataclass(frozen=True)

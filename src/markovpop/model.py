@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SPACE, is_number, parse_space
-from .errors import ConfigError, DataError, atomic
+from .errors import ConfigError, DataError, atomic, reading
 from .states import CharacteristicSpace, StateSpaceConfig
 
 FORMAT_NAME = "markovpop-model"
@@ -359,19 +359,14 @@ class FittedModel:
 
     @classmethod
     def load(cls, path) -> "FittedModel":
-        try:
-            with open(path, "r", encoding="utf-8-sig") as fh:
-                try:
-                    if fh.seekable():  # pi is read again once the space is known
-                        return cls.from_json_dict(_decode_stream(fh))
-                except (DataError, TypeError, ValueError, OverflowError, StopIteration,
-                        RecursionError):
-                    fh.seek(0)  # decode the whole document, the only path for any other file
-                text = fh.read()
-        except FileNotFoundError:
-            raise DataError(f"model file not found: {path}") from None
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"model file {path} cannot be read: {exc}") from None
+        with reading(path, "model file"), open(path, "r", encoding="utf-8-sig") as fh:
+            try:
+                if fh.seekable():  # pi is read again once the space is known
+                    return cls.from_json_dict(_decode_stream(fh))
+            except (DataError, TypeError, ValueError, OverflowError, StopIteration,
+                    RecursionError):
+                fh.seek(0)  # decode the whole document, the only path for any other file
+            text = fh.read()
         try:
             doc = json.loads(text, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:

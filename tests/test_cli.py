@@ -400,13 +400,14 @@ def _demo_split(year):
     }
 
 
-def _demo_records(edit):
-    """The inputs of `demo/`, with the records file's bytes passed through `edit`."""
+def _demo_bytes(role, edit):
+    """The inputs of `demo/`, with the bytes of the one named by `role` passed through `edit`."""
 
     def make(paths, tmp_path):
-        bad = tmp_path / "records.csv"
-        bad.write_bytes(edit((DEMO / "records.csv").read_bytes()))
-        return {**_demo_split(2016)(paths, tmp_path), "records": bad}
+        demo = _demo_split(2016)(paths, tmp_path)
+        bad = tmp_path / demo[role].name
+        bad.write_bytes(edit(demo[role].read_bytes()))
+        return {**demo, role: bad}
 
     return make
 
@@ -449,12 +450,12 @@ DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
         (_config_with(_set(["finance", "full_time_hours"], "x")), "cost-report", 1,
          "top-level full_time_hours"),
         # non-finite numbers, one per input boundary
-        (_csv_with("reserve", 3, 1, "nan"), "fit", 2, "row 3: non-numeric entry"),
+        (_csv_with("reserve", 3, 1, "nan"), "fit", 2, "row 3: total 'nan' must be a finite number >= 0"),
         (_csv_with("records", 1, 5, "nan"), "fit", 2, "row 1: non-numeric workload 'nan'"),
         (_csv_with("scale", 1, 1, "nan"), "cost-report", 2,
-         "row 1: non-numeric base_salary 'nan'"),
+         "row 1: base_salary 'nan' must be a finite number >= 0"),
         (_csv_with("scale", 1, 1, "inf"), "cost-report", 2,
-         "row 1: non-numeric base_salary 'inf'"),
+         "row 1: base_salary 'inf' must be a finite number >= 0"),
         (_config_with(_set(["finance", "inflation"], NAN)), "cost-report", 1,
          "finance.inflation must be a number greater than -1 (got nan)"),
         (_config_with(_set(["finance", "bindings", "annuity_pct", "levels", "b1"], NAN)),
@@ -564,10 +565,12 @@ DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
         (_config_text(r"\n  inflation: [^\n]*", r"\g<0>\g<0>"), "cost-report", 1,
          "is not valid YAML: repeated key 'inflation'\n  in "),
         # a byte that is not UTF-8 past the decoder's first chunk: its offset in the whole file
-        (_demo_records(lambda text: text + b"\xff\xfe"), "fit", 2,
+        (_demo_bytes("records", lambda text: text + b"\xff\xfe"), "fit", 2,
          "can't decode byte 0xff in position 33534: invalid start byte (line 1118)"),
+        (_demo_bytes("config", lambda text: text + b"#" * 40001 + b"\n\xff"), "fit", 1,
+         "can't decode byte 0xff in position 41609: invalid start byte (line 54)"),
         # a panel without one of its latest 12 months names that month
-        (_demo_records(lambda text: re.sub(rb"(?m)^2016-06,.*\n", b"", text)), "fit", 2,
+        (_demo_bytes("records", lambda text: re.sub(rb"(?m)^2016-06,.*\n", b"", text)), "fit", 2,
          "error: initial distribution needs the 12 latest months; missing months: 2016-06\n"),
     ],
     ids=["model-missing-annual", "overrides-list", "levels-list", "reserve-marker-int",
@@ -588,7 +591,7 @@ DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
          "model-integer-long", "config-nested-deep", "config-integer-long",
          "config-date-invalid", "top-key-misspelled", "policy-key-misspelled",
          "finance-key-misspelled", "top-key-repeated", "finance-key-repeated",
-         "records-not-utf8-late", "records-month-missing"],
+         "records-not-utf8-late", "config-not-utf8-late", "records-month-missing"],
 )
 def test_malformed_inputs_are_classified(
     mini_pipeline, tmp_path, damage, command, code, message
@@ -962,7 +965,7 @@ def test_a_salary_scale_without_an_in_system_category_fails_before_the_panel_is_
     out = tmp_path / "backtest.csv"
     assert main(_argv("backtest", paths, out)) == 2
     err = capsys.readouterr().err
-    assert f"salary scale {scale} is invalid" in err and "missing categories: B" in err
+    assert f"salary scale {scale} is invalid" in err and "no row for category B" in err
     assert not out.exists()
 
 

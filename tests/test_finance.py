@@ -212,18 +212,18 @@ def test_load_salary_scale(tmp_path):
         load_salary_scale(path, space)
     msg = str(err.value)
     for part in (
-        "unknown category code 'Z'",
-        "out-of-system category has no salary",
-        "non-numeric base_salary",
-        "negative base_salary",
-        "duplicate category 'X'",
+        "row 1: category 'Z' is not an in-system category code",
+        "row 2: category 'out' is not an in-system category code",
+        "row 3: base_salary 'abc' must be a finite number >= 0",
+        "row 4: base_salary '-5' must be a finite number >= 0",
+        "row 6: duplicate category 'X'",
     ):
         assert part in msg
     # an in-system category without a row is a problem of the file, named by its code
     path.write_text("category,base_salary\nX,500000\n")
     with pytest.raises(DataError) as err:
         load_salary_scale(path, space)
-    assert err.value.problems == ["missing categories: Y"]
+    assert err.value.problems == ["no row for category Y"]
 
 
 def test_full_time_costs_price_every_category_and_tuple():

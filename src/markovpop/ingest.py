@@ -29,13 +29,23 @@ from .errors import ConfigError, DataError, reading
 from .states import STATE_BOUND, StateSpaceConfig
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+# a number in ASCII decimal digits, padded or not: int() and float() also read
+# digit-group underscores, other scripts' digits, "nan" and "inf"
+_DECIMAL = re.compile(r"\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\s*", re.ASCII)
 
 REQUIRED_COLUMNS = ("month", "person_id", "category", "age", "seniority", "workload")
 
 
+def _decimal(text) -> str:
+    """`text`, a CSV field, if it writes a number as :data:`_DECIMAL` reads one; else ValueError."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"{text!r} is not a decimal number")
+    return text
+
+
 def finite_float(text) -> float:
-    """``float(text)``, raising ValueError for NaN and infinities as well."""
-    value = float(text)
+    """The finite number a CSV field writes in ASCII decimal digits, else ValueError."""
+    value = float(_decimal(text))
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not a finite number")
     return value
@@ -209,8 +219,8 @@ def boundary_years(months) -> tuple[int, ...]:
 
 
 def _clipped(text) -> int:
-    """``int(text)``, clipped to the state bound, past which it lies outside every range."""
-    return max(-STATE_BOUND, min(int(text), STATE_BOUND))
+    """The integer a CSV field writes, clipped to the state bound, past which it is in no range."""
+    return max(-STATE_BOUND, min(int(_decimal(text)), STATE_BOUND))
 
 
 def _duplicates(person, absm, failed):

@@ -11,7 +11,8 @@ Serialization is a single JSON document.  The initial distribution is a
 sparse triplet list; matrices are dense row-major lists; ``r`` maps each
 in-system ``"c|ei,ai"`` cell to its tuples with a non-zero share.  Floats
 are written with Python's shortest round-trip repr, so loading recovers
-the exact binary values.
+the exact binary values.  Loading checks every value: numbers are JSON
+numbers, probabilities lie in [0, 1], and distributions sum to 1.
 
 Loading holds neither the whole file nor the whole decoded triplet list.
 The file is read 64 KiB at a time, and each top-level member, or each
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SPACE, is_number, parse_space
+from .config import INTEGER, SPACE, STRINGS, TOP, is_number, parse_space
 from .errors import ConfigError, DataError, atomic, reading
 from .states import CharacteristicSpace, StateSpaceConfig
 
@@ -50,6 +51,7 @@ _OPEN, _NEXT = re.compile(r"[ \t\n\r]*\{"), re.compile(r"[ \t\n\r]*([,}])")
 _KEY = re.compile(r'[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*(?=[^ \t\n\r])')
 _DELIMITERS = frozenset(",]} \t\n\r")  # what may follow a whole number
 _CELL_SECTIONS = frozenset({"monthly", "annual", "entry", "q1"})  # one float array per cell
+_CHECK = {key: check for key, check, _ in TOP}  # the config's check of each key
 
 
 def _cell_key(ei: int, ai: int) -> str:
@@ -58,6 +60,20 @@ def _cell_key(ei: int, ai: int) -> str:
 
 def _reject_constant(name: str):
     raise DataError(f"model file: non-finite number {name}")
+
+
+def _numbers(part, where: str):
+    """`part`, JSON text or what it decodes to, if it holds numbers and lists alone; else DataError.
+
+    A JSON string, true, false, null or object has a character that no number has.
+    """
+    if isinstance(part, str):
+        bad = any(c in part for c in '"tfn{')
+    else:
+        bad = not set(map(type, np.array(part, dtype=object).flat)) <= {int, float, list}
+    if bad:
+        raise DataError(f"model file: {where} holds a value that is not a number")
+    return part
 
 
 def _parse_cell_key(s: str) -> tuple[int, int]:
@@ -134,7 +150,7 @@ def _decode_stream(fh) -> dict:
                 out[key], i = members(i + 1, False, key in _CELL_SECTIONS)
             else:
                 v, i = value(i)  # a cell's member is converted as `cell_arrays` would, at once
-                out[key] = np.array(v, dtype=float) if arrays else v
+                out[key] = np.array(_numbers(v, key), dtype=float) if arrays else v
             delim, i = (m := match(_NEXT, i))[1], m.end()
             if top:  # drop what is decoded
                 dropped, buf, i = dropped + i, buf[i:], 0
@@ -152,12 +168,14 @@ def _parse_pi(triplets, space: StateSpaceConfig) -> np.ndarray:
     """The initial distribution from its [category, age, seniority, p] triplets.
 
     `triplets` is the decoded list, or the text spans of `_decode_stream`,
-    decoded one at a time so that the whole list is never held.
+    each checked on its text and decoded one at a time so that the whole
+    list is never held.
     """
     if isinstance(triplets, Iterator):
-        blocks = (json.loads(f"[{s}]", parse_constant=_reject_constant) for s in triplets)
+        blocks = (json.loads(f"[{_numbers(s, 'pi')}]", parse_constant=_reject_constant)
+                  for s in triplets)
     else:  # in slices, so the arrays stay small
-        blocks = (triplets[lo : lo + 8192] for lo in range(0, len(triplets), 8192))
+        blocks = (_numbers(triplets[lo : lo + 8192], "pi") for lo in range(0, len(triplets), 8192))
     pi = np.zeros((space.n_categories, space.n_ages, space.seniority_max))
     listed = np.zeros(pi.size, dtype=bool)
     n_entries = 0
@@ -225,12 +243,8 @@ class FittedModel:
     def to_json_dict(self) -> dict:
         sp = self.space
         tuples = self.characteristics.tuples()
-        pi_triplets = []
-        nz = np.argwhere(self.pi != 0.0)
-        for c, eo, a in nz:
-            pi_triplets.append(
-                [int(c), int(eo) + sp.age_min, int(a), float(self.pi[c, eo, a])]
-            )
+        pi_triplets = [[int(c), int(eo) + sp.age_min, int(a), float(self.pi[c, eo, a])]
+                       for c, eo, a in np.argwhere(self.pi != 0.0)]
         return {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
@@ -247,16 +261,8 @@ class FittedModel:
                 k: list(v) for k, v in sorted(self.stopping_time_overrides.items())
             },
             "pi": pi_triplets,
-            "monthly": {
-                _cell_key(*k): v.tolist() for k, v in sorted(self.monthly.items())
-            },
-            "annual": {
-                _cell_key(*k): v.tolist() for k, v in sorted(self.annual.items())
-            },
-            "entry": {
-                _cell_key(*k): v.tolist() for k, v in sorted(self.entry.items())
-            },
-            "q1": {_cell_key(*k): v.tolist() for k, v in sorted(self.q1.items())},
+            **{name: {_cell_key(*k): v.tolist() for k, v in sorted(getattr(self, name).items())}
+               for name in _CELL_SECTIONS},
             "r": {
                 f"{c}|{ei},{ai}": {
                     ",".join(map(str, tuples[k])): float(self.r[c, ei, ai, k])
@@ -279,7 +285,7 @@ class FittedModel:
     def from_json_dict(cls, doc: dict) -> "FittedModel":
         if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
             raise DataError("model file: unrecognized format marker")
-        if doc.get("version") != FORMAT_VERSION:
+        if type(doc.get("version")) is not int or doc["version"] != FORMAT_VERSION:
             raise DataError(f"model file: unsupported version {doc.get('version')!r}")
         doc = dict(doc)  # _from_doc drops what it has read; the caller's dict stays whole
         try:
@@ -294,10 +300,15 @@ class FittedModel:
     @classmethod
     def _from_doc(cls, doc: dict) -> "FittedModel":
         space = parse_space(doc["space"])
-        chars = CharacteristicSpace(
-            names=tuple(doc["characteristics"]["names"]),
-            levels=tuple(tuple(lv) for lv in doc["characteristics"]["levels"]),
-        )
+        names, levels = doc["characteristics"]["names"], doc["characteristics"]["levels"]
+        chars = CharacteristicSpace(STRINGS(names, "characteristics.names"), tuple(
+            STRINGS(lv, f"characteristics.levels[{i}]") for i, lv in enumerate(levels)))
+        hours = _CHECK["full_time_hours"](doc["full_time_hours"], "full_time_hours")
+        pmf = _CHECK["stopping_time_pmf"](doc["stopping_time_pmf"], "stopping_time_pmf")
+        overrides = _CHECK["stopping_time_pmf_overrides"](
+            doc["stopping_time_overrides"], "stopping_time_overrides")
+        if stray := [code for code in overrides if code not in space.categories[1:]]:
+            raise DataError(f"model file: stopping_time_overrides: {stray[0]!r} is not in-system")
         declared = set(chars.all_tuples())
         in_system = {(c, *cell) for c in range(1, space.n_categories) for cell in space.cells()}
         shape = (space.n_categories, space.n_age_groups, space.n_seniority_groups)
@@ -311,23 +322,29 @@ class FittedModel:
                 t = tuple(int(x) for x in tkey.split(",")) if tkey else ()
                 if t not in declared:
                     raise DataError(f"model file: r[{key}] has undeclared tuple {tkey!r}")
-                r[(*idx, chars.code(t))] = float(p)
+                if not (is_number(p) and 0 <= p <= 1):
+                    raise DataError(f"model file: r[{key}][{tkey}] is not a probability: {p!r}")
+                r[(*idx, chars.code(t))] = p
+        sums = r.sum(axis=-1)  # a cell's shares sum to 1, or it cannot be split
+        if (bad := np.argwhere((sums != 0) & ~(np.abs(sums - 1) <= 1e-9))).size:
+            c, ei, ai = bad[0]
+            raise DataError(f"model file: r[{c}|{ei},{ai}] sums to {float(sums[c, ei, ai])!r}")
         pi = _parse_pi(doc["pi"], space)
-        i0, base_year, hours = doc["i0"], doc["base_year"], doc["full_time_hours"]
+        i0, base_year = doc["i0"], INTEGER(doc["base_year"], "base_year")
         # JSON reads an out-of-range literal such as 1e400 as inf; a bool is not a number
         if not (is_number(i0) and i0 >= 0):
             raise DataError(f"model file: i0 must be a finite number >= 0 (got {i0!r})")
-        if type(base_year) is not int:
-            raise DataError(f"model file: base_year must be an integer (got {base_year!r})")
-        if not (is_number(hours) and hours > 0):
-            raise DataError(f"model file: full_time_hours must be a number > 0 (got {hours!r})")
 
-        def cell_arrays(section, shape):
+        def cell_arrays(section, shape, rows_sum_to_1=True):
             out = {}
             for key, rows in doc[section].items():
-                arr = np.asarray(rows, dtype=float)
+                arr = np.asarray(_numbers(rows, f"{section}[{key}]"), dtype=float)
                 if arr.shape != shape:
                     raise DataError(f"model file: {section}[{key}] has shape {arr.shape}")
+                if not ((0 <= arr) & (arr <= 1)).all():
+                    raise DataError(f"model file: {section}[{key}] holds a value outside [0, 1]")
+                if rows_sum_to_1 and not (np.abs(arr.sum(axis=-1) - 1) <= 1e-9).all():
+                    raise DataError(f"model file: {section}[{key}] has a row not summing to 1")
                 out[_parse_cell_key(key)] = arr
             if set(out) != set(space.cells()):
                 raise DataError(f"model file: {section} does not hold exactly one entry per cell")
@@ -337,17 +354,15 @@ class FittedModel:
         monthly = cell_arrays("monthly", (nc, nc))
         annual = cell_arrays("annual", (nc, nc))
         entry = cell_arrays("entry", (nc,))
-        q1 = cell_arrays("q1", (space.n_categories,))
+        q1 = cell_arrays("q1", (space.n_categories,), rows_sum_to_1=False)
         return cls(
             space=space,
             characteristics=chars,
             i0=float(i0),
             base_year=base_year,
-            full_time_hours=float(hours),
-            stopping_time_pmf=tuple(doc["stopping_time_pmf"]),
-            stopping_time_overrides={
-                k: tuple(v) for k, v in doc["stopping_time_overrides"].items()
-            },
+            full_time_hours=hours,
+            stopping_time_pmf=pmf,
+            stopping_time_overrides=overrides,
             pi=pi,
             monthly=monthly,
             annual=annual,

@@ -35,7 +35,7 @@ def _check_partition(groups, lo, hi, what, problems):
         problems.append(f"{what}: at least one group is required")
         return
     for g in groups:
-        if len(g) != 2 or not all(isinstance(x, int) for x in g):
+        if len(g) != 2 or not all(type(x) is int for x in g):  # a bool is not one
             problems.append(f"{what}: group {g!r} must be a pair of integers")
             return
         if g[0] >= g[1]:

@@ -43,6 +43,8 @@ from markovpop.reports import _CELL_COLUMNS, _cell_names, _report, _units, _writ
 from panelgen import feasible_seniorities
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+# an integer in ASCII digits, padded or not; int() also reads "1_8" and "١٨"
+_INTEGER_RE = re.compile(r"[ \t\n\r\f\v]*[+-]?[0-9]+[ \t\n\r\f\v]*")
 
 
 @dataclass(frozen=True)
@@ -238,6 +240,8 @@ def parse_records_by_row(path, cfg) -> Records:
             else:
                 errs.append(f"unknown category code {code!r}")
             try:
+                if not all(map(_INTEGER_RE.fullmatch, (row["age"], row["seniority"]))):
+                    raise ValueError("not an integer in ASCII digits")
                 age = int(row["age"])
                 sen = int(row["seniority"])
             except (TypeError, ValueError):

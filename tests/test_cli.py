@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from conftest import SRC, read_dump, run_python, write_cycled_mini_world
 from markovpop import cli, montecarlo, reports
 from markovpop.cli import main
-from markovpop.config import load_run_config
+from markovpop.config import is_number, load_run_config
 from markovpop.errors import DataError
 from markovpop.model import FittedModel
 
@@ -412,6 +412,23 @@ def _demo_bytes(role, edit):
     return make
 
 
+def _pi_category_true(doc):
+    """A pi entry of category 1 with its category written as true."""
+    next(entry for entry in doc["pi"] if entry[0] == 1)[0] = True
+
+
+def _text_at(*path):
+    """A model number written as a JSON string of itself."""
+
+    def edit(doc):
+        *parents, key = path
+        for p in parents:
+            doc = doc[p]
+        doc[key] = repr(doc[key])
+
+    return edit
+
+
 def _argv(command, paths, out):
     """Command line of one CLI command on the input files in `paths`."""
     argv = [command, "--config", str(paths["config"]), "--out", str(paths.get("out", out))]
@@ -450,7 +467,8 @@ DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
         (_config_with(_set(["finance", "full_time_hours"], "x")), "cost-report", 1,
          "top-level full_time_hours"),
         # non-finite numbers, one per input boundary
-        (_csv_with("reserve", 3, 1, "nan"), "fit", 2, "row 3: total 'nan' must be a finite number >= 0"),
+        (_csv_with("reserve", 3, 1, "nan"), "fit", 2,
+         "row 3: total 'nan' must be a finite number >= 0"),
         (_csv_with("records", 1, 5, "nan"), "fit", 2, "row 1: non-numeric workload 'nan'"),
         (_csv_with("scale", 1, 1, "nan"), "cost-report", 2,
          "row 1: base_salary 'nan' must be a finite number >= 0"),
@@ -535,9 +553,9 @@ DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
         (_model_with(_set(["base_year"], True)), "project", 2,
          "model file: base_year must be an integer (got True)"),
         (_model_with(_set(["full_time_hours"], "40")), "project", 2,
-         "model file: full_time_hours must be a number > 0 (got '40')"),
+         "model file: full_time_hours must be a positive number (got '40')"),
         (_model_with(_set(["full_time_hours"], True)), "project", 2,
-         "model file: full_time_hours must be a number > 0 (got True)"),
+         "model file: full_time_hours must be a positive number (got True)"),
         # documents nested too deep, or with an integer too long, for the decoders
         (_model_text(r'"diagnostics": \{', '"diagnostics": {"deep": ' + DEEP + ", "), "project",
          2, "cannot be decoded: maximum recursion depth exceeded"),
@@ -569,6 +587,22 @@ DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
          "can't decode byte 0xff in position 33534: invalid start byte (line 1118)"),
         (_demo_bytes("config", lambda text: text + b"#" * 40001 + b"\n\xff"), "fit", 1,
          "can't decode byte 0xff in position 41609: invalid start byte (line 54)"),
+        # CSV numbers are ASCII decimals: int() and float() also read digit-group underscores
+        (_demo_bytes("records", lambda text: text.replace(b"A,19,0,40,b1", b"A,1_9,0,4_0,b1", 1)),
+         "fit", 2, "row 1: non-integer age/seniority '1_9'/'0'"),
+        (_demo_bytes("reserve", lambda text: text.replace(b"\n20,", b"\n2_0,")), "fit", 2,
+         "row 5: age '2_0' is not an integer in [16,22)"),
+        # model values that are not numbers, or not probabilities
+        (_model_with(_text_at("pi", 0, 3)), "project", 2,
+         "model file: pi holds a value that is not a number"),
+        (_model_with(_pi_category_true), "project", 2,
+         "model file: pi holds a value that is not a number"),
+        (_model_with(_set(["q1", "1,0", 1], 1.5)), "project", 2,
+         "model file: q1[1,0] holds a value outside [0, 1]"),
+        (_model_with(_text_at("r", "1|1,0", "0")), "project", 2,
+         "model file: r[1|1,0][0] is not a probability: '0.66"),
+        (_model_with(_set(["stopping_time_pmf"], ["x"])), "project", 2,
+         "model file: stopping_time_pmf: need exactly 12 monthly probabilities"),
         # a panel without one of its latest 12 months names that month
         (_demo_bytes("records", lambda text: re.sub(rb"(?m)^2016-06,.*\n", b"", text)), "fit", 2,
          "error: initial distribution needs the 12 latest months; missing months: 2016-06\n"),
@@ -591,7 +625,9 @@ DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
          "model-integer-long", "config-nested-deep", "config-integer-long",
          "config-date-invalid", "top-key-misspelled", "policy-key-misspelled",
          "finance-key-misspelled", "top-key-repeated", "finance-key-repeated",
-         "records-not-utf8-late", "config-not-utf8-late", "records-month-missing"],
+         "records-not-utf8-late", "config-not-utf8-late", "records-age-underscore",
+         "reserve-age-underscore", "model-pi-string", "model-pi-true", "model-q1-above-one",
+         "model-r-string", "model-pmf-junk", "records-month-missing"],
 )
 def test_malformed_inputs_are_classified(
     mini_pipeline, tmp_path, damage, command, code, message
@@ -999,8 +1035,8 @@ def test_source_date_epoch_sets_the_timestamp_line(monkeypatch, mini_pipeline, t
 
 # what a fuzzed config or model entry may become, and a fuzzed CSV field
 FUZZ_VALUES = [NAN, float("inf"), -float("inf"), 1.0e308, 1e19, "", [], [0.5], {}, "x", -1, 0,
-               None]
-FUZZ_FIELDS = ["nan", "inf", "-inf", "1e308", "1e19", "", "x", "-1", "0"]
+               None, "0.5", True]
+FUZZ_FIELDS = ["nan", "inf", "-inf", "1e308", "1e19", "", "x", "-1", "0", "1_9"]
 # the commands that read each input
 FUZZ_COMMANDS = {
     "config": ["fit", "cost-report", "backtest"],
@@ -1020,7 +1056,11 @@ def _entries(doc, path=()):
 
 
 def _fuzz_document(data, text, load, dump):
-    """Set one entry of a YAML or JSON document, or add one beyond its schema."""
+    """Set one entry of a YAML or JSON document, or add one beyond its schema.
+
+    Returns the new text, and the path of the entry set if a finite number
+    stood there and something else does now, else None.
+    """
     doc = load(text)
     path = data.draw(st.sampled_from([(), *_entries(doc)]))
     value = data.draw(st.sampled_from(FUZZ_VALUES))
@@ -1029,7 +1069,9 @@ def _fuzz_document(data, text, load, dump):
     for p in parents:
         node = node[p]
     if path and data.draw(st.booleans()):
-        node[key] = value
+        was, node[key] = node[key], value
+        if is_number(was) and not is_number(value):
+            return dump(doc), path
     else:
         target = node[key] if path else doc
         if isinstance(target, dict):
@@ -1038,7 +1080,7 @@ def _fuzz_document(data, text, load, dump):
             target.append(value)
         else:
             node[key] = value
-    return dump(doc)
+    return dump(doc), None
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
@@ -1050,10 +1092,12 @@ def test_fuzzed_inputs_end_in_a_classified_exit_code(mini_pipeline, data):
         tmp = pathlib.Path(tmp)
         bad = tmp / mini_pipeline[role].name
         text = mini_pipeline[role].read_text()
+        number_lost = None
         if role == "config":
-            bad.write_text(_fuzz_document(data, text, yaml.safe_load, yaml.safe_dump))
+            bad.write_text(_fuzz_document(data, text, yaml.safe_load, yaml.safe_dump)[0])
         elif role == "model":
-            bad.write_text(_fuzz_document(data, text, json.loads, json.dumps))
+            text, number_lost = _fuzz_document(data, text, json.loads, json.dumps)
+            bad.write_text(text)
         else:
             lines = text.splitlines()
             row = data.draw(st.integers(1, len(lines) - 1))
@@ -1062,3 +1106,5 @@ def test_fuzzed_inputs_end_in_a_classified_exit_code(mini_pipeline, data):
             bad = _csv_with(role, row, column, value)(mini_pipeline, tmp)[role]
         rc = main(_argv(command, {**mini_pipeline, role: bad}, tmp / "out"))
     assert rc in (0, 1, 2)
+    if number_lost and number_lost[0] != "diagnostics":  # a probability or a numeric scalar
+        assert rc == 2, number_lost

@@ -290,7 +290,7 @@ FIELDS = (
     "p1", " p1", "p2 ", "p3", "A", " B ", "out", "Z", "a,b",
     "16", " 18", "19 ", "25", "-1", "0", "1", "2", "1_8", "١٨", "abc", "99999999999999999999",
     "2147483647", "2147483648", "-2147483649",
-    "40", "0.5", "-5", "nan", "inf", "1e400", "x", " y ", "zzz",
+    "40", "0.5", "1_0", "-5", "nan", "inf", "1e400", "x", " y ", "zzz",
 )
 VALID = (  # per column, fields that pass its own check
     ("2019-12", "2020-11", " 2020-12 ", "2021-01"),
@@ -298,7 +298,7 @@ VALID = (  # per column, fields that pass its own check
     ("A", " B "),
     ("18", " 19", "19 "),
     ("0", "0 ", "1"),
-    ("40", " 0.5", "1_0", "1e2"),
+    ("40", " 0.5", "10.", "1e2"),
     ("x", " y "),
 )
 INDEX = st.integers(0, 99)  # taken modulo the number of rows, fields or choices
@@ -431,6 +431,39 @@ def test_a_line_the_csv_module_refuses_is_a_data_error_at_its_line(tmp_path):
         assert str(err.value) == f"records file {path} cannot be read: line contains NUL (line 6)"
     else:
         assert "row 5: non-numeric workload '4\\x000'" in str(err.value)
+
+
+def test_csv_numbers_are_written_in_ascii_decimal_digits(tmp_path):
+    # int() and float() also read digit-group underscores and other scripts' digits
+    cfg = small_cfg()
+    text = HEADER + (
+        "2020-11,p0,A, 18 ,0, 4e1 ,x\n"  # padded, valid
+        "2020-11,p1,A,1_8,0,40,x\n"
+        "2020-11,p2,A,18,٠,40,x\n"
+        "2020-11,p3,A,18,0,4_0,x\n"
+    )
+    with pytest.raises(DataError) as err:
+        parse_records(write(tmp_path, "r.csv", text), cfg)
+    assert err.value.problems == [
+        "row 2: non-integer age/seniority '1_8'/'0'",
+        "row 3: non-integer age/seniority '18'/'٠'",
+        "row 4: non-numeric workload '4_0' (need a finite number)",
+    ]
+    census = "age,total\n16,3\n1_7,2\n18,２\n19,2_5\n"
+    with pytest.raises(DataError) as err:
+        load_reserve_csv(write(tmp_path, "res.csv", census), cfg.space)
+    assert err.value.problems == [
+        "row 2: age '1_7' is not an integer in [16,20)",
+        "row 3: total '２' must be a finite number >= 0",
+        "row 4: total '2_5' must be a finite number >= 0",
+        "no row for age 17, 18, 19",
+    ]
+    scale = "category,base_salary\nA,4_000\nB, 5e3 \n"
+    with pytest.raises(DataError) as err:
+        load_salary_scale(write(tmp_path, "scale.csv", scale), cfg.space)
+    assert err.value.problems == [
+        "row 1: base_salary '4_000' must be a finite number >= 0", "no row for category A"
+    ]
 
 
 def test_load_reserve_csv(tmp_path):

@@ -139,6 +139,38 @@ def test_load_rejects_bad_files(tmp_path):
             FittedModel.load(wrong)
 
 
+@pytest.mark.parametrize("path, value, match", [
+    (("monthly", "0,0", 0, 0), 1.5, r"monthly\[0,0\] holds a value outside \[0, 1\]"),
+    (("annual", "0,0", 0), [0.5, 0.4], r"annual\[0,0\] has a row not summing to 1"),
+    (("entry", "0,0"), [0.5, 0.4], r"entry\[0,0\] has a row not summing to 1"),
+    (("q1", "0,0", 0), True, r"q1\[0,0\] holds a value that is not a number"),
+    (("q1", "0,0", 0), -0.1, r"q1\[0,0\] holds a value outside \[0, 1\]"),
+    (("r", "1|0,0", "0,0"), "0.5", r"r\[1\|0,0\]\[0,0\] is not a probability: '0.5'"),
+    (("r", "1|0,0", "0,0"), 1.5, r"r\[1\|0,0\]\[0,0\] is not a probability: 1.5"),
+    (("r", "1|0,0", "0,0"), 0.0, r"r\[1\|0,0\] sums to 0\.\d+"),
+    (("stopping_time_overrides",), {"out": [1 / 12] * 12},
+     "stopping_time_overrides: 'out' is not in-system"),
+    (("stopping_time_overrides",), {"X": [0.5] * 12}, r"stopping_time_overrides\[X\]: "
+     "probabilities sum to 6.0"),
+    (("characteristics", "names"), "gh", "characteristics.names must be a list of strings"),
+    (("characteristics", "levels", 0), ["x", 1], r"levels\[0\] must be a list of strings"),
+    (("full_time_hours",), 0, r"full_time_hours must be a positive number \(got 0\)"),
+    (("version",), True, "unsupported version True"),
+    (("space", "age_groups"), [[0, True], [True, 4]], r"group \(0, True\) must be a pair of"),
+])
+def test_load_checks_every_value(tmp_path, path, value, match):
+    doc = make_random_model(make_toy_space(), make_chars(), seed=1, with_r=True).to_json_dict()
+    *parents, key = path
+    node = doc
+    for p in parents:
+        node = node[p]
+    node[key] = value
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=match):
+        FittedModel.load(wrong)
+
+
 def test_check_against_flags_mismatches():
     space = make_toy_space()
     chars = make_chars()

@@ -29,8 +29,7 @@ from .errors import ConfigError, DataError, reading
 from .states import STATE_BOUND, StateSpaceConfig
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
-# a number in ASCII decimal digits, padded or not: int() and float() also read
-# digit-group underscores, other scripts' digits, "nan" and "inf"
+# a number in ASCII decimal digits, padded or not; int() also reads "1_9" and "١٩"
 _DECIMAL = re.compile(r"\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\s*", re.ASCII)
 
 REQUIRED_COLUMNS = ("month", "person_id", "category", "age", "seniority", "workload")

@@ -243,8 +243,12 @@ class FittedModel:
     def to_json_dict(self) -> dict:
         sp = self.space
         tuples = self.characteristics.tuples()
-        pi_triplets = [[int(c), int(eo) + sp.age_min, int(a), float(self.pi[c, eo, a])]
-                       for c, eo, a in np.argwhere(self.pi != 0.0)]
+        pi_triplets = []
+        nz = np.argwhere(self.pi != 0.0)
+        for c, eo, a in nz:
+            pi_triplets.append(
+                [int(c), int(eo) + sp.age_min, int(a), float(self.pi[c, eo, a])]
+            )
         return {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,

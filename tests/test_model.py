@@ -157,7 +157,9 @@ def test_load_rejects_bad_files(tmp_path):
     (("full_time_hours",), 0, r"full_time_hours must be a positive number \(got 0\)"),
     (("version",), True, "unsupported version True"),
     (("space", "age_groups"), [[0, True], [True, 4]], r"group \(0, True\) must be a pair of"),
-])
+], ids=["monthly-above-one", "annual-row-sum", "entry-row-sum", "q1-bool", "q1-negative",
+        "r-string", "r-above-one", "r-sum", "overrides-out", "overrides-sum", "names-string",
+        "levels-int", "hours-zero", "version-bool", "space-group-bool"])
 def test_load_checks_every_value(tmp_path, path, value, match):
     doc = make_random_model(make_toy_space(), make_chars(), seed=1, with_r=True).to_json_dict()
     *parents, key = path

@@ -10,6 +10,7 @@ compares held-out years.  Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
 import os
 import sys
@@ -37,6 +38,7 @@ from .reports import (
 )
 
 log = logging.getLogger("markovpop")
+FILES = ("dump-draws", "out", "config", "records", "reserve", "model", "salary-scale")
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as validation errors (exit 1)."""
@@ -129,8 +131,6 @@ def cmd_project(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.dump_draws and os.path.realpath(args.dump_draws) == os.path.realpath(args.out):
-        raise ConfigError("markovpop simulate: --dump-draws and --out must name different files")
     cfg = load_run_config(args.config)
     model = _load_model(args, cfg)
     labels, tables = projection(model, args.years, cfg.overflow_policy)
@@ -205,7 +205,7 @@ def build_parser() -> _Parser:
                             help="simulation draws per year (default from config)")
             sp.add_argument("--seed", type=int, default=0, help="master RNG seed")
             sp.add_argument("--workers", type=_at_least(1), default=1,
-                            help="worker processes (output is identical for any value)")
+                            help="worker threads (output is identical for any value)")
         if scale:
             sp.add_argument("--salary-scale", dest="salary_scale", required=True,
                             help="category base salary CSV")
@@ -246,6 +246,12 @@ def main(argv=None) -> int:
         if not args.command:
             parser.print_help(sys.stderr)
             return 1
+        files = {f: os.path.realpath(p) for f in FILES
+                 if (p := vars(args).get(f.replace("-", "_")))}
+        for output, flag in itertools.combinations(files, 2):  # FILES lists the outputs first
+            if output in FILES[:2] and files[output] == files[flag]:
+                message = f"--{output} and --{flag} must name different files"
+                raise ConfigError(f"markovpop {args.command}: {message}")
         return args.run(args)
     except MarkovPopError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,9 +12,9 @@ is drawn in blocks of whole cells, each reduced, and dumped if asked, as it
 is drawn, so no year's (iterations x labels) matrix is ever held.
 
 Randomness comes from numpy's counter-based Philox generator.  The
-stream of one year is keyed by (master seed, year), and worker
-processes split the years, so every draw is independent of execution
-order and of the number of workers.
+stream of one year is keyed by (master seed, year), and worker threads
+split the years, so every draw is independent of execution order and of
+the number of workers.
 """
 
 from __future__ import annotations
@@ -114,9 +114,9 @@ def simulate_projection(
     :func:`markovpop.project.projection` table), and `blocks` are its
     `draw_blocks` over `bounds`.  Every input is checked before the first
     draw; the years are then drawn and reduced at the call, and listed in
-    ascending order.  Up to `workers` processes (at most one per year and
-    per CPU) draw and reduce whole years, so `reduce` must pickle; results
-    are bit-identical for a given seed regardless of `workers`.
+    ascending order.  Up to `workers` threads (at most one per year and per
+    CPU) draw and reduce whole years, as numpy's binomial releases the GIL;
+    results are bit-identical for a given seed regardless of `workers`.
     """
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1 (got {iterations})")
@@ -140,21 +140,19 @@ def simulate_projection(
             raise ConfigError(
                 f"cell probabilities for year {year} sum to {total!r}, expected 1"
             )
-    args = [(reduce, y, trials, v_by_year[y], iterations, derive_generator(seed, y), bounds)
-            for y in years]
-    processes = min(workers, len(args), os.cpu_count() or 1)
-    if processes <= 1:
-        return [_reduced(*a) for a in args]
-    # imported here: a single-process run never loads the pool machinery
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(_reduced, *zip(*args)))
+    def drawn(year):
+        gen = derive_generator(seed, year)
+        return year, reduce(year, draw_blocks(trials, v_by_year[year], iterations, gen, bounds))
 
+    threads = min(workers, len(years), os.cpu_count() or 1)
+    if threads <= 1:  # in this thread, stopping at the first failing year
+        return [drawn(year) for year in years]
+    # imported here: a single-thread run never loads the pool machinery
+    from concurrent.futures import ThreadPoolExecutor
 
-def _reduced(reduce, year, trials, probs, iterations, gen, bounds):
-    return year, reduce(year, draw_blocks(trials, probs, iterations, gen, bounds))
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(drawn, years))
 
 
 def dump_draws(path, years, iterations: int, n_labels: int) -> None:

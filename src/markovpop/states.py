@@ -10,7 +10,7 @@ hires once people reach working age.
 
 Estimated probabilities are constant within a (age group x seniority
 group) cell, so group lookup is the hot helper here.  All types are
-immutable and safe to share between processes.
+immutable and safe to share between threads.
 """
 
 from __future__ import annotations

@@ -758,15 +758,17 @@ def test_the_block_width_leaves_every_output_byte_identical(tmp_path, monkeypatc
         assert outputs(width) == whole, f"block width {width}"
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 def test_a_failed_draw_leaves_neither_dump_nor_report(
-    capsys, monkeypatch, mini_pipeline, tmp_path
+    capsys, monkeypatch, mini_pipeline, tmp_path, workers
 ):
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)  # two workers draw on two threads
     draw_blocks, years = montecarlo.draw_blocks, []
 
     def failing_in_year_2(*args):
         years.append(args)
         blocks = draw_blocks(*args)
-        if len(years) == 2:
+        if len(years) > 1 and years[1] is args:  # the second year to start, on any thread
             yield next(blocks)  # so the second year is part written
             raise DataError("the draw failed")
         yield from blocks
@@ -776,23 +778,30 @@ def test_a_failed_draw_leaves_neither_dump_nor_report(
     out, dump = tmp_path / "sim.csv", tmp_path / "draws.bin"
     argv = _argv("simulate", {**mini_pipeline, "dump_draws": dump}, out)
     argv[argv.index("--years") + 1] = "3"
+    argv += ["--workers", str(workers)]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: the draw failed\n"
-    assert len(years) == 2 and list(tmp_path.iterdir()) == []  # no temporary either
+    assert list(tmp_path.iterdir()) == []  # no temporary either
+    if workers == 1:  # threads may start the third year before the second fails
+        assert len(years) == 2
 
-    # the disk fills in the second year, after its marker and first block are written
+    # the disk fills in the second year to open its dump handle, after its marker and first block
     monkeypatch.setattr(montecarlo, "draw_blocks", draw_blocks)
     files = []
 
     def filling(path, mode):
-        files.append(_FillingFile(open(path, mode), room=2 if files else None))
-        return files[-1]
+        file = _FillingFile(open(path, mode), room=None)
+        files.append(file)
+        if files.index(file) == 1:  # the second handle opened, on any thread
+            file.room = 2
+        return file
 
     monkeypatch.setattr(montecarlo, "open", filling, raising=False)
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
-    assert [f.room for f in files] == [None, -1] and all(f.fh.closed for f in files)
-    assert list(tmp_path.iterdir()) == []
+    assert all(f.fh.closed for f in files) and list(tmp_path.iterdir()) == []
+    if workers == 1:  # threads open the years' handles in no fixed order
+        assert [f.room for f in files] == [None, -1]
 
 
 class _FillingFile:
@@ -970,6 +979,13 @@ def _usage_errors():
     # the dump and the report, one file spelled two ways: each would be renamed onto it
     yield pytest.param("simulate", "dump-draws", os.path.join("missing", ".", "out"),
                        "--dump-draws and --out must name different files", id="dump-draws-is-out")
+    # an output spelled as one of the command's inputs, which it would replace
+    clashes = [("project", "out", "model"), ("fit", "out", "records"), ("backtest", "out", "reserve"),
+               ("cost-report", "out", "salary-scale"), ("simulate", "dump-draws", "config")]
+    for command, flag, other in clashes:
+        path = os.path.join(".", "missing", {"salary-scale": "scale"}.get(other, other))
+        yield pytest.param(command, flag, path, f"--{flag} and --{other} must name different files",
+                           id=f"{flag}-is-{other}-{command}")
 
 
 @pytest.mark.parametrize("command, flag, value, message", _usage_errors())

@@ -1,5 +1,7 @@
 """Simulation streams: keyed generators, conditional binomials in blocks, dumps."""
 
+import concurrent.futures
+import threading
 from functools import partial
 
 import numpy as np
@@ -221,26 +223,20 @@ def test_simulate_projection_is_deterministic_across_workers():
     assert any(not np.array_equal(other[y], one[y]) for y in one)
 
 
-class _FakePool:
-    """A ProcessPoolExecutor that draws in this process and records how it is used."""
+class _SpyPool(concurrent.futures.ThreadPoolExecutor):
+    """The real thread pool, recording the size of each one made."""
 
     made = []
 
-    def __init__(self, max_workers, mp_context=None):
-        self.max_workers, self.shut_down = max_workers, False
-        _FakePool.made.append(self)
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        _SpyPool.made.append(max_workers)
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        self.shutdown()
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        self.shut_down = True
+def _on_thread(threads, year, blocks):
+    """`stacked`, recording the thread that reduces the year."""
+    threads.add(threading.get_ident())
+    return stacked(year, blocks)
 
 
 @pytest.mark.parametrize(
@@ -250,31 +246,27 @@ class _FakePool:
 def test_the_pool_is_capped_and_holds_one_year_per_process(
     monkeypatch, workers, years, cpus, processes
 ):
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _SpyPool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_FakePool, "made", [])
-    v = {y: small_v()[1 + y % 2] for y in range(1, years + 1)}
-    got = simulate(v, i0=40, iterations=6, seed=5, workers=workers)
+    monkeypatch.setattr(_SpyPool, "made", [])
+    before = threading.active_count()
+    v, threads = {y: small_v()[1 + y % 2] for y in range(1, years + 1)}, set()
+    got = simulate(v, i0=40, iterations=6, seed=5, workers=workers,
+                   reduce=partial(_on_thread, threads))
     want = simulate(v, i0=40, iterations=6, seed=5)
     assert [y for y, _ in got] == [y for y, _ in want] == list(range(1, years + 1))
     for (_, a), (_, b) in zip(got, want):
         np.testing.assert_array_equal(a, b)
-    if processes == 0:  # one process: no pool at all
-        assert _FakePool.made == []
+    if processes == 0:  # one thread: no pool at all, every year drawn in the caller's thread
+        assert _SpyPool.made == [] and threads == {threading.get_ident()}
         return
-    [pool] = _FakePool.made
-    assert pool.max_workers == processes
-    assert pool.shut_down
+    assert _SpyPool.made == [processes] and threading.active_count() == before  # shut down
+    assert threading.get_ident() not in threads and len(threads) <= processes
 
 
 def test_a_failing_year_shuts_its_pool_down(monkeypatch):
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(_FakePool, "made", [])
+    before = threading.active_count()
 
     def failing_in_year_3(year, blocks):
         if year == 3:
@@ -284,8 +276,7 @@ def test_a_failing_year_shuts_its_pool_down(monkeypatch):
     v = {y: small_v()[1] for y in range(1, 9)}
     with pytest.raises(DataError, match="the reduction failed"):
         simulate(v, i0=40, iterations=6, seed=5, workers=2, reduce=failing_in_year_3)
-    [pool] = _FakePool.made
-    assert pool.shut_down
+    assert threading.active_count() == before
 
 
 def test_simulation_holds_one_year_at_a_time():
